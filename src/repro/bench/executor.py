@@ -7,10 +7,11 @@ module provides the two pieces that make the whole evaluation grid scale
 with cores instead of wall-clock:
 
 * a **batch API** (:func:`run_batch`): callers declare their full
-  :class:`~repro.bench.runner.RunSpec` matrix up front and the executor
-  fans the specs out over a :class:`concurrent.futures.ProcessPoolExecutor`
-  with per-spec timeouts, crashed-worker retry/requeue, and a progress
-  line;
+  :class:`~repro.bench.runner.RunSpec` matrix up front, and the
+  executor answers what it can from the caches and hands the misses to
+  the job runner (:mod:`repro.bench.jobs`) as ``spec`` jobs — serial,
+  process pool or fabric, with per-spec timeouts, retry/requeue, and a
+  progress line;
 
 * a **persistent content-addressed cache** under ``benchmarks/.cache/``
   keyed by the spec plus a version hash of the workload program and the
@@ -43,25 +44,26 @@ import json
 import logging
 import os
 import pathlib
-import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.program import Program
-from ..metrics.registry import get_registry
-from ..metrics.spans import (
-    SpanRecorder,
-    get_recorder,
-    set_recorder,
-    span_attrs_for_spec,
-)
+from ..metrics.spans import span_attrs_for_spec
 from ..uarch.pipeline import CoreResult
 from ..workloads import get_workload
+from .jobs import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
+    KIND_SPEC,
+    ExecutorError,  # noqa: F401 — re-exported: batch callers catch it here
+    Job,
+    JobResult,
+    Telemetry,
+    run_jobs,
+)
 from .runner import RunSpec, execute_spec
 
 logger = logging.getLogger(__name__)
@@ -82,25 +84,12 @@ logger = logging.getLogger(__name__)
 #:    collide with ``mitigation=None`` under the old asdict payload.
 CACHE_FORMAT = 4
 
-#: Default per-spec wall-clock budget (seconds).  Simulations carry a
-#: cycle-count safety valve already, so this only catches pathological
-#: hangs (infinite loops in new defense code, a wedged worker, ...).
-DEFAULT_TIMEOUT_S = 600.0
-
-#: How many times a spec is re-queued after a worker timeout or crash
-#: before the batch gives up.
-DEFAULT_RETRIES = 2
-
 #: Source packages whose content feeds the version hash.  Editing any
 #: of these invalidates every cached result; workload *programs* are
 #: hashed separately (per workload) so a new kernel only invalidates
 #: itself.
 _VERSIONED_PACKAGES = ("arch", "uarch", "isa", "defenses", "protcc",
                        "protisa")
-
-
-class ExecutorError(RuntimeError):
-    """A spec exhausted its retries (worker crash or timeout)."""
 
 
 @dataclass(frozen=True)
@@ -173,9 +162,8 @@ class BatchStats:
     jobs: int = 1
     elapsed_s: float = 0.0
     #: Compiled-backend artifact cache traffic during this batch
-    #: (parent-process registry deltas: with a worker pool the children
-    #: compile in their own processes, so these only count in-process
-    #: simulations — which is exactly the serial path).
+    #: (attached-registry deltas; pool workers' counts arrive in their
+    #: merged metrics snapshots, so every backend but the fabric counts).
     compile_hits: int = 0
     compile_misses: int = 0
 
@@ -412,28 +400,36 @@ def cache_info() -> Dict:
 _summary_cache: Dict[RunSpec, RunSummary] = {}
 
 
+def _simulate(spec: RunSpec) -> RunSummary:
+    with Telemetry().span("sim", span_attrs_for_spec(spec)):
+        return summarize(execute_spec(spec))
+
+
 def run_summary(spec: RunSpec) -> RunSummary:
     """Summary of one simulation: memory cache, then disk, then run."""
     cached = _summary_cache.get(spec)
     if cached is not None:
         return cached
-    recorder = get_recorder()
-    if recorder is None:
-        summary = cache_load(spec)
-        if summary is None:
-            summary = summarize(execute_spec(spec))
-            cache_store(spec, summary)
-        _summary_cache[spec] = summary
-        return summary
-    with recorder.span("cache.lookup"):
+    tel = Telemetry()
+    with tel.span("cache.lookup"):
         summary = cache_load(spec)
     if summary is None:
-        with recorder.span("sim", attrs=span_attrs_for_spec(spec)):
-            summary = summarize(execute_spec(spec))
-        with recorder.span("cache.write"):
+        summary = _simulate(spec)
+        with tel.span("cache.write"):
             cache_store(spec, summary)
     _summary_cache[spec] = summary
     return summary
+
+
+def run_spec_job(payload: Dict) -> Dict:
+    """The ``spec`` job: simulate one spec payload and return its
+    :class:`RunSummary` dict.  Caching is the submitting side's
+    business, so each result reaches the disk cache exactly once."""
+    try:
+        spec = spec_from_payload(payload)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad spec payload: {exc}") from None
+    return _simulate(spec).to_dict()
 
 
 def clear_summary_cache() -> None:
@@ -468,63 +464,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return os.cpu_count() or 1
 
 
-class _WorkerTimeout(Exception):
-    pass
-
-
-def _worker_run(spec: RunSpec, timeout_s: Optional[float],
-                trace_ctx: Optional[Dict] = None) -> Tuple:
-    """Pool worker: simulate one spec under a wall-clock alarm.
-
-    Returns ``(status, spec, payload, sim_seconds)`` with status one of
-    ``"ok"`` (payload: :class:`RunSummary`), ``"timeout"``, or
-    ``"error"`` (payload: message).  ``sim_seconds`` is the worker-side
-    wall time, so the parent can split queue wait from simulation time
-    in its metrics; the parent also accepts legacy 3-tuples from
-    test-injected workers.  The worker writes the disk cache itself so
-    completed work survives even if the parent dies mid-batch.
-
-    ``trace_ctx`` (a span wire context) is only passed when the parent
-    has a span recorder attached: the worker then records its own spans
-    under a ``worker.run`` span parented to the submitting side's
-    attempt span, and returns them as a fifth tuple element of span
-    dicts for the parent to adopt.  Without it the tuple stays 4-wide
-    and no tracing machinery runs — the zero-overhead contract.
-    """
-    recorder = None
-    run_span = None
-    if trace_ctx is not None:
-        recorder = SpanRecorder()
-        previous_recorder = set_recorder(recorder)
-        run_span = recorder.start(
-            "worker.run", attrs={"pid": os.getpid()}, parent=trace_ctx,
-            push=True)
-    use_alarm = bool(timeout_s) and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        def _on_alarm(signum, frame):
-            raise _WorkerTimeout()
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    started = time.perf_counter()
-    try:
-        summary = run_summary(spec)
-        status, payload = "ok", summary
-    except _WorkerTimeout:
-        status, payload = "timeout", None
-    except Exception as exc:  # noqa: BLE001 — report, parent decides
-        status, payload = "error", f"{type(exc).__name__}: {exc}"
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-    elapsed = time.perf_counter() - started
-    if recorder is None:
-        return (status, spec, payload, elapsed)
-    recorder.finish(run_span, status=status)
-    set_recorder(previous_recorder)
-    return (status, spec, payload, elapsed, recorder.to_dicts())
-
-
 def _progress_enabled() -> bool:
     forced = os.environ.get("REPRO_PROGRESS", "")
     if forced:
@@ -554,44 +493,38 @@ def run_batch(
     """Resolve a whole spec matrix, fanning misses out over processes.
 
     Specs already in the in-memory or on-disk cache are never re-run.
-    With an effective job count of 1 (or a single pending spec) the
-    batch runs serially in-process — parallel and serial paths produce
-    bit-identical results because every simulation is a pure function
-    of its spec.
+    The misses go to the job runner (:func:`repro.bench.jobs.run_jobs`)
+    as ``spec`` jobs: serially in-process with an effective job count
+    of 1 (or a single pending spec), over a process pool otherwise, and
+    sharded through the campaign fabric (:mod:`repro.bench.fabric`)
+    when ``fabric`` or ``REPRO_FABRIC`` names a spool directory.  Every
+    backend produces bit-identical results, because a simulation is a
+    pure function of its spec; each result is written to the disk cache
+    once, here.
 
-    ``worker`` overrides the pool worker function (tests use this to
+    ``worker`` overrides the pool's job function (tests use this to
     exercise the timeout/retry/crash paths).
-
-    ``fabric`` (or the ``REPRO_FABRIC`` environment variable) names a
-    campaign-fabric spool directory: pending specs are sharded through
-    the broker/worker fabric (see :mod:`repro.bench.fabric`) instead of
-    a local process pool, and the merged results are byte-identical to
-    the serial path because result identity never depends on where a
-    spec ran.
     """
     global LAST_BATCH
-    ordered: List[RunSpec] = []
-    seen = set()
-    for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
-            ordered.append(spec)
-
-    stats = BatchStats(total=len(ordered))
-    registry = get_registry()
-    recorder = get_recorder()
-    batch_span = None
-    if recorder is not None:
-        batch_span = recorder.start(
-            "executor.batch", attrs={"specs": len(ordered)}, push=True)
-    if registry is not None:
-        compile_before = (
-            registry.counter("uarch.compile_cache_hits").value
-            + registry.counter("uarch.compile_cache_disk_hits").value,
-            registry.counter("uarch.compile_cache_misses").value)
+    ordered = list(dict.fromkeys(specs))
+    stats = BatchStats(total=len(ordered), jobs=resolve_jobs(jobs))
+    tel = Telemetry()
+    recorder = tel.recorder
+    batch_span = tel.start("executor.batch", {"specs": len(ordered)},
+                           push=True)
+    compile_before = _compile_counts(tel)
     started = time.monotonic()
     results: Dict[RunSpec, RunSummary] = {}
     pending: List[RunSpec] = []
+
+    def store(index: int, outcome: JobResult) -> None:
+        spec = pending[index]
+        summary = RunSummary.from_dict(outcome.result)
+        results[spec] = _summary_cache[spec] = summary
+        cache_store(spec, summary)
+        stats.simulated += 1
+        _progress(stats, len(results))
+
     try:
         for spec in ordered:
             cached = _summary_cache.get(spec)
@@ -607,8 +540,7 @@ def run_batch(
                 else 0.0
             cached = cache_load(spec)
             if cached is not None:
-                results[spec] = cached
-                _summary_cache[spec] = cached
+                results[spec] = _summary_cache[spec] = cached
                 stats.disk_hits += 1
                 if recorder is not None:
                     recorder.add("spec", lookup_started, recorder.now(),
@@ -616,224 +548,41 @@ def run_batch(
                                             cache="disk"))
                 continue
             pending.append(spec)
-
-        stats.jobs = resolve_jobs(jobs)
-        if fabric is None:
-            fabric = os.environ.get("REPRO_FABRIC") or None
         if pending:
-            if fabric:
-                from .fabric.broker import run_batch_fabric
-
-                run_batch_fabric(pending, fabric, results, stats,
-                                 retries=retries, registry=registry)
-            elif stats.jobs <= 1 or len(pending) == 1:
-                stats.jobs = 1
-                for index, spec in enumerate(pending):
-                    spec_started = time.perf_counter()
-                    if recorder is None:
-                        results[spec] = run_summary(spec)
-                    else:
-                        with recorder.span(
-                                "spec", attrs=span_attrs_for_spec(spec)):
-                            results[spec] = run_summary(spec)
-                    if registry is not None:
-                        registry.timer("executor.spec_seconds").observe(
-                            time.perf_counter() - spec_started)
-                    stats.simulated += 1
-                    _progress(stats, len(results))
-            else:
-                _run_pool(pending, stats, timeout_s, retries,
-                          worker or _worker_run, results, registry)
+            run = run_jobs([Job(KIND_SPEC, spec_to_payload(spec))
+                            for spec in pending], store,
+                           workers=stats.jobs, fabric=fabric,
+                           timeout_s=timeout_s, retries=retries,
+                           worker=worker)
+            stats.jobs, stats.retried = run.workers, run.retried
+            # Jobs already done in the spool are shared-state reuse (a
+            # disk hit in fabric clothing), not simulations.
+            stats.simulated -= run.reused
+            stats.disk_hits += run.reused
         stats.elapsed_s = time.monotonic() - started
     finally:
-        if recorder is not None:
-            recorder.finish(batch_span, simulated=stats.simulated,
-                            cached=stats.hits, jobs=stats.jobs)
-    if registry is not None:
-        stats.compile_hits = (
-            registry.counter("uarch.compile_cache_hits").value
-            + registry.counter("uarch.compile_cache_disk_hits").value
-            - compile_before[0])
-        stats.compile_misses = (
-            registry.counter("uarch.compile_cache_misses").value
-            - compile_before[1])
+        tel.finish(batch_span, simulated=stats.simulated,
+                   cached=stats.hits, jobs=stats.jobs)
+    stats.compile_hits, stats.compile_misses = (
+        after - before
+        for after, before in zip(_compile_counts(tel), compile_before))
     _progress(stats, len(results), final=True)
-    if registry is not None:
-        counter = registry.counter
-        counter("executor.batches").inc()
-        counter("executor.specs").inc(stats.total)
-        counter("executor.simulated").inc(stats.simulated)
-        counter("executor.retried").inc(stats.retried)
-        counter("cache.memory_hits").inc(stats.memory_hits)
-        counter("cache.disk_hits").inc(stats.disk_hits)
-        counter("cache.misses").inc(stats.simulated)
-        registry.timer("executor.batch_seconds").observe(stats.elapsed_s)
+    for name, amount in (("executor.batches", 1),
+                         ("executor.specs", stats.total),
+                         ("executor.simulated", stats.simulated),
+                         ("executor.retried", stats.retried),
+                         ("cache.memory_hits", stats.memory_hits),
+                         ("cache.disk_hits", stats.disk_hits),
+                         ("cache.misses", stats.simulated)):
+        tel.count(name, amount)
+    tel.observe("executor.batch_seconds", stats.elapsed_s)
     logger.info("%s", stats.line())
     LAST_BATCH = stats
     return results
 
 
-def _run_pool(pending: List[RunSpec], stats: BatchStats,
-              timeout_s: Optional[float], retries: int,
-              worker: Callable,
-              results: Dict[RunSpec, RunSummary],
-              registry=None) -> None:
-    """Fan ``pending`` out over a process pool, retrying failures.
-
-    Worker crashes surface as :class:`BrokenProcessPool`; the pool is
-    rebuilt and every unfinished spec re-queued (each charged one
-    attempt so a reliably crashing spec cannot loop forever).  Every
-    (re)submission stamps a fresh ``submitted`` timestamp, so the
-    ``executor.queue_wait_seconds`` metric for a completion after a
-    pool rebuild measures the wait since the rebuild — not a stale
-    epoch from before the crash.
-
-    With a span recorder attached, each spec gets one ``spec`` span for
-    its whole pool lifetime and one ``attempt`` span per submission
-    (``attempt=N`` attr) parented under it; the worker-side trace
-    context handed to ``pool.submit`` is the attempt span's, so retries
-    after a crash or timeout stay under the same spec span.  The extra
-    ``trace_ctx`` argument is only passed when a recorder is attached,
-    so injected test workers with the legacy 2-argument signature keep
-    working untraced.
-    """
-    recorder = get_recorder()
-    spec_spans: Dict[RunSpec, object] = {}
-    attempt_spans: Dict[RunSpec, object] = {}
-    attempts: Dict[RunSpec, int] = {spec: 0 for spec in pending}
-    submitted: Dict[RunSpec, float] = {}
-    queue = list(pending)
-    while queue:
-        workers = min(stats.jobs, len(queue))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            try:
-                for spec in queue:
-                    attempts[spec] += 1
-                    if recorder is not None:
-                        spec_span = spec_spans.get(spec)
-                        if spec_span is None:
-                            spec_span = spec_spans[spec] = recorder.start(
-                                "spec", attrs=span_attrs_for_spec(spec))
-                        attempt_span = recorder.start(
-                            "attempt", attrs={"attempt": attempts[spec]},
-                            parent=spec_span)
-                        attempt_spans[spec] = attempt_span
-                        future = pool.submit(worker, spec, timeout_s,
-                                             attempt_span.context())
-                    else:
-                        future = pool.submit(worker, spec, timeout_s)
-                    futures[future] = spec
-                    submitted[spec] = time.perf_counter()
-                queue = []
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done,
-                                          return_when=FIRST_COMPLETED)
-                    for future in done:
-                        spec = futures[future]
-                        outcome = future.result()
-                        status, payload = outcome[0], outcome[2]
-                        # Injected test workers may return legacy
-                        # 3-tuples without the worker-side wall time.
-                        sim_s = outcome[3] if len(outcome) > 3 else None
-                        if status == "ok":
-                            results[spec] = payload
-                            _summary_cache[spec] = payload
-                            cache_store(spec, payload)
-                            stats.simulated += 1
-                            if recorder is not None:
-                                _finish_pool_spans(
-                                    recorder, spec, spec_spans,
-                                    attempt_spans,
-                                    outcome[4] if len(outcome) > 4
-                                    else ())
-                            if registry is not None:
-                                _observe_pool_spec(registry, sim_s,
-                                                   submitted.get(spec))
-                            _progress(stats, len(results))
-                        elif status == "timeout":
-                            if registry is not None:
-                                registry.counter("executor.timeouts").inc()
-                            _fail_attempt_span(recorder, spec,
-                                               attempt_spans, "timeout")
-                            _requeue(spec, attempts, retries, queue, stats,
-                                     f"timed out after {timeout_s}s",
-                                     registry)
-                        else:
-                            _fail_attempt_span(recorder, spec,
-                                               attempt_spans, str(payload))
-                            _requeue(spec, attempts, retries, queue, stats,
-                                     payload, registry)
-            except BrokenProcessPool:
-                for future, spec in futures.items():
-                    if spec not in results and spec not in queue:
-                        # Drop the pre-crash submission stamp: the spec
-                        # is re-stamped when the rebuilt pool resubmits
-                        # it, so its queue wait restarts at zero.
-                        submitted.pop(spec, None)
-                        _fail_attempt_span(recorder, spec, attempt_spans,
-                                           "worker process crashed")
-                        _requeue(spec, attempts, retries, queue, stats,
-                                 "worker process crashed", registry)
-
-
-def _finish_pool_spans(recorder, spec, spec_spans, attempt_spans,
-                       span_payloads) -> None:
-    """Close out one pool completion: adopt the worker's spans, record
-    the queue wait (attempt start → worker.run start, same host), and
-    finish the attempt and spec spans."""
-    attempt_span = attempt_spans.pop(spec, None)
-    spec_span = spec_spans.pop(spec, None)
-    worker_started = None
-    if span_payloads:
-        recorder.adopt(span_payloads)
-        worker_started = min(
-            (p["start_s"] for p in span_payloads
-             if p.get("name") == "worker.run"), default=None)
-    if attempt_span is not None:
-        if worker_started is not None \
-                and worker_started > attempt_span.start_s:
-            recorder.add("queue.wait", attempt_span.start_s,
-                         worker_started, parent=attempt_span)
-        recorder.finish(attempt_span)
-    if spec_span is not None:
-        recorder.finish(spec_span)
-
-
-def _fail_attempt_span(recorder, spec, attempt_spans, why: str) -> None:
-    """Finish a failed submission's attempt span (the spec span stays
-    open: the retry's attempt span parents under it)."""
-    if recorder is None:
-        return
-    attempt_span = attempt_spans.pop(spec, None)
-    if attempt_span is not None:
-        recorder.finish(attempt_span, error=why)
-
-
-def _observe_pool_spec(registry, sim_s: Optional[float],
-                       submitted_at: Optional[float]) -> None:
-    """Record one pool completion: simulation time and queue wait."""
-    turnaround = (time.perf_counter() - submitted_at
-                  if submitted_at is not None else None)
-    if sim_s is None:
-        sim_s = turnaround
-    if sim_s is not None:
-        registry.timer("executor.spec_seconds").observe(sim_s)
-    if turnaround is not None and sim_s is not None:
-        registry.timer("executor.queue_wait_seconds").observe(
-            max(0.0, turnaround - sim_s))
-
-
-def _requeue(spec: RunSpec, attempts: Dict[RunSpec, int], retries: int,
-             queue: List[RunSpec], stats: BatchStats, why: str,
-             registry=None) -> None:
-    if attempts[spec] > retries:
-        raise ExecutorError(
-            f"{spec} failed after {attempts[spec]} attempts: {why}")
-    logger.warning("requeueing %s (attempt %d/%d): %s",
-                   spec, attempts[spec], retries + 1, why)
-    stats.retried += 1
-    if registry is not None:
-        registry.counter("executor.requeues").inc()
-    queue.append(spec)
+def _compile_counts(tel: Telemetry) -> Tuple[int, int]:
+    """(hits, misses) of the compiled-artifact cache so far."""
+    return (tel.value("uarch.compile_cache_hits")
+            + tel.value("uarch.compile_cache_disk_hits"),
+            tel.value("uarch.compile_cache_misses"))

@@ -19,13 +19,12 @@ from .spool import (
     Spool,
     SpoolError,
 )
-from .broker import Broker, run_batch_fabric
+from .broker import Broker
 from .top import TopView, render, run_top, sample
 from .worker import WorkerStats, run_worker, worker_id
 
 __all__ = [
     "Broker", "DONE", "FAILED", "Job", "LEASED", "PENDING",
     "ResultMismatch", "Spool", "SpoolError", "TopView", "WorkerStats",
-    "render", "run_batch_fabric", "run_top", "run_worker", "sample",
-    "worker_id",
+    "render", "run_top", "run_worker", "sample", "worker_id",
 ]

@@ -1,11 +1,12 @@
 """The broker: shard a job matrix into the spool, watch it drain,
-merge the results deterministically.
+collect the results.
 
 The broker is a client, not a daemon: it submits, polls (reaping
 expired leases and updating fabric gauges as it goes), and collects.
-Merged results are keyed by spec — never by completion order — so a
-sharded campaign is byte-identical to a serial ``run_batch`` of the
-same matrix: result identity comes from the simulation being a pure
+The job runner's fabric backend (:mod:`repro.bench.jobs`) drives it and
+merges results by job — never by completion order — so a sharded
+campaign is byte-identical to a serial ``run_batch`` of the same
+matrix: result identity comes from the simulation being a pure
 function of its spec, and the merge step adds nothing but transport.
 """
 
@@ -17,14 +18,10 @@ import os
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ...metrics.spans import get_recorder, span_attrs_for_spec
-from .spool import DONE, FAILED, LEASED, PENDING, Spool
+from ..jobs import DEFAULT_RETRIES, KIND_SPEC, ExecutorError
+from .spool import DONE, FAILED, LEASED, PENDING, Job, Spool
 
 logger = logging.getLogger(__name__)
-
-#: Job kinds the fabric ships (workers dispatch on this).
-KIND_SPEC = "spec"
-KIND_FUZZ = "fuzz-program"
 
 #: Default lease duration.  Workers heartbeat at a third of this, so a
 #: worker must miss several heartbeats before its job is reassigned.
@@ -50,8 +47,6 @@ class Broker:
 
     def __init__(self, spool_dir, *, retries: Optional[int] = None,
                  poll_s: float = 0.2) -> None:
-        from ..executor import DEFAULT_RETRIES
-
         self.spool = Spool(spool_dir)
         self.poll_s = poll_s
         self.spool.set_retries(DEFAULT_RETRIES if retries is None
@@ -111,8 +106,6 @@ class Broker:
         :class:`repro.bench.executor.ExecutorError` on failed jobs or
         timeout.
         """
-        from ..executor import ExecutorError
-
         if timeout_s is None:
             env = os.environ.get(FABRIC_TIMEOUT_ENV, "")
             timeout_s = float(env) if env else None
@@ -176,18 +169,18 @@ class Broker:
 
     # -- collection ----------------------------------------------------
 
-    def collect(self, keys: Iterable[str]) -> Dict[str, str]:
-        """Raw result texts for ``keys`` (every key must be done)."""
-        from ..executor import ExecutorError
-
-        results: Dict[str, str] = {}
+    def collect(self, keys: Iterable[str]) -> Dict[str, Job]:
+        """The finished spool rows for ``keys`` (every key must be done):
+        result text, plus the lease and finish times of the run that
+        produced it."""
+        results: Dict[str, Job] = {}
         missing: List[str] = []
         for key in keys:
             job = self.spool.job(key)
             if job is None or job.state != DONE or job.result is None:
                 missing.append(key)
             else:
-                results[key] = job.result
+                results[key] = job
         if missing:
             raise ExecutorError(
                 f"{len(missing)} fabric job(s) have no result "
@@ -201,68 +194,5 @@ class Broker:
 
         by_key = self.collect([spec_cache_key(spec) for spec in specs])
         return {spec: RunSummary.from_dict(
-                    json.loads(by_key[spec_cache_key(spec)]))
+                    json.loads(by_key[spec_cache_key(spec)].result))
                 for spec in specs}
-
-
-def run_batch_fabric(pending: Sequence, spool_dir, results: Dict,
-                     stats, retries: Optional[int] = None,
-                     registry=None) -> None:
-    """The ``run_batch`` fabric backend: shard ``pending`` through the
-    spool at ``spool_dir`` and merge the results back exactly as the
-    local pool path would (results dict, in-memory summary cache, disk
-    cache), so callers cannot tell where a spec ran.
-
-    With a span recorder attached, each spec gets a broker-side span
-    whose wire context rides in the spool's ``trace`` column — workers
-    parent their lease/run/result spans under it — and the broker's
-    shard (plus its per-worker clock-offset estimates) lands in the
-    spool's ``metrics/`` directory for ``repro trace-merge``.
-    """
-    from .. import executor as _executor
-    from ..executor import spec_cache_key
-
-    recorder = get_recorder()
-    spec_spans = {}
-    traces = None
-    if recorder is not None:
-        for spec in pending:
-            spec_spans[spec] = recorder.start(
-                "spec", attrs=dict(span_attrs_for_spec(spec),
-                                   fabric=str(spool_dir)))
-        traces = {spec_cache_key(spec): spec_spans[spec].context()
-                  for spec in pending}
-    with Broker(spool_dir, retries=retries) as broker:
-        metrics_dir = broker.spool.metrics_dir
-        if recorder is None:
-            outcome = broker.submit_specs(pending, registry=registry)
-            stats.jobs = 0  # jobs are worker-owned in fabric mode
-            broker.wait(registry=registry)
-            merged = broker.collect_specs(pending)
-        else:
-            with recorder.span("fabric.submit"):
-                outcome = broker.submit_specs(pending, registry=registry,
-                                              traces=traces)
-            stats.jobs = 0
-            with recorder.span("fabric.wait",
-                               attrs={"jobs": len(pending)}):
-                broker.wait(registry=registry)
-            with recorder.span("fabric.merge"):
-                merged = broker.collect_specs(pending)
-        clock_offsets = dict(broker.clock_offsets)
-    for spec in pending:
-        summary = merged[spec]
-        results[spec] = summary
-        _executor._summary_cache[spec] = summary
-        _executor.cache_store(spec, summary)
-    # Rows that were already done in the spool are shared-state reuse
-    # (a disk hit in fabric clothing); the rest were simulated by
-    # workers on this broker's behalf.
-    stats.disk_hits += outcome["done"]
-    stats.simulated += len(pending) - outcome["done"]
-    if registry is not None:
-        registry.counter("fabric.collected").inc(len(pending))
-    if recorder is not None:
-        for spec in pending:
-            recorder.finish(spec_spans[spec])
-        recorder.write_shard(metrics_dir, clock_offsets=clock_offsets)

@@ -16,7 +16,7 @@ Robustness properties:
   deadline pass, after which the job is claimable again — by any
   worker, with no broker intervention.
 * **Per-job attempt accounting.**  Every lease charges one attempt
-  (exactly the executor's ``_requeue`` semantics: ``retries + 1`` total
+  (exactly the job runner's retry policy: ``retries + 1`` total
   attempts); a job that keeps failing or keeps killing its workers is
   marked ``failed`` instead of looping forever.
 * **First writer wins, byte-equality asserted.**  Two workers can race
@@ -126,6 +126,8 @@ class Job:
     trace: Optional[Dict] = None
     #: When the current lease was taken (in-flight age in ``repro top``).
     leased_at: Optional[float] = None
+    #: When the job's result was stored.
+    finished: Optional[float] = None
 
 
 class Spool:
@@ -300,7 +302,7 @@ class Spool:
 
     def fail_exhausted(self) -> int:
         """Mark pending jobs that have used their whole attempt budget
-        as failed (the fabric's ``_requeue``-gives-up analogue)."""
+        as failed (the fabric side of the runner's give-up rule)."""
         max_attempts = self.retries() + 1
         def txn(conn):
             cursor = conn.execute(
@@ -451,14 +453,14 @@ class Spool:
     def job(self, key: str) -> Optional[Job]:
         row = self._conn.execute(
             "SELECT key, seq, kind, payload, state, attempts, worker, "
-            "lease_deadline, result, error, trace, leased_at "
+            "lease_deadline, result, error, trace, leased_at, finished "
             "FROM jobs WHERE key=?", (key,)).fetchone()
         return self._job_from_row(row) if row is not None else None
 
     def jobs(self, state: Optional[str] = None) -> List[Job]:
         query = ("SELECT key, seq, kind, payload, state, attempts, "
                  "worker, lease_deadline, result, error, trace, "
-                 "leased_at FROM jobs")
+                 "leased_at, finished FROM jobs")
         params: Tuple = ()
         if state is not None:
             query += " WHERE state=?"
@@ -487,11 +489,11 @@ class Spool:
     @staticmethod
     def _job_from_row(row) -> Job:
         (key, seq, kind, payload, state, attempts, worker,
-         lease_deadline, result, error, trace, leased_at) = row
+         lease_deadline, result, error, trace, leased_at, finished) = row
         return Job(key=key, seq=seq, kind=kind,
                    payload=json.loads(payload), state=state,
                    attempts=attempts, worker=worker,
                    lease_deadline=lease_deadline, result=result,
                    error=error,
                    trace=json.loads(trace) if trace is not None else None,
-                   leased_at=leased_at)
+                   leased_at=leased_at, finished=finished)

@@ -2,16 +2,13 @@
 
 ``repro work --spool DIR`` runs this loop.  A worker is stateless —
 everything it knows lives in the spool — so fleets scale by just
-starting more of them, on any host that can reach the spool directory
-and the shared result cache.
+starting more of them, on any host that can reach the spool directory.
 
-Execution reuses the single-host plumbing end to end: spec jobs run
-through :func:`repro.bench.executor._worker_run` (same engines, same
-wall-clock alarm, same content-addressed ``benchmarks/.cache/``
-writes), fuzzing jobs through the campaign's per-program unit.  A
-worker drains gracefully on SIGTERM/SIGINT: it finishes the job it
-holds, records its final state, and exits — the lease protocol covers
-the impolite shutdowns.
+Execution is the job runner's :func:`repro.bench.jobs.run_job`, exactly
+as in a local pool: same engines, same wall-clock alarm, same result
+payloads.  A worker drains gracefully on SIGTERM/SIGINT: it finishes
+the job it holds, records its final state, and exits — the lease
+protocol covers the impolite shutdowns.
 """
 
 from __future__ import annotations
@@ -23,12 +20,12 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ...metrics.registry import get_registry
-from ...metrics.spans import SpanRecorder, recording
-from .broker import KIND_FUZZ, KIND_SPEC
-from .spool import Job, Spool
+from ...metrics.spans import SpanRecorder
+from ..jobs import DEFAULT_TIMEOUT_S, Job, Telemetry, run_job
+from .spool import Spool
 
 logger = logging.getLogger(__name__)
 
@@ -98,6 +95,9 @@ class _Heartbeat(threading.Thread):
         self.trace_parent = trace_parent
         self.recorder = SpanRecorder(process=worker) \
             if trace_parent is not None else None
+        # Taken now: while the job runs, the process-wide registry is
+        # the job's own.
+        self.registry = get_registry()
         self._halt = threading.Event()
 
     def run(self) -> None:
@@ -131,65 +131,12 @@ class _Heartbeat(threading.Thread):
         self.errors += 1
         logger.warning("worker %s: heartbeat for %s failed: %s",
                        self.worker, self.key[:12], exc)
-        registry = get_registry()
-        if registry is not None:
-            registry.counter("fabric.heartbeat_errors").inc()
+        if self.registry is not None:
+            self.registry.counter("fabric.heartbeat_errors").inc()
 
     def stop(self) -> None:
         self._halt.set()
         self.join(timeout=max(1.0, 2 * self.interval))
-
-
-class _WorkerAlarm(Exception):
-    pass
-
-
-def _execute_job(job: Job, timeout_s: Optional[float]
-                 ) -> Tuple[bool, Optional[str], Optional[str]]:
-    """Run one spooled job; returns ``(ok, result_text, error)``.
-
-    Result texts are canonical JSON — the byte-equality the dedup
-    protocol asserts is decided here.  SIGALRM only works in the main
-    thread, so thread-hosted workers (tests) run without the per-job
-    wall-clock limit — the lease deadline still bounds them.
-    """
-    from ..executor import _worker_run, canonical_json, spec_from_payload
-
-    if threading.current_thread() is not threading.main_thread():
-        timeout_s = None
-    if job.kind == KIND_SPEC:
-        try:
-            spec = spec_from_payload(job.payload)
-        except (TypeError, ValueError, KeyError) as exc:
-            return False, None, f"bad spec payload: {exc}"
-        outcome = _worker_run(spec, timeout_s)
-        status, payload = outcome[0], outcome[2]
-        if status == "ok":
-            return True, canonical_json(payload.to_dict()), None
-        if status == "timeout":
-            return False, None, f"timed out after {timeout_s}s"
-        return False, None, str(payload)
-    if job.kind == KIND_FUZZ:
-        from ...fuzzing.campaign import run_campaign_job
-
-        use_alarm = bool(timeout_s) and hasattr(signal, "SIGALRM")
-        if use_alarm:
-            def _on_alarm(signum, frame):
-                raise _WorkerAlarm()
-            previous = signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        try:
-            return True, canonical_json(run_campaign_job(job.payload)), \
-                None
-        except _WorkerAlarm:
-            return False, None, f"timed out after {timeout_s}s"
-        except Exception as exc:  # noqa: BLE001 — report, spool decides
-            return False, None, f"{type(exc).__name__}: {exc}"
-        finally:
-            if use_alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, previous)
-    return False, None, f"unknown job kind {job.kind!r}"
 
 
 def run_worker(spool_dir, *, lease_s: float = 30.0, poll_s: float = 0.5,
@@ -202,9 +149,10 @@ def run_worker(spool_dir, *, lease_s: float = 30.0, poll_s: float = 0.5,
     Exits when a drain signal arrives (SIGTERM/SIGINT, finishing the
     current job first), after ``max_jobs`` claims, or after
     ``idle_timeout_s`` seconds with nothing claimable.  With an
-    attached metrics registry, per-job counters accumulate and a
-    Prometheus textfile lands in ``SPOOL/metrics/<worker>.prom`` after
-    every job (the node-exporter textfile-collector handoff).
+    attached metrics registry, per-job counters (and each job's own
+    metrics) accumulate and a Prometheus textfile lands in
+    ``SPOOL/metrics/<worker>.prom`` after every job (the node-exporter
+    textfile-collector handoff).
 
     Tracing is driven entirely by the jobs: a job whose spool row
     carries trace context gets ``fabric.lease`` / ``fabric.job`` /
@@ -213,7 +161,7 @@ def run_worker(spool_dir, *, lease_s: float = 30.0, poll_s: float = 0.5,
     ``SPOOL/metrics/spans-<worker>.jsonl`` after the job; untraced
     jobs run with no tracing machinery at all.
     """
-    from ..executor import DEFAULT_TIMEOUT_S
+    from ..executor import canonical_json
 
     if job_timeout_s is None:
         job_timeout_s = DEFAULT_TIMEOUT_S
@@ -227,7 +175,8 @@ def run_worker(spool_dir, *, lease_s: float = 30.0, poll_s: float = 0.5,
             drain.set()
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous_handlers[signum] = signal.signal(signum, _on_signal)
-    registry = get_registry()
+    tel = Telemetry()
+    registry = tel.registry
     recorder: Optional[SpanRecorder] = None
     started = time.monotonic()
     host, pid = socket.gethostname(), os.getpid()
@@ -275,58 +224,57 @@ def run_worker(spool_dir, *, lease_s: float = 30.0, poll_s: float = 0.5,
                         "fabric.job", parent=job.trace,
                         attrs={"worker": stats.worker, "kind": job.kind,
                                "attempt": job.attempts,
-                               "key": job.key[:12]},
-                        push=True)
-                heartbeat = _Heartbeat(
-                    spool_dir, job.key, stats.worker, lease_s,
-                    trace_parent=job_span.context()
-                    if job_span is not None else None)
+                               "key": job.key[:12]})
+                trace_ctx = job_span.context() \
+                    if job_span is not None else None
+                heartbeat = _Heartbeat(spool_dir, job.key, stats.worker,
+                                       lease_s, trace_parent=trace_ctx)
                 heartbeat.start()
-                job_started = time.monotonic()
                 try:
-                    if job_span is not None:
-                        with recording(recorder):
-                            ok, result_text, error = _execute_job(
-                                job, job_timeout_s)
-                    else:
-                        ok, result_text, error = _execute_job(
-                            job, job_timeout_s)
+                    outcome = run_job(Job(job.kind, job.payload),
+                                      job_timeout_s, trace_ctx,
+                                      metrics=registry is not None)
                 finally:
                     heartbeat.stop()
                     stats.heartbeat_errors += heartbeat.errors
+                if registry is not None and outcome.metrics:
+                    registry.merge(outcome.metrics)
                 write_started = recorder.now() if job_span is not None \
                     else 0.0
-                if ok:
-                    outcome = spool.complete(job.key, stats.worker,
-                                             result_text)
-                    if outcome == "duplicate":
+                if outcome.status == "ok":
+                    written = spool.complete(
+                        job.key, stats.worker,
+                        canonical_json(outcome.result))
+                    if written == "duplicate":
                         stats.duplicates += 1
                     else:
                         stats.completed += 1
                 else:
-                    outcome = "released"
-                    spool.release(job.key, stats.worker, error)
+                    written = "released"
+                    spool.release(job.key, stats.worker, outcome.error)
                     stats.released += 1
                     logger.warning("worker %s: released %s: %s",
-                                   stats.worker, job.key[:12], error)
+                                   stats.worker, job.key[:12],
+                                   outcome.error)
                 if job_span is not None:
+                    # The run's spans join this worker's shard under
+                    # its name, so the trace merger can correct their
+                    # clock with this worker's offset.
+                    recorder.adopt(dict(span, process=stats.worker)
+                                   for span in outcome.spans)
                     recorder.add("fabric.result-write", write_started,
                                  recorder.now(), parent=job_span,
-                                 attrs={"outcome": outcome})
-                    recorder.finish(job_span, outcome=outcome,
+                                 attrs={"outcome": written})
+                    recorder.finish(job_span, outcome=written,
                                     heartbeat_errors=heartbeat.errors)
                     if heartbeat.recorder is not None:
                         recorder.spans.extend(heartbeat.recorder.spans)
                     recorder.write_shard(spool.metrics_dir)
-                if registry is not None:
-                    counter = registry.counter
-                    counter("fabric.worker_claims").inc()
-                    if ok:
-                        counter("fabric.worker_completed").inc()
-                    else:
-                        counter("fabric.worker_releases").inc()
-                    registry.timer("fabric.job_seconds").observe(
-                        time.monotonic() - job_started)
+                tel.count("fabric.worker_claims")
+                tel.count("fabric.worker_completed"
+                          if outcome.status == "ok"
+                          else "fabric.worker_releases")
+                tel.observe("fabric.job_seconds", outcome.wall_s)
                 spool.record_worker(stats.worker, host, pid,
                                     stats.completed, stats.duplicates,
                                     stats.released,

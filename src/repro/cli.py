@@ -656,10 +656,10 @@ def _run_fuzz(args) -> int:
     protected defense recorded violations, 2 on bad arguments."""
     import time
 
+    from .bench.executor import resolve_jobs
     from .bench.runner import DEFENSES
     from .contracts import Contract
     from .fuzzing import CampaignConfig, run_campaign
-    from .fuzzing.campaign import resolve_campaign_jobs
     from .metrics import MetricsRegistry, attached
 
     if args.defense not in DEFENSES:
@@ -706,7 +706,7 @@ def _run_fuzz(args) -> int:
 
         reporter = CampaignReporter(
             pathlib.Path(args.report_dir) / "events.jsonl")
-        reporter.campaign_start(config, resolve_campaign_jobs(args.jobs))
+        reporter.campaign_start(config, resolve_jobs(args.jobs))
         on_program = reporter.on_program
     registry = MetricsRegistry()
     started = time.monotonic()

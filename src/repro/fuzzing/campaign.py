@@ -5,30 +5,29 @@ security contract) triple: it generates random programs, instruments
 them, and checks contract-equivalent input pairs for microarchitectural
 distinguishability under one or more adversary models.
 
-Programs are independent test units, so a campaign parallelizes at
-program granularity (``jobs=N``): every program's RNG streams are
-derived from a per-program seed drawn from the master RNG *before*
-fan-out, and per-program tallies are merged back in program order, so
-the result is bit-identical for any job count.  That invariant extends
-to forensics: witnesses are captured inside the per-program unit as
-plain serializable dicts and merged in the same order.
+Programs are independent test units: each is one ``fuzz-program`` job
+of the bench job runner (:mod:`repro.bench.jobs`), so a campaign runs
+serially, over a process pool (``jobs=N``) or through the campaign
+fabric, with the runner's per-job timeout and retries.  Every program's
+RNG streams are derived from a per-program seed drawn from the master
+RNG *before* fan-out, and per-program tallies are merged back in
+program order, so the result is bit-identical for any job count and
+backend.  That invariant extends to forensics: witnesses are captured
+inside the per-program unit as plain serializable dicts and merged in
+the same order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
-import os
-import pickle
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..contracts.adversary import ALL_MODELS, AdversaryModel
-from ..metrics.registry import get_registry
-from ..metrics.spans import SpanRecorder, get_recorder, set_recorder
 from ..contracts.checker import (
     CheckOutcome,
     Contract,
@@ -67,9 +66,9 @@ class CampaignConfig:
     adversaries: Tuple[AdversaryModel, ...] = ALL_MODELS
     stop_on_first_violation: bool = False
     #: Harness name from ``repro.bench.runner.DEFENSES``.  When set,
-    #: worker processes rebuild the factory from the name, so the cell
-    #: parallelizes even if ``defense_factory`` itself (e.g. a lambda)
-    #: cannot be pickled.
+    #: program jobs ship the name and rebuild the factory from it, so
+    #: the cell parallelizes even if ``defense_factory`` itself (e.g. a
+    #: lambda) cannot leave this process.
     defense_name: Optional[str] = None
     #: Capture a serializable ``LeakWitness`` dict for every violation
     #: (``CampaignResult.witnesses``).  Deterministic and merge-ordered,
@@ -106,8 +105,8 @@ class CampaignResult:
                 f"in {self.tests} tests ({rejected})")
 
     def to_dict(self) -> Dict:
-        """Spool wire format.  ``wall_time`` is telemetry, not result
-        identity, so it is excluded — two workers racing the same
+        """Job result wire format.  ``wall_time`` is telemetry, not
+        result identity, so it is excluded — two workers racing the same
         program seed must produce byte-identical payloads."""
         payload = dataclasses.asdict(self)
         del payload["wall_time"]
@@ -164,10 +163,9 @@ def _program_seeds(config: CampaignConfig) -> List[int]:
     return [master.randrange(1 << 30) for _ in range(config.n_programs)]
 
 
-def _run_program(config: CampaignConfig, program_seed: int,
-                 stop_on_first_violation: bool = False) -> CampaignResult:
-    """Fuzz one generated program: the parallel unit of work."""
-    start = time.perf_counter()
+def _run_program(config: CampaignConfig, program_seed: int) -> Dict:
+    """Fuzz one generated program (the body of a ``fuzz-program`` job);
+    returns its tallies as :meth:`CampaignResult.to_dict`."""
     result = CampaignResult()
     defense_factory = _resolve_factory(config)
     defense_name = _defense_name(config) if config.collect_witnesses else None
@@ -211,58 +209,14 @@ def _run_program(config: CampaignConfig, program_seed: int,
             if config.mitigation:
                 witness.meta["mitigation"] = config.mitigation
             result.witnesses.append(witness.to_dict())
-        if (stop_on_first_violation
+        if (config.stop_on_first_violation
                 and outcome.verdict is Verdict.VIOLATION):
             break
-    result.wall_time = time.perf_counter() - start
-    return result
+    return result.to_dict()
 
 
-def _run_program_traced(config: CampaignConfig, program_seed: int,
-                        trace_ctx: Optional[Dict]
-                        ) -> Tuple[CampaignResult, List[Dict]]:
-    """Pool-worker variant of :func:`_run_program` that records the
-    program cell as a ``fuzz.program`` span parented under the parent
-    process's campaign span, returning ``(result, span_dicts)`` for the
-    parent to adopt.  Only mapped when the parent has a recorder
-    attached — the untraced pool path keeps calling ``_run_program``
-    directly."""
-    recorder = SpanRecorder()
-    previous = set_recorder(recorder)
-    try:
-        with recorder.span("fuzz.program",
-                           attrs={"program_seed": program_seed},
-                           parent=trace_ctx):
-            partial = _run_program(config, program_seed)
-    finally:
-        set_recorder(previous)
-    return partial, recorder.to_dicts()
-
-
-def _picklable_config(config: CampaignConfig) -> Optional[CampaignConfig]:
-    """A copy of ``config`` safe to ship to worker processes, or None
-    if the cell cannot be parallelized (unpicklable factory, no name)."""
-    if config.defense_name is not None:
-        config = dataclasses.replace(config, defense_factory=None)
-    try:
-        pickle.dumps(config)
-        return config
-    except Exception:
-        return None
-
-
-def resolve_campaign_jobs(jobs: Optional[int] = None) -> int:
-    """``jobs`` argument > ``REPRO_JOBS`` env > ``os.cpu_count()``.
-
-    Delegates to the bench executor's resolver so both entry points
-    share one warn-and-fallback policy for malformed ``REPRO_JOBS``."""
-    from ..bench.executor import resolve_jobs
-
-    return resolve_jobs(jobs)
-
-
-#: Core configurations the fabric can ship by name (fuzz payloads are
-#: JSON; a bespoke ``CoreConfig`` keeps the cell on the local path).
+#: Core configurations a job payload can name (payloads are JSON; a
+#: bespoke ``CoreConfig`` keeps the cell in this process).
 _CORES_BY_NAME = {P_CORE.name: P_CORE}
 
 
@@ -275,9 +229,10 @@ def _register_fabric_cores() -> Dict[str, CoreConfig]:
 
 def campaign_job_payload(config: CampaignConfig,
                          program_seed: int) -> Optional[Dict]:
-    """The spool wire format for one per-program fuzzing unit, or None
-    when the cell cannot be shipped as JSON (anonymous defense factory,
-    bespoke core config) and must stay on the local path."""
+    """The JSON wire format of one per-program job (what the pool and
+    the fabric ship), or None when the cell cannot be shipped as JSON
+    (anonymous defense factory, bespoke core config) and must stay in
+    this process."""
     name = _defense_name(config)
     if name is None:
         return None
@@ -301,12 +256,9 @@ def campaign_job_payload(config: CampaignConfig,
 
 
 def run_campaign_job(payload: Dict) -> Dict:
-    """Execute one spooled per-program unit (the fabric worker entry
-    point): rebuild the cell from the wire payload and run exactly the
-    serial per-program function, so fabric results merge bit-identical
-    to a local run.  With a span recorder attached (a fabric worker
-    tracing the job), the cell records as a ``fuzz.program`` span under
-    the worker's job span."""
+    """Run one per-program job from its wire payload: rebuild the cell
+    and run exactly the per-program function, so tallies merge
+    bit-identical whichever process or host ran them."""
     cores = _register_fabric_cores()
     config = CampaignConfig(
         defense_factory=None,
@@ -322,24 +274,7 @@ def run_campaign_job(payload: Dict) -> Dict:
                           for value in payload["adversaries"]),
         collect_witnesses=payload["collect_witnesses"],
     )
-    recorder = get_recorder()
-    if recorder is None:
-        return _run_program(config, payload["program_seed"]).to_dict()
-    with recorder.span("fuzz.program",
-                       attrs={"program_seed": payload["program_seed"]}):
-        return _run_program(config, payload["program_seed"]).to_dict()
-
-
-def campaign_job(payload: Dict):
-    """``(key, kind, payload)`` spool entry for one per-program unit.
-    Keyed by payload content + code version, so reruns of the same cell
-    dedup and a code change respools everything."""
-    from ..bench.executor import _hash, canonical_json, code_version_hash
-    from ..bench.fabric.broker import KIND_FUZZ
-
-    key = _hash(canonical_json(payload).encode(),
-                code_version_hash().encode())
-    return key, KIND_FUZZ, payload
+    return _run_program(config, payload["program_seed"])
 
 
 def run_campaign(
@@ -350,195 +285,77 @@ def run_campaign(
 ) -> CampaignResult:
     """Run one fuzzing cell to completion (or first violation).
 
-    With ``jobs > 1`` programs fan out over a process pool; results are
-    merged in program order and are bit-identical to a serial run.
-    ``stop_on_first_violation`` cells stay serial so "first" keeps its
+    Each program is one ``fuzz-program`` job of the bench job runner:
+    with ``jobs > 1`` they fan out over a process pool, and with
+    ``fabric`` (or ``REPRO_FABRIC``) naming a spool directory they ship
+    through the campaign fabric.  Either way each program gets the
+    per-job timeout and retries, and the merge is bit-identical to a
+    serial run.  Cells that cannot ship as JSON (an anonymous defense
+    factory, a bespoke core) run serially, and so do
+    ``stop_on_first_violation`` cells, so that "first" keeps its
     sequential meaning.
 
     ``on_program(program_seed, partial_result)`` is invoked in the
     parent process, in program order, as each per-program result is
-    merged — the campaign telemetry (JSONL event log) hook.
-
-    With ``fabric`` (or ``REPRO_FABRIC``) set to a spool directory,
-    per-program units ship through the campaign fabric instead of a
-    local pool; cells that cannot be serialized fall back locally.
+    merged (serially: before the next program starts) — the campaign
+    telemetry (JSONL event log) hook.
     """
+    from ..bench.executor import resolve_jobs
+    from ..bench.jobs import KIND_FUZZ, Job, Telemetry, run_jobs
+
     seeds = _program_seeds(config)
-    jobs = resolve_campaign_jobs(jobs)
-    if fabric is None:
-        fabric = os.environ.get("REPRO_FABRIC") or None
+    jobs = resolve_jobs(jobs)
     logger.info(
         "campaign start: contract=%s instrumentation=%s defense=%s "
         "programs=%d pairs=%d jobs=%d", config.contract.value,
         config.instrumentation, _defense_name(config) or "<anonymous>",
         config.n_programs, config.pairs_per_program, jobs)
     started = time.perf_counter()
-    recorder = get_recorder()
-    campaign_span = None
-    if recorder is not None:
-        campaign_span = recorder.start(
-            "fuzz.campaign",
-            attrs={"contract": config.contract.value,
-                   "instrumentation": config.instrumentation,
-                   "defense": _defense_name(config) or "<anonymous>",
-                   "programs": config.n_programs},
-            push=True)
+    units = []
+    for seed in seeds:
+        payload = None if config.stop_on_first_violation \
+            else campaign_job_payload(config, seed)
+        units.append(Job(KIND_FUZZ, payload) if payload is not None else
+                     Job(KIND_FUZZ, {"program_seed": seed},
+                         local=functools.partial(_run_program, config, seed)))
+    tel = Telemetry()
+    campaign_span = tel.start(
+        "fuzz.campaign", push=True,
+        attrs={"contract": config.contract.value,
+               "instrumentation": config.instrumentation,
+               "defense": _defense_name(config) or "<anonymous>",
+               "programs": config.n_programs})
+    result = CampaignResult()
+
+    def merge(index: int, outcome) -> bool:
+        partial = CampaignResult.from_dict(outcome.result)
+        partial.wall_time = outcome.wall_s
+        result.merge(partial)
+        if on_program is not None:
+            on_program(seeds[index], partial)
+        return config.stop_on_first_violation and result.violations > 0
+
     try:
-        result = None
-        if fabric and not config.stop_on_first_violation:
-            result = _execute_campaign_fabric(config, seeds, fabric,
-                                              on_program)
-        if result is None:
-            result = _execute_campaign(config, seeds, jobs, on_program)
+        run_jobs(units, merge, workers=jobs, fabric=fabric)
     finally:
-        if campaign_span is not None:
-            attrs = {}
-            if result is not None:
-                attrs = {"tests": result.tests,
-                         "violations": result.violations}
-            recorder.finish(campaign_span, **attrs)
-    _record_campaign_metrics(config, result, seeds,
-                             time.perf_counter() - started)
+        tel.finish(campaign_span, tests=result.tests,
+                   violations=result.violations)
+    wall_s = time.perf_counter() - started
+    checks = result.tests + result.invalid_pairs
+    for name, amount in (("fuzz.campaigns", 1),
+                         ("fuzz.programs", len(seeds)),
+                         ("fuzz.checks", checks),
+                         ("fuzz.violations", result.violations),
+                         ("fuzz.false_positives", result.false_positives),
+                         ("fuzz.invalid_pairs", result.invalid_pairs),
+                         ("fuzz.witnesses", len(result.witnesses))):
+        tel.count(name, amount)
+    tel.observe("fuzz.campaign_seconds", wall_s)
+    if wall_s > 0:
+        tel.gauge("fuzz.programs_per_sec", len(seeds) / wall_s)
+        tel.gauge("fuzz.checks_per_sec", checks / wall_s)
     logger.info("campaign done: %s", result.summary())
     return result
-
-
-def _execute_campaign_fabric(
-    config: CampaignConfig,
-    seeds: List[int],
-    fabric: str,
-    on_program: Optional[Callable[[int, CampaignResult], None]],
-) -> Optional[CampaignResult]:
-    """Shard the campaign's per-program units through the spool at
-    ``fabric``; returns None (caller falls back to the local path) when
-    the cell cannot be serialized."""
-    import json
-
-    from ..bench.fabric.broker import Broker
-
-    payloads = [campaign_job_payload(config, seed) for seed in seeds]
-    if any(payload is None for payload in payloads):
-        logger.warning(
-            "cell cannot be shipped through the fabric (anonymous "
-            "defense factory or bespoke core); running locally")
-        return None
-    registry = get_registry()
-    entries = [campaign_job(payload) for payload in payloads]
-    recorder = get_recorder()
-    seed_spans = {}
-    traces = None
-    if recorder is not None:
-        for seed, (key, _, _) in zip(seeds, entries):
-            seed_spans[seed] = recorder.start(
-                "fuzz.program-unit",
-                attrs={"program_seed": seed, "fabric": str(fabric)})
-        traces = {key: seed_spans[seed].context()
-                  for seed, (key, _, _) in zip(seeds, entries)}
-    with Broker(fabric) as broker:
-        metrics_dir = broker.spool.metrics_dir
-        if recorder is None:
-            broker.submit_jobs(entries, registry=registry)
-            broker.wait(registry=registry)
-            texts = broker.collect([key for key, _, _ in entries])
-        else:
-            with recorder.span("fabric.submit"):
-                broker.submit_jobs(entries, registry=registry,
-                                   traces=traces)
-            with recorder.span("fabric.wait",
-                               attrs={"jobs": len(entries)}):
-                broker.wait(registry=registry)
-            with recorder.span("fabric.merge"):
-                texts = broker.collect([key for key, _, _ in entries])
-        clock_offsets = dict(broker.clock_offsets)
-    result = CampaignResult()
-    for seed, (key, _, _) in zip(seeds, entries):
-        partial = CampaignResult.from_dict(json.loads(texts[key]))
-        result.merge(partial)
-        if on_program is not None:
-            on_program(seed, partial)
-    if recorder is not None:
-        for seed in seeds:
-            recorder.finish(seed_spans[seed])
-        recorder.write_shard(metrics_dir, clock_offsets=clock_offsets)
-    if registry is not None:
-        registry.counter("fabric.collected").inc(len(entries))
-    return result
-
-
-def _execute_campaign(
-    config: CampaignConfig,
-    seeds: List[int],
-    jobs: int,
-    on_program: Optional[Callable[[int, CampaignResult], None]],
-) -> CampaignResult:
-    recorder = get_recorder()
-    if jobs > 1 and len(seeds) > 1 and not config.stop_on_first_violation:
-        shipped = _picklable_config(config)
-        if shipped is not None:
-            result = CampaignResult()
-            workers = min(jobs, len(seeds))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                if recorder is None:
-                    merged = zip(seeds, pool.map(_run_program,
-                                                 [shipped] * len(seeds),
-                                                 seeds))
-                    for seed, partial in merged:
-                        result.merge(partial)
-                        if on_program is not None:
-                            on_program(seed, partial)
-                else:
-                    ctx = recorder.context()
-                    outcomes = pool.map(_run_program_traced,
-                                        [shipped] * len(seeds), seeds,
-                                        [ctx] * len(seeds))
-                    for seed, (partial, payloads) in zip(seeds, outcomes):
-                        recorder.adopt(payloads)
-                        result.merge(partial)
-                        if on_program is not None:
-                            on_program(seed, partial)
-            return result
-        logger.info("cell is not picklable; falling back to a serial run")
-
-    result = CampaignResult()
-    for program_seed in seeds:
-        if recorder is None:
-            partial = _run_program(config, program_seed,
-                                   config.stop_on_first_violation)
-        else:
-            with recorder.span("fuzz.program",
-                               attrs={"program_seed": program_seed}):
-                partial = _run_program(config, program_seed,
-                                       config.stop_on_first_violation)
-        result.merge(partial)
-        if on_program is not None:
-            on_program(program_seed, partial)
-        if (config.stop_on_first_violation and result.violations):
-            break
-    return result
-
-
-def _record_campaign_metrics(config: CampaignConfig,
-                             result: CampaignResult,
-                             seeds: List[int], wall_s: float) -> None:
-    """Publish campaign throughput into the attached metrics registry
-    (one ``is not None`` check per campaign; telemetry only — never
-    part of result identity)."""
-    registry = get_registry()
-    if registry is None:
-        return
-    checks = result.tests + result.invalid_pairs
-    counter = registry.counter
-    counter("fuzz.campaigns").inc()
-    counter("fuzz.programs").inc(len(seeds))
-    counter("fuzz.checks").inc(checks)
-    counter("fuzz.violations").inc(result.violations)
-    counter("fuzz.false_positives").inc(result.false_positives)
-    counter("fuzz.invalid_pairs").inc(result.invalid_pairs)
-    counter("fuzz.witnesses").inc(len(result.witnesses))
-    registry.timer("fuzz.campaign_seconds").observe(wall_s)
-    if wall_s > 0:
-        registry.gauge("fuzz.programs_per_sec").set(len(seeds) / wall_s)
-        registry.gauge("fuzz.checks_per_sec").set(checks / wall_s)
 
 
 def _tally(result: CampaignResult, outcome: CheckOutcome,

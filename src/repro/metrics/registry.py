@@ -10,9 +10,11 @@ Attachment follows the same opt-in pattern as
 :class:`repro.uarch.trace.PipelineTracer`: nothing is measured unless a
 registry is attached, and detached code paths pay at most a single
 ``is not None`` check per batch/spec/run — never per cycle.  A registry
-is attached per process via :func:`set_registry`; worker processes
-never inherit one, so their simulations run at full speed and the
-parent accounts for them from the outside.
+is attached per process via :func:`set_registry`.  A forked pool worker
+inherits a *copy* of its parent's, so the job runner
+(:mod:`repro.bench.jobs`) gives every job it runs a fresh registry and
+ships its snapshot back, and the parent folds it in with
+:meth:`MetricsRegistry.merge`.
 
 Timers are fixed-bucket histograms (log-spaced seconds), so percentile
 estimates are O(buckets) with zero per-observation allocation, and the
@@ -33,6 +35,7 @@ Exports:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import time
@@ -90,6 +93,7 @@ METRIC_HELP: Dict[str, str] = {
     "fuzz.invalid_pairs": "input pairs rejected before checking",
     "fuzz.witnesses": "leak witnesses captured",
     "fuzz.campaign_seconds": "wall time per campaign cell",
+    "fuzz.program_seconds": "worker-side wall time per fuzzed program",
     "fuzz.programs_per_sec": "campaign throughput in programs/second",
     "fuzz.checks_per_sec": "campaign throughput in checks/second",
     "cache.full_result_evictions":
@@ -192,6 +196,20 @@ class Timer:
         finally:
             self.observe(time.perf_counter() - started)
 
+    def merge(self, payload: Dict) -> None:
+        """Fold in another timer's :meth:`to_dict`, bucket by bucket
+        (an edge this layout lacks lands in the next larger bucket)."""
+        if not payload["count"]:
+            return
+        self.count += payload["count"]
+        self.sum += payload["sum"]
+        self.min = min(self.min, payload["min"])
+        self.max = max(self.max, payload["max"])
+        for edge, count in payload["buckets"]:
+            index = len(self.buckets) if edge == "+Inf" \
+                else bisect.bisect_left(self.buckets, edge)
+            self.bucket_counts[index] += count
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -259,6 +277,18 @@ class MetricsRegistry:
         if metric is None:
             metric = self._timers[name] = Timer(name, buckets)
         return metric
+
+    def merge(self, snapshot: Dict) -> None:
+        """Fold another registry's :meth:`snapshot` in: counters add,
+        timers merge bucket by bucket, gauges take the merged value (so
+        merging snapshots in submission order leaves each gauge where a
+        serial run would)."""
+        for name, value in snapshot.get("counters", {}).items():
+            self.counter(name).inc(value)
+        for name, value in snapshot.get("gauges", {}).items():
+            self.gauge(name).set(value)
+        for name, payload in snapshot.get("timers", {}).items():
+            self.timer(name).merge(payload)
 
     # -- export --------------------------------------------------------
 

@@ -12,8 +12,8 @@ filesystem.  This module gives every piece of that tree one timeline:
   recorder creation — monotone within a process, comparable across
   processes up to clock offset;
 * a **trace context** (``{"trace_id", "span_id"}``) is the wire format
-  shipped across process boundaries — in the pool-worker call tuple
-  and in the fabric spool's job rows — so remote children parent under
+  shipped across process boundaries — with each pool job the runner
+  submits and in the fabric spool's job rows — so remote children parent under
   the submitting side's span;
 * **shards** are per-process JSONL files (``spans-<process>.jsonl``)
   dropped into the spool's ``metrics/`` directory, one line per
@@ -212,8 +212,8 @@ class SpanRecorder:
         return [span.to_dict() for span in self.spans]
 
     def adopt(self, payloads: Iterable[Dict]) -> int:
-        """Merge spans recorded in another process (pool workers return
-        them in the result tuple); returns how many were adopted."""
+        """Merge spans recorded in another process (job runs return them
+        in their ``JobResult``); returns how many were adopted."""
         adopted = 0
         for payload in payloads:
             self.spans.append(Span.from_dict(payload))

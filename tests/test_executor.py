@@ -21,8 +21,10 @@ from repro.bench.executor import (
     cache_load,
     clear_summary_cache,
     spec_cache_key,
+    spec_to_payload,
     summarize,
 )
+from repro.bench.jobs import KIND_SPEC, Job, JobResult, run_job
 from repro.contracts import Contract
 from repro.defenses import Unsafe
 from repro.fuzzing import CampaignConfig, run_campaign
@@ -151,37 +153,37 @@ def test_repro_jobs_env_sets_default(isolated_cache, monkeypatch):
 # module-level so the pool can pickle them by reference)
 # ----------------------------------------------------------------------
 
-def _always_timeout_worker(spec, timeout_s):
-    return ("timeout", spec, None)
+def _always_timeout_worker(job, timeout_s, trace_ctx=None, metrics=False):
+    return JobResult("timeout")
 
 
-def _always_error_worker(spec, timeout_s):
-    return ("error", spec, "injected failure")
+def _always_error_worker(job, timeout_s, trace_ctx=None, metrics=False):
+    return JobResult("error", error="injected failure")
 
 
-def _always_crash_worker(spec, timeout_s):
+def _always_crash_worker(job, timeout_s, trace_ctx=None, metrics=False):
     os._exit(3)
 
 
-def _marker(spec):
+def _marker(job):
     return pathlib.Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / spec.workload.replace("/", "_")
+        / job.payload["workload"].replace("/", "_")
 
 
-def _fail_once_worker(spec, timeout_s):
-    marker = _marker(spec)
+def _fail_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
+    marker = _marker(job)
     if not marker.exists():
         marker.write_text("failed once")
-        return ("error", spec, "injected transient failure")
-    return executor._worker_run(spec, timeout_s)
+        return JobResult("error", error="injected transient failure")
+    return run_job(job, timeout_s, trace_ctx, metrics)
 
 
-def _crash_once_worker(spec, timeout_s):
-    marker = _marker(spec)
+def _crash_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
+    marker = _marker(job)
     if not marker.exists():
         marker.write_text("crashed once")
         os._exit(3)
-    return executor._worker_run(spec, timeout_s)
+    return run_job(job, timeout_s, trace_ctx, metrics)
 
 
 def test_worker_timeout_exhausts_retries(isolated_cache):
@@ -226,11 +228,58 @@ def test_reliably_crashing_worker_gives_up(isolated_cache):
 
 
 def test_worker_run_reports_simulation_errors(isolated_cache):
-    status, _, payload, sim_s = executor._worker_run(
-        RunSpec(workload="no-such-workload"), None)
-    assert status == "error"
-    assert "no-such-workload" in payload
-    assert sim_s >= 0
+    outcome = run_job(Job(KIND_SPEC, spec_to_payload(
+        RunSpec(workload="no-such-workload"))))
+    assert outcome.status == "error"
+    assert "no-such-workload" in outcome.error
+    assert outcome.wall_s >= 0
+
+
+def test_pool_metrics_match_serial(isolated_cache, monkeypatch, tmp_path):
+    """Pool workers record into fresh registries whose snapshots the
+    parent merges, so a --jobs 2 batch reports what a serial one does."""
+    from repro.metrics import MetricsRegistry, attached
+
+    specs = [FAST, FAST_SPTSB, RunSpec(workload="ossl.dh"),
+             RunSpec(workload="ossl.dh", defense="track",
+                     instrument="unr")]
+    names = ("uarch.sim_cycles", "uarch.runs", "uarch.compile_cache_hits",
+             "uarch.compile_cache_disk_hits", "uarch.compile_cache_misses")
+
+    def counters(jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
+        clear_caches()
+        registry = MetricsRegistry()
+        with attached(registry):
+            run_batch(specs, jobs=jobs)
+        stats = executor.LAST_BATCH
+        return ({name: registry.counter(name).value for name in names},
+                (stats.compile_hits, stats.compile_misses))
+
+    serial, parallel = counters(1), counters(2)
+    assert serial == parallel
+    assert serial[0]["uarch.sim_cycles"] > 0
+    assert serial[1] == (0, len(specs))
+
+
+def test_pool_writes_each_result_to_disk_once(isolated_cache, monkeypatch,
+                                              tmp_path):
+    """Each simulated spec reaches the disk cache exactly once, from the
+    parent (pool workers are forked, so they would log here too)."""
+    log = tmp_path / "stores.log"
+    real_store = executor.cache_store
+
+    def logged_store(spec, summary):
+        with open(log, "a") as stream:
+            stream.write(f"{spec_cache_key(spec)}\n")
+        real_store(spec, summary)
+
+    monkeypatch.setattr(executor, "cache_store", logged_store)
+    specs = [FAST, FAST_SPTSB, RunSpec(workload="ossl.dh")]
+    run_batch(specs, jobs=2)
+    assert sorted(log.read_text().split()) == \
+        sorted(spec_cache_key(spec) for spec in specs)
+    assert all(cache_load(spec) is not None for spec in specs)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +329,76 @@ def test_unpicklable_factory_falls_back_to_serial():
             result.invalid_pairs, result.violation_sites) == \
            (parallel.tests, parallel.violations, parallel.false_positives,
             parallel.invalid_pairs, parallel.violation_sites)
+
+
+def _named_cell(n_programs=3):
+    return CampaignConfig(defense_factory=None, defense_name="unsafe",
+                          contract=Contract.UNPROT_SEQ,
+                          instrumentation="rand", n_programs=n_programs,
+                          pairs_per_program=1, program_size=20, seed=7)
+
+
+def test_campaign_pool_retries_a_crashed_program(isolated_cache,
+                                                 monkeypatch, tmp_path):
+    """A program job that kills its pool worker is requeued like a
+    crashed spec, and the campaign still equals the serial one."""
+    from repro.fuzzing import campaign
+
+    serial = run_campaign(_named_cell(), jobs=1)
+    marker = tmp_path / "crashed"
+    real_generate = campaign.generate_program
+
+    def crash_once(seed, size):
+        if not marker.exists():
+            marker.write_text("crashed once")
+            os._exit(3)
+        return real_generate(seed, size)
+
+    # Pool workers are forked after the patch, so they inherit it.
+    monkeypatch.setattr(campaign, "generate_program", crash_once)
+    parallel = run_campaign(_named_cell(), jobs=2)
+    assert marker.exists()
+    assert parallel.to_dict() == serial.to_dict()
+
+
+def test_campaign_pool_metrics_match_serial(isolated_cache, monkeypatch,
+                                            tmp_path):
+    from repro.metrics import MetricsRegistry, attached
+
+    names = ("uarch.sim_cycles", "uarch.runs", "uarch.compile_cache_hits",
+             "uarch.compile_cache_disk_hits", "uarch.compile_cache_misses")
+
+    def counters(jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
+        clear_caches()
+        registry = MetricsRegistry()
+        with attached(registry):
+            run_campaign(_named_cell(), jobs=jobs)
+        return {name: registry.counter(name).value for name in names}
+
+    serial = counters(1)
+    assert serial["uarch.runs"] > 0
+    assert counters(2) == serial
+
+
+def test_serial_on_program_fires_before_the_next_program(isolated_cache,
+                                                        monkeypatch):
+    from repro.fuzzing import campaign
+
+    events = []
+    real_generate = campaign.generate_program
+
+    def generate(seed, size):
+        events.append(("start", seed))
+        return real_generate(seed, size)
+
+    monkeypatch.setattr(campaign, "generate_program", generate)
+    run_campaign(_named_cell(), jobs=1,
+                 on_program=lambda seed, partial: events.append(
+                     ("done", seed)))
+    assert events == [(event, seed)
+                      for seed in campaign._program_seeds(_named_cell())
+                      for event in ("start", "done")]
 
 
 # ----------------------------------------------------------------------
@@ -447,22 +566,6 @@ def test_resolve_jobs_malformed_env_warns_and_falls_back(monkeypatch,
     assert executor.resolve_jobs(2) == 2
 
 
-def test_campaign_resolver_delegates_to_executor(monkeypatch, caplog):
-    """The campaign-side resolver and run_batch share one policy: the
-    same malformed env warns (from the executor logger) in both."""
-    import logging
-
-    from repro.fuzzing.campaign import resolve_campaign_jobs
-
-    monkeypatch.setenv("REPRO_JOBS", "four")
-    with caplog.at_level(logging.WARNING, logger="repro.bench.executor"):
-        assert resolve_campaign_jobs() == (os.cpu_count() or 1)
-    assert any("REPRO_JOBS" in record.message
-               for record in caplog.records)
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_campaign_jobs() == executor.resolve_jobs() == 3
-
-
 # ----------------------------------------------------------------------
 # Cache robustness (tmp-file leak, racing wipe)
 # ----------------------------------------------------------------------
@@ -531,15 +634,15 @@ def test_wipe_cache_tolerates_vanished_files(isolated_cache,
 # Queue-wait accounting across a pool rebuild
 # ----------------------------------------------------------------------
 
-def _slow_crash_once_worker(spec, timeout_s):
+def _slow_crash_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
     import time as _time
 
-    marker = _marker(spec)
-    if spec.defense == "unsafe" and not marker.exists():
+    marker = _marker(job)
+    if job.payload["defense"] == "unsafe" and not marker.exists():
         marker.write_text("crashing")
         _time.sleep(0.6)  # make the pre-crash epoch measurably old
         os._exit(3)
-    return executor._worker_run(spec, timeout_s)
+    return run_job(job, timeout_s, trace_ctx, metrics)
 
 
 def test_queue_wait_restarts_after_pool_rebuild(isolated_cache,
@@ -592,8 +695,7 @@ def test_canonical_json_is_byte_stable():
 
 def test_batch_stats_count_compile_cache_traffic(isolated_cache):
     """A cold serial batch compiles its triples once; a warm batch
-    reuses them (counters are parent-process registry deltas, so the
-    serial path is the one that must account them)."""
+    reuses them (counters are registry deltas over the batch)."""
     from repro.metrics import MetricsRegistry, attached
 
     registry = MetricsRegistry()

@@ -32,6 +32,7 @@ from repro.bench.fabric import (
 )
 from repro.bench.fabric.broker import spec_job
 from repro.bench.fabric.worker import worker_id
+from repro.bench.jobs import JobResult
 
 FAST = RunSpec(workload="ossl.ecadd")
 FAST_SPTSB = RunSpec(workload="ossl.ecadd", defense="spt-sb")
@@ -483,6 +484,37 @@ def test_fuzz_campaign_fabric_identical_to_serial(isolated_cache,
     assert order == _program_seeds(config)
 
 
+def test_fuzz_programs_report_wall_time_on_every_backend(isolated_cache,
+                                                         tmp_path):
+    """Wall time is telemetry outside the wire format, so it comes from
+    the runner's result: the run's own seconds locally, the spool's
+    lease-to-result interval on the fabric — never the 0.0 a bare
+    ``CampaignResult.from_dict`` leaves."""
+    from repro.contracts import Contract
+    from repro.fuzzing import CampaignConfig, run_campaign
+
+    config = CampaignConfig(defense_factory=None, defense_name="unsafe",
+                            contract=Contract.UNPROT_SEQ,
+                            instrumentation="rand", n_programs=2,
+                            pairs_per_program=1, program_size=20, seed=3)
+    serial_walls, fabric_walls = [], []
+    serial = run_campaign(config, jobs=1, on_program=lambda seed, partial:
+                          serial_walls.append(partial.wall_time))
+    spool_dir = tmp_path / "spool"
+    worker = threading.Thread(
+        target=drain, args=(spool_dir,), kwargs={"idle_timeout_s": 5.0})
+    worker.start()
+    try:
+        fabric = run_campaign(config, jobs=1, fabric=str(spool_dir),
+                              on_program=lambda seed, partial:
+                              fabric_walls.append(partial.wall_time))
+    finally:
+        worker.join()
+    for walls, result in ((serial_walls, serial), (fabric_walls, fabric)):
+        assert len(walls) == 2 and min(walls) > 0
+        assert result.wall_time == pytest.approx(sum(walls))
+
+
 def test_fuzz_anonymous_cell_falls_back_locally(isolated_cache,
                                                 tmp_path, caplog):
     import logging
@@ -667,11 +699,11 @@ def test_heartbeat_failures_counted_logged_and_surfaced(
         lambda self, *a, **k: (_ for _ in ()).throw(
             RuntimeError("injected heartbeat outage")))
 
-    def slow_execute(job, timeout_s):
+    def slow_run(job, timeout_s, trace_ctx=None, metrics=False):
         time.sleep(0.3)  # long enough for several (failing) beats
-        return True, "{}", None
+        return JobResult("ok", result={})
 
-    monkeypatch.setattr(worker_module, "_execute_job", slow_execute)
+    monkeypatch.setattr(worker_module, "run_job", slow_run)
     registry = MetricsRegistry()
     with caplog.at_level(logging.WARNING,
                          logger="repro.bench.fabric.worker"):

@@ -115,23 +115,3 @@ def test_merge_accumulates_breakdown_and_telemetry():
     assert a.invalid_nonterminating == 2
     assert a.wall_time == 0.75
     assert a.witnesses == [{"w": 1}, {"w": 2}]
-
-
-def test_resolve_campaign_jobs_malformed_env(monkeypatch, caplog):
-    import logging
-    import os
-
-    from repro.fuzzing.campaign import resolve_campaign_jobs
-
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    # The warn-and-fallback policy lives in the shared executor
-    # resolver now; the campaign entry point delegates to it.
-    with caplog.at_level(logging.WARNING, logger="repro.bench.executor"):
-        jobs = resolve_campaign_jobs()
-    assert jobs == (os.cpu_count() or 1)
-    assert any("REPRO_JOBS" in record.message for record in caplog.records)
-    # An explicit argument always wins, malformed env or not.
-    assert resolve_campaign_jobs(3) == 3
-    # A well-formed env value still applies.
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert resolve_campaign_jobs() == 5

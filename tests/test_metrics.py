@@ -148,6 +148,29 @@ def test_prometheus_export_golden():
     )
 
 
+def test_merge_adds_counters_timers_and_keeps_the_last_gauge():
+    first, second = _sample_registry(), _sample_registry()
+    second.gauge("uarch.sim_cycles_per_sec").set(42.0)
+    second.timer("executor.spec_seconds").observe(7.0)
+    # Into a registry with the same timer layout (which already holds
+    # one sample's worth), and into an empty one (default buckets: each
+    # edge lands in the bucket holding it).
+    for target, held in ((_sample_registry(), 1), (MetricsRegistry(), 0)):
+        target.merge(first.snapshot())
+        target.merge(second.snapshot())
+        assert target.counter("executor.specs").value == 3 * held + 6
+        assert target.gauge("uarch.sim_cycles_per_sec").value == 42.0
+        timer = target.timer("executor.spec_seconds")
+        assert timer.count == 2 * held + 5
+        assert sum(timer.bucket_counts) == timer.count
+        assert timer.max == 7.0 and timer.min == 0.05
+        assert timer.sum == pytest.approx(0.55 * (held + 2) + 7.0)
+    merged = MetricsRegistry()
+    merged.merge(first.snapshot())
+    assert merged.snapshot()["timers"]["executor.spec_seconds"][
+        "buckets"] == [[0.1, 1], [1.0, 1]]
+
+
 def test_prometheus_help_omitted_for_unknown_metric():
     registry = MetricsRegistry()
     registry.counter("bespoke.unknown_counter").inc()

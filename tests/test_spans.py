@@ -9,7 +9,8 @@ import pathlib
 import pytest
 
 from repro.bench import RunSpec, clear_caches, run_batch, run_summary
-from repro.bench import executor
+from repro.bench.executor import spec_to_payload
+from repro.bench.jobs import KIND_SPEC, Job, run_job
 from repro.metrics.spans import (
     Span,
     SpanRecorder,
@@ -433,13 +434,14 @@ def test_pool_spans_propagate_to_workers(isolated_cache):
     assert nesting_violations(merged_trace(recorder.spans)) == []
 
 
-def _crash_once_traced_worker(spec, timeout_s, trace_ctx=None):
+def _crash_once_traced_worker(job, timeout_s, trace_ctx=None,
+                              metrics=False):
     marker = pathlib.Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / spec.workload.replace("/", "_")
+        / job.payload["workload"].replace("/", "_")
     if not marker.exists():
         marker.write_text("crashed once")
         os._exit(3)
-    return executor._worker_run(spec, timeout_s, trace_ctx)
+    return run_job(job, timeout_s, trace_ctx, metrics)
 
 
 def test_trace_survives_broken_pool_rebuild(isolated_cache, monkeypatch,
@@ -470,35 +472,17 @@ def test_trace_survives_broken_pool_rebuild(isolated_cache, monkeypatch,
         assert all(a.attrs.get("error") for a in mine[:-1])
 
 
-def _legacy_two_arg_worker(spec, timeout_s):
-    return executor._worker_run(spec, timeout_s)
-
-
-def test_untraced_pool_accepts_legacy_two_arg_workers(isolated_cache):
-    """Injected workers with the pre-tracing 2-argument signature keep
-    working when no recorder is attached (the trace_ctx argument is
-    only passed to the pool while tracing)."""
-    results = run_batch([FAST, FAST_SPTSB], jobs=2,
-                        worker=_legacy_two_arg_worker)
-    assert len(results) == 2
-
-
 def test_worker_run_traced_returns_span_payloads(isolated_cache):
     ctx = {"trace_id": "a" * 16, "span_id": "b" * 16}
-    outcome = executor._worker_run(FAST, None, ctx)
-    assert len(outcome) == 5
-    status, _, _, _, payloads = outcome
-    assert status == "ok"
-    run = [p for p in payloads if p["name"] == "worker.run"][0]
+    outcome = run_job(Job(KIND_SPEC, spec_to_payload(FAST)), None, ctx)
+    assert outcome.status == "ok"
+    run = [p for p in outcome.spans if p["name"] == "worker.run"][0]
     assert run["trace_id"] == "a" * 16
     assert run["parent_id"] == "b" * 16
     assert run["attrs"]["status"] == "ok"
     assert get_recorder() is None  # restored after the call
-
-
-def test_worker_run_untraced_keeps_four_tuple(isolated_cache):
-    outcome = executor._worker_run(FAST, None)
-    assert len(outcome) == 4
+    # Untraced runs carry no spans at all.
+    assert run_job(Job(KIND_SPEC, spec_to_payload(FAST))).spans == []
 
 
 # ----------------------------------------------------------------------
