@@ -13,7 +13,6 @@ from .runner import (
     norm_runtime,
     protean_norm,
     render_table,
-    run,
 )
 from .executor import (
     BatchStats,
@@ -70,7 +69,7 @@ from .ablations import (
 __all__ = [
     "CLASS_BASELINE", "DEFENSES", "RunSpec", "baseline_norm",
     "clear_caches", "compiled", "execute_spec", "geomean", "norm_runtime",
-    "protean_norm", "render_table", "run",
+    "protean_norm", "render_table",
     "BatchStats", "ExecutorError", "RunSummary", "cache_info",
     "resolve_jobs", "run_batch", "run_summary", "wipe_cache",
     "ARCH_WASM", "CT_CRYPTO", "CTS_CRYPTO", "NGINX", "PARSEC", "SPEC",

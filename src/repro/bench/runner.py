@@ -11,8 +11,6 @@ base binary* on the same core.
 from __future__ import annotations
 
 import math
-import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -25,7 +23,6 @@ from ..defenses import (
     SPTSB,
     Unsafe,
 )
-from ..metrics.registry import get_registry
 from ..isa.program import Program
 from ..protcc import CompiledProgram, compile_program, mitigate_program
 from ..uarch.config import CoreConfig, E_CORE, L1DTagMode, P_CORE, SpeculationModel
@@ -97,14 +94,6 @@ _compile_cache: Dict[Tuple[str, Optional[str]], CompiledProgram] = {}
 
 _mitigate_cache: Dict[Tuple[str, Optional[str], str], "Program"] = {}
 
-#: Full ``CoreResult`` objects (memory image + timing trace) are only
-#: needed by trace consumers (contracts, fuzzing, adversary models), so
-#: the full-result cache is a small LRU instead of an unbounded dict.
-#: Perf-only paths go through ``repro.bench.executor.run_summary``,
-#: which retains slim summaries only.
-_RUN_CACHE_LIMIT = 32
-_run_cache: "OrderedDict[RunSpec, CoreResult]" = OrderedDict()
-
 
 def compiled(workload_name: str, instrument: Optional[str]) -> CompiledProgram:
     """ProtCC-compile a workload (cached)."""
@@ -138,8 +127,8 @@ def mitigated(workload_name: str, instrument: Optional[str],
 def execute_spec(spec: RunSpec, tracer=None,
                  engine: Optional[str] = None,
                  ledger=None) -> CoreResult:
-    """Simulate one configuration, uncached (the raw primitive both the
-    full-result path below and the batch executor build on).
+    """Simulate one configuration, uncached (the raw primitive the
+    batch executor builds on), returning the full result.
 
     ``tracer`` (a :class:`repro.uarch.trace.PipelineTracer`) records
     per-uop pipeline events for ``repro trace``; None — the default —
@@ -149,11 +138,9 @@ def execute_spec(spec: RunSpec, tracer=None,
     attached tracer it pins the per-cycle interpreter.
 
     ``engine`` picks the simulation engine (see
-    :data:`repro.uarch.pipeline.ENGINES`); None defers to the
+    :func:`repro.uarch.pipeline.simulate`); None defers to the
     ``REPRO_ENGINE`` environment variable and then to auto-selection
-    (compiled when possible).  The env-var path is what lets ``repro
-    bench --engine`` reach pool workers: child processes inherit the
-    environment, not the parent's argument values.
+    (compiled when possible).
     """
     workload = get_workload(spec.workload)
     if spec.mitigation is not None:
@@ -162,8 +149,6 @@ def execute_spec(spec: RunSpec, tracer=None,
         program = workload.program
     else:
         program = compiled(spec.workload, spec.instrument).program
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or None
     result = simulate(program, spec.defense_instance(),
                       spec.core_config(), workload.memory, workload.regs,
                       tracer=tracer, ledger=ledger, engine=engine)
@@ -173,34 +158,12 @@ def execute_spec(spec: RunSpec, tracer=None,
     return result
 
 
-def run(spec: RunSpec) -> CoreResult:
-    """Simulate one configuration, returning the *full* result (memory
-    image, timing trace, committed streams) for trace consumers.
-
-    Perf-only callers should use :func:`repro.bench.executor.run_summary`
-    or :func:`repro.bench.executor.run_batch`, which are persistent and
-    parallel and never retain memory images.
-    """
-    if spec in _run_cache:
-        _run_cache.move_to_end(spec)
-        return _run_cache[spec]
-    result = execute_spec(spec)
-    _run_cache[spec] = result
-    while len(_run_cache) > _RUN_CACHE_LIMIT:
-        _run_cache.popitem(last=False)
-        registry = get_registry()
-        if registry is not None:
-            registry.counter("cache.full_result_evictions").inc()
-    return result
-
-
 def clear_caches() -> None:
     from ..uarch.compiled import clear_compile_cache
     from .executor import clear_summary_cache
 
     _compile_cache.clear()
     _mitigate_cache.clear()
-    _run_cache.clear()
     clear_summary_cache()
     clear_compile_cache()
 

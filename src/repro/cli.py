@@ -108,7 +108,10 @@ def _make_spec(args):
                    instrument=args.instrument, core=args.core)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser (every subcommand)."""
+    from .uarch.pipeline import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the Protean paper's tables and figures.")
@@ -163,11 +166,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                        choices=BENCH_TARGETS)
     bench.add_argument("--report", default=None, metavar="FILE",
                        help="also write a JSON report of the tables")
-    bench.add_argument("--engine", default=None,
-                       choices=["auto", "ref", "refcore", "fast",
-                                "compiled"],
-                       help="simulation engine for cache misses "
-                            "(default: auto — compiled when possible)")
+    bench.add_argument("--engine", default=None, choices=ENGINES,
+                       help="simulation engine for cache misses and for "
+                            "the contract checks inside table-ii "
+                            "(default: REPRO_ENGINE, then auto — "
+                            "compiled when possible)")
     bench.add_argument("--no-ledger", action="store_true",
                        help="skip appending a run-ledger record")
     bench.add_argument("--metrics-out", default=None, metavar="FILE",
@@ -256,9 +259,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="also write the minimized witness to FILE")
 
     diff = sub.add_parser(
-        "diff", help="prove the fast-path and compiled engines "
-                     "cycle-identical to the reference engine; exits "
-                     "nonzero on any divergence")
+        "diff", help="prove the compiled engine cycle-identical to the "
+                     "reference engine; exits nonzero on any divergence")
     diff.add_argument("--programs", type=int, default=3, metavar="N",
                       help="random programs per (defense, class, core) "
                            "cell (default: 3)")
@@ -269,9 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="defense subset (default: all)")
     diff.add_argument("--core", nargs="+", default=["P", "E"],
                       choices=["P", "E"])
-    diff.add_argument("--engines", default=None, metavar="E1,E2,...",
-                      help="engine subset to diff, first is the "
-                           "reference (default: refcore,fast,compiled)")
     diff.add_argument("--no-fixtures", action="store_true",
                       help="skip the security-fixture differential runs")
     diff.add_argument("--workload", nargs="+", default=None,
@@ -374,8 +373,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                             "workload x first intervening defense and "
                             "write the merged Chrome trace here")
     _add_jobs(spec_)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.verbose:
         logging.basicConfig(
@@ -488,8 +490,8 @@ def _run_bench_suite(args) -> int:
     quick = args.quick
     jobs = args.jobs
     if getattr(args, "engine", None):
-        # Via the environment so pool workers inherit the choice (see
-        # repro.bench.runner.execute_spec).
+        # Via the environment so pool workers, and every simulate() call
+        # in this process, inherit the choice.
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "fabric", None):
         # Same pattern: run_batch picks REPRO_FABRIC up wherever the
@@ -951,20 +953,18 @@ def _run_diff(args) -> int:
     """``repro diff``: the engine-equivalence proof harness.
 
     Runs the randomized defense x ProtCC-class x core grid (plus the
-    security fixtures and any requested workloads) through every
-    selected engine — ``refcore``, ``fast``, and ``compiled`` by
-    default — and reports divergences plus per-case wall time.  Exit
-    status: 0 when every run is identical, 1 otherwise, 2 on bad
-    arguments."""
+    security fixtures, mitigated binaries, and any requested workloads)
+    on the reference and the compiled engine and reports divergences
+    plus per-case wall time.  Exit status: 0 when every run is
+    identical, 1 otherwise, 2 on bad arguments."""
     import time
 
     from .bench.runner import DEFENSES
     from .uarch.refcore import (
-        DEFAULT_ENGINES,
+        ENGINE_PAIR,
         diff_cases,
         fixture_cases,
         mitigation_cases,
-        parse_engines,
         run_case,
     )
 
@@ -975,14 +975,6 @@ def _run_diff(args) -> int:
                   f"known: {', '.join(sorted(DEFENSES))}",
                   file=sys.stderr)
             return 2
-    if args.engines:
-        try:
-            engines = parse_engines(args.engines)
-        except ValueError as exc:
-            print(f"bad --engines: {exc}", file=sys.stderr)
-            return 2
-    else:
-        engines = DEFAULT_ENGINES
     checked = divergent = 0
     started = time.monotonic()
     timings = []  # (seconds, label)
@@ -1006,10 +998,9 @@ def _run_diff(args) -> int:
                            defenses=tuple(args.defense)
                            if args.defense else None,
                            cores=tuple(args.core)):
-        timed(lambda c=case: run_case(c, program_size=args.size,
-                                      engines=engines))
+        timed(lambda c=case: run_case(c, program_size=args.size))
     if not args.no_fixtures:
-        fixture_iter = fixture_cases(engines=engines)
+        fixture_iter = fixture_cases()
         while True:
             case_started = time.monotonic()
             try:
@@ -1020,7 +1011,7 @@ def _run_diff(args) -> int:
         # Mitigated binaries (all four software passes over the
         # fixtures + one generated program) must agree across engines
         # too — the passes only add architectural no-ops.
-        mitigation_iter = mitigation_cases(engines=engines, seed=args.seed)
+        mitigation_iter = mitigation_cases(seed=args.seed)
         while True:
             case_started = time.monotonic()
             try:
@@ -1031,8 +1022,7 @@ def _run_diff(args) -> int:
     if args.workload:
         workload_iter = _diff_workloads(args.workload,
                                         tuple(args.defense)
-                                        if args.defense else None,
-                                        engines)
+                                        if args.defense else None)
         while True:
             case_started = time.monotonic()
             try:
@@ -1046,7 +1036,8 @@ def _run_diff(args) -> int:
         print(line)
     status = "identical" if divergent == 0 else "DIVERGENT"
     summary = (f"{checked} differential runs "
-               f"({','.join(engines)}), {divergent} divergent: {status}")
+               f"({','.join(ENGINE_PAIR)}), {divergent} divergent: "
+               f"{status}")
     print(summary)
     if args.report:
         import pathlib
@@ -1072,9 +1063,9 @@ def _diff_timing_lines(timings, elapsed: float) -> List[str]:
     return lines
 
 
-def _diff_workloads(names, defenses, engines):
-    """Differential runs of full workloads (every selected engine,
-    every defense)."""
+def _diff_workloads(names, defenses):
+    """Differential runs of full workloads (both engines, every
+    defense)."""
     from .bench.runner import DEFENSES
     from .protcc import compile_program
     from .uarch.refcore import run_engines
@@ -1090,8 +1081,7 @@ def _diff_workloads(names, defenses, engines):
                 else workload.program
             _, report = run_engines(
                 program, factory, memory_factory=lambda w=workload: w.memory,
-                regs=workload.regs, engines=engines,
-                label=f"workload:{name}/{dname}")
+                regs=workload.regs, label=f"workload:{name}/{dname}")
             yield report
 
 
@@ -1114,9 +1104,7 @@ def _run_cache(args) -> int:
             print(f"last run:  {records[-1].label()} — "
                   f"{metrics.get('cache.memory_hits', 0):.0f} mem hits, "
                   f"{metrics.get('cache.disk_hits', 0):.0f} disk hits, "
-                  f"{metrics.get('cache.misses', 0):.0f} misses, "
-                  f"{metrics.get('cache.full_result_evictions', 0):.0f} "
-                  f"evictions")
+                  f"{metrics.get('cache.misses', 0):.0f} misses")
     return 0
 
 

@@ -29,9 +29,9 @@ from ..uarch.config import SpeculationModel
 from ..uarch.uop import Uop
 
 #: Returned by the ``*_recheck_seq`` hooks when a refusal can never be
-#: overturned by commits alone (only by the event counters the core's
-#: fast path tracks separately: squash, resolution, and — for
-#: load-sensitive mechanisms — load execution).
+#: overturned by commits alone (only by the event counters the compiled
+#: engine's refusal caches track separately: squash, resolution, and —
+#: for load-sensitive mechanisms — load execution).
 RECHECK_NEVER = 1 << 62
 
 
@@ -45,15 +45,15 @@ class Defense:
     #: hardware-defined-ProtSet baselines that ignore PROT prefixes).
     binary = "base"
 
-    #: Fast-path invalidation hint: True when this mechanism's gate
-    #: answers can change when *some other* load executes (i.e. when
-    #: ``on_load_executed`` mutates state that ``may_execute`` /
-    #: ``may_resolve`` / ``may_wakeup`` read for unrelated uops, like
-    #: SPT's public bits).  ``None`` (the default) auto-detects: any
-    #: subclass overriding ``on_load_executed`` is treated as
-    #: load-sensitive unless it explicitly sets this to False (ProtTrack
-    #: does: its mutations are keyed by the executing load itself and
-    #: never change answers for other uops).
+    #: Refusal-cache invalidation hint for the compiled engine: True
+    #: when this mechanism's gate answers can change when *some other*
+    #: load executes (i.e. when ``on_load_executed`` mutates state that
+    #: ``may_execute`` / ``may_resolve`` / ``may_wakeup`` read for
+    #: unrelated uops, like SPT's public bits).  ``None`` (the default)
+    #: auto-detects: any subclass overriding ``on_load_executed`` is
+    #: treated as load-sensitive unless it explicitly sets this to False
+    #: (ProtTrack does: its mutations are keyed by the executing load
+    #: itself and never change answers for other uops).
     recheck_on_load_execute: Optional[bool] = None
 
     def recheck_loads(self) -> bool:
@@ -125,11 +125,13 @@ class Defense:
     def on_squash(self, uop: Uop) -> None:
         pass
 
-    # -- fast-path refusal-stability hints --------------------------------
+    # -- refusal-stability hints ------------------------------------------
     #
-    # Each hook is consulted by the core's fast path immediately after
-    # the corresponding ``may_*`` hook returned False, and answers:
-    # "until when is this refusal guaranteed to stand?"  The contract:
+    # The compiled engine (repro.uarch.compiled) consults each hook
+    # immediately after the corresponding ``may_*`` hook returned False,
+    # to bound its refusal caches; the reference interpreter never calls
+    # them.  Each answers "until when is this refusal guaranteed to
+    # stand?"  The contract:
     # absent squash/resolution events (and load executions, for
     # load-sensitive mechanisms) — all of which invalidate separately —
     # the refusal must hold at least until the ROB head's sequence

@@ -111,8 +111,9 @@ class ProtTrack(Defense):
 
     #: ``on_load_executed`` only touches ``_fallback`` /
     #: ``_forward_gated`` entries keyed by the executing load itself —
-    #: it never changes a gate answer for any *other* uop, so the fast
-    #: path need not invalidate its caches on load execution.
+    #: it never changes a gate answer for any *other* uop, so the
+    #: compiled engine need not invalidate its refusal caches on load
+    #: execution.
     recheck_on_load_execute = False
 
     def __init__(self, use_predictor: bool = True,
@@ -188,7 +189,7 @@ class ProtTrack(Defense):
                 return False
         return True
 
-    # -- fast-path stability hints (one per refusing clause above) --------
+    # -- refusal-stability hints (one per refusing clause above) ----------
 
     def _gate_recheck_seq(self, uop: Uop, pregs) -> int:
         if any(self.core.prf.prot[p] for p in pregs):

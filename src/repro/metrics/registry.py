@@ -96,12 +96,11 @@ METRIC_HELP: Dict[str, str] = {
     "fuzz.program_seconds": "worker-side wall time per fuzzed program",
     "fuzz.programs_per_sec": "campaign throughput in programs/second",
     "fuzz.checks_per_sec": "campaign throughput in checks/second",
-    "cache.full_result_evictions":
-        "full CoreResults dropped from the in-process cache",
     "uarch.sim_cycles": "core cycles simulated across all runs",
     "uarch.runs": "simulations completed (any engine)",
     "uarch.run_seconds": "host wall time per simulation",
-    "uarch.sim_cycles_per_sec": "fast-engine simulation throughput",
+    "uarch.sim_cycles_per_sec":
+        "simulation throughput (reference or compiled engine)",
     "uarch.compiled_cycles_per_sec":
         "compiled-engine simulation throughput",
     "uarch.compiled_runs": "simulations served by the compiled backend",
@@ -110,8 +109,9 @@ METRIC_HELP: Dict[str, str] = {
     "uarch.compile_cache_hits": "compiled artifacts reused in-process",
     "uarch.compile_cache_disk_hits": "compiled artifacts reused from disk",
     "uarch.compile_cache_misses": "programs compiled from scratch",
-    "uarch.fast_forward_cycles": "cycles skipped by idle fast-forwarding",
-    "uarch.fast_forward_jumps": "idle fast-forward jumps taken",
+    "uarch.fast_forward_cycles":
+        "idle cycles the compiled engine fast-forwarded over",
+    "uarch.fast_forward_jumps": "compiled-engine fast-forward jumps taken",
     "uarch.defense_interventions":
         "defense-hook intervention episodes across all runs",
     "uarch.defense_delay_cycles":

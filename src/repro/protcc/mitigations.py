@@ -2,7 +2,7 @@
 
 The pass family the software-defense SoK catalogues (PAPERS.md),
 implemented against the same :class:`Rewriter` the ProtCC classes use,
-so mitigated programs run unchanged on all three engines with the
+so mitigated programs run unchanged on both engines with the
 ``Unsafe`` hardware defense:
 
 * ``fence`` — the LFENCE analogue: an MFENCE on *both* edges of every
@@ -34,7 +34,7 @@ random programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..isa.instruction import Instruction
 from ..isa.operations import Cond, FLAG_WRITERS, Op

@@ -12,13 +12,7 @@ from .config import (
 from .caches import Cache, CacheHierarchy, TLB
 from .branch_predictor import BranchPredictor
 from .pipeline import Core, CoreResult, STALL_CAUSES, simulate
-from .refcore import (
-    DiffReport,
-    ReferenceCore,
-    assert_identical,
-    compare_results,
-    run_pair,
-)
+from .refcore import DiffReport, compare_results
 from .multicore import MultiCore, MultiCoreResult, TID_REG, simulate_mt
 from .speculation import (
     InterventionEvent,
@@ -41,8 +35,7 @@ __all__ = [
     "Cache", "CacheHierarchy", "TLB",
     "BranchPredictor",
     "Core", "CoreResult", "STALL_CAUSES", "simulate",
-    "DiffReport", "ReferenceCore", "assert_identical", "compare_results",
-    "run_pair",
+    "DiffReport", "compare_results",
     "MultiCore", "MultiCoreResult", "TID_REG", "simulate_mt",
     "InterventionEvent", "InterventionLedger", "intervention_summary",
     "ledger_chrome_events", "transient_summary",

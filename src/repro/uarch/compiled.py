@@ -21,11 +21,37 @@ emits one flat ``run(core)`` function in which
 * all hot scalars (cycle, sequence counter, event counters, retry-cache
   fields) are function locals instead of attribute loads.
 
+It is also the only engine with fast paths; the reference
+:class:`~repro.uarch.pipeline.Core` has none:
+
+* **Refusal caches.**  The blocked-issue, pending-resolution and
+  pending-wakeup retry loops each remember an all-refused pass.  A
+  cache snapshots the event counters (squash, resolution, divider,
+  store and load issue) whose events could flip its answers, plus a
+  *barrier*: the smallest ROB-head seq at which any cached refusal
+  could flip, from the defenses' ``*_recheck_seq`` hints and the
+  structural thresholds (an MFENCE waits for its own seq, a
+  disambiguation stall for its blocking store's).  Commits bump no
+  counter; their only effect on the gates is the monotone advance of
+  the head seq, which the barrier bounds.  While the snapshot holds,
+  the loop replays its counter side effects instead of re-asking the
+  same pure questions.
+* **Fast-forward.**  When a cycle could commit, complete, resolve,
+  wake, issue, rename or fetch nothing, and every retry cache holds,
+  ``cycle`` jumps to the next candidate event (completion-wheel heap,
+  redirect end, divider free, rename-ready, the no-progress and
+  ``max_cycles`` limits).  Each skipped cycle is charged exactly what
+  the per-cycle loop would have charged: ``width`` stall slots to one
+  cause plus the cached refusal counters, so ``sum(stall_*) == width *
+  cycles - committed_uops`` still holds.
+
 The generated function mutates the same ``Core`` state objects (PRF,
 ROB, LSQ, caches, branch predictor, defense) the interpreter does and
-writes every scalar back on exit, so ``Core._result()`` — and therefore
-the bit-identical :class:`CoreResult` contract checked by the three-way
-``repro diff`` — is shared with the other engines.
+writes the shared scalars back on exit; the caches, event counters,
+wheel heap and fast-forward state are its own locals, and it returns
+the fast-forward telemetry.  ``Core._result()`` — and therefore the
+bit-identical :class:`CoreResult` contract checked by ``repro diff``
+(reference vs compiled) — is shared by both engines.
 
 Compiled artifacts are content-addressed exactly like the bench result
 cache: program fingerprint + full config + defense identity/params +
@@ -54,7 +80,7 @@ from .pipeline import (
 #: cached artifact (the simulator-source hash usually also changes, but
 #: the version makes intent explicit and survives hash collisions of
 #: whitespace-only edits).
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -437,7 +463,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("committed_list = core.committed")
     s("waiters = core._waiters")
     s("wheel = core._wheel")
-    s("wtimes = core._wheel_times")
+    s("wtimes = []  # min-heap over the live wheel keys")
     s("ready_q = core._ready_q")
     s("producer_of = core._producer_of")
     s("fbuf = core.fetch_buffer")
@@ -477,39 +503,41 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("iq_count = core.iq_count")
     s("last_commit = core._last_commit_cycle")
     s("rename_block = None")
-    s("disamb_blocker = core._disamb_blocker")
     s("blocked = core._blocked")
     s("pend_wake = core._pending_wakeup")
     s("pend_res = core._pending_resolution")
-    s("evt_squash = core._evt_squash")
-    s("evt_resolve = core._evt_resolve")
-    s("evt_div = core._evt_div")
-    s("evt_store = core._evt_store")
-    s("evt_load = core._evt_load")
-    s("is_valid = core._issue_valid")
-    s("is_squash = core._issue_squash")
-    s("is_resolve = core._issue_resolve")
-    s("is_div = core._issue_div")
-    s("is_store = core._issue_store")
-    s("is_load = core._issue_load")
-    s("is_hasdis = core._issue_has_disamb")
-    s("is_barrier = core._issue_barrier")
-    s("is_retry = core._issue_retry_cycle")
-    s("blocked_refusals = core._blocked_refusals")
-    s("rs_valid = core._res_valid")
-    s("rs_squash = core._res_squash")
-    s("rs_resolve = core._res_resolve")
-    s("rs_load = core._res_load")
-    s("rs_barrier = core._res_barrier")
-    s("rs_live = core._res_live")
-    s("rs_refused = core._res_refused")
-    s("wk_valid = core._wake_valid")
-    s("wk_squash = core._wake_squash")
-    s("wk_resolve = core._wake_resolve")
-    s("wk_load = core._wake_load")
-    s("wk_barrier = core._wake_barrier")
-    s("ff_cycles = core._ff_cycles")
-    s("ff_jumps = core._ff_jumps")
+    s("")
+    s("# engine-local state: event counters, refusal caches, fast-forward")
+    s("disamb_blocker = None")
+    s("evt_squash = 0")
+    s("evt_resolve = 0")
+    s("evt_div = 0")
+    s("evt_store = 0")
+    s("evt_load = 0")
+    s("is_valid = False")
+    s("is_squash = 0")
+    s("is_resolve = 0")
+    s("is_div = 0")
+    s("is_store = 0")
+    s("is_load = 0")
+    s("is_hasdis = False")
+    s("is_barrier = 0")
+    s(f"is_retry = {_NEVER_LIT}")
+    s("blocked_refusals = 0")
+    s("rs_valid = False")
+    s("rs_squash = 0")
+    s("rs_resolve = 0")
+    s("rs_load = 0")
+    s("rs_barrier = 0")
+    s("rs_live = 0")
+    s("rs_refused = 0")
+    s("wk_valid = False")
+    s("wk_squash = 0")
+    s("wk_resolve = 0")
+    s("wk_load = 0")
+    s("wk_barrier = 0")
+    s("ff_cycles = 0")
+    s("ff_jumps = 0")
     s("")
 
     # ---- do_wakeup ---------------------------------------------------
@@ -1791,39 +1819,10 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     s("core.iq_count = iq_count")
     s("core._last_commit_cycle = last_commit")
     s("core._rename_block = rename_block")
-    s("core._disamb_blocker = disamb_blocker")
     s("core._blocked = blocked")
     s("core._pending_wakeup = pend_wake")
     s("core._pending_resolution = pend_res")
-    s("core._evt_squash = evt_squash")
-    s("core._evt_resolve = evt_resolve")
-    s("core._evt_div = evt_div")
-    s("core._evt_store = evt_store")
-    s("core._evt_load = evt_load")
-    s("core._issue_valid = is_valid")
-    s("core._issue_squash = is_squash")
-    s("core._issue_resolve = is_resolve")
-    s("core._issue_div = is_div")
-    s("core._issue_store = is_store")
-    s("core._issue_load = is_load")
-    s("core._issue_has_disamb = is_hasdis")
-    s("core._issue_barrier = is_barrier")
-    s("core._issue_retry_cycle = is_retry")
-    s("core._blocked_refusals = blocked_refusals")
-    s("core._res_valid = rs_valid")
-    s("core._res_squash = rs_squash")
-    s("core._res_resolve = rs_resolve")
-    s("core._res_load = rs_load")
-    s("core._res_barrier = rs_barrier")
-    s("core._res_live = rs_live")
-    s("core._res_refused = rs_refused")
-    s("core._wake_valid = wk_valid")
-    s("core._wake_squash = wk_squash")
-    s("core._wake_resolve = wk_resolve")
-    s("core._wake_load = wk_load")
-    s("core._wake_barrier = wk_barrier")
-    s("core._ff_cycles = ff_cycles")
-    s("core._ff_jumps = ff_jumps")
+    s("return ff_cycles, ff_jumps")
     s.dedent()
     return s.source()
 
@@ -1838,8 +1837,9 @@ class CompiledCore(Core):
 
     Shares ``__init__`` state construction and ``_result()`` with the
     interpreter, so the :class:`CoreResult` contract is identical by
-    construction everywhere outside the cycle loop — and the three-way
-    differential harness proves the loop itself.
+    construction everywhere outside the cycle loop — and the
+    differential harness (reference vs compiled) proves the loop
+    itself.
     """
 
     def __init__(
@@ -1865,10 +1865,8 @@ class CompiledCore(Core):
                 or kwargs.get("shared_memory") or kwargs.get("shared_l3"):
             raise CompileUnsupported(
                 "multi-core sharing requires the interpreter")
-        kwargs.pop("fast_path", None)
         super().__init__(program, defense, config, memory, regs,
                          max_cycles, tracer=None, metrics=metrics,
-                         fast_path=True,
                          no_progress_limit=no_progress_limit, **kwargs)
         self._compiled_run = compile_step(self.program, config,
                                           self.defense,
@@ -1877,26 +1875,19 @@ class CompiledCore(Core):
     def run(self) -> CoreResult:
         metrics = self.metrics
         host_start = time.perf_counter() if metrics is not None else 0.0
-        self._compiled_run(self)
+        ff_cycles, ff_jumps = self._compiled_run(self)
         if metrics is not None:
             elapsed = time.perf_counter() - host_start
             metrics.counter("uarch.sim_cycles").inc(self.cycle)
             metrics.counter("uarch.runs").inc()
             metrics.counter("uarch.compiled_runs").inc()
             metrics.timer("uarch.run_seconds").observe(elapsed)
-            if self._ff_jumps:
-                metrics.counter("uarch.fast_forward_cycles").inc(
-                    self._ff_cycles)
-                metrics.counter("uarch.fast_forward_jumps").inc(
-                    self._ff_jumps)
+            if ff_jumps:
+                metrics.counter("uarch.fast_forward_cycles").inc(ff_cycles)
+                metrics.counter("uarch.fast_forward_jumps").inc(ff_jumps)
             if elapsed > 0:
                 rate = self.cycle / elapsed
                 metrics.gauge("uarch.sim_cycles_per_sec").set(rate)
                 metrics.gauge("uarch.compiled_cycles_per_sec").set(rate)
             self._record_speculation_metrics(metrics)
         return self._result()
-
-
-def compiled_enabled() -> bool:
-    """Whether engine auto-selection may pick the compiled backend."""
-    return not os.environ.get("REPRO_NO_COMPILE")

@@ -49,7 +49,15 @@ class MultiCoreResult:
 
 
 class MultiCore:
-    """N cores over one address space with a shared L3."""
+    """N cores over one address space with a shared L3.
+
+    Runs on the reference interpreter: the cores step in lockstep, one
+    ``Core.step()`` each per cycle, so a store committed on one core
+    invalidates the others' L1Ds before their next cycle.  The compiled
+    engine runs a whole program inside one call and refuses shared
+    memory (``CompileUnsupported``), so it cannot interleave cores;
+    multicore runs therefore get no refusal caches or fast-forward.
+    """
 
     def __init__(
         self,

@@ -12,6 +12,11 @@ ProtISA support (paper SIV-C) is always present: rename-map protection
 bits flow onto physical registers at rename, LSQ entries take a
 protection bit at execute, and the L1D byte tags are updated at commit.
 Defenses that ignore ProtISA simply never read these planes.
+
+:class:`Core` is the reference engine: a plain per-cycle interpreter
+with no fast-forwarding and no refusal caches.  The one optimized
+engine, :mod:`repro.uarch.compiled`, must stay cycle-identical to it
+(``repro diff``).
 """
 
 from __future__ import annotations
@@ -56,9 +61,6 @@ DEFAULT_MAX_CYCLES = 3_000_000
 #: the suite ever goes remotely this long between commits (worst-case
 #: gaps are a few chained memory latencies, well under 1000 cycles).
 DEFAULT_NO_PROGRESS_LIMIT = 10_000
-
-#: Sentinel for "no scheduled re-probe cycle" in the issue-retry cache.
-_NEVER = 1 << 62
 
 #: Stall-cause taxonomy: every cycle, the commit-width shortfall
 #: (``width - committed_this_cycle`` slots) is attributed to exactly one
@@ -168,7 +170,6 @@ class Core:
         tracer=None,
         metrics=None,
         ledger=None,
-        fast_path: Optional[bool] = None,
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
     ) -> None:
         from ..defenses.base import Unsafe
@@ -234,9 +235,6 @@ class Core:
         self._blocked: List[Uop] = []
         self._waiters: Dict[int, List[Uop]] = {}
         self._wheel: Dict[int, List[Uop]] = {}
-        #: Min-heap over the live ``_wheel`` keys (lazily pruned): the
-        #: next completion event, so fast-forward never scans the dict.
-        self._wheel_times: List[int] = []
         self._pending_wakeup: List[Uop] = []
         self._pending_resolution: List[Uop] = []
         #: Rename-order queue of unresolved branches (CONTROL model).
@@ -265,71 +263,9 @@ class Core:
         #: No-forward-progress early abort (None disables it): a run
         #: with no commit for this many cycles stops with
         #: ``halt_reason="no_progress"`` instead of spinning to
-        #: ``max_cycles``.  Checked identically by the fast and
-        #: reference engines.
+        #: ``max_cycles``.  Checked identically by both engines.
         self.no_progress_limit = no_progress_limit
         self._last_commit_cycle = 0
-
-        # -- fast path -------------------------------------------------
-        # ``fast_path=None`` resolves to on-by-default, overridable with
-        # REPRO_NO_FAST_PATH=1; an attached tracer always forces the
-        # per-cycle reference path so traces stay cycle-exact.
-        if fast_path is None:
-            fast_path = not os.environ.get("REPRO_NO_FAST_PATH")
-        self.fast_path = bool(fast_path)
-        # An attached ledger also pins the per-cycle reference path, so
-        # every intervention event carries an exact cycle stamp.
-        self._fast = self.fast_path and tracer is None and ledger is None
-        self._ctrl = config.speculation_model is SpeculationModel.CONTROL
-        self._load_sensitive = self.defense.recheck_loads()
-        # Event counters: each retry cache snapshots the counters whose
-        # events could flip its all-refused answers, and is consulted
-        # only while those counters are unchanged.  Commits deliberately
-        # bump nothing: their only effect on the gating hooks is the
-        # monotone advance of the ROB head seq, which each cache bounds
-        # with a *barrier* — the smallest head seq at which any cached
-        # refusal could flip (from the defenses' ``*_recheck_seq``
-        # stability hints plus the structural thresholds the core knows:
-        # an MFENCE waits for its own seq, a disambiguation stall for
-        # its blocking store's).  Between events, below the barrier, the
-        # retry loops would re-ask the same pure questions and get the
-        # same answers, so the fast path replays their counter side
-        # effects from the caches instead of re-probing.
-        self._evt_squash = 0
-        self._evt_resolve = 0
-        self._evt_div = 0
-        self._evt_store = 0
-        self._evt_load = 0
-        # Blocked-issue retry cache.
-        self._issue_valid = False
-        self._issue_squash = 0
-        self._issue_resolve = 0
-        self._issue_div = 0
-        self._issue_store = 0
-        self._issue_load = 0
-        self._issue_has_disamb = False
-        self._issue_barrier = 0
-        self._issue_retry_cycle = _NEVER
-        self._blocked_refusals = 0
-        # Pending-resolution retry cache.
-        self._res_valid = False
-        self._res_squash = 0
-        self._res_resolve = 0
-        self._res_load = 0
-        self._res_barrier = 0
-        self._res_live = 0
-        self._res_refused = 0
-        # Pending-wakeup retry cache.
-        self._wake_valid = False
-        self._wake_squash = 0
-        self._wake_resolve = 0
-        self._wake_load = 0
-        self._wake_barrier = 0
-        #: Blocking store recorded by the last disambiguation stall.
-        self._disamb_blocker: Optional[Uop] = None
-        #: Fast-forward telemetry (cycles skipped / jumps taken).
-        self._ff_cycles = 0
-        self._ff_jumps = 0
 
         self.stats = {
             "squashes": 0,
@@ -400,14 +336,11 @@ class Core:
         metrics = self.metrics
         host_start = time.perf_counter() if metrics is not None else 0.0
         limit = self.no_progress_limit
-        fast = self._fast
         while not self.halted and self.cycle < self.max_cycles:
             if limit is not None \
                     and self.cycle - self._last_commit_cycle >= limit:
                 break
             self.step()
-            if fast and not self.halted:
-                self._fast_forward()
         if not self.halted:
             if (limit is not None and self.cycle < self.max_cycles
                     and self.cycle - self._last_commit_cycle >= limit):
@@ -419,11 +352,6 @@ class Core:
             metrics.counter("uarch.sim_cycles").inc(self.cycle)
             metrics.counter("uarch.runs").inc()
             metrics.timer("uarch.run_seconds").observe(elapsed)
-            if self._ff_jumps:
-                metrics.counter("uarch.fast_forward_cycles").inc(
-                    self._ff_cycles)
-                metrics.counter("uarch.fast_forward_jumps").inc(
-                    self._ff_jumps)
             if elapsed > 0:
                 metrics.gauge("uarch.sim_cycles_per_sec").set(
                     self.cycle / elapsed)
@@ -450,143 +378,6 @@ class Core:
         transient = self.seq_counter - len(self.committed)
         if transient > 0:
             metrics.counter("uarch.transient_uops").inc(transient)
-
-    def _fast_forward(self) -> None:
-        """Jump ``self.cycle`` over a provably idle window.
-
-        A window is idle when one ``step()`` could not commit, complete,
-        resolve, wake, issue, rename, or fetch anything before the
-        earliest candidate event cycle, *and* the epoch caches prove
-        that every retry loop would just repeat its last all-refused
-        pass.  For each skipped cycle the bulk accounting applies
-        exactly what the per-cycle path would have: one stall cause
-        times ``width``, the pending-resolution counters, and the
-        blocked-transmitter refusals.  Never active when a tracer is
-        attached (``self._fast`` is False), so traces stay cycle-exact.
-        """
-        head = self.rob.head
-        if head is not None and head.completed \
-                and (not head.is_branch or head.resolved):
-            return  # a commit is due next cycle
-        if self._ready_q:
-            return
-        res_live = res_refused = blocked_refusals = 0
-        if self._pending_resolution:
-            if not self._res_cache_ok():
-                return
-            res_live = self._res_live
-            res_refused = self._res_refused
-        if self._pending_wakeup and not self._wake_cache_ok():
-            return
-        if self._blocked:
-            if not self._issue_cache_ok():
-                return
-            blocked_refusals = self._blocked_refusals
-        cycle = self.cycle
-        config = self.config
-        fetch_live = (not self.fetch_blocked
-                      and len(self.fetch_buffer) < 2 * config.width
-                      and 0 <= self.fetch_pc < len(self.program))
-        if fetch_live and self.fetch_stalled_until <= cycle:
-            return  # fetch would deliver next cycle
-        candidates = [self.max_cycles]
-        if self.no_progress_limit is not None:
-            candidates.append(
-                self._last_commit_cycle + self.no_progress_limit)
-        if self.fetch_stalled_until > cycle:
-            # Also a classification boundary: the head-None stall cause
-            # distinguishes in-redirect from post-redirect cycles.
-            candidates.append(self.fetch_stalled_until)
-        if self._blocked and self._issue_retry_cycle != _NEVER:
-            # The cache-ok check above guarantees cycle < retry cycle.
-            candidates.append(self._issue_retry_cycle)
-        times = self._wheel_times
-        wheel = self._wheel
-        while times and times[0] not in wheel:
-            heapq.heappop(times)
-        if times:
-            if times[0] <= cycle:
-                return  # a completion is due
-            candidates.append(times[0])
-        if self.fetch_buffer:
-            ready_cycle, uop = self.fetch_buffer[0]
-            if not self._rename_blocked_for(uop):
-                if ready_cycle <= cycle:
-                    return  # rename would dispatch
-                candidates.append(ready_cycle)
-        target = min(candidates)
-        if target <= cycle:
-            return
-        span = target - cycle
-        cause = self._classify_stall(head)
-        self.stats[f"stall_{cause}"] += config.width * span
-        if res_live:
-            self.stats["delayed_resolution_cycles"] += span * res_live
-        if res_refused:
-            self.defense.stats["delayed_resolutions"] += span * res_refused
-        if blocked_refusals:
-            self.defense.stats["delayed_transmitters"] += \
-                span * blocked_refusals
-        self.cycle = target
-        self._ff_cycles += span
-        self._ff_jumps += 1
-
-    def _rename_blocked_for(self, uop: Uop) -> bool:
-        """Mirror of the structural checks in :meth:`_rename_stage`
-        (resources only free at commit/squash, so during an idle window
-        the answer is constant)."""
-        return (self.rob.full
-                or self.prf.free_count < len(uop.inst.dest_regs())
-                or not self.lsq.can_insert(uop)
-                or self.iq_count >= self.config.iq_size)
-
-    # -- retry-cache validity ------------------------------------------
-    #
-    # A cache certifies "the last full pass refused everything, and
-    # nothing that could change any answer has happened since": its
-    # event-counter snapshots still match (squash always; resolution
-    # when the CONTROL speculation model makes `nonspeculative` depend
-    # on branches; store/divider/load issue where the blocked set or
-    # mechanism is sensitive to them) and the ROB head has not reached
-    # the barrier seq at which the earliest refusal could flip.
-
-    def _issue_cache_ok(self) -> bool:
-        if (not self._issue_valid
-                or self._issue_squash != self._evt_squash
-                or self._issue_div != self._evt_div
-                or self.cycle >= self._issue_retry_cycle):
-            return False
-        if self._ctrl and self._issue_resolve != self._evt_resolve:
-            return False
-        if self._issue_has_disamb and self._issue_store != self._evt_store:
-            return False
-        if self._load_sensitive and self._issue_load != self._evt_load:
-            return False
-        head = self.rob.head
-        return head is not None and head.seq < self._issue_barrier
-
-    def _res_cache_ok(self) -> bool:
-        # Resolution events always matter here: a pending branch held by
-        # the buggy squash port unblocks when its older blocker resolves.
-        if (not self._res_valid
-                or self._res_squash != self._evt_squash
-                or self._res_resolve != self._evt_resolve):
-            return False
-        if self._load_sensitive and self._res_load != self._evt_load:
-            return False
-        head = self.rob.head
-        return head is not None and head.seq < self._res_barrier
-
-    def _wake_cache_ok(self) -> bool:
-        if (not self._wake_valid
-                or self._wake_squash != self._evt_squash):
-            return False
-        if self._ctrl and self._wake_resolve != self._evt_resolve:
-            return False
-        if self._load_sensitive and self._wake_load != self._evt_load:
-            return False
-        head = self.rob.head
-        return head is not None and head.seq < self._wake_barrier
 
     def step(self) -> None:
         committed, cause = self._commit_stage()
@@ -776,79 +567,16 @@ class Core:
 
         # Retry previously blocked uops first (oldest first).
         if self._blocked:
-            if self._issue_cache_ok():
-                # No relevant event since the last full pass: every
-                # blocked uop would be re-probed and refused for the
-                # same reason (the gating hooks are pure queries of
-                # event-driven state), so replay the per-cycle defense
-                # refusals without re-asking.
-                self.defense.stats["delayed_transmitters"] += \
-                    self._blocked_refusals
-            else:
-                self._issue_valid = False
-                fast = self._fast
-                defense = self.defense
-                squash0, resolve0 = self._evt_squash, self._evt_resolve
-                div0, store0 = self._evt_div, self._evt_store
-                load0 = self._evt_load
-                refused0 = defense.stats["delayed_transmitters"]
-                barrier = _NEVER
-                unknown = has_disamb = False
-                retry_cycle = _NEVER
-                self._blocked.sort()
-                still_blocked: List[Uop] = []
-                for uop in self._blocked:
-                    if uop.squashed or uop.issued:
-                        continue
-                    if issued < width and self._try_execute(uop):
-                        issued += 1
-                        continue
-                    still_blocked.append(uop)
-                    if not fast:
-                        continue
-                    reason = uop.block_reason
-                    if reason == "defense_execute":
-                        seq = defense.execute_recheck_seq(uop)
-                        if seq is None:
-                            unknown = True
-                        elif seq < barrier:
-                            barrier = seq
-                    elif reason == "disambiguation":
-                        has_disamb = True
-                        blocker = self._disamb_blocker
-                        if blocker is not None and blocker.seq < barrier:
-                            barrier = blocker.seq
-                    elif reason == "mfence":
-                        if uop.seq < barrier:
-                            barrier = uop.seq
-                    else:  # div_busy
-                        retry_cycle = self.div_busy_until
-                self._blocked = still_blocked
-                if (fast and still_blocked and issued < width
-                        and squash0 == self._evt_squash
-                        and resolve0 == self._evt_resolve
-                        and div0 == self._evt_div
-                        and store0 == self._evt_store
-                        and load0 == self._evt_load):
-                    # Refusal-only pass (any issues were event-free ALU
-                    # ops that no gate observes, and `issued < width`
-                    # proves every entry really was probed): the pass
-                    # outcome repeats until an event or the barrier.
-                    if unknown:
-                        seq = self.rob.head.seq + 1
-                        if seq < barrier:
-                            barrier = seq
-                    self._issue_valid = True
-                    self._issue_squash = squash0
-                    self._issue_resolve = resolve0
-                    self._issue_div = div0
-                    self._issue_store = store0
-                    self._issue_load = load0
-                    self._issue_has_disamb = has_disamb
-                    self._issue_barrier = barrier
-                    self._issue_retry_cycle = retry_cycle
-                    self._blocked_refusals = (
-                        defense.stats["delayed_transmitters"] - refused0)
+            self._blocked.sort()
+            still_blocked: List[Uop] = []
+            for uop in self._blocked:
+                if uop.squashed or uop.issued:
+                    continue
+                if issued < width and self._try_execute(uop):
+                    issued += 1
+                    continue
+                still_blocked.append(uop)
+            self._blocked = still_blocked
 
         while issued < width and self._ready_q:
             _, uop = heapq.heappop(self._ready_q)
@@ -858,7 +586,6 @@ class Core:
                 issued += 1
             else:
                 self._blocked.append(uop)
-                self._issue_valid = False  # blocked set changed
 
     def _try_execute(self, uop: Uop) -> bool:
         """Attempt to execute; returns False if structurally or
@@ -932,20 +659,10 @@ class Core:
         self.iq_count -= 1
         uop.issue_cycle = self.cycle
         self.stats["issued_uops"] += 1
-        # Typed issue events for the retry caches.  Plain ALU/branch
-        # issues bump nothing: no gating hook observes their effects
-        # (they only write register values and ready bits).
-        if inst.is_load:
-            self._evt_load += 1
-        elif inst.is_store:
-            self._evt_store += 1
-        elif inst.is_div:
-            self._evt_div += 1
         done_at = self.cycle + max(1, latency)
         bucket = self._wheel.get(done_at)
         if bucket is None:
             self._wheel[done_at] = [uop]
-            heapq.heappush(self._wheel_times, done_at)
         else:
             bucket.append(uop)
         return True
@@ -1028,7 +745,6 @@ class Core:
         uop.mem_addr = self._load_address(uop)
         status, store = self.lsq.forwarding_store(uop)
         if status == "stall":
-            self._disamb_blocker = store
             return None
         if status == "forward":
             assert store is not None
@@ -1111,16 +827,16 @@ class Core:
                         self._open_wakeup_episode(uop)
                     uop.wakeup_pending = True
                     self._pending_wakeup.append(uop)
-                    self._wake_valid = False  # pending set changed
 
     # -- defense-intervention episodes ---------------------------------
     #
     # One episode spans first-refusal -> allow (or squash / end of run)
     # for one uop at one hook.  Episodes only ever open at a *real* hook
     # refusal and close at a real allow (or the squash rollback), so the
-    # fast path's bulk refusal replay — which never re-asks the hooks —
-    # is automatically episode-correct: the episode stays open across
-    # the replayed window and the delay accrues through the cycle jump.
+    # compiled engine's bulk refusal replay — which never re-asks the
+    # hooks — is automatically episode-correct: the episode stays open
+    # across the replayed window and the delay accrues through the
+    # fast-forward jump.
 
     def _open_exec_episode(self, uop: Uop) -> None:
         uop.exec_block_cycle = self.cycle
@@ -1182,58 +898,15 @@ class Core:
 
     def _retry_pending(self) -> None:
         if self._pending_resolution:
-            if self._res_cache_ok():
-                # No relevant event since the last pass: every pending
-                # branch would be counted and refused identically.
-                self.stats["delayed_resolution_cycles"] += self._res_live
-                self.defense.stats["delayed_resolutions"] += \
-                    self._res_refused
-            else:
-                self._res_valid = False
-                squash0, resolve0 = self._evt_squash, self._evt_resolve
-                load0 = self._evt_load
-                refused0 = self.defense.stats["delayed_resolutions"]
-                live = 0
-                pending = self._pending_resolution
-                pending.sort()
-                self._pending_resolution = []
-                for uop in pending:
-                    if uop.squashed or uop.resolved:
-                        continue
-                    live += 1
-                    self.stats["delayed_resolution_cycles"] += 1
-                    self._attempt_resolution(uop)
-                if (self._fast and self._pending_resolution
-                        and squash0 == self._evt_squash
-                        and resolve0 == self._evt_resolve
-                        and load0 == self._evt_load):
-                    barrier = _NEVER
-                    defense = self.defense
-                    for uop in self._pending_resolution:
-                        # "squash_notify" entries flip only when their
-                        # older blocker resolves or squashes — event
-                        # counters cover those; no barrier needed.
-                        if uop.block_reason == "defense_resolution":
-                            seq = defense.resolve_recheck_seq(uop)
-                            if seq is None:
-                                seq = self.rob.head.seq + 1
-                            if seq < barrier:
-                                barrier = seq
-                    self._res_valid = True
-                    self._res_squash = squash0
-                    self._res_resolve = resolve0
-                    self._res_load = load0
-                    self._res_barrier = barrier
-                    self._res_live = live
-                    self._res_refused = (
-                        self.defense.stats["delayed_resolutions"]
-                        - refused0)
+            pending = self._pending_resolution
+            pending.sort()
+            self._pending_resolution = []
+            for uop in pending:
+                if uop.squashed or uop.resolved:
+                    continue
+                self.stats["delayed_resolution_cycles"] += 1
+                self._attempt_resolution(uop)
         if self._pending_wakeup:
-            if self._wake_cache_ok():
-                return  # all would be refused again; no counters here
-            self._wake_valid = False
-            squash0, resolve0 = self._evt_squash, self._evt_resolve
-            load0 = self._evt_load
             pending = self._pending_wakeup
             self._pending_wakeup = []
             for uop in pending:
@@ -1243,25 +916,6 @@ class Core:
                     self._do_wakeup(uop)
                 else:
                     self._pending_wakeup.append(uop)
-            if (self._fast and self._pending_wakeup
-                    and squash0 == self._evt_squash
-                    and resolve0 == self._evt_resolve
-                    and load0 == self._evt_load):
-                barrier = _NEVER
-                defense = self.defense
-                head = self.rob.head
-                head_next = head.seq + 1 if head is not None else 0
-                for uop in self._pending_wakeup:
-                    seq = defense.wakeup_recheck_seq(uop)
-                    if seq is None:
-                        seq = head_next
-                    if seq < barrier:
-                        barrier = seq
-                self._wake_valid = True
-                self._wake_squash = squash0
-                self._wake_resolve = resolve0
-                self._wake_load = load0
-                self._wake_barrier = barrier
 
     def _attempt_resolution(self, uop: Uop) -> None:
         """Try to resolve a branch: broadcast its outcome and squash on a
@@ -1274,7 +928,6 @@ class Core:
             uop.block_reason = "defense_resolution"
             uop.resolution_pending = True
             self._pending_resolution.append(uop)
-            self._res_valid = False  # pending set changed
             return
         # The defense allowed the resolution: close its episode before
         # the buggy-squash-port check, so bug-port hold time is never
@@ -1286,9 +939,7 @@ class Core:
             uop.block_reason = "squash_notify"
             uop.resolution_pending = True
             self._pending_resolution.append(uop)
-            self._res_valid = False  # pending set changed
             return
-        self._evt_resolve += 1
         depth = self.stats["_spec_depth"]
         self.stats[hist_key("spec_depth", depth)] += 1
         self.stats["_spec_depth"] = depth - 1
@@ -1322,7 +973,6 @@ class Core:
     # ==================================================================
 
     def _squash_after(self, branch: Uop) -> None:
-        self._evt_squash += 1
         stats = self.stats
         stats["squashes"] += 1
         stats[_SQUASH_CAUSE[branch.inst.op]] += 1
@@ -1451,8 +1101,6 @@ class Core:
         return None
 
     def _commit_uop(self, uop: Uop) -> None:
-        # Commits bump no event counter: the retry caches bound commit
-        # effects with head-seq barriers (see __init__).
         self._last_commit_cycle = self.cycle
         inst = uop.inst
         if inst.op is Op.HALT:
@@ -1506,10 +1154,9 @@ class Core:
                                 else "bad_pc")
 
 
-#: Engine names accepted by :func:`simulate` (and the CLI ``--engine``
-#: flags).  ``refcore`` is an alias kept for symmetry with ``repro diff``
-#: output labels.
-ENGINES = ("auto", "ref", "refcore", "fast", "compiled")
+#: Engine names accepted by :func:`simulate`, the ``REPRO_ENGINE``
+#: environment variable, and ``repro bench --engine``.
+ENGINES = ("auto", "ref", "compiled")
 
 
 def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
@@ -1517,49 +1164,37 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
              regs: Optional[Dict[int, int]] = None,
              max_cycles: int = DEFAULT_MAX_CYCLES,
              tracer=None, metrics=None, ledger=None,
-             fast_path: Optional[bool] = None,
              no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
              engine: Optional[str] = None,
              ) -> CoreResult:
     """Run ``program`` to completion on a fresh core.
 
-    ``engine`` picks the execution backend:
+    ``engine`` picks the execution backend.  ``None`` reads the
+    ``REPRO_ENGINE`` environment variable (default ``"auto"``), so a
+    choice made once reaches pool workers and every simulation of a
+    run:
 
-    * ``None`` / ``"auto"`` — the compiled backend when nothing pins the
-      interpreter (no tracer, no ledger, no explicit ``fast_path``, and
-      ``REPRO_NO_COMPILE`` unset); otherwise the interpreted core with
-      its usual fast-path default.
-    * ``"ref"`` / ``"refcore"`` — the interpreter with every fast path
-      off (the differential harness's trust anchor).
-    * ``"fast"`` — the interpreter with the fast paths on.
-    * ``"compiled"`` — the specializing backend
-      (:mod:`repro.uarch.compiled`), falling back to the interpreter for
-      shapes it refuses (attached tracer or ledger, empty program).
+    * ``"auto"`` / ``"compiled"`` — the specializing backend
+      (:mod:`repro.uarch.compiled`), falling back to the reference
+      interpreter for shapes it refuses: an attached tracer or ledger
+      (single-spec diagnostics that must see every cycle) or an empty
+      program.
+    * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
-    if engine is None or engine == "auto":
-        want_compiled = (fast_path is None and tracer is None
-                         and ledger is None
-                         and not os.environ.get("REPRO_NO_COMPILE"))
-    elif engine in ("ref", "refcore"):
-        fast_path, want_compiled = False, False
-    elif engine == "fast":
-        fast_path, want_compiled = True, False
-    elif engine == "compiled":
-        want_compiled = True
-    else:
+    if engine is None:
+        engine = os.environ.get("REPRO_ENGINE") or "auto"
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")
-    if want_compiled:
+    if engine != "ref" and tracer is None and ledger is None:
         from .compiled import CompiledCore, CompileUnsupported
 
         try:
             return CompiledCore(program, defense, config, memory, regs,
-                                max_cycles, tracer=tracer, metrics=metrics,
-                                ledger=ledger,
+                                max_cycles, metrics=metrics,
                                 no_progress_limit=no_progress_limit).run()
         except CompileUnsupported:
             pass  # fall back to the interpreter
     return Core(program, defense, config, memory, regs, max_cycles,
                 tracer=tracer, metrics=metrics, ledger=ledger,
-                fast_path=fast_path,
                 no_progress_limit=no_progress_limit).run()

@@ -1,32 +1,25 @@
-"""Lockstep differential harness: the fast-path proof layer.
+"""The differential harness: reference engine vs compiled engine.
 
-The simulator's hot loop (``repro.uarch.pipeline.Core``) carries
-several fast paths — idle-cycle fast-forwarding, refusal caches with
-head-seq invalidation barriers, memoized decode metadata.  All of them
-are *observational no-ops by construction*, and this module is the
-construction's proof obligation: run the same simulation twice, once
-with every fast path enabled and once on :class:`ReferenceCore` (the
-plain engine with ``fast_path=False``), and assert the two
-:class:`~repro.uarch.pipeline.CoreResult` outcomes are identical down
-to every cycle count, stat counter, timing-trace entry, and adversary
-cache line.
-
-Since the compiled backend (:mod:`repro.uarch.compiled`) landed, the
-harness is *three-way*: refcore vs the fast-path interpreter vs the
-compiled specialization, every non-reference engine diffed against
-:class:`ReferenceCore` independently.
+:class:`~repro.uarch.pipeline.Core` is the reference — the plain
+per-cycle interpreter with no fast paths.  The compiled backend
+(:mod:`repro.uarch.compiled`) is the one optimized engine, and every
+optimization it carries (specialization, refusal caches,
+fast-forwarding) must be an observational no-op.  This module is that
+claim's proof obligation: run the same simulation on both engines and
+assert the two :class:`~repro.uarch.pipeline.CoreResult` outcomes are
+identical down to every cycle count, stat counter, timing-trace entry,
+and adversary cache line.
 
 Entry points:
 
-* :func:`run_pair` / :func:`assert_identical` — one differential run.
-* :func:`run_engines` — one case across an arbitrary engine subset,
-  every engine diffed against the reference.
+* :func:`run_engines` — one case on both engines, diffed.
 * :func:`compare_results` — the field-by-field :class:`DiffReport`.
 * :func:`diff_cases` / :func:`run_case` — the randomized-program grid
   over every defense x ProtCC class x core config in the paper's
   Tables II/III, used by ``repro diff`` and the test suite.
 * :func:`fixture_cases` — the security fixtures (Spectre v1, divider
   channel, squash-notification bug) under their signature configs.
+* :func:`mitigation_cases` — software-mitigated binaries.
 """
 
 from __future__ import annotations
@@ -37,26 +30,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .config import CoreConfig, E_CORE, P_CORE, SpeculationModel
 from .pipeline import (
-    Core,
     CoreResult,
     DEFAULT_MAX_CYCLES,
     DEFAULT_NO_PROGRESS_LIMIT,
     simulate,
 )
-
-
-class ReferenceCore(Core):
-    """The reference engine: a :class:`Core` with every fast path
-    pinned off, regardless of environment or constructor arguments.
-
-    This is what the differential harness trusts: the straight-line
-    cycle loop with no fast-forwarding and no refusal caches.  Keep it
-    boring — any optimization added here would need its own proof.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        kwargs["fast_path"] = False
-        super().__init__(*args, **kwargs)
 
 
 #: CoreResult fields the harness compares, in report order.  ``memory``
@@ -86,24 +64,25 @@ REQUIRED_TELEMETRY: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class FieldDiff:
-    """One observable that differed between the two engines."""
+    """One observable that differed between a result and the reference
+    result (``engine:field`` names the engine that produced ``got``)."""
 
     field: str
-    fast: object
+    got: object
     ref: object
 
     def render(self, limit: int = 72) -> str:
-        fast, ref = str(self.fast), str(self.ref)
-        if len(fast) > limit:
-            fast = fast[:limit] + "..."
+        got, ref = str(self.got), str(self.ref)
+        if len(got) > limit:
+            got = got[:limit] + "..."
         if len(ref) > limit:
             ref = ref[:limit] + "..."
-        return f"{self.field}: fast={fast} ref={ref}"
+        return f"{self.field}: got={got} ref={ref}"
 
 
 @dataclass
 class DiffReport:
-    """Outcome of one fast-vs-reference comparison."""
+    """Outcome of one result-vs-reference comparison."""
 
     label: str
     diffs: List[FieldDiff] = field(default_factory=list)
@@ -122,16 +101,17 @@ class DiffReport:
     def raise_if_different(self) -> None:
         if not self.identical:
             raise AssertionError(
-                "fast path diverged from the reference engine\n"
+                "result diverged from the reference engine\n"
                 + self.render())
 
 
-def compare_results(fast: CoreResult, ref: CoreResult,
+def compare_results(got: CoreResult, ref: CoreResult,
                     label: str = "diff") -> DiffReport:
-    """Field-by-field comparison; stats diffs are reported per key."""
+    """Field-by-field comparison of ``got`` against the reference
+    result ``ref``; stats diffs are reported per key."""
     report = DiffReport(label=label)
     for name in COMPARED_FIELDS:
-        a, b = getattr(fast, name), getattr(ref, name)
+        a, b = getattr(got, name), getattr(ref, name)
         if a == b:
             continue
         if name == "stats":
@@ -151,72 +131,17 @@ def compare_results(fast: CoreResult, ref: CoreResult,
         else:
             report.diffs.append(FieldDiff(name, a, b))
     for key in REQUIRED_TELEMETRY:
-        if key not in fast.stats or key not in ref.stats:
+        if key not in got.stats or key not in ref.stats:
             report.diffs.append(FieldDiff(
-                f"stats[{key}] present", key in fast.stats,
+                f"stats[{key}] present", key in got.stats,
                 key in ref.stats))
-    if fast.memory != ref.memory:
+    if got.memory != ref.memory:
         report.diffs.append(FieldDiff("memory", "<image>", "<differs>"))
     return report
 
 
-def run_pair(program, defense_factory: Callable[[], object],
-             config: CoreConfig = P_CORE,
-             memory_factory: Optional[Callable[[], object]] = None,
-             regs: Optional[Dict[int, int]] = None,
-             max_cycles: int = DEFAULT_MAX_CYCLES,
-             no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
-             label: str = "diff",
-             ) -> Tuple[CoreResult, CoreResult, DiffReport]:
-    """Run ``program`` on both engines and diff the outcomes.
-
-    ``defense_factory`` (not an instance: defenses carry state) is
-    called once per engine; likewise ``memory_factory`` when the
-    program needs an initial memory image.
-    """
-    def once(fast: bool) -> CoreResult:
-        memory = memory_factory() if memory_factory is not None else None
-        return simulate(program, defense_factory(), config,
-                        memory=memory, regs=dict(regs) if regs else None,
-                        max_cycles=max_cycles, fast_path=fast,
-                        no_progress_limit=no_progress_limit)
-
-    fast_result = once(True)
-    ref_result = once(False)
-    return fast_result, ref_result, compare_results(
-        fast_result, ref_result, label=label)
-
-
-def assert_identical(program, defense_factory, config: CoreConfig = P_CORE,
-                     **kwargs) -> CoreResult:
-    """Differential run that raises on any divergence; returns the
-    (verified) fast-path result."""
-    fast_result, _, report = run_pair(program, defense_factory, config,
-                                      **kwargs)
-    report.raise_if_different()
-    return fast_result
-
-
-#: Engines the three-way sweep compares (the first is the reference
-#: every other engine is diffed against).
-DEFAULT_ENGINES: Tuple[str, ...] = ("refcore", "fast", "compiled")
-
-
-def parse_engines(spec: str) -> Tuple[str, ...]:
-    """Parse a ``--engines refcore,fast,compiled`` CLI value."""
-    engines = tuple(name.strip() for name in spec.split(",") if name.strip())
-    if not engines:
-        raise ValueError("no engines given")
-    for name in engines:
-        if name not in DEFAULT_ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected a subset of "
-                f"{','.join(DEFAULT_ENGINES)}")
-    if len(engines) < 2 and engines != ("refcore",):
-        raise ValueError("need at least two engines to diff "
-                         "(or just 'refcore' to only exercise the "
-                         "reference)")
-    return engines
+#: The engines every differential run compares, reference first.
+ENGINE_PAIR: Tuple[str, str] = ("ref", "compiled")
 
 
 def run_engines(program, defense_factory: Callable[[], object],
@@ -225,30 +150,28 @@ def run_engines(program, defense_factory: Callable[[], object],
                 regs: Optional[Dict[int, int]] = None,
                 max_cycles: int = DEFAULT_MAX_CYCLES,
                 no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
-                engines: Tuple[str, ...] = DEFAULT_ENGINES,
                 label: str = "diff",
                 ) -> Tuple[Dict[str, CoreResult], DiffReport]:
-    """Run one case on every engine in ``engines`` and diff each
-    non-reference engine against the first (reference) one.
+    """Run one case on the reference and the compiled engine and diff
+    the compiled result against the reference one.
 
-    Divergent fields are reported as ``engine:field`` so a three-way
-    report pinpoints *which* engine broke cycle-identity.
+    ``defense_factory`` (not an instance: defenses carry state) is
+    called once per engine; likewise ``memory_factory`` when the
+    program needs an initial memory image.  Divergent fields are
+    reported as ``compiled:field``.
     """
     results: Dict[str, CoreResult] = {}
-    for engine in engines:
+    for engine in ENGINE_PAIR:
         memory = memory_factory() if memory_factory is not None else None
         results[engine] = simulate(
             program, defense_factory(), config, memory=memory,
             regs=dict(regs) if regs else None, max_cycles=max_cycles,
             no_progress_limit=no_progress_limit, engine=engine)
+    reference, engine = ENGINE_PAIR
     report = DiffReport(label=label)
-    reference = engines[0]
-    for engine in engines[1:]:
-        sub = compare_results(results[engine], results[reference],
-                              label=label)
-        for diff in sub.diffs:
-            report.diffs.append(FieldDiff(
-                f"{engine}:{diff.field}", diff.fast, diff.ref))
+    for diff in compare_results(results[engine], results[reference]).diffs:
+        report.diffs.append(FieldDiff(
+            f"{engine}:{diff.field}", diff.got, diff.ref))
     return results, report
 
 
@@ -309,10 +232,9 @@ def diff_cases(programs: int = 3, seed: int = 0,
                                    seed + index)
 
 
-def run_case(case: DiffCase, program_size: int = 40,
-             engines: Tuple[str, ...] = DEFAULT_ENGINES) -> DiffReport:
-    """Run one grid cell: generate, instrument, simulate differentially
-    across ``engines`` (three-way by default)."""
+def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
+    """Run one grid cell: generate, instrument, simulate on both
+    engines, diff."""
     from ..bench.runner import DEFENSES
     from ..fuzzing.generator import generate_program
     from ..fuzzing.inputs import generate_input
@@ -326,12 +248,11 @@ def run_case(case: DiffCase, program_size: int = 40,
     _, report = run_engines(
         compiled, DEFENSES[case.defense], case.config(),
         memory_factory=test_input.build_memory,
-        regs=test_input.build_regs(), engines=engines, label=case.label)
+        regs=test_input.build_regs(), label=case.label)
     return report
 
 
-def fixture_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
-                  ) -> Iterator[Tuple[str, DiffReport]]:
+def fixture_cases() -> Iterator[Tuple[str, DiffReport]]:
     """Differential runs of the security fixtures under the hardware
     configs that make each one interesting."""
     from ..bench.runner import DEFENSES
@@ -349,19 +270,16 @@ def fixture_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
             program, _ = build(name)
             _, report = run_engines(
                 program, DEFENSES[defense], config,
-                memory_factory=lambda n=name: build(n)[1],
-                engines=engines, label=label)
+                memory_factory=lambda n=name: build(n)[1], label=label)
             yield label, report
 
 
-def mitigation_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
-                     seed: int = 0,
-                     ) -> Iterator[Tuple[str, DiffReport]]:
+def mitigation_cases(seed: int = 0) -> Iterator[Tuple[str, DiffReport]]:
     """Differential runs of software-mitigated binaries under the
     ``Unsafe`` hardware defense: each registered pass applied to the
-    security fixtures and to one seeded generated program, across every
-    engine.  Proves the mitigation passes' output (fences, poison
-    threading, masked loads) executes identically on all backends."""
+    security fixtures and to one seeded generated program, on both
+    engines.  Proves the mitigation passes' output (fences, poison
+    threading, masked loads) executes identically on both engines."""
     from ..bench.runner import DEFENSES
     from ..fixtures import FIXTURES, build
     from ..fuzzing.generator import generate_program
@@ -377,14 +295,12 @@ def mitigation_cases(engines: Tuple[str, ...] = DEFAULT_ENGINES,
             mitigated = mitigate_program(program, mitigation).program
             _, report = run_engines(
                 mitigated, DEFENSES["unsafe"], P_CORE,
-                memory_factory=lambda n=name: build(n)[1],
-                engines=engines, label=label)
+                memory_factory=lambda n=name: build(n)[1], label=label)
             yield label, report
         label = f"mitigation:generated-seed{seed}/{mitigation}"
         mitigated = mitigate_program(generated, mitigation).program
         _, report = run_engines(
             mitigated, DEFENSES["unsafe"], P_CORE,
             memory_factory=test_input.build_memory,
-            regs=test_input.build_regs(),
-            engines=engines, label=label)
+            regs=test_input.build_regs(), label=label)
         yield label, report

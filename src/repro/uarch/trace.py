@@ -54,10 +54,10 @@ class PipelineTracer:
         #: (cycle, rob, iq, lq, sq) samples.
         self.occupancy: List[Tuple[int, int, int, int, int]] = []
         #: Cycles the core actually stepped with this tracer attached.
-        #: An attached tracer disables the core's fast paths, so a
-        #: traced run must see every cycle: ``cycles_seen`` equal to
-        #: the run's ``CoreResult.cycles`` proves no fast-forwarded
-        #: window skipped past the tracer.
+        #: An attached tracer pins the reference interpreter, which
+        #: steps every cycle: ``cycles_seen`` equal to the run's
+        #: ``CoreResult.cycles`` proves no fast-forwarded window (a
+        #: compiled-engine optimization) skipped past the tracer.
         self.cycles_seen = 0
 
     # -- core hooks --------------------------------------------------------

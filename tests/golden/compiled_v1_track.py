@@ -65,7 +65,7 @@ def run(core):
     committed_list = core.committed
     waiters = core._waiters
     wheel = core._wheel
-    wtimes = core._wheel_times
+    wtimes = []  # min-heap over the live wheel keys
     ready_q = core._ready_q
     producer_of = core._producer_of
     fbuf = core.fetch_buffer
@@ -94,39 +94,41 @@ def run(core):
     iq_count = core.iq_count
     last_commit = core._last_commit_cycle
     rename_block = None
-    disamb_blocker = core._disamb_blocker
     blocked = core._blocked
     pend_wake = core._pending_wakeup
     pend_res = core._pending_resolution
-    evt_squash = core._evt_squash
-    evt_resolve = core._evt_resolve
-    evt_div = core._evt_div
-    evt_store = core._evt_store
-    evt_load = core._evt_load
-    is_valid = core._issue_valid
-    is_squash = core._issue_squash
-    is_resolve = core._issue_resolve
-    is_div = core._issue_div
-    is_store = core._issue_store
-    is_load = core._issue_load
-    is_hasdis = core._issue_has_disamb
-    is_barrier = core._issue_barrier
-    is_retry = core._issue_retry_cycle
-    blocked_refusals = core._blocked_refusals
-    rs_valid = core._res_valid
-    rs_squash = core._res_squash
-    rs_resolve = core._res_resolve
-    rs_load = core._res_load
-    rs_barrier = core._res_barrier
-    rs_live = core._res_live
-    rs_refused = core._res_refused
-    wk_valid = core._wake_valid
-    wk_squash = core._wake_squash
-    wk_resolve = core._wake_resolve
-    wk_load = core._wake_load
-    wk_barrier = core._wake_barrier
-    ff_cycles = core._ff_cycles
-    ff_jumps = core._ff_jumps
+
+    # engine-local state: event counters, refusal caches, fast-forward
+    disamb_blocker = None
+    evt_squash = 0
+    evt_resolve = 0
+    evt_div = 0
+    evt_store = 0
+    evt_load = 0
+    is_valid = False
+    is_squash = 0
+    is_resolve = 0
+    is_div = 0
+    is_store = 0
+    is_load = 0
+    is_hasdis = False
+    is_barrier = 0
+    is_retry = 4611686018427387904
+    blocked_refusals = 0
+    rs_valid = False
+    rs_squash = 0
+    rs_resolve = 0
+    rs_load = 0
+    rs_barrier = 0
+    rs_live = 0
+    rs_refused = 0
+    wk_valid = False
+    wk_squash = 0
+    wk_resolve = 0
+    wk_load = 0
+    wk_barrier = 0
+    ff_cycles = 0
+    ff_jumps = 0
 
     def do_wakeup(u):
         if u.wakeup_block_cycle >= 0:
@@ -1437,36 +1439,7 @@ def run(core):
     core.iq_count = iq_count
     core._last_commit_cycle = last_commit
     core._rename_block = rename_block
-    core._disamb_blocker = disamb_blocker
     core._blocked = blocked
     core._pending_wakeup = pend_wake
     core._pending_resolution = pend_res
-    core._evt_squash = evt_squash
-    core._evt_resolve = evt_resolve
-    core._evt_div = evt_div
-    core._evt_store = evt_store
-    core._evt_load = evt_load
-    core._issue_valid = is_valid
-    core._issue_squash = is_squash
-    core._issue_resolve = is_resolve
-    core._issue_div = is_div
-    core._issue_store = is_store
-    core._issue_load = is_load
-    core._issue_has_disamb = is_hasdis
-    core._issue_barrier = is_barrier
-    core._issue_retry_cycle = is_retry
-    core._blocked_refusals = blocked_refusals
-    core._res_valid = rs_valid
-    core._res_squash = rs_squash
-    core._res_resolve = rs_resolve
-    core._res_load = rs_load
-    core._res_barrier = rs_barrier
-    core._res_live = rs_live
-    core._res_refused = rs_refused
-    core._wake_valid = wk_valid
-    core._wake_squash = wk_squash
-    core._wake_resolve = wk_resolve
-    core._wake_load = wk_load
-    core._wake_barrier = wk_barrier
-    core._ff_cycles = ff_cycles
-    core._ff_jumps = ff_jumps
+    return ff_cycles, ff_jumps

@@ -11,7 +11,6 @@ from repro.bench import (
     norm_runtime,
     protean_norm,
     render_table,
-    run,
 )
 from repro.uarch.config import L1DTagMode, SpeculationModel
 
@@ -47,12 +46,6 @@ def test_runspec_predictor_entries():
     spec2 = RunSpec(workload="mcf.s", defense="track",
                     predictor_entries=64)
     assert spec2.defense_instance().predictor.entries == 64
-
-
-def test_run_caching():
-    a = run(RunSpec(workload="ossl.dh"))
-    b = run(RunSpec(workload="ossl.dh"))
-    assert a is b
 
 
 def test_norm_runtime_unsafe_is_one():

@@ -266,22 +266,15 @@ def test_diff_rejects_unknown_defense(capsys):
     assert "unknown defenses" in err
 
 
-def test_diff_engine_subset_and_timing(capsys, tmp_path):
+def test_diff_report_and_timing(capsys, tmp_path):
     report = tmp_path / "diff-report.txt"
     assert main(["diff", "--programs", "1", "--defense", "unsafe",
                  "--core", "P", "--no-fixtures",
-                 "--engines", "refcore,compiled",
                  "--report", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "(refcore,compiled)" in out
+    assert "(ref,compiled)" in out
     assert "slowest:" in out          # the per-case timing table
     assert "identical" in report.read_text()
-
-
-def test_diff_rejects_unknown_engine(capsys):
-    assert main(["diff", "--engines", "refcore,warp"]) == 2
-    err = capsys.readouterr().err
-    assert "bad --engines" in err
 
 
 # ----------------------------------------------------------------------

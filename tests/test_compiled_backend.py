@@ -2,9 +2,9 @@
 invalidation, fallback behaviour, and metrics.
 
 Cycle-identity of the compiled engine against the reference
-interpreter is proven by the three-way differential harness
-(``tests/test_equivalence.py`` runs a grid subset; ``repro diff`` and
-the CI ``diff-threeway`` job run the full sweep).  This module covers
+interpreter is proven by the differential harness
+(``tests/test_refcore_diff.py`` runs a grid subset; ``repro diff`` and
+the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the content-addressed compile
 cache misses exactly when it must, that auto-selection and the
 documented fallbacks pick the right engine, and that the backend
@@ -13,7 +13,9 @@ reports its compile costs.
 
 import pytest
 
+from repro.arch import run_program
 from repro.bench.runner import DEFENSES
+from repro.cli import build_parser
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
 from repro.metrics import MetricsRegistry, attached
@@ -27,7 +29,7 @@ from repro.uarch.compiled import (
     generate_source,
 )
 from repro.uarch.pipeline import ENGINES
-from repro.uarch.refcore import parse_engines, run_engines
+from repro.uarch.refcore import run_engines
 from repro.uarch.trace import PipelineTracer
 
 
@@ -153,13 +155,14 @@ def test_tracer_pins_the_interpreter():
     assert traced.halt_reason == "halt"
 
 
-def test_no_compile_env_pins_the_interpreter(monkeypatch):
+def test_repro_engine_env_pins_the_reference(monkeypatch):
     program, memory = build("v1-gadget")
-    monkeypatch.setenv("REPRO_NO_COMPILE", "1")
+    monkeypatch.setenv("REPRO_ENGINE", "ref")
     registry = MetricsRegistry()
     with attached(registry):
         simulate(program, ProtTrack(), P_CORE, memory)
     assert _compiled_runs(registry) == 0
+    assert registry.snapshot()["counters"]["uarch.runs"] == 1
 
 
 def test_explicit_compiled_engine_with_tracer_falls_back():
@@ -168,7 +171,7 @@ def test_explicit_compiled_engine_with_tracer_falls_back():
     fallback = simulate(program, ProtTrack(), P_CORE, memory,
                         tracer=tracer, engine="compiled")
     reference = simulate(program, ProtTrack(), P_CORE,
-                         build("v1-gadget")[1], engine="refcore")
+                         build("v1-gadget")[1], engine="ref")
     assert fallback.cycles == reference.cycles
     assert fallback.stats == reference.stats
 
@@ -183,18 +186,18 @@ def test_compiled_core_rejects_tracer():
 def test_unknown_engine_rejected(v1_program):
     with pytest.raises(ValueError):
         simulate(v1_program, Unsafe(), P_CORE, engine="hyperspeed")
+    # A stale engine name fails loudly, naming the valid ones.
+    with pytest.raises(ValueError, match="auto, ref, compiled"):
+        simulate(v1_program, Unsafe(), P_CORE, engine="fast")
 
 
 def test_engines_constant_covers_cli_choices():
-    assert set(ENGINES) == {"auto", "ref", "refcore", "fast", "compiled"}
-
-
-def test_parse_engines():
-    assert parse_engines("refcore,compiled") == ("refcore", "compiled")
-    with pytest.raises(ValueError):
-        parse_engines("refcore,warp")
-    with pytest.raises(ValueError):
-        parse_engines("compiled")  # a single non-reference engine
+    assert ENGINES == ("auto", "ref", "compiled")
+    commands = next(action for action in build_parser()._actions
+                    if action.dest == "command")
+    engine = next(action for action in commands.choices["bench"]._actions
+                  if action.dest == "engine")
+    assert tuple(engine.choices) == ENGINES
 
 
 def test_compiled_cycles_per_sec_gauge():
@@ -208,17 +211,21 @@ def test_compiled_cycles_per_sec_gauge():
 
 
 # ---------------------------------------------------------------------
-# Three-way equivalence smoke (the full sweep lives in `repro diff`).
+# Three-way equivalence smoke: the sequential machine, the reference
+# core, and the compiled core (the full sweep lives in `repro diff`).
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("defense", ["unsafe", "track", "delay", "stt"])
 def test_threeway_fixture_equivalence(defense):
-    program, _ = build("v1-gadget")
-    _, report = run_engines(
+    program, memory = build("v1-gadget")
+    results, report = run_engines(
         program, DEFENSES[defense],
         memory_factory=lambda: build("v1-gadget")[1],
         label=f"v1-gadget/{defense}")
     assert report.identical, report.render()
+    seq = run_program(program, memory)
+    assert results["ref"].final_regs == seq.final_regs
+    assert results["ref"].committed_pcs == [s.pc for s in seq.steps]
 
 
 def test_generated_source_is_deterministic(v1_program):

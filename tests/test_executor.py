@@ -11,7 +11,7 @@ from repro.bench import (
     RunSummary,
     baseline_norm,
     clear_caches,
-    run,
+    execute_spec,
     run_batch,
     run_summary,
 )
@@ -56,7 +56,7 @@ def test_summary_round_trip():
 
 
 def test_summarize_matches_full_result(isolated_cache):
-    result = run(FAST)
+    result = execute_spec(FAST)
     summary = summarize(result)
     assert summary.cycles == result.cycles
     assert summary.instructions == result.instructions
@@ -420,18 +420,6 @@ def test_baseline_norm_resolves_directly(isolated_cache):
     assert baseline_norm("ossl.dh") == norm_runtime("ossl.dh", "spt-sb")
 
 
-def test_full_result_cache_is_bounded(isolated_cache, monkeypatch):
-    monkeypatch.setattr(runner, "_RUN_CACHE_LIMIT", 2)
-    runner._run_cache.clear()
-    run(RunSpec(workload="ossl.ecadd"))
-    run(RunSpec(workload="ossl.dh"))
-    newest = run(RunSpec(workload="ossl.bnexp"))
-    assert len(runner._run_cache) == 2
-    assert RunSpec(workload="ossl.ecadd") not in runner._run_cache
-    # The most recent entry is still served by identity.
-    assert run(RunSpec(workload="ossl.bnexp")) is newest
-
-
 # ----------------------------------------------------------------------
 # Cache-format versioning
 # ----------------------------------------------------------------------
@@ -482,12 +470,12 @@ def test_cache_load_rejects_stale_payload_at_current_key(isolated_cache):
 def test_serial_and_parallel_runsummary_json_byte_identical(
         isolated_cache, monkeypatch):
     """Determinism regression: with the persistent cache disabled and
-    the fast path at its default (enabled), a serial batch and a
-    --jobs 2 batch must produce byte-identical RunSummary JSON."""
+    the default engine, a serial batch and a --jobs 2 batch must
+    produce byte-identical RunSummary JSON."""
     import json
 
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_NO_FAST_PATH", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     specs = [FAST, FAST_SPTSB,
              RunSpec(workload="ossl.dh", defense="track",
                      instrument="unr")]
@@ -509,21 +497,12 @@ def test_serial_and_parallel_runsummary_json_byte_identical(
 def test_runsummary_engine_independent(isolated_cache, monkeypatch):
     """The slim perf summary is identical whichever engine produced it
     (the RunSummary-level corollary of the differential harness)."""
-    import json
-
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-
-    def summary_json():
-        clear_caches()
-        clear_summary_cache()
-        return json.dumps(run_summary(FAST_SPTSB).to_dict(),
-                          sort_keys=True)
-
-    monkeypatch.delenv("REPRO_NO_FAST_PATH", raising=False)
-    with_fast = summary_json()
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
-    without_fast = summary_json()
-    assert with_fast == without_fast
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    clear_caches()
+    clear_summary_cache()
+    reference = summarize(execute_spec(FAST_SPTSB, engine="ref"))
+    assert run_summary(FAST_SPTSB).to_dict() == reference.to_dict()
 
 
 def test_runsummary_repro_engine_env_independent(isolated_cache,
@@ -541,11 +520,10 @@ def test_runsummary_repro_engine_env_independent(isolated_cache,
                           sort_keys=True)
 
     by_engine = {}
-    for engine in ("refcore", "fast", "compiled"):
+    for engine in ("ref", "compiled"):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         by_engine[engine] = summary_json()
-    assert by_engine["refcore"] == by_engine["fast"]
-    assert by_engine["refcore"] == by_engine["compiled"]
+    assert by_engine["ref"] == by_engine["compiled"]
 
 
 # ----------------------------------------------------------------------

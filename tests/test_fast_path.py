@@ -1,15 +1,16 @@
-"""Fast-path mechanics: fast-forwarding, cache replay accounting, the
-tracer opt-out, the REPRO_NO_FAST_PATH escape hatch, the stall-sum
-invariant, and the no-forward-progress early abort."""
+"""The compiled engine's fast-forward and refusal-cache replay
+accounting, the tracer pinning the reference interpreter, the stall-sum
+invariant on both engines, and the no-forward-progress early abort."""
 
 import pytest
 
 from repro.defenses import Defense
 from repro.fixtures import build
 from repro.isa import assemble
+from repro.metrics import MetricsRegistry, attached
 from repro.uarch import P_CORE, PipelineTracer, simulate
 from repro.uarch.pipeline import Core
-from repro.uarch.refcore import compare_results
+from repro.uarch.refcore import ENGINE_PAIR, compare_results
 
 
 def stall_sum(result) -> int:
@@ -38,27 +39,31 @@ class WedgeDefense(Defense):
 # Fast-forward engagement and accounting
 # ----------------------------------------------------------------------
 
-def test_fast_forward_engages_on_stall_heavy_run():
+def _run_div_channel(engine, registry=None):
     from repro.defenses import SPTSB
 
     program, memory = build("div-channel")
-    core = Core(program, SPTSB(), P_CORE, memory)
-    result = core.run()
+    with attached(registry):
+        return simulate(program, SPTSB(), P_CORE, memory, engine=engine)
+
+
+def test_fast_forward_engages_on_stall_heavy_run():
+    registry = MetricsRegistry()
+    result = _run_div_channel("compiled", registry)
     assert result.halt_reason == "halt"
-    assert core._fast
-    assert core._ff_jumps > 0
-    assert core._ff_cycles > 0
+    counters = registry.snapshot()["counters"]
+    assert counters.get("uarch.compiled_runs") == 1
+    assert counters.get("uarch.fast_forward_jumps", 0) > 0
+    assert counters.get("uarch.fast_forward_cycles", 0) > 0
+    compare_results(result, _run_div_channel("ref")).raise_if_different()
     assert_stall_invariant(result)
 
 
 def test_fast_forward_result_matches_reference():
-    from repro.defenses import SPTSB
-
-    program, memory = build("div-channel")
-    fast = simulate(program, SPTSB(), P_CORE, memory, fast_path=True)
-    ref = simulate(program, SPTSB(), P_CORE, memory, fast_path=False)
-    compare_results(fast, ref).raise_if_different()
-    assert_stall_invariant(fast)
+    compiled = _run_div_channel("compiled")
+    ref = _run_div_channel("ref")
+    compare_results(compiled, ref).raise_if_different()
+    assert_stall_invariant(compiled)
     assert_stall_invariant(ref)
 
 
@@ -67,27 +72,30 @@ def test_fast_forward_result_matches_reference():
 def test_stall_sum_invariant_both_engines(fixture):
     from repro.defenses import ProtTrack
 
-    for fast in (True, False):
+    for engine in ENGINE_PAIR:
         program, memory = build(fixture)
         result = simulate(program, ProtTrack(), P_CORE, memory,
-                          fast_path=fast)
+                          engine=engine)
         assert result.halt_reason == "halt"
         assert_stall_invariant(result)
 
 
 # ----------------------------------------------------------------------
-# Opt-outs: tracer attachment and the environment knob
+# An attached tracer pins the reference interpreter
 # ----------------------------------------------------------------------
 
-def test_tracer_disables_fast_path_and_sees_every_cycle():
+def test_tracer_pins_the_reference_and_sees_every_cycle():
     from repro.defenses import SPTSB
 
     program, memory = build("div-channel")
     tracer = PipelineTracer()
-    core = Core(program, SPTSB(), P_CORE, memory, tracer=tracer)
-    result = core.run()
-    assert core._fast is False
-    assert core._ff_cycles == 0
+    registry = MetricsRegistry()
+    with attached(registry):
+        result = simulate(program, SPTSB(), P_CORE, memory, tracer=tracer,
+                          engine="compiled")
+    counters = registry.snapshot()["counters"]
+    assert "uarch.compiled_runs" not in counters
+    assert "uarch.fast_forward_jumps" not in counters
     # The tracer observed literally every simulated cycle: no
     # fast-forwarded window skipped past it.
     assert tracer.cycles_seen == result.cycles
@@ -99,52 +107,38 @@ def test_tracer_disables_fast_path_and_sees_every_cycle():
     compare_results(traced, untraced).raise_if_different()
 
 
-def test_env_var_disables_fast_path(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
-    program, memory = build("v1-gadget")
-    core = Core(program, None, P_CORE, memory)
-    assert core._fast is False
-    monkeypatch.delenv("REPRO_NO_FAST_PATH")
-    core = Core(program, None, P_CORE, memory)
-    assert core._fast is True
-
-
-def test_explicit_fast_path_flag_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_FAST_PATH", "1")
-    program, memory = build("v1-gadget")
-    assert Core(program, None, P_CORE, memory,
-                fast_path=True)._fast is True
-
-
 # ----------------------------------------------------------------------
 # No-forward-progress early abort
 # ----------------------------------------------------------------------
 
 def test_wedged_run_aborts_early_with_no_progress():
-    program, memory = build("v1-gadget")
-    result = simulate(program, WedgeDefense(), P_CORE, memory,
-                      no_progress_limit=200)
-    assert result.halt_reason == "no_progress"
-    # Early: nowhere near the default 3M-cycle timeout budget.
-    assert result.cycles < 2_000
-    assert_stall_invariant(result)
+    for engine in ENGINE_PAIR:
+        program, memory = build("v1-gadget")
+        result = simulate(program, WedgeDefense(), P_CORE, memory,
+                          no_progress_limit=200, engine=engine)
+        assert result.halt_reason == "no_progress", engine
+        # Early: nowhere near the default 3M-cycle timeout budget.
+        assert result.cycles < 2_000
+        assert_stall_invariant(result)
 
 
 def test_wedged_run_identical_across_engines():
     results = []
-    for fast in (True, False):
+    for engine in ENGINE_PAIR:
         program, memory = build("v1-gadget")
         results.append(simulate(program, WedgeDefense(), P_CORE, memory,
-                                no_progress_limit=200, fast_path=fast))
-    compare_results(*results).raise_if_different()
+                                no_progress_limit=200, engine=engine))
+    compare_results(*reversed(results)).raise_if_different()
 
 
 def test_no_progress_limit_none_falls_back_to_timeout():
-    program, memory = build("v1-gadget")
-    result = simulate(program, WedgeDefense(), P_CORE, memory,
-                      no_progress_limit=None, max_cycles=3_000)
-    assert result.halt_reason == "timeout"
-    assert result.cycles == 3_000
+    for engine in ENGINE_PAIR:
+        program, memory = build("v1-gadget")
+        result = simulate(program, WedgeDefense(), P_CORE, memory,
+                          no_progress_limit=None, max_cycles=3_000,
+                          engine=engine)
+        assert result.halt_reason == "timeout", engine
+        assert result.cycles == 3_000
 
 
 def test_committing_runaway_still_times_out():
@@ -157,10 +151,11 @@ spin:
     addi r1, r1, 1
     jmp spin
 """).linked()
-    result = simulate(program, None, P_CORE, max_cycles=2_000,
-                      no_progress_limit=500)
-    assert result.halt_reason == "timeout"
-    assert result.cycles == 2_000
+    for engine in ENGINE_PAIR:
+        result = simulate(program, None, P_CORE, max_cycles=2_000,
+                          no_progress_limit=500, engine=engine)
+        assert result.halt_reason == "timeout", engine
+        assert result.cycles == 2_000
 
 
 def test_wedged_state_classifies_as_no_progress():

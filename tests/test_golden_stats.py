@@ -80,7 +80,7 @@ def test_golden_runs_identical_on_reference_engine(label):
     fixture, defense, config, mitigation = CASES[label]
     program, memory = _case_program(fixture, mitigation)
     result = simulate(program, DEFENSES[defense](), config, memory,
-                      fast_path=False)
+                      engine="ref")
     golden = GOLDEN[label]
     assert result.cycles == golden["cycles"]
     assert dict(sorted(result.stats.items())) == golden["stats"]

@@ -134,7 +134,7 @@ def test_prometheus_export_golden():
         "# TYPE repro_executor_specs_total counter\n"
         "repro_executor_specs_total 3\n"
         "# HELP repro_uarch_sim_cycles_per_sec "
-        "fast-engine simulation throughput\n"
+        "simulation throughput (reference or compiled engine)\n"
         "# TYPE repro_uarch_sim_cycles_per_sec gauge\n"
         "repro_uarch_sim_cycles_per_sec 1500\n"
         "# HELP repro_executor_spec_seconds "

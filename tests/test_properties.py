@@ -82,16 +82,20 @@ def test_cache_hit_after_fill(addresses):
 
 
 # ======================================================================
-# Pipeline invariants on seeded random programs, audited live on both
-# the fast-path and the reference engine.
+# Pipeline invariants on seeded random programs, audited live on the
+# reference engine; the compiled (fast) engine must reproduce the
+# audited run exactly.
 # ======================================================================
+
+import functools
 
 import pytest
 
 from repro.fuzzing.generator import generate_program
 from repro.fuzzing.inputs import generate_input
 from repro.uarch.config import P_CORE
-from repro.uarch.pipeline import Core
+from repro.uarch.pipeline import Core, simulate
+from repro.uarch.refcore import compare_results
 
 import random as _random
 
@@ -150,17 +154,23 @@ class AuditCore(Core):
         assert not self.fetch_buffer, "fetch buffer not cleared by squash"
 
 
-def _audit_run(seed, defense_name, fast):
-    from repro.bench.runner import DEFENSES
+def _audit_case(seed):
     from repro.protcc import compile_program
 
     program = generate_program(seed, 40)
     compiled = compile_program(
         program, "arch", rng=_random.Random(seed ^ 0xC0DE)).program
-    test_input = generate_input(_random.Random(seed ^ 0xF00D))
-    core = AuditCore(compiled, DEFENSES[defense_name](), P_CORE,
-                     test_input.build_memory(), test_input.build_regs(),
-                     fast_path=fast)
+    return compiled, generate_input(_random.Random(seed ^ 0xF00D))
+
+
+@functools.lru_cache(maxsize=None)
+def _audit_run(seed, defense_name):
+    """The audited reference run (shared by both engines' tests)."""
+    from repro.bench.runner import DEFENSES
+
+    program, test_input = _audit_case(seed)
+    core = AuditCore(program, DEFENSES[defense_name](), P_CORE,
+                     test_input.build_memory(), test_input.build_regs())
     result = core.run()
     # Every committed uop went through the audited commit path.
     assert len(core.commit_seqs) == result.stats["committed_uops"]
@@ -170,21 +180,29 @@ def _audit_run(seed, defense_name, fast):
 @pytest.mark.parametrize("defense_name", ["unsafe", "track", "spt"])
 @pytest.mark.parametrize("seed", [3, 17, 91])
 def test_pipeline_invariants_fast_engine(defense_name, seed):
-    _audit_run(seed, defense_name, fast=True)
+    # The compiled engine runs no per-cycle hooks to audit; it inherits
+    # the invariants by reproducing the audited reference run exactly.
+    from repro.bench.runner import DEFENSES
+
+    audited = _audit_run(seed, defense_name)
+    program, test_input = _audit_case(seed)
+    fast = simulate(program, DEFENSES[defense_name](), P_CORE,
+                    test_input.build_memory(), test_input.build_regs(),
+                    engine="compiled")
+    compare_results(fast, audited).raise_if_different()
 
 
 @pytest.mark.parametrize("defense_name", ["unsafe", "track", "spt"])
 @pytest.mark.parametrize("seed", [3, 17, 91])
 def test_pipeline_invariants_reference_engine(defense_name, seed):
-    _audit_run(seed, defense_name, fast=False)
+    _audit_run(seed, defense_name)
 
 
 def test_pipeline_invariants_on_spectre_gadget():
     from repro.fixtures import build
 
-    for fast in (True, False):
-        program, memory = build("v1-gadget")
-        core = AuditCore(program, None, P_CORE, memory, fast_path=fast)
-        result = core.run()
-        assert result.halt_reason == "halt"
-        assert core.commit_seqs == sorted(core.commit_seqs)
+    program, memory = build("v1-gadget")
+    core = AuditCore(program, None, P_CORE, memory)
+    result = core.run()
+    assert result.halt_reason == "halt"
+    assert core.commit_seqs == sorted(core.commit_seqs)

@@ -1,9 +1,10 @@
-"""The fast-path proof layer: differential fast-vs-reference runs.
+"""The differential proof layer: compiled-vs-reference runs.
 
-Every test here executes the same simulation twice — once with the
-fast-path engine, once on :class:`ReferenceCore` — and asserts the two
-``CoreResult`` outcomes identical in every observable (cycles, stats,
-timing trace, adversary cache state, committed streams)."""
+Every test here executes the same simulation twice — once on the
+compiled engine, once on the reference interpreter (``Core``) — and
+asserts the two ``CoreResult`` outcomes identical in every observable
+(cycles, stats, timing trace, adversary cache state, committed
+streams)."""
 
 import pytest
 
@@ -13,12 +14,11 @@ from repro.uarch import P_CORE, simulate
 from repro.uarch.config import SpeculationModel
 from repro.uarch.refcore import (
     DiffCase,
-    ReferenceCore,
     compare_results,
     diff_cases,
     fixture_cases,
     run_case,
-    run_pair,
+    run_engines,
 )
 
 ALL_DEFENSES = tuple(DEFENSES)
@@ -27,14 +27,6 @@ ALL_DEFENSES = tuple(DEFENSES)
 # ----------------------------------------------------------------------
 # Harness plumbing
 # ----------------------------------------------------------------------
-
-def test_reference_core_pins_fast_path_off():
-    program, memory = build("v1-gadget")
-    core = ReferenceCore(program, None, P_CORE, memory, fast_path=True)
-    assert core._fast is False
-    result = core.run()
-    assert result.halt_reason == "halt"
-
 
 def test_compare_results_reports_per_stat_key():
     program, memory = build("v1-gadget")
@@ -48,7 +40,8 @@ def test_compare_results_reports_per_stat_key():
     rendered = report.render()
     assert "stats[squashes]" in rendered
     assert "cycles" in rendered
-    with pytest.raises(AssertionError):
+    assert "got=" in rendered and "ref=" in rendered
+    with pytest.raises(AssertionError, match="reference engine"):
         report.raise_if_different()
 
 
@@ -123,7 +116,7 @@ def test_workload_identical(defense):
     if factory().binary == "protcc":
         program = compile_program(workload.program,
                                   workload.classes).program
-    _, _, report = run_pair(program, factory,
+    _, report = run_engines(program, factory,
                             memory_factory=lambda: workload.memory,
                             regs=workload.regs,
                             label=f"mcf.s/{defense}")

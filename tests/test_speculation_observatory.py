@@ -63,7 +63,7 @@ def test_hist_key_bucket_edges():
     assert hist_key("squash_cascade", 33) == "squash_cascade_gt_32"
 
 
-@pytest.mark.parametrize("engine", ["refcore", "fast", "compiled"])
+@pytest.mark.parametrize("engine", ["ref", "compiled"])
 def test_required_telemetry_present_in_every_engine(engine):
     result = run_fixture(engine=engine)
     for key in REQUIRED_TELEMETRY:
@@ -155,7 +155,7 @@ def test_core_step_never_consults_the_ledger():
 
 
 def test_detached_ledger_run_is_byte_identical():
-    plain = run_fixture(defense="track", engine="fast")
+    plain = run_fixture(defense="track", engine="compiled")
     result, ledger = ledgered_fixture(defense="track")
     assert result.cycles == plain.cycles
     assert result.stats == plain.stats
