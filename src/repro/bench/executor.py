@@ -82,7 +82,9 @@ logger = logging.getLogger(__name__)
 #: 4: ``RunSpec.mitigation`` (software mitigation passes) joins the
 #:    spec cache key; entries written before the field existed would
 #:    collide with ``mitigation=None`` under the old asdict payload.
-CACHE_FORMAT = 4
+#: 5: stats schema — the per-retry refusal counters are retired in
+#:    favour of the per-hook intervention-episode counters.
+CACHE_FORMAT = 5
 
 #: Source packages whose content feeds the version hash.  Editing any
 #: of these invalidates every cached result; workload *programs* are

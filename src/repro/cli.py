@@ -169,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--engine", default=None, choices=ENGINES,
                        help="simulation engine for cache misses and for "
                             "the contract checks inside table-ii "
-                            "(default: REPRO_ENGINE, then auto — "
-                            "compiled when possible)")
+                            "(default: REPRO_ENGINE, then compiled, "
+                            "which falls back to ref for shapes it "
+                            "refuses)")
     bench.add_argument("--no-ledger", action="store_true",
                        help="skip appending a run-ledger record")
     bench.add_argument("--metrics-out", default=None, metavar="FILE",

@@ -68,20 +68,16 @@ class Defense:
         self.core = None
         #: Counters exported into ``CoreResult.stats`` under a
         #: ``defense_`` prefix (and from there into ``RunSummary`` and
-        #: the report tables).  The three below are maintained by the
+        #: the report tables).  The six below are maintained by the
         #: pipeline for every mechanism; subclasses add their own keys
         #: here in ``__init__`` (not lazily — the schema should be
         #: stable from cycle 0) and increment them in their hooks.
         self.stats = {
-            "delayed_transmitters": 0,
-            "delayed_resolutions": 0,
-            "delayed_wakeups": 0,
-            # Per-hook intervention episodes (also pipeline-maintained):
-            # ``*_interventions`` counts uops a hook refused at least
-            # once; ``*_delay_cycles`` sums first-refusal -> allow (or
-            # squash / end-of-run) cycles per episode.  Unlike the
-            # ``delayed_*`` refusal counters above, an episode spanning
-            # N retry cycles counts once.
+            # Per-hook intervention episodes: ``*_interventions`` counts
+            # uops a hook refused at least once; ``*_delay_cycles`` sums
+            # first-refusal -> allow (or squash / end-of-run) cycles per
+            # episode.  An episode spanning N retry cycles counts once,
+            # so neither depends on how often an engine re-asks a hook.
             "exec_interventions": 0,
             "exec_delay_cycles": 0,
             "resolve_interventions": 0,

@@ -168,7 +168,6 @@ class Core:
         shared_l3=None,
         store_commit_listener=None,
         tracer=None,
-        metrics=None,
         ledger=None,
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
     ) -> None:
@@ -199,11 +198,11 @@ class Core:
         #: episode helpers it hangs off are only reached behind
         #: per-uop ``>= 0`` guards.
         self.ledger = ledger
-        #: Optional :class:`repro.metrics.MetricsRegistry` (defaults to
-        #: the process-attached one).  Host-throughput accounting
-        #: happens once per :meth:`run`, never inside :meth:`step`, so
-        #: the per-cycle path pays nothing for it.
-        self.metrics = metrics if metrics is not None else get_registry()
+        #: The process-attached :class:`repro.metrics.MetricsRegistry`,
+        #: or None.  Host-throughput accounting happens once per
+        #: :meth:`run`, never inside :meth:`step`, so the per-cycle path
+        #: pays nothing for it.
+        self.metrics = get_registry()
 
         self.prf = PhysRegFile(config.num_phys_regs)
         self.rename_map = RenameMap()
@@ -272,7 +271,6 @@ class Core:
             "squashed_uops": 0,
             "committed_branches": 0,
             "mispredicted_branches": 0,
-            "delayed_resolution_cycles": 0,
             "issued_uops": 0,
             "squashes_conditional": 0,
             "squashes_indirect": 0,
@@ -602,23 +600,11 @@ class Core:
             # executing — only possible at the ROB head, hence
             # non-speculatively — releases it.
             self.fetch_blocked = False
-        elif inst.is_div:
-            if self.cycle < self.div_busy_until:
+        else:
+            if inst.is_div and self.cycle < self.div_busy_until:
                 uop.block_reason = "div_busy"
                 return False  # the divider is not pipelined
             if not self.defense.may_execute(uop):
-                self.defense.stats["delayed_transmitters"] += 1
-                if uop.exec_block_cycle < 0:
-                    self._open_exec_episode(uop)
-                uop.block_reason = "defense_execute"
-                return False
-            if uop.exec_block_cycle >= 0:
-                self._close_exec_episode(uop)
-            latency = self._execute_div(uop)
-            self.div_busy_until = self.cycle + latency
-        elif inst.is_load:
-            if not self.defense.may_execute(uop):
-                self.defense.stats["delayed_transmitters"] += 1
                 if uop.exec_block_cycle < 0:
                     self._open_exec_episode(uop)
                 uop.block_reason = "defense_execute"
@@ -627,31 +613,18 @@ class Core:
             # disambiguation stall is not the defense's doing.
             if uop.exec_block_cycle >= 0:
                 self._close_exec_episode(uop)
-            maybe_latency = self._execute_load(uop)
-            if maybe_latency is None:
-                uop.block_reason = "disambiguation"
-                return False  # memory disambiguation stall
-            latency = maybe_latency
-        elif inst.is_store:
-            if not self.defense.may_execute(uop):
-                self.defense.stats["delayed_transmitters"] += 1
-                if uop.exec_block_cycle < 0:
-                    self._open_exec_episode(uop)
-                uop.block_reason = "defense_execute"
-                return False
-            if uop.exec_block_cycle >= 0:
-                self._close_exec_episode(uop)
-            latency = self._execute_store(uop)
-        else:
-            if not self.defense.may_execute(uop):
-                self.defense.stats["delayed_transmitters"] += 1
-                if uop.exec_block_cycle < 0:
-                    self._open_exec_episode(uop)
-                uop.block_reason = "defense_execute"
-                return False
-            if uop.exec_block_cycle >= 0:
-                self._close_exec_episode(uop)
-            latency = self._execute_simple(uop)
+            if inst.is_div:
+                latency = self._execute_div(uop)
+                self.div_busy_until = self.cycle + latency
+            elif inst.is_load:
+                latency = self._execute_load(uop)
+                if latency is None:
+                    uop.block_reason = "disambiguation"
+                    return False  # memory disambiguation stall
+            elif inst.is_store:
+                latency = self._execute_store(uop)
+            else:
+                latency = self._execute_simple(uop)
 
         uop.block_reason = None
         uop.issued = True
@@ -822,7 +795,6 @@ class Core:
                 if self.defense.may_wakeup(uop):
                     self._do_wakeup(uop)
                 else:
-                    self.defense.stats["delayed_wakeups"] += 1
                     if uop.wakeup_block_cycle < 0:
                         self._open_wakeup_episode(uop)
                     uop.wakeup_pending = True
@@ -833,10 +805,10 @@ class Core:
     # One episode spans first-refusal -> allow (or squash / end of run)
     # for one uop at one hook.  Episodes only ever open at a *real* hook
     # refusal and close at a real allow (or the squash rollback), so the
-    # compiled engine's bulk refusal replay — which never re-asks the
-    # hooks — is automatically episode-correct: the episode stays open
-    # across the replayed window and the delay accrues through the
-    # fast-forward jump.
+    # compiled engine's refusal caches — which skip a retry loop without
+    # re-asking the hooks — are automatically episode-correct: the
+    # episode stays open across the skipped window and the delay accrues
+    # through the fast-forward jump.
 
     def _open_exec_episode(self, uop: Uop) -> None:
         uop.exec_block_cycle = self.cycle
@@ -904,7 +876,6 @@ class Core:
             for uop in pending:
                 if uop.squashed or uop.resolved:
                     continue
-                self.stats["delayed_resolution_cycles"] += 1
                 self._attempt_resolution(uop)
         if self._pending_wakeup:
             pending = self._pending_wakeup
@@ -922,7 +893,6 @@ class Core:
         misprediction.  Defenses may delay this (the squash signal is a
         transmitter)."""
         if not self.defense.may_resolve(uop):
-            self.defense.stats["delayed_resolutions"] += 1
             if uop.resolve_block_cycle < 0:
                 self._open_resolve_episode(uop)
             uop.block_reason = "defense_resolution"
@@ -1156,25 +1126,25 @@ class Core:
 
 #: Engine names accepted by :func:`simulate`, the ``REPRO_ENGINE``
 #: environment variable, and ``repro bench --engine``.
-ENGINES = ("auto", "ref", "compiled")
+ENGINES = ("ref", "compiled")
 
 
 def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
              memory: Optional[Memory] = None,
              regs: Optional[Dict[int, int]] = None,
              max_cycles: int = DEFAULT_MAX_CYCLES,
-             tracer=None, metrics=None, ledger=None,
+             tracer=None, ledger=None,
              no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
              engine: Optional[str] = None,
              ) -> CoreResult:
     """Run ``program`` to completion on a fresh core.
 
     ``engine`` picks the execution backend.  ``None`` reads the
-    ``REPRO_ENGINE`` environment variable (default ``"auto"``), so a
-    choice made once reaches pool workers and every simulation of a
+    ``REPRO_ENGINE`` environment variable (default ``"compiled"``), so
+    a choice made once reaches pool workers and every simulation of a
     run:
 
-    * ``"auto"`` / ``"compiled"`` — the specializing backend
+    * ``"compiled"`` — the specializing backend
       (:mod:`repro.uarch.compiled`), falling back to the reference
       interpreter for shapes it refuses: an attached tracer or ledger
       (single-spec diagnostics that must see every cycle) or an empty
@@ -1182,19 +1152,19 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
     * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "auto"
+        engine = os.environ.get("REPRO_ENGINE") or "compiled"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")
-    if engine != "ref" and tracer is None and ledger is None:
+    if engine == "compiled" and tracer is None and ledger is None:
         from .compiled import CompiledCore, CompileUnsupported
 
         try:
             return CompiledCore(program, defense, config, memory, regs,
-                                max_cycles, metrics=metrics,
+                                max_cycles,
                                 no_progress_limit=no_progress_limit).run()
         except CompileUnsupported:
             pass  # fall back to the interpreter
     return Core(program, defense, config, memory, regs, max_cycles,
-                tracer=tracer, metrics=metrics, ledger=ledger,
+                tracer=tracer, ledger=ledger,
                 no_progress_limit=no_progress_limit).run()

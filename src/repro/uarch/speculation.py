@@ -38,14 +38,6 @@ HOOKS: Tuple[Tuple[str, str], ...] = (
     ("wakeup", "wakeup"),
 )
 
-#: hook name -> the per-refusal counter the pipeline has always kept
-#: (episodes count once per uop; refusals count once per retry cycle).
-_REFUSAL_KEY = {
-    "execute": "defense_delayed_transmitters",
-    "resolve": "defense_delayed_resolutions",
-    "wakeup": "defense_delayed_wakeups",
-}
-
 _BLOCK_ATTR = {
     "execute": "exec_block_cycle",
     "resolve": "resolve_block_cycle",
@@ -166,8 +158,8 @@ class InterventionLedger:
 
 def intervention_summary(stats: Mapping[str, float]) -> Dict[str, Dict]:
     """Per-hook intervention anatomy from a ``CoreResult.stats`` (or
-    ``RunSummary.stats``) mapping: episodes, per-retry refusals, and
-    total delay cycles for each gating hook."""
+    ``RunSummary.stats``) mapping: episodes and total delay cycles for
+    each gating hook."""
     out: Dict[str, Dict] = {}
     for hook, stem in HOOKS:
         out[hook] = {
@@ -175,7 +167,6 @@ def intervention_summary(stats: Mapping[str, float]) -> Dict[str, Dict]:
                 stats.get(f"defense_{stem}_interventions", 0)),
             "delay_cycles": int(
                 stats.get(f"defense_{stem}_delay_cycles", 0)),
-            "refusals": int(stats.get(_REFUSAL_KEY[hook], 0)),
         }
     return out
 

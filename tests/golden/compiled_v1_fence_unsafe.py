@@ -104,14 +104,11 @@ def run(core):
     is_hasdis = False
     is_barrier = 0
     is_retry = 4611686018427387904
-    blocked_refusals = 0
     rs_valid = False
     rs_squash = 0
     rs_resolve = 0
     rs_load = 0
     rs_barrier = 0
-    rs_live = 0
-    rs_refused = 0
     wk_valid = False
     wk_squash = 0
     wk_resolve = 0
@@ -527,21 +524,18 @@ def run(core):
             # ---- issue ----
             issued = 0
             if blocked:
-                if (is_valid
+                if not (is_valid
                         and is_squash == evt_squash
                         and is_div == evt_div
                         and cycle < is_retry
                         and (not is_hasdis or is_store == evt_store)
                         and robq and robq[0].seq < is_barrier):
-                    dstats['delayed_transmitters'] += blocked_refusals
-                else:
                     is_valid = False
                     squash0 = evt_squash
                     resolve0 = evt_resolve
                     div0 = evt_div
                     store0 = evt_store
                     load0 = evt_load
-                    refused0 = dstats['delayed_transmitters']
                     barrier = 4611686018427387904
                     unknown = False
                     has_disamb = False
@@ -582,7 +576,6 @@ def run(core):
                         is_hasdis = has_disamb
                         is_barrier = barrier
                         is_retry = retry_cycle
-                        blocked_refusals = dstats['delayed_transmitters'] - refused0
             while issued < 6 and ready_q:
                 u = heappop(ready_q)[1]
                 if u.squashed or u.issued:
@@ -903,17 +896,13 @@ def run(core):
                     or (head.is_branch and not head.resolved))
                     and not ready_q):
                 ok = True
-                blocked_ref_ff = 0
-                if ok and blocked:
-                    if (is_valid
-                            and is_squash == evt_squash
-                            and is_div == evt_div
-                            and cycle < is_retry
-                            and (not is_hasdis or is_store == evt_store)
-                            and robq and robq[0].seq < is_barrier):
-                        blocked_ref_ff = blocked_refusals
-                    else:
-                        ok = False
+                if ok and blocked and not (is_valid
+                        and is_squash == evt_squash
+                        and is_div == evt_div
+                        and cycle < is_retry
+                        and (not is_hasdis or is_store == evt_store)
+                        and robq and robq[0].seq < is_barrier):
+                    ok = False
                 if (ok and not fblocked and len(fbuf) < 12
                         and 0 <= fpc < 37 and fstall <= cycle):
                     ok = False  # fetch would deliver next cycle
@@ -945,8 +934,6 @@ def run(core):
                     if ok and target > cycle:
                         span = target - cycle
                         stats[classify(head)] += 6 * span
-                        if blocked_ref_ff:
-                            dstats['delayed_transmitters'] += span * blocked_ref_ff
                         cycle = target
                         ff_cycles += span
                         ff_jumps += 1

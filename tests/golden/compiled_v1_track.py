@@ -114,14 +114,11 @@ def run(core):
     is_hasdis = False
     is_barrier = 0
     is_retry = 4611686018427387904
-    blocked_refusals = 0
     rs_valid = False
     rs_squash = 0
     rs_resolve = 0
     rs_load = 0
     rs_barrier = 0
-    rs_live = 0
-    rs_refused = 0
     wk_valid = False
     wk_squash = 0
     wk_resolve = 0
@@ -155,7 +152,6 @@ def run(core):
         k = K[pc]
         if k == 0:  # MOVI
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -175,7 +171,6 @@ def run(core):
             latency = 1
         elif k == 30:  # LOAD
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -233,7 +228,6 @@ def run(core):
             d_on_loadexec(u)
         elif k == 10:  # ADDI
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -255,7 +249,6 @@ def run(core):
             latency = 1
         elif k == 23:  # BR
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -280,7 +273,6 @@ def run(core):
             latency = 1
         elif k == 21:  # CMPI
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -306,7 +298,6 @@ def run(core):
             latency = 1
         elif k == 26:  # CALL
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -334,7 +325,6 @@ def run(core):
             latency = 1
         elif k == 15:  # SHLI
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -356,7 +346,6 @@ def run(core):
             latency = 1
         elif k == 20:  # CMP
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -383,7 +372,6 @@ def run(core):
             latency = 1
         elif k == 27:  # RET
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -440,7 +428,6 @@ def run(core):
             d_on_loadexec(u)
         elif k == 31:  # STORE
             if not d_may_exec(u):
-                dstats['delayed_transmitters'] += 1
                 if u.exec_block_cycle < 0:
                     u.exec_block_cycle = cycle
                     dstats['exec_interventions'] += 1
@@ -490,7 +477,6 @@ def run(core):
     def attempt_res(u):
         nonlocal evt_resolve, evt_squash, rs_valid, iq_count, fpc, fstall, fblocked
         if not d_may_res(u):
-            dstats['delayed_resolutions'] += 1
             if u.resolve_block_cycle < 0:
                 u.resolve_block_cycle = cycle
                 dstats['resolve_interventions'] += 1
@@ -725,7 +711,6 @@ def run(core):
                         if d_may_wake(u):
                             do_wakeup(u)
                         else:
-                            dstats['delayed_wakeups'] += 1
                             if u.wakeup_block_cycle < 0:
                                 u.wakeup_block_cycle = cycle
                                 dstats['wakeup_interventions'] += 1
@@ -737,27 +722,20 @@ def run(core):
 
             # ---- pending-resolution retry ----
             if pend_res:
-                if (rs_valid
+                if not (rs_valid
                         and rs_squash == evt_squash
                         and rs_resolve == evt_resolve
                         and robq and robq[0].seq < rs_barrier):
-                    stats['delayed_resolution_cycles'] += rs_live
-                    dstats['delayed_resolutions'] += rs_refused
-                else:
                     rs_valid = False
                     squash0 = evt_squash
                     resolve0 = evt_resolve
                     load0 = evt_load
-                    refused0 = dstats['delayed_resolutions']
-                    live = 0
                     pending = pend_res
                     pending.sort()
                     pend_res = []
                     for u in pending:
                         if u.squashed or u.resolved:
                             continue
-                        live += 1
-                        stats['delayed_resolution_cycles'] += 1
                         attempt_res(u)
                     if (pend_res and squash0 == evt_squash
                             and resolve0 == evt_resolve and load0 == evt_load):
@@ -774,8 +752,6 @@ def run(core):
                         rs_resolve = resolve0
                         rs_load = load0
                         rs_barrier = barrier
-                        rs_live = live
-                        rs_refused = dstats['delayed_resolutions'] - refused0
 
             # ---- pending-wakeup retry ----
             if pend_wake:
@@ -814,21 +790,18 @@ def run(core):
             # ---- issue ----
             issued = 0
             if blocked:
-                if (is_valid
+                if not (is_valid
                         and is_squash == evt_squash
                         and is_div == evt_div
                         and cycle < is_retry
                         and (not is_hasdis or is_store == evt_store)
                         and robq and robq[0].seq < is_barrier):
-                    dstats['delayed_transmitters'] += blocked_refusals
-                else:
                     is_valid = False
                     squash0 = evt_squash
                     resolve0 = evt_resolve
                     div0 = evt_div
                     store0 = evt_store
                     load0 = evt_load
-                    refused0 = dstats['delayed_transmitters']
                     barrier = 4611686018427387904
                     unknown = False
                     has_disamb = False
@@ -872,7 +845,6 @@ def run(core):
                         is_hasdis = has_disamb
                         is_barrier = barrier
                         is_retry = retry_cycle
-                        blocked_refusals = dstats['delayed_transmitters'] - refused0
             while issued < 6 and ready_q:
                 u = heappop(ready_q)[1]
                 if u.squashed or u.issued:
@@ -881,7 +853,6 @@ def run(core):
                 k = K[pc]
                 if k == 0:  # MOVI
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -903,7 +874,6 @@ def run(core):
                     latency = 1
                 elif k == 30:  # LOAD
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -965,7 +935,6 @@ def run(core):
                     d_on_loadexec(u)
                 elif k == 10:  # ADDI
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -989,7 +958,6 @@ def run(core):
                     latency = 1
                 elif k == 23:  # BR
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1016,7 +984,6 @@ def run(core):
                     latency = 1
                 elif k == 21:  # CMPI
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1044,7 +1011,6 @@ def run(core):
                     latency = 1
                 elif k == 26:  # CALL
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1074,7 +1040,6 @@ def run(core):
                     latency = 1
                 elif k == 15:  # SHLI
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1098,7 +1063,6 @@ def run(core):
                     latency = 1
                 elif k == 20:  # CMP
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1127,7 +1091,6 @@ def run(core):
                     latency = 1
                 elif k == 27:  # RET
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1188,7 +1151,6 @@ def run(core):
                     d_on_loadexec(u)
                 elif k == 31:  # STORE
                     if not d_may_exec(u):
-                        dstats['delayed_transmitters'] += 1
                         if u.exec_block_cycle < 0:
                             u.exec_block_cycle = cycle
                             dstats['exec_interventions'] += 1
@@ -1354,32 +1316,22 @@ def run(core):
                     or (head.is_branch and not head.resolved))
                     and not ready_q):
                 ok = True
-                res_live_ff = 0
-                res_refused_ff = 0
-                blocked_ref_ff = 0
-                if pend_res:
-                    if (rs_valid
-                            and rs_squash == evt_squash
-                            and rs_resolve == evt_resolve
-                            and robq and robq[0].seq < rs_barrier):
-                        res_live_ff = rs_live
-                        res_refused_ff = rs_refused
-                    else:
-                        ok = False
+                if pend_res and not (rs_valid
+                        and rs_squash == evt_squash
+                        and rs_resolve == evt_resolve
+                        and robq and robq[0].seq < rs_barrier):
+                    ok = False
                 if ok and pend_wake and not (wk_valid
                         and wk_squash == evt_squash
                         and robq and robq[0].seq < wk_barrier):
                     ok = False
-                if ok and blocked:
-                    if (is_valid
-                            and is_squash == evt_squash
-                            and is_div == evt_div
-                            and cycle < is_retry
-                            and (not is_hasdis or is_store == evt_store)
-                            and robq and robq[0].seq < is_barrier):
-                        blocked_ref_ff = blocked_refusals
-                    else:
-                        ok = False
+                if ok and blocked and not (is_valid
+                        and is_squash == evt_squash
+                        and is_div == evt_div
+                        and cycle < is_retry
+                        and (not is_hasdis or is_store == evt_store)
+                        and robq and robq[0].seq < is_barrier):
+                    ok = False
                 if (ok and not fblocked and len(fbuf) < 12
                         and 0 <= fpc < 28 and fstall <= cycle):
                     ok = False  # fetch would deliver next cycle
@@ -1411,12 +1363,6 @@ def run(core):
                     if ok and target > cycle:
                         span = target - cycle
                         stats[classify(head)] += 6 * span
-                        if res_live_ff:
-                            stats['delayed_resolution_cycles'] += span * res_live_ff
-                        if res_refused_ff:
-                            dstats['delayed_resolutions'] += span * res_refused_ff
-                        if blocked_ref_ff:
-                            dstats['delayed_transmitters'] += span * blocked_ref_ff
                         cycle = target
                         ff_cycles += span
                         ff_jumps += 1

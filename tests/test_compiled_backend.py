@@ -6,7 +6,7 @@ interpreter is proven by the differential harness
 (``tests/test_refcore_diff.py`` runs a grid subset; ``repro diff`` and
 the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the content-addressed compile
-cache misses exactly when it must, that auto-selection and the
+cache misses exactly when it must, that the default engine and the
 documented fallbacks pick the right engine, and that the backend
 reports its compile costs.
 """
@@ -134,7 +134,8 @@ def _compiled_runs(registry) -> int:
     return registry.snapshot()["counters"].get("uarch.compiled_runs", 0)
 
 
-def test_auto_engine_picks_compiled():
+def test_default_engine_picks_compiled(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
     with attached(registry):
@@ -183,16 +184,21 @@ def test_compiled_core_rejects_tracer():
                      tracer=PipelineTracer())
 
 
-def test_unknown_engine_rejected(v1_program):
+def test_unknown_engine_rejected(v1_program, monkeypatch):
     with pytest.raises(ValueError):
         simulate(v1_program, Unsafe(), P_CORE, engine="hyperspeed")
-    # A stale engine name fails loudly, naming the valid ones.
-    with pytest.raises(ValueError, match="auto, ref, compiled"):
-        simulate(v1_program, Unsafe(), P_CORE, engine="fast")
+    # Retired engine names fail loudly, naming the valid ones, whether
+    # passed directly or through the environment.
+    for stale in ("fast", "auto"):
+        with pytest.raises(ValueError, match="ref, compiled"):
+            simulate(v1_program, Unsafe(), P_CORE, engine=stale)
+    monkeypatch.setenv("REPRO_ENGINE", "auto")
+    with pytest.raises(ValueError, match="ref, compiled"):
+        simulate(v1_program, Unsafe(), P_CORE)
 
 
 def test_engines_constant_covers_cli_choices():
-    assert ENGINES == ("auto", "ref", "compiled")
+    assert ENGINES == ("ref", "compiled")
     commands = next(action for action in build_parser()._actions
                     if action.dest == "command")
     engine = next(action for action in commands.choices["bench"]._actions

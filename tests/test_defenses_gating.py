@@ -176,4 +176,4 @@ def test_spt_sb_delays_branch_resolution():
         halt
     """
     core, _ = run(SPTSB(), src)
-    assert core.defense.stats["delayed_resolutions"] > 0
+    assert core.defense.stats["resolve_interventions"] > 0

@@ -2,7 +2,8 @@
 
 from repro.defenses import ProtTrack
 from repro.isa import assemble
-from repro.uarch import Core, P_CORE
+from repro.uarch import Core, P_CORE, simulate
+from repro.uarch.refcore import ENGINE_PAIR, compare_results
 
 
 def run_track(src, memory=None):
@@ -15,25 +16,40 @@ def run_track(src, memory=None):
 
 def test_tainted_store_forwarding_gates_wakeup():
     # An untainted load forwarding from a store of tainted data must not
-    # wake dependents until the store's data untaints (SVI-B2c).
+    # wake dependents until the store's data untaints (SVI-B2c).  The
+    # reload is untainted only once the access predictor has learned
+    # that its PC never reads protected memory, so the program loops.
+    # Each iteration fences (older iterations retire and train the
+    # predictor), parks two chained cold loads at the ROB head, loads a
+    # fresh never-written (protected) line into r1, spills it, and
+    # reloads it through store forwarding while r1 is still tainted.
     src = """
         movi r9, 0x7000        ; protected region (never written)
-        movi r8, 0x4000
-        load r0, [r8]          ; warms the spill slot...
+        movi r8, 0x4000        ; spill slot
+        movi r10, 0x9000       ; cold lines for the head blockers
+        movi r6, 0
+    loop:
+        mfence
+        load r0, [r10]         ; chained cold loads hold the ROB head
+        load r0, [r10 + r0 + 64]
         load r1, [r9]          ; tainted (reads protected memory)
         store [r8], r1         ; spill tainted data
         load r2, [r8]          ; forwards from the tainted store
-        add r3, r2, r2
+        add r3, r2, r2         ; waits for the gated wakeup
+        addi r9, r9, 64
+        addi r10, r10, 128
+        addi r6, r6, 1
+        cmpi r6, 4
+        blt loop
         halt
     """
-    core, defense = run_track(src)
-    load = next(u for u in core.committed if u.pc == 5)
-    assert load.forwarded_from is not None
-    assert defense.stats["delayed_wakeups"] >= 0  # gate exercised below
-    # The dependent add could not complete before the store untainted:
-    add = next(u for u in core.committed if u.pc == 6)
-    store = next(u for u in core.committed if u.pc == 4)
-    assert add.issue_cycle >= store.issue_cycle
+    program = assemble(src).linked()
+    results = {engine: simulate(program, ProtTrack(), P_CORE, engine=engine)
+               for engine in ENGINE_PAIR}
+    for engine, result in results.items():
+        assert result.halt_reason == "halt", engine
+        assert result.stats["defense_wakeup_interventions"] > 0, engine
+    compare_results(results["compiled"], results["ref"]).raise_if_different()
 
 
 def test_predictor_predictive_untainting():

@@ -81,4 +81,4 @@ def test_branch_on_fresh_flags_resolves_at_nonspec_only():
         halt
     """
     core, defense = run_spt(src, Memory({0x4000: 0x05}))
-    assert defense.stats["delayed_resolutions"] > 0
+    assert defense.stats["resolve_interventions"] > 0

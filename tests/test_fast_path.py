@@ -1,9 +1,11 @@
-"""The compiled engine's fast-forward and refusal-cache replay
-accounting, the tracer pinning the reference interpreter, the stall-sum
-invariant on both engines, and the no-forward-progress early abort."""
+"""The compiled engine's fast-forward and refusal caches (that they
+engage, and that skipping cycles and retry loops changes no result),
+the tracer pinning the reference interpreter, the stall-sum invariant
+on both engines, and the no-forward-progress early abort."""
 
 import pytest
 
+from repro.bench.runner import DEFENSES
 from repro.defenses import Defense
 from repro.fixtures import build
 from repro.isa import assemble
@@ -78,6 +80,41 @@ def test_stall_sum_invariant_both_engines(fixture):
                           engine=engine)
         assert result.halt_reason == "halt"
         assert_stall_invariant(result)
+
+
+# ----------------------------------------------------------------------
+# Refusal caches hold
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("fixture, defense, gate", [
+    ("v1-gadget", "track", "may_execute"),
+    ("squash-bug", "track", "may_resolve"),
+    ("v1-gadget", "delay", "may_wakeup"),
+])
+def test_refusal_cache_skips_repeated_asks(fixture, defense, gate):
+    # A cache that never holds is invisible to ``repro diff``: results
+    # stay identical and only speed is lost.  So count the gate's calls
+    # on each engine.  The counting wrapper is an instance attribute;
+    # the compiled engine judges hook liveness from the class, so the
+    # generated code is unchanged and calls the wrapper.
+    calls, results = {}, {}
+    for engine in ENGINE_PAIR:
+        program, memory = build(fixture)
+        instance = DEFENSES[defense]()
+        original = getattr(instance, gate)
+        count = [0]
+
+        def counted(uop, original=original, count=count):
+            count[0] += 1
+            return original(uop)
+
+        setattr(instance, gate, counted)
+        results[engine] = simulate(program, instance, P_CORE, memory,
+                                   engine=engine)
+        calls[engine] = count[0]
+    compare_results(results["compiled"], results["ref"]).raise_if_different()
+    assert calls["ref"] > 0
+    assert 5 * calls["compiled"] <= calls["ref"], calls
 
 
 # ----------------------------------------------------------------------
