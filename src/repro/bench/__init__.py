@@ -21,7 +21,6 @@ from .executor import (
     cache_info,
     resolve_jobs,
     run_batch,
-    run_summary,
     wipe_cache,
 )
 from .tables import (
@@ -71,7 +70,7 @@ __all__ = [
     "clear_caches", "compiled", "execute_spec", "geomean", "norm_runtime",
     "protean_norm", "render_table",
     "BatchStats", "ExecutorError", "RunSummary", "cache_info",
-    "resolve_jobs", "run_batch", "run_summary", "wipe_cache",
+    "resolve_jobs", "run_batch", "wipe_cache",
     "ARCH_WASM", "CT_CRYPTO", "CTS_CRYPTO", "NGINX", "PARSEC", "SPEC",
     "MITIGATION_SCHEMES", "SPEC_INT_FAST", "TableResult", "UNR_CRYPTO",
     "figure_5", "figure_6", "mitigation_table", "overhead_attribution",

@@ -48,7 +48,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..metrics.spans import span_attrs_for_spec
@@ -327,27 +327,19 @@ def cache_load(spec: RunSpec) -> Optional[RunSummary]:
         return None
 
 
-def cache_store(spec: RunSpec, summary: RunSummary) -> None:
-    """Persist one result (atomic write; concurrent writers are safe)."""
-    if not cache_enabled():
-        return
-    path = _cache_path(spec_cache_key(spec))
-    payload = {
-        "format": CACHE_FORMAT,
-        "spec": dataclasses.asdict(spec),
-        "summary": summary.to_dict(),
-        "created": time.time(),
-    }
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Write one cache file through a temp file and a rename, so
+    concurrent writers are safe.  A read-only cache directory must
+    never fail a run — but a failed write or rename must not leak its
+    temp file either."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
         os.replace(tmp, path)
     except OSError:
-        # A read-only cache directory must never fail a run — but a
-        # failed dump/replace must not leak its temp file either.
         if tmp is not None:
             try:
                 os.unlink(tmp)
@@ -355,13 +347,31 @@ def cache_store(spec: RunSpec, summary: RunSummary) -> None:
                 pass
 
 
-def wipe_cache() -> int:
-    """Delete every cached entry; returns the number removed."""
-    removed = 0
+def cache_store(spec: RunSpec, summary: RunSummary) -> None:
+    """Persist one result (atomic write; concurrent writers are safe)."""
+    if not cache_enabled():
+        return
+    write_atomic(_cache_path(spec_cache_key(spec)), json.dumps({
+        "format": CACHE_FORMAT,
+        "spec": dataclasses.asdict(spec),
+        "summary": summary.to_dict(),
+        "created": time.time(),
+    }))
+
+
+def _cache_files() -> Iterator[pathlib.Path]:
+    """Every file the cache holds: result entries (``*.json``) and the
+    compiled engine's generated sources (``compiled/*.py``)."""
     base = cache_dir()
-    if not base.exists():
-        return 0
-    for path in base.rglob("*.json"):
+    for pattern in ("*.json", "compiled/*.py"):
+        yield from base.rglob(pattern)
+
+
+def wipe_cache() -> int:
+    """Delete every cached result and compiled artifact; returns the
+    number removed."""
+    removed = 0
+    for path in _cache_files():
         try:
             path.unlink()
             removed += 1
@@ -371,24 +381,23 @@ def wipe_cache() -> int:
 
 
 def cache_info() -> Dict:
-    """Entry count and total size of the on-disk cache.
+    """File count and total size of the on-disk cache (results and
+    compiled artifacts).
 
-    Entries that vanish between the directory walk and the ``stat``
-    (a concurrent ``wipe_cache`` or writer replacing its temp file)
-    are skipped rather than crashing the inspection.
+    Files that vanish between the directory walk and the ``stat`` (a
+    concurrent ``wipe_cache`` or writer replacing its temp file) are
+    skipped rather than crashing the inspection.
     """
-    base = cache_dir()
     entries = 0
     total_bytes = 0
-    if base.exists():
-        for path in base.rglob("*.json"):
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                continue  # deleted mid-walk by a concurrent wipe/writer
-            entries += 1
+    for path in _cache_files():
+        try:
+            total_bytes += path.stat().st_size
+        except OSError:
+            continue  # deleted mid-walk by a concurrent wipe/writer
+        entries += 1
     return {
-        "dir": str(base),
+        "dir": str(cache_dir()),
         "enabled": cache_enabled(),
         "entries": entries,
         "bytes": total_bytes,
@@ -396,31 +405,10 @@ def cache_info() -> Dict:
 
 
 # ======================================================================
-# Single-spec entry point (in-process)
+# The ``spec`` job
 # ======================================================================
 
 _summary_cache: Dict[RunSpec, RunSummary] = {}
-
-
-def _simulate(spec: RunSpec) -> RunSummary:
-    with Telemetry().span("sim", span_attrs_for_spec(spec)):
-        return summarize(execute_spec(spec))
-
-
-def run_summary(spec: RunSpec) -> RunSummary:
-    """Summary of one simulation: memory cache, then disk, then run."""
-    cached = _summary_cache.get(spec)
-    if cached is not None:
-        return cached
-    tel = Telemetry()
-    with tel.span("cache.lookup"):
-        summary = cache_load(spec)
-    if summary is None:
-        summary = _simulate(spec)
-        with tel.span("cache.write"):
-            cache_store(spec, summary)
-    _summary_cache[spec] = summary
-    return summary
 
 
 def run_spec_job(payload: Dict) -> Dict:
@@ -431,7 +419,8 @@ def run_spec_job(payload: Dict) -> Dict:
         spec = spec_from_payload(payload)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad spec payload: {exc}") from None
-    return _simulate(spec).to_dict()
+    with Telemetry().span("sim", span_attrs_for_spec(spec)):
+        return summarize(execute_spec(spec)).to_dict()
 
 
 def clear_summary_cache() -> None:

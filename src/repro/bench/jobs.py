@@ -280,7 +280,6 @@ class _Run:
         self.succeeded = set()
         self.ready: Dict[int, JobResult] = {}
         self.delivered = 0
-        self.stopped = False
 
     # -- spans ---------------------------------------------------------
 
@@ -355,8 +354,7 @@ class _Run:
             done = self.ready.pop(self.delivered)
             if tel.registry is not None and done.metrics:
                 tel.registry.merge(done.metrics)
-            if self.on_result(self.delivered, done):
-                self.stopped = True
+            self.on_result(self.delivered, done)
             self.delivered += 1
 
     def requeue(self, index: int, why: str, queue: List[int]) -> None:
@@ -377,7 +375,7 @@ class _Run:
     def serial(self) -> None:
         metrics = self.tel.registry is not None
         queue = list(range(len(self.jobs)))
-        while queue and not self.stopped:
+        while queue:
             index = queue.pop(0)
             retry: List[int] = []
             self.end(index, run_job(self.jobs[index], self.timeout_s,
@@ -465,7 +463,7 @@ class _Run:
 
 
 def run_jobs(jobs: Sequence[Job],
-             on_result: Callable[[int, JobResult], Optional[bool]],
+             on_result: Callable[[int, JobResult], None],
              workers: int = 1, fabric: Optional[str] = None,
              timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
              retries: int = DEFAULT_RETRIES,
@@ -476,10 +474,9 @@ def run_jobs(jobs: Sequence[Job],
 
     The backend: the fabric when ``fabric`` (else ``REPRO_FABRIC``)
     names a spool; serial with one worker, one job, or a job that
-    cannot be shipped — there ``on_result`` returning True stops the
-    run, and a job's own exception propagates; otherwise a pool of
-    ``workers`` processes running ``worker`` (default :func:`run_job`;
-    tests inject faulty ones).
+    cannot be shipped — there a job's own exception propagates;
+    otherwise a pool of ``workers`` processes running ``worker``
+    (default :func:`run_job`; tests inject faulty ones).
     """
     if fabric is None:
         fabric = os.environ.get("REPRO_FABRIC") or None
@@ -487,8 +484,7 @@ def run_jobs(jobs: Sequence[Job],
     if fabric and not shippable:
         logger.warning(
             "jobs cannot be shipped through the fabric (anonymous defense "
-            "factory, bespoke core, or stop_on_first_violation); running "
-            "locally")
+            "factory or bespoke core); running locally")
     run = _Run(list(jobs), on_result, timeout_s, retries)
     if fabric and shippable:
         run.fabric(fabric)

@@ -125,17 +125,14 @@ def mitigated(workload_name: str, instrument: Optional[str],
 
 
 def execute_spec(spec: RunSpec, tracer=None,
-                 engine: Optional[str] = None,
-                 ledger=None) -> CoreResult:
+                 engine: Optional[str] = None) -> CoreResult:
     """Simulate one configuration, uncached (the raw primitive the
     batch executor builds on), returning the full result.
 
     ``tracer`` (a :class:`repro.uarch.trace.PipelineTracer`) records
-    per-uop pipeline events for ``repro trace``; None — the default —
-    is the zero-overhead path.  ``ledger`` (a
-    :class:`repro.uarch.speculation.InterventionLedger`) records every
-    defense-intervention episode for ``repro speculation``; like an
-    attached tracer it pins the per-cycle interpreter.
+    per-uop pipeline events and every defense-intervention episode for
+    ``repro trace`` and ``repro speculation``, and pins the per-cycle
+    interpreter; None — the default — is the zero-overhead path.
 
     ``engine`` picks the simulation engine (see
     :func:`repro.uarch.pipeline.simulate`); None defers to the
@@ -151,7 +148,7 @@ def execute_spec(spec: RunSpec, tracer=None,
         program = compiled(spec.workload, spec.instrument).program
     result = simulate(program, spec.defense_instance(),
                       spec.core_config(), workload.memory, workload.regs,
-                      tracer=tracer, ledger=ledger, engine=engine)
+                      tracer=tracer, engine=engine)
     if result.halt_reason != "halt":
         raise RuntimeError(
             f"{spec} did not run to completion: {result.halt_reason}")
@@ -172,12 +169,13 @@ def norm_runtime(workload: str, defense: str,
                  instrument: Optional[str] = None, core: str = "P",
                  **knobs) -> float:
     """Runtime normalized to the unsafe baseline on the base binary."""
-    from .executor import run_summary
+    from .executor import run_batch
 
-    base = run_summary(RunSpec(workload=workload, core=core))
-    this = run_summary(RunSpec(workload=workload, defense=defense,
-                               instrument=instrument, core=core, **knobs))
-    return this.cycles / base.cycles
+    base = RunSpec(workload=workload, core=core)
+    this = RunSpec(workload=workload, defense=defense,
+                   instrument=instrument, core=core, **knobs)
+    summaries = run_batch([base, this], jobs=1)
+    return summaries[this].cycles / summaries[base].cycles
 
 
 def protean_norm(workload: str, mechanism: str, core: str = "P",

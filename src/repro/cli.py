@@ -370,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     spec_.add_argument("--json", action="store_true",
                        help="emit the per-defense anatomy as JSON")
     spec_.add_argument("--ledger-out", default=None, metavar="FILE",
-                       help="record an InterventionLedger for the first "
-                            "workload x first intervening defense and "
-                            "write the merged Chrome trace here")
+                       help="trace the first workload x first "
+                            "intervening defense and write its Chrome "
+                            "trace (pipeline + interventions) here")
     _add_jobs(spec_)
     return parser
 
@@ -832,13 +832,13 @@ def _run_stats(args) -> int:
     """``repro stats``: the full per-run stats schema, rendered."""
     import json
 
-    from .bench import format_run_stats, run_summary
+    from .bench import format_run_stats, run_batch
     from .bench.runner import CORES
 
     spec = _make_spec(args)
     if spec is None:
         return 2
-    summary = run_summary(spec)
+    summary = run_batch([spec], jobs=1)[spec]
     if args.json:
         print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     else:
@@ -852,9 +852,9 @@ def _run_speculation(args) -> int:
     Aggregates the always-on telemetry over a workload matrix (cached,
     batch-executed) into a per-defense table of intervention episodes
     and delay cycles per gating hook, plus transient-uop pressure.
-    ``--ledger-out`` additionally attaches an
-    :class:`~repro.uarch.speculation.InterventionLedger` to one run and
-    writes the merged pipeline + intervention Chrome trace."""
+    ``--ledger-out`` additionally attaches a
+    :class:`~repro.uarch.trace.PipelineTracer` to one run and writes
+    its pipeline + intervention Chrome trace."""
     import json
 
     from .bench.runner import DEFENSES
@@ -889,32 +889,28 @@ def _run_speculation(args) -> int:
 
     if args.ledger_out:
         from .bench.runner import RunSpec, execute_spec
-        from .uarch.speculation import InterventionLedger
         from .uarch.trace import PipelineTracer, write_chrome_trace
 
         target = next(
             ((d, i) for d, i in defenses
-             if result.data[d]["hooks"]["execute"]["interventions"]
-             or result.data[d]["hooks"]["resolve"]["interventions"]
-             or result.data[d]["hooks"]["wakeup"]["interventions"]),
+             if any(hook["interventions"]
+                    for hook in result.data[d]["hooks"].values())),
             None)
         if target is None:
             print("no defense intervened on this matrix; "
-                  "nothing to ledger", file=sys.stderr)
+                  "nothing to trace", file=sys.stderr)
             return 1
         defense, instrument = target
         spec = RunSpec(workload=names[0], defense=defense,
                        instrument=instrument, core=args.core)
         tracer = PipelineTracer()
-        ledger = InterventionLedger()
-        run = execute_spec(spec, tracer=tracer, ledger=ledger)
-        path = write_chrome_trace(
-            args.ledger_out, tracer,
-            label=f"{names[0]}/{defense}", ledger=ledger)
+        run = execute_spec(spec, tracer=tracer)
+        path = write_chrome_trace(args.ledger_out, tracer,
+                                  label=f"{names[0]}/{defense}")
         print(f"{names[0]}/{defense}: {run.cycles} cycles, "
-              f"{len(ledger.events)} intervention events "
-              f"({ledger.dropped} dropped, "
-              f"{ledger.total_delay()} delay cycles)")
+              f"{len(tracer.events)} intervention events "
+              f"({tracer.dropped_events} dropped, "
+              f"{sum(e.delay for e in tracer.events)} delay cycles)")
         print(f"chrome trace (pipeline + intervention overlay) "
               f"written to {path}")
     return 0
@@ -938,7 +934,8 @@ def _run_trace(args) -> int:
         path = write_chrome_trace(args.out, tracer, label=spec.workload)
         print(f"{spec.workload}: {result.cycles} cycles, "
               f"{len(tracer.uops)} uops recorded "
-              f"({tracer.dropped} dropped)")
+              f"({tracer.dropped} dropped), "
+              f"{len(tracer.events)} intervention events")
         print(f"chrome trace written to {path} "
               f"(load in Perfetto / chrome://tracing)")
     else:
@@ -1087,13 +1084,14 @@ def _diff_workloads(names, defenses):
 
 
 def _run_cache(args) -> int:
-    """``repro cache``: show or wipe the persistent result cache."""
+    """``repro cache``: show or wipe the persistent cache (results and
+    compiled artifacts)."""
     from .bench.executor import cache_info, wipe_cache
     from .metrics import default_ledger_path, load_records
 
     if args.wipe:
         removed = wipe_cache()
-        print(f"removed {removed} cached results")
+        print(f"removed {removed} cached files")
     info = cache_info()
     state = "enabled" if info["enabled"] else "disabled (REPRO_NO_CACHE)"
     print(f"cache dir: {info['dir']} ({state})")

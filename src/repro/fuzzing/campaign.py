@@ -64,7 +64,6 @@ class CampaignConfig:
     seed: int = 0
     core: CoreConfig = P_CORE
     adversaries: Tuple[AdversaryModel, ...] = ALL_MODELS
-    stop_on_first_violation: bool = False
     #: Harness name from ``repro.bench.runner.DEFENSES``.  When set,
     #: program jobs ship the name and rebuild the factory from it, so
     #: the cell parallelizes even if ``defense_factory`` itself (e.g. a
@@ -209,9 +208,6 @@ def _run_program(config: CampaignConfig, program_seed: int) -> Dict:
             if config.mitigation:
                 witness.meta["mitigation"] = config.mitigation
             result.witnesses.append(witness.to_dict())
-        if (config.stop_on_first_violation
-                and outcome.verdict is Verdict.VIOLATION):
-            break
     return result.to_dict()
 
 
@@ -283,7 +279,7 @@ def run_campaign(
     on_program: Optional[Callable[[int, CampaignResult], None]] = None,
     fabric: Optional[str] = None,
 ) -> CampaignResult:
-    """Run one fuzzing cell to completion (or first violation).
+    """Run one fuzzing cell to completion.
 
     Each program is one ``fuzz-program`` job of the bench job runner:
     with ``jobs > 1`` they fan out over a process pool, and with
@@ -291,9 +287,7 @@ def run_campaign(
     through the campaign fabric.  Either way each program gets the
     per-job timeout and retries, and the merge is bit-identical to a
     serial run.  Cells that cannot ship as JSON (an anonymous defense
-    factory, a bespoke core) run serially, and so do
-    ``stop_on_first_violation`` cells, so that "first" keeps its
-    sequential meaning.
+    factory, a bespoke core) run serially.
 
     ``on_program(program_seed, partial_result)`` is invoked in the
     parent process, in program order, as each per-program result is
@@ -313,8 +307,7 @@ def run_campaign(
     started = time.perf_counter()
     units = []
     for seed in seeds:
-        payload = None if config.stop_on_first_violation \
-            else campaign_job_payload(config, seed)
+        payload = campaign_job_payload(config, seed)
         units.append(Job(KIND_FUZZ, payload) if payload is not None else
                      Job(KIND_FUZZ, {"program_seed": seed},
                          local=functools.partial(_run_program, config, seed)))
@@ -327,13 +320,12 @@ def run_campaign(
                "programs": config.n_programs})
     result = CampaignResult()
 
-    def merge(index: int, outcome) -> bool:
+    def merge(index: int, outcome) -> None:
         partial = CampaignResult.from_dict(outcome.result)
         partial.wall_time = outcome.wall_s
         result.merge(partial)
         if on_program is not None:
             on_program(seeds[index], partial)
-        return config.stop_on_first_violation and result.violations > 0
 
     try:
         run_jobs(units, merge, workers=jobs, fabric=fabric)

@@ -16,9 +16,7 @@ from .refcore import DiffReport, compare_results
 from .multicore import MultiCore, MultiCoreResult, TID_REG, simulate_mt
 from .speculation import (
     InterventionEvent,
-    InterventionLedger,
     intervention_summary,
-    ledger_chrome_events,
     transient_summary,
 )
 from .trace import (
@@ -37,8 +35,7 @@ __all__ = [
     "Core", "CoreResult", "STALL_CAUSES", "simulate",
     "DiffReport", "compare_results",
     "MultiCore", "MultiCoreResult", "TID_REG", "simulate_mt",
-    "InterventionEvent", "InterventionLedger", "intervention_summary",
-    "ledger_chrome_events", "transient_summary",
+    "InterventionEvent", "intervention_summary", "transient_summary",
     "PipelineTracer", "chrome_trace", "text_pipeline", "write_chrome_trace",
     "Uop",
 ]

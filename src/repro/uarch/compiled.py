@@ -66,7 +66,6 @@ in-process and on disk under ``<bench cache>/compiled/``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -86,6 +85,7 @@ from .pipeline import (
     CoreResult,
     DEFAULT_MAX_CYCLES,
     DEFAULT_NO_PROGRESS_LIMIT,
+    _BLOCK_TO_CAUSE,
     _SQUASH_CAUSE,
 )
 
@@ -121,12 +121,8 @@ _NEVER_LIT = str(1 << 62)
 
 #: ``uop.block_reason`` -> full stall-counter key (the generated code
 #: skips the ``f"stall_{cause}"`` formatting the interpreter pays).
-_B2C_LITERAL = ("{'defense_execute': 'stall_defense_transmitter', "
-                "'div_busy': 'stall_div_busy', "
-                "'disambiguation': 'stall_mem_disambiguation', "
-                "'mfence': 'stall_dependency', "
-                "'defense_resolution': 'stall_defense_resolution', "
-                "'squash_notify': 'stall_squash_notify'}")
+_B2C_LITERAL = repr({reason: f"stall_{cause}"
+                     for reason, cause in _BLOCK_TO_CAUSE.items()})
 
 
 class CompileUnsupported(RuntimeError):
@@ -209,16 +205,10 @@ def clear_compile_cache() -> None:
     _MEM_CACHE.clear()
 
 
-def compile_cache_info() -> Dict[str, int]:
-    path = artifact_dir()
-    on_disk = len(list(path.glob("*.py"))) if path.is_dir() else 0
-    return {"memory": len(_MEM_CACHE), "disk": on_disk}
-
-
 def compile_step(program, config: CoreConfig, defense):
     """Return the compiled ``run(core)`` function for the triple,
     consulting the in-memory and on-disk artifact caches."""
-    from ..bench.executor import cache_enabled
+    from ..bench.executor import cache_enabled, write_atomic
     from ..metrics.registry import get_registry
 
     metrics = get_registry()
@@ -242,13 +232,7 @@ def compile_step(program, config: CoreConfig, defense):
     if source is None:
         source = generate_source(program, config, defense)
         if disk:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(f".tmp{os.getpid()}")
-                tmp.write_text(source)
-                tmp.replace(path)
-            except OSError:
-                pass
+            write_atomic(path, source)
     namespace: Dict[str, object] = {"__name__": f"repro.uarch._compiled_{key[:12]}"}
     code = compile(source, f"<repro-compiled:{key[:12]}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
@@ -585,7 +569,7 @@ class _Codegen:
     # ---- blocks several stages share ----------------------------------
 
     def _open_episode(self, stem: str) -> None:
-        """Core._open_*_episode for ``u``, unless one is already open."""
+        """The guarded ``Core._open_episode`` call for ``u``."""
         s = self.s
         s(f"if u.{stem}_block_cycle < 0:")
         s(f"    u.{stem}_block_cycle = cycle")
@@ -594,7 +578,8 @@ class _Codegen:
         s(f"    stats['_open_{stem}_sum'] += cycle")
 
     def _close_episode(self, stem: str, uop: str = "u") -> None:
-        """Core._close_*_episode for ``uop``, if one is open."""
+        """The guarded ``Core._close_episode`` call for ``uop`` (a
+        compiled run takes no tracer)."""
         s = self.s
         start = f"{stem[0]}b"
         s(f"if {uop}.{stem}_block_cycle >= 0:")
@@ -1674,9 +1659,6 @@ class CompiledCore(Core):
         if tracer is not None:
             raise CompileUnsupported(
                 "PipelineTracer requires the per-cycle interpreter")
-        if kwargs.pop("ledger", None) is not None:
-            raise CompileUnsupported(
-                "InterventionLedger requires the per-cycle interpreter")
         if kwargs.get("store_commit_listener") is not None \
                 or kwargs.get("shared_memory") or kwargs.get("shared_l3"):
             raise CompileUnsupported(
@@ -1688,21 +1670,16 @@ class CompiledCore(Core):
                                           self.defense)
 
     def run(self) -> CoreResult:
-        metrics = self.metrics
-        host_start = time.perf_counter() if metrics is not None else 0.0
+        host_start = time.perf_counter()
         ff_cycles, ff_jumps = self._compiled_run(self)
+        elapsed = time.perf_counter() - host_start
+        metrics = self.metrics
         if metrics is not None:
-            elapsed = time.perf_counter() - host_start
-            metrics.counter("uarch.sim_cycles").inc(self.cycle)
-            metrics.counter("uarch.runs").inc()
             metrics.counter("uarch.compiled_runs").inc()
-            metrics.timer("uarch.run_seconds").observe(elapsed)
             if ff_jumps:
                 metrics.counter("uarch.fast_forward_cycles").inc(ff_cycles)
                 metrics.counter("uarch.fast_forward_jumps").inc(ff_jumps)
             if elapsed > 0:
-                rate = self.cycle / elapsed
-                metrics.gauge("uarch.sim_cycles_per_sec").set(rate)
-                metrics.gauge("uarch.compiled_cycles_per_sec").set(rate)
-            self._record_speculation_metrics(metrics)
-        return self._result()
+                metrics.gauge("uarch.compiled_cycles_per_sec").set(
+                    self.cycle / elapsed)
+        return self._finish(elapsed)

@@ -102,6 +102,17 @@ _BLOCK_TO_CAUSE = {
     "squash_notify": "squash_notify",
 }
 
+#: The three gating hooks, in pipeline order: (hook name, stats stem).
+#: The stem names a uop's open-episode field (``<stem>_block_cycle``),
+#: the defense's episode counters (``<stem>_interventions``,
+#: ``<stem>_delay_cycles``) and the core's open-episode fold
+#: (``_open_<stem>``, ``_open_<stem>_sum``).
+HOOKS: Tuple[Tuple[str, str], ...] = (
+    ("execute", "exec"),
+    ("resolve", "resolve"),
+    ("wakeup", "wakeup"),
+)
+
 #: Hierarchy levels that count as a cache miss for stall attribution.
 _MISS_LEVELS = frozenset(("l2", "l3", "mem"))
 
@@ -168,7 +179,6 @@ class Core:
         shared_l3=None,
         store_commit_listener=None,
         tracer=None,
-        ledger=None,
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
     ) -> None:
         from ..defenses.base import Unsafe
@@ -188,16 +198,12 @@ class Core:
             self.memory = memory.copy()
         self.max_cycles = max_cycles
         self._store_commit_listener = store_commit_listener
-        #: Optional :class:`repro.uarch.trace.PipelineTracer`.  ``None``
-        #: (the default) keeps tracing strictly zero-overhead: the hot
-        #: loop only ever pays an ``is not None`` check.
+        #: Optional :class:`repro.uarch.trace.PipelineTracer`, the one
+        #: per-run observer.  ``None`` (the default) keeps tracing
+        #: strictly zero-overhead: ``step`` pays one ``is not None``
+        #: check per cycle, and the episode-close helper one more per
+        #: closed defense-intervention episode.
         self.tracer = tracer
-        #: Optional :class:`repro.uarch.speculation.InterventionLedger`.
-        #: Same contract as the tracer: ``None`` (the default) is the
-        #: zero-overhead path — ``step`` itself never consults it; the
-        #: episode helpers it hangs off are only reached behind
-        #: per-uop ``>= 0`` guards.
-        self.ledger = ledger
         #: The process-attached :class:`repro.metrics.MetricsRegistry`,
         #: or None.  Host-throughput accounting happens once per
         #: :meth:`run`, never inside :meth:`step`, so the per-cycle path
@@ -280,13 +286,10 @@ class Core:
             # defense hook, the count and start-cycle sum of episodes
             # still open — so end-of-run fold-in is O(1), no ROB scan.
             "_spec_depth": 0,
-            "_open_exec": 0,
-            "_open_exec_sum": 0,
-            "_open_resolve": 0,
-            "_open_resolve_sum": 0,
-            "_open_wakeup": 0,
-            "_open_wakeup_sum": 0,
         }
+        for _, stem in HOOKS:
+            self.stats[f"_open_{stem}"] = 0
+            self.stats[f"_open_{stem}_sum"] = 0
         for cause in STALL_CAUSES:
             self.stats[f"stall_{cause}"] = 0
         for prefix in ("spec_depth", "squash_cascade"):
@@ -331,8 +334,7 @@ class Core:
     # ==================================================================
 
     def run(self) -> CoreResult:
-        metrics = self.metrics
-        host_start = time.perf_counter() if metrics is not None else 0.0
+        host_start = time.perf_counter()
         limit = self.no_progress_limit
         while not self.halted and self.cycle < self.max_cycles:
             if limit is not None \
@@ -345,37 +347,35 @@ class Core:
                 self.halt_reason = "no_progress"
             else:
                 self.halt_reason = "timeout"
-        if metrics is not None:
-            elapsed = time.perf_counter() - host_start
-            metrics.counter("uarch.sim_cycles").inc(self.cycle)
-            metrics.counter("uarch.runs").inc()
-            metrics.timer("uarch.run_seconds").observe(elapsed)
-            if elapsed > 0:
-                metrics.gauge("uarch.sim_cycles_per_sec").set(
-                    self.cycle / elapsed)
-            self._record_speculation_metrics(metrics)
-        return self._result()
+        return self._finish(time.perf_counter() - host_start)
 
-    def _record_speculation_metrics(self, metrics) -> None:
-        """Publish the observatory aggregates to an attached registry
-        (once per run; shared by every engine's ``run``)."""
-        dstats = self.defense.stats
-        stats = self.stats
-        interventions = (dstats["exec_interventions"]
-                         + dstats["resolve_interventions"]
-                         + dstats["wakeup_interventions"])
+    def _finish(self, elapsed: float) -> CoreResult:
+        """The run's result, with its metrics published to an attached
+        registry: once per run, from the result's already-folded stats,
+        for both engines' ``run``."""
+        result = self._result()
+        metrics = self.metrics
+        if metrics is None:
+            return result
+        stats = result.stats
+        metrics.counter("uarch.sim_cycles").inc(self.cycle)
+        metrics.counter("uarch.runs").inc()
+        metrics.timer("uarch.run_seconds").observe(elapsed)
+        if elapsed > 0:
+            metrics.gauge("uarch.sim_cycles_per_sec").set(
+                self.cycle / elapsed)
+        interventions = sum(stats[f"defense_{stem}_interventions"]
+                            for _, stem in HOOKS)
         if interventions:
-            delay = 0
-            for hook in ("exec", "resolve", "wakeup"):
-                delay += (dstats[f"{hook}_delay_cycles"]
-                          + self.cycle * stats[f"_open_{hook}"]
-                          - stats[f"_open_{hook}_sum"])
             metrics.counter("uarch.defense_interventions").inc(
                 interventions)
-            metrics.counter("uarch.defense_delay_cycles").inc(delay)
-        transient = self.seq_counter - len(self.committed)
+            metrics.counter("uarch.defense_delay_cycles").inc(
+                sum(stats[f"defense_{stem}_delay_cycles"]
+                    for _, stem in HOOKS))
+        transient = stats["fetched_uops"] - stats["committed_uops"]
         if transient > 0:
             metrics.counter("uarch.transient_uops").inc(transient)
+        return result
 
     def step(self) -> None:
         committed, cause = self._commit_stage()
@@ -408,14 +408,14 @@ class Core:
         # private aggregates hold count and sum(start) — so the fold is
         # O(1) on the *copied* dict, keeping _result idempotent.
         cycle = self.cycle
-        for hook in ("exec", "resolve", "wakeup"):
-            n = stats.pop(f"_open_{hook}")
-            start_sum = stats.pop(f"_open_{hook}_sum")
+        for _, stem in HOOKS:
+            n = stats.pop(f"_open_{stem}")
+            start_sum = stats.pop(f"_open_{stem}_sum")
             if n:
-                stats[f"defense_{hook}_delay_cycles"] += \
+                stats[f"defense_{stem}_delay_cycles"] += \
                     cycle * n - start_sum
-        if self.ledger is not None:
-            self.ledger.finish(self)
+        if self.tracer is not None:
+            self.tracer.finish(self)
         committed = [u for u in self.committed if u.inst.op is not Op.HALT]
         return CoreResult(
             cycles=self.cycle,
@@ -606,13 +606,13 @@ class Core:
                 return False  # the divider is not pipelined
             if not self.defense.may_execute(uop):
                 if uop.exec_block_cycle < 0:
-                    self._open_exec_episode(uop)
+                    self._open_episode(uop, "exec")
                 uop.block_reason = "defense_execute"
                 return False
             # Close at the gate-allow, not at issue: a post-allow
             # disambiguation stall is not the defense's doing.
             if uop.exec_block_cycle >= 0:
-                self._close_exec_episode(uop)
+                self._close_episode(uop, "exec")
             if inst.is_div:
                 latency = self._execute_div(uop)
                 self.div_busy_until = self.cycle + latency
@@ -796,7 +796,7 @@ class Core:
                     self._do_wakeup(uop)
                 else:
                     if uop.wakeup_block_cycle < 0:
-                        self._open_wakeup_episode(uop)
+                        self._open_episode(uop, "wakeup")
                     uop.wakeup_pending = True
                     self._pending_wakeup.append(uop)
 
@@ -810,54 +810,32 @@ class Core:
     # episode stays open across the skipped window and the delay accrues
     # through the fast-forward jump.
 
-    def _open_exec_episode(self, uop: Uop) -> None:
-        uop.exec_block_cycle = self.cycle
-        self.defense.stats["exec_interventions"] += 1
-        self.stats["_open_exec"] += 1
-        self.stats["_open_exec_sum"] += self.cycle
+    def _open_episode(self, uop: Uop, stem: str) -> None:
+        """Open ``uop``'s episode at the ``HOOKS`` hook ``stem``.  Call
+        sites test ``<stem>_block_cycle < 0`` first: a refused uop
+        re-asks its gate every cycle, and the guard keeps those
+        retries free of this call."""
+        setattr(uop, f"{stem}_block_cycle", self.cycle)
+        self.defense.stats[f"{stem}_interventions"] += 1
+        self.stats[f"_open_{stem}"] += 1
+        self.stats[f"_open_{stem}_sum"] += self.cycle
 
-    def _close_exec_episode(self, uop: Uop) -> None:
-        start = uop.exec_block_cycle
-        uop.exec_block_cycle = -1
-        self.defense.stats["exec_delay_cycles"] += self.cycle - start
-        self.stats["_open_exec"] -= 1
-        self.stats["_open_exec_sum"] -= start
-        if self.ledger is not None:
-            self.ledger.record(self, uop, "execute", start)
-
-    def _open_resolve_episode(self, uop: Uop) -> None:
-        uop.resolve_block_cycle = self.cycle
-        self.defense.stats["resolve_interventions"] += 1
-        self.stats["_open_resolve"] += 1
-        self.stats["_open_resolve_sum"] += self.cycle
-
-    def _close_resolve_episode(self, uop: Uop) -> None:
-        start = uop.resolve_block_cycle
-        uop.resolve_block_cycle = -1
-        self.defense.stats["resolve_delay_cycles"] += self.cycle - start
-        self.stats["_open_resolve"] -= 1
-        self.stats["_open_resolve_sum"] -= start
-        if self.ledger is not None:
-            self.ledger.record(self, uop, "resolve", start)
-
-    def _open_wakeup_episode(self, uop: Uop) -> None:
-        uop.wakeup_block_cycle = self.cycle
-        self.defense.stats["wakeup_interventions"] += 1
-        self.stats["_open_wakeup"] += 1
-        self.stats["_open_wakeup_sum"] += self.cycle
-
-    def _close_wakeup_episode(self, uop: Uop) -> None:
-        start = uop.wakeup_block_cycle
-        uop.wakeup_block_cycle = -1
-        self.defense.stats["wakeup_delay_cycles"] += self.cycle - start
-        self.stats["_open_wakeup"] -= 1
-        self.stats["_open_wakeup_sum"] -= start
-        if self.ledger is not None:
-            self.ledger.record(self, uop, "wakeup", start)
+    def _close_episode(self, uop: Uop, stem: str) -> None:
+        """Close ``uop``'s open episode at the ``HOOKS`` hook ``stem``
+        (call sites test ``<stem>_block_cycle >= 0`` first) and hand it
+        to an attached tracer."""
+        attr = f"{stem}_block_cycle"
+        start = getattr(uop, attr)
+        setattr(uop, attr, -1)
+        self.defense.stats[f"{stem}_delay_cycles"] += self.cycle - start
+        self.stats[f"_open_{stem}"] -= 1
+        self.stats[f"_open_{stem}_sum"] -= start
+        if self.tracer is not None:
+            self.tracer.on_episode(self, uop, stem, start)
 
     def _do_wakeup(self, uop: Uop) -> None:
         if uop.wakeup_block_cycle >= 0:
-            self._close_wakeup_episode(uop)
+            self._close_episode(uop, "wakeup")
         uop.wakeup_pending = False
         for _, preg in uop.pdests:
             self.prf.ready[preg] = True
@@ -894,7 +872,7 @@ class Core:
         transmitter)."""
         if not self.defense.may_resolve(uop):
             if uop.resolve_block_cycle < 0:
-                self._open_resolve_episode(uop)
+                self._open_episode(uop, "resolve")
             uop.block_reason = "defense_resolution"
             uop.resolution_pending = True
             self._pending_resolution.append(uop)
@@ -904,7 +882,7 @@ class Core:
         # charged to the defense (may_resolve re-refusing later opens a
         # legitimate second episode).
         if uop.resolve_block_cycle >= 0:
-            self._close_resolve_episode(uop)
+            self._close_episode(uop, "resolve")
         if self.config.buggy_squash_notify and self._buggy_blocked(uop):
             uop.block_reason = "squash_notify"
             uop.resolution_pending = True
@@ -954,12 +932,9 @@ class Core:
             uop.squash_cycle = self.cycle
             if uop.is_branch and not uop.resolved:
                 stats["_spec_depth"] -= 1
-            if uop.exec_block_cycle >= 0:
-                self._close_exec_episode(uop)
-            if uop.resolve_block_cycle >= 0:
-                self._close_resolve_episode(uop)
-            if uop.wakeup_block_cycle >= 0:
-                self._close_wakeup_episode(uop)
+            for _, stem in HOOKS:
+                if getattr(uop, f"{stem}_block_cycle") >= 0:
+                    self._close_episode(uop, stem)
             self.rename_map.rollback(uop)
             for _, preg in uop.pdests:
                 self.prf.free(preg)
@@ -1133,7 +1108,7 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
              memory: Optional[Memory] = None,
              regs: Optional[Dict[int, int]] = None,
              max_cycles: int = DEFAULT_MAX_CYCLES,
-             tracer=None, ledger=None,
+             tracer=None,
              no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
              engine: Optional[str] = None,
              ) -> CoreResult:
@@ -1146,8 +1121,8 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
 
     * ``"compiled"`` — the specializing backend
       (:mod:`repro.uarch.compiled`), falling back to the reference
-      interpreter for shapes it refuses: an attached tracer or ledger
-      (single-spec diagnostics that must see every cycle) or an empty
+      interpreter for shapes it refuses: an attached tracer (a
+      single-spec diagnostic that must see every cycle) or an empty
       program.
     * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
@@ -1156,7 +1131,7 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")
-    if engine == "compiled" and tracer is None and ledger is None:
+    if engine == "compiled" and tracer is None:
         from .compiled import CompiledCore, CompileUnsupported
 
         try:
@@ -1166,5 +1141,5 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
         except CompileUnsupported:
             pass  # fall back to the interpreter
     return Core(program, defense, config, memory, regs, max_cycles,
-                tracer=tracer, ledger=ledger,
+                tracer=tracer,
                 no_progress_limit=no_progress_limit).run()

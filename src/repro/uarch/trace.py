@@ -1,18 +1,23 @@
-"""Pipeline observability: per-uop event tracing and trace export.
+"""Pipeline observability: the per-run tracer and its trace export.
 
-A :class:`PipelineTracer` hooks the core at two points — uop creation at
-fetch and the end of every cycle — and records enough to reconstruct
-each uop's walk through the pipeline from the per-stage timestamps the
-:class:`~repro.uarch.uop.Uop` already carries (fetch/rename/issue/
-complete/commit/squash cycles).  Tracing is strictly opt-in: a core
-built without a tracer pays only an ``is not None`` test per cycle.
+A :class:`PipelineTracer` is the one observer a run takes.  It hooks the
+core at three points — uop creation at fetch, the end of every cycle,
+and the close of every defense-intervention episode — and records
+enough to reconstruct each uop's walk through the pipeline from the
+per-stage timestamps the :class:`~repro.uarch.uop.Uop` already carries
+(fetch/rename/issue/complete/commit/squash cycles), plus one
+:class:`~repro.uarch.speculation.InterventionEvent` per episode.
+Tracing is strictly opt-in: a core built without a tracer pays only an
+``is not None`` test per cycle and per closed episode.
 
 Two export formats:
 
 * :func:`chrome_trace` — a Chrome-trace-format JSON dict (Perfetto and
   ``chrome://tracing`` load it directly): one complete ``"ph": "X"``
-  slice per pipeline stage per uop, plus ROB/IQ/LQ/SQ occupancy counter
-  tracks sampled every ``occupancy_interval`` cycles.
+  slice per pipeline stage per uop, ROB/IQ/LQ/SQ occupancy counter
+  tracks sampled every ``occupancy_interval`` cycles, and — when the
+  defense intervened — one slice per episode on the intervention
+  track (pid 2, one lane per gating hook).
 * :func:`text_pipeline` — a Konata-style ASCII pipeline view, one row
   per uop with stage letters at their cycle columns (``F`` fetch,
   ``r`` rename, ``i`` issue, ``c`` complete, ``C`` commit, ``x``
@@ -21,11 +26,14 @@ Two export formats:
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
 
+from .pipeline import HOOKS
+from .speculation import InterventionEvent
 from .uop import Uop
 
 #: Stage slices emitted per uop: (label, start attribute, end attribute).
@@ -38,11 +46,14 @@ _STAGES = (
 
 
 class PipelineTracer:
-    """Records per-uop pipeline events and periodic occupancy samples.
+    """Records one run: per-uop pipeline events, periodic occupancy
+    samples, and every defense-intervention episode.
 
     ``max_uops`` bounds memory: once reached, later uops are counted in
-    ``dropped`` instead of recorded (the trace covers the program's
-    head, which is what pipeline debugging usually wants).
+    ``dropped`` and later episodes in ``dropped_events`` instead of
+    recorded (the trace covers the program's head, which is what
+    pipeline debugging usually wants; the aggregate ``defense_*`` stats
+    stay exact regardless).
     """
 
     def __init__(self, max_uops: Optional[int] = 100_000,
@@ -59,6 +70,10 @@ class PipelineTracer:
         #: ``CoreResult.cycles`` proves no fast-forwarded window (a
         #: compiled-engine optimization) skipped past the tracer.
         self.cycles_seen = 0
+        #: One event per closed intervention episode, in close order.
+        self.events: List[InterventionEvent] = []
+        self.dropped_events = 0
+        self.finished = False
 
     # -- core hooks --------------------------------------------------------
 
@@ -74,6 +89,50 @@ class PipelineTracer:
             lq, sq = core.lsq.occupancy
             self.occupancy.append(
                 (core.cycle, len(core.rob), core.iq_count, lq, sq))
+
+    def on_episode(self, core, uop: Uop, stem: str, start: int,
+                   closed_by: Optional[str] = None) -> None:
+        """Record one episode at the ``HOOKS`` hook ``stem``, as
+        ``Core._close_episode`` closes it (or :meth:`finish` flushes
+        it)."""
+        if self.max_uops is not None and len(self.events) >= self.max_uops:
+            self.dropped_events += 1
+            return
+        defense = core.defense
+        self.events.append(InterventionEvent(
+            seq=uop.seq,
+            pc=uop.pc,
+            asm=_asm(uop),
+            hook=_HOOK_OF_STEM[stem],
+            start=start,
+            delay=core.cycle - start,
+            depth=core.stats["_spec_depth"],
+            tainted=any(defense.tainted(preg) for _, preg in uop.psrcs),
+            protected=defense.protected_src(uop),
+            closed_by=closed_by or ("squash" if uop.squashed else "allow"),
+        ))
+
+    def finish(self, core) -> None:
+        """Flush episodes still open at end of run (idempotent).
+
+        The aggregate stats fold these into ``*_delay_cycles`` at
+        ``Core._result``; the tracer mirrors them as ``closed_by:
+        "halt"`` events so the two views stay consistent.  Open
+        episodes live on in-flight uops, all of which sit in the ROB.
+        """
+        if self.finished:
+            return
+        self.finished = True
+        for uop in core.rob.entries:
+            for _, stem in HOOKS:
+                start = getattr(uop, f"{stem}_block_cycle")
+                if start >= 0:
+                    self.on_episode(core, uop, stem, start, "halt")
+
+
+#: ``HOOKS`` stem -> hook name, and hook name -> its Chrome-trace lane.
+_HOOK_OF_STEM = {stem: hook for hook, stem in HOOKS}
+_LANE_OF_HOOK = {hook: lane for lane, (hook, _) in enumerate(HOOKS)}
 
 
 def _uop_end(uop: Uop) -> int:
@@ -107,13 +166,13 @@ def _asm(uop: Uop) -> str:
     return format_instruction(uop.inst)
 
 
-def chrome_trace(tracer: PipelineTracer, label: str = "repro",
-                 ledger=None) -> Dict:
+def chrome_trace(tracer: PipelineTracer, label: str = "repro") -> Dict:
     """Project a recorded trace into Chrome trace format (JSON dict).
 
-    Passing an :class:`~repro.uarch.speculation.InterventionLedger`
-    merges the defense-intervention overlay (pid 2: one lane per
-    gating hook) into the same timeline as the pipeline slices."""
+    When the defense intervened, the episodes ride the same timeline as
+    the pipeline slices on their own track (pid 2, one lane per gating
+    hook), so Perfetto shows each intervention above the uops it
+    delayed."""
     events: List[Dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
          "args": {"name": f"{label}: pipeline"}},
@@ -151,25 +210,40 @@ def chrome_trace(tracer: PipelineTracer, label: str = "repro",
                 "name": name, "ph": "C", "ts": sample[0],
                 "pid": 1, "tid": 0, "args": {name: sample[index]},
             })
-    if ledger is not None:
-        from .speculation import ledger_chrome_events
-
-        events.extend(ledger_chrome_events(ledger, label))
+    if tracer.events:
+        events.append(
+            {"name": "process_name", "ph": "M", "pid": 2, "tid": 0,
+             "args": {"name": f"{label}: defense interventions"}})
+        for lane, (hook, _) in enumerate(HOOKS):
+            events.append(
+                {"name": "thread_name", "ph": "M", "pid": 2, "tid": lane,
+                 "args": {"name": f"may_{hook}"}})
+    for event in tracer.events:
+        events.append({
+            "name": f"{event.hook}:{event.asm}",
+            "cat": event.closed_by,
+            "ph": "X",
+            "ts": event.start,
+            "dur": max(event.delay, 1),
+            "pid": 2,
+            "tid": _LANE_OF_HOOK[event.hook],
+            "args": dataclasses.asdict(event),
+        })
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",  # 1 "ns" == 1 core cycle
         "metadata": {"tool": "repro.uarch.trace",
-                     "dropped_uops": tracer.dropped},
+                     "dropped_uops": tracer.dropped,
+                     "dropped_events": tracer.dropped_events},
     }
 
 
 def write_chrome_trace(path: Union[str, pathlib.Path],
                        tracer: PipelineTracer,
-                       label: str = "repro",
-                       ledger=None) -> pathlib.Path:
+                       label: str = "repro") -> pathlib.Path:
     """Write a Perfetto-loadable JSON trace file."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(chrome_trace(tracer, label, ledger=ledger)))
+    path.write_text(json.dumps(chrome_trace(tracer, label)))
     return path
 
 

@@ -13,7 +13,6 @@ from repro.bench import (
     clear_caches,
     execute_spec,
     run_batch,
-    run_summary,
 )
 from repro.bench import executor
 from repro.bench import runner
@@ -110,14 +109,11 @@ def test_version_change_forces_resimulation(isolated_cache, monkeypatch):
 
 def test_no_cache_env_disables_persistence(isolated_cache, monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    run_summary(FAST)
+    run_batch([FAST], jobs=1)
     assert cache_load(FAST) is None
     if isolated_cache.exists():
         assert not list(isolated_cache.rglob("*.json"))
 
-
-def test_run_summary_matches_batch(isolated_cache):
-    assert run_summary(FAST) == run_batch([FAST], jobs=1)[FAST]
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +498,8 @@ def test_runsummary_engine_independent(isolated_cache, monkeypatch):
     clear_caches()
     clear_summary_cache()
     reference = summarize(execute_spec(FAST_SPTSB, engine="ref"))
-    assert run_summary(FAST_SPTSB).to_dict() == reference.to_dict()
+    summary = run_batch([FAST_SPTSB], jobs=1)[FAST_SPTSB]
+    assert summary.to_dict() == reference.to_dict()
 
 
 def test_runsummary_repro_engine_env_independent(isolated_cache,
@@ -516,8 +513,8 @@ def test_runsummary_repro_engine_env_independent(isolated_cache,
     def summary_json():
         clear_caches()
         clear_summary_cache()
-        return json.dumps(run_summary(FAST_SPTSB).to_dict(),
-                          sort_keys=True)
+        summary = run_batch([FAST_SPTSB], jobs=1)[FAST_SPTSB]
+        return json.dumps(summary.to_dict(), sort_keys=True)
 
     by_engine = {}
     for engine in ("ref", "compiled"):
@@ -552,7 +549,7 @@ def test_cache_store_read_only_dir_does_not_leak_tmp(isolated_cache,
                                                      monkeypatch):
     """A failing os.replace must unlink its mkstemp file: a read-only
     or full cache volume must not accumulate orphan .tmp files."""
-    summary = run_summary(FAST)
+    summary = run_batch([FAST], jobs=1)[FAST]
     key_dir = executor._cache_path(spec_cache_key(FAST)).parent
 
     def broken_replace(src, dst):
@@ -565,20 +562,25 @@ def test_cache_store_read_only_dir_does_not_leak_tmp(isolated_cache,
 
 def test_cache_store_tolerates_unwritable_dir(isolated_cache,
                                               monkeypatch):
-    run_summary(FAST)  # create the cache directory
+    summary = run_batch([FAST], jobs=1)[FAST]  # creates the cache dir
     monkeypatch.setattr(executor.tempfile, "mkstemp",
                         lambda **kw: (_ for _ in ()).throw(
                             OSError("read-only file system")))
-    summary = run_summary(FAST)
     executor.cache_store(FAST_SPTSB, summary)  # must not raise
     assert not list(isolated_cache.rglob("*.tmp"))
+
+
+def _artifacts(cache):
+    return list((cache / "compiled").glob("*.py"))
 
 
 def test_cache_info_tolerates_concurrent_wipe(isolated_cache,
                                               monkeypatch):
     """Files deleted between the rglob walk and the stat (a racing
-    wipe_cache or writer) are skipped, not crashed on."""
+    wipe_cache or writer) are skipped, not crashed on — result entries
+    and compiled artifacts alike."""
     run_batch([FAST, FAST_SPTSB], jobs=1)
+    assert _artifacts(isolated_cache)
     real_rglob = pathlib.Path.rglob
 
     def racing_rglob(self, pattern):
@@ -591,11 +593,13 @@ def test_cache_info_tolerates_concurrent_wipe(isolated_cache,
     info = executor.cache_info()
     assert info["entries"] == 0
     assert info["bytes"] == 0
+    assert not _artifacts(isolated_cache)
 
 
 def test_wipe_cache_tolerates_vanished_files(isolated_cache,
                                              monkeypatch):
     run_batch([FAST], jobs=1)
+    assert _artifacts(isolated_cache)
     real_rglob = pathlib.Path.rglob
 
     def racing_rglob(self, pattern):
@@ -606,6 +610,40 @@ def test_wipe_cache_tolerates_vanished_files(isolated_cache,
 
     monkeypatch.setattr(pathlib.Path, "rglob", racing_rglob)
     assert executor.wipe_cache() == 0  # nothing left to remove, no crash
+    assert not _artifacts(isolated_cache)
+
+
+def test_cache_info_and_wipe_cover_compiled_artifacts(isolated_cache):
+    from repro.fixtures import build
+    from repro.uarch import P_CORE
+    from repro.uarch.compiled import artifact_dir, compile_step
+
+    program, _ = build("v1-gadget")
+    compile_step(program, P_CORE, Unsafe())
+    artifacts = _artifacts(isolated_cache)
+    assert [path.parent for path in artifacts] == [artifact_dir()]
+    info = executor.cache_info()
+    assert info["entries"] == 1
+    assert info["bytes"] == artifacts[0].stat().st_size
+    assert executor.wipe_cache() == 1
+    assert not _artifacts(isolated_cache)
+    assert executor.cache_info()["entries"] == 0
+
+
+def test_compile_step_does_not_leak_tmp(isolated_cache, monkeypatch):
+    """A failing artifact write still compiles, and unlinks its temp
+    file the way cache_store does."""
+    from repro.fixtures import build
+    from repro.uarch import P_CORE
+    from repro.uarch.compiled import compile_step
+
+    def broken_replace(src, dst):
+        raise OSError("injected replace failure")
+
+    monkeypatch.setattr(executor.os, "replace", broken_replace)
+    program, _ = build("v1-gadget")
+    assert callable(compile_step(program, P_CORE, Unsafe()))
+    assert not list((isolated_cache / "compiled").iterdir())
 
 
 # ----------------------------------------------------------------------

@@ -60,11 +60,11 @@ def test_campaign_unsafe_finds_violations():
     config = CampaignConfig(defense_factory=Unsafe,
                             contract=Contract.UNPROT_SEQ,
                             instrumentation="rand",
-                            n_programs=4, pairs_per_program=2, seed=5,
-                            stop_on_first_violation=True)
+                            n_programs=4, pairs_per_program=2, seed=5)
     result = run_campaign(config)
     assert result.violations >= 1
-    assert result.violation_sites
+    assert len(result.violation_sites) == result.violations
+    assert result.tests + result.invalid_pairs == 4 * 2
 
 
 def test_campaign_prottrack_clean():

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.bench import RunSpec, clear_caches, run_batch, run_summary
+from repro.bench import RunSpec, clear_caches, run_batch
 from repro.bench.executor import spec_to_payload
 from repro.bench.jobs import KIND_SPEC, Job, run_job
 from repro.metrics.spans import (
@@ -358,14 +358,14 @@ def test_core_step_contains_no_tracing_code():
 
 def test_traced_results_identical_to_detached(isolated_cache,
                                               monkeypatch, tmp_path):
-    detached = run_summary(FAST)
+    detached = run_batch([FAST], jobs=1)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
     clear_caches()
     with recording(SpanRecorder()) as recorder:
-        traced = run_summary(FAST)
+        traced = run_batch([FAST], jobs=1)
     assert traced == detached
     assert {span.name for span in recorder.spans} >= \
-        {"cache.lookup", "sim", "cache.write"}
+        {"executor.batch", "spec", "sim"}
 
 
 # ----------------------------------------------------------------------

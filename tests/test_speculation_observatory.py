@@ -1,21 +1,24 @@
-"""The speculation observatory (always-on telemetry + opt-in ledger).
+"""The speculation observatory (always-on telemetry + traced episodes).
 
 Three layers under test:
 
 * the always-on aggregates — transient-uop accounting, speculation
   histograms, and per-hook intervention episode counters — must be
-  present and internally consistent in every engine's result, and must
-  cost nothing when no defense hook is live;
-* the opt-in :class:`InterventionLedger` must honour the tracer's
-  zero-overhead attach contract (``Core.step`` never mentions it, a
-  detached run is byte-identical), must agree event-by-event with the
-  aggregate counters, and must refuse the compiled backend;
+  present and internally consistent in every engine's result, must
+  cost nothing when no defense hook is live, and must reach an
+  attached metrics registry identically from both engines;
+* the intervention events an attached :class:`PipelineTracer` records
+  must honour its zero-overhead attach contract (``Core.step`` makes
+  one ``is not None`` check, a traced run is byte-identical) and must
+  agree event-by-event with the aggregate counters;
 * the projection helpers (``intervention_summary``,
-  ``transient_summary``, ``histogram``, the Chrome-trace overlay, the
-  ``speculation_anatomy`` table, the ``repro speculation`` CLI) must
-  faithfully reshape the same numbers.
+  ``transient_summary``, ``histogram``, the Chrome-trace intervention
+  track, the ``speculation_anatomy`` table, the ``repro speculation``
+  and ``repro trace`` CLIs) must faithfully reshape the same numbers.
 """
 
+import collections
+import dataclasses
 import inspect
 import json
 
@@ -23,19 +26,18 @@ import pytest
 
 from repro.bench.runner import DEFENSES
 from repro.fixtures import build
+from repro.metrics import MetricsRegistry, attached
 from repro.uarch import P_CORE, simulate
-from repro.uarch.compiled import CompiledCore, CompileUnsupported
-from repro.uarch.pipeline import HIST_EDGES, Core, hist_key
+from repro.uarch.pipeline import HIST_EDGES, HOOKS, Core, hist_key
 from repro.uarch.refcore import REQUIRED_TELEMETRY
 from repro.uarch.speculation import (
-    InterventionLedger,
     histogram,
     intervention_summary,
-    ledger_chrome_events,
     transient_summary,
 )
+from repro.uarch.trace import PipelineTracer, chrome_trace
 
-HOOK_STEMS = ("exec", "resolve", "wakeup")
+HOOK_STEMS = tuple(stem for _, stem in HOOKS)
 
 
 def run_fixture(fixture="v1-gadget", defense="track", **kwargs):
@@ -44,10 +46,15 @@ def run_fixture(fixture="v1-gadget", defense="track", **kwargs):
                     **kwargs)
 
 
-def ledgered_fixture(fixture="v1-gadget", defense="track", **kwargs):
-    ledger = InterventionLedger(**kwargs)
-    result = run_fixture(fixture, defense, ledger=ledger)
-    return result, ledger
+def traced_fixture(fixture="v1-gadget", defense="track", **kwargs):
+    tracer = PipelineTracer(**kwargs)
+    result = run_fixture(fixture, defense, tracer=tracer)
+    return result, tracer
+
+
+def pid2_slices(trace):
+    return [e for e in trace["traceEvents"]
+            if e.get("pid") == 2 and e["ph"] == "X"]
 
 
 # ----------------------------------------------------------------------
@@ -141,81 +148,110 @@ def test_private_accounting_keys_never_escape():
     assert not [k for k in result.stats if k.startswith("_")]
 
 
+def test_hooks_table_drives_the_episode_counters():
+    assert [hook for hook, _ in HOOKS] == ["execute", "resolve", "wakeup"]
+    result = run_fixture(defense="track")
+    for _, stem in HOOKS:
+        assert f"defense_{stem}_interventions" in result.stats
+        assert f"defense_{stem}_delay_cycles" in result.stats
+    helpers = [name for name in vars(Core) if name.endswith("_episode")]
+    assert sorted(helpers) == ["_close_episode", "_open_episode"]
+
+
+def test_both_engines_publish_the_folded_stats():
+    """Both engines publish a run's observatory counters through one
+    ``Core._finish``, from the result's already-folded stats."""
+    published = {}
+    for engine in ("ref", "compiled"):
+        registry = MetricsRegistry()
+        with attached(registry):
+            result = run_fixture(defense="track", engine=engine)
+        counters = registry.snapshot()["counters"]
+        stats = result.stats
+        expected = {
+            "uarch.defense_interventions": sum(
+                stats[f"defense_{stem}_interventions"]
+                for stem in HOOK_STEMS),
+            "uarch.defense_delay_cycles": sum(
+                stats[f"defense_{stem}_delay_cycles"]
+                for stem in HOOK_STEMS),
+            "uarch.transient_uops":
+                stats["fetched_uops"] - stats["committed_uops"],
+            "uarch.sim_cycles": result.cycles,
+            "uarch.runs": 1,
+        }
+        assert all(expected.values()), expected
+        published[engine] = {name: counters[name] for name in expected}
+        assert published[engine] == expected, engine
+        assert counters.get("uarch.compiled_runs", 0) == \
+            (engine == "compiled")
+    assert published["ref"] == published["compiled"]
+
+
 # ----------------------------------------------------------------------
-# The ledger's attach contract
+# The tracer's attach contract
 # ----------------------------------------------------------------------
 
-def test_core_step_never_consults_the_ledger():
+def test_core_step_makes_one_tracer_check():
     source = inspect.getsource(Core.step)
-    assert "ledger" not in source
     assert source.count("is not None") == 1
+    assert "self.tracer is not None" in source
 
 
 def test_detached_ledger_run_is_byte_identical():
     plain = run_fixture(defense="track", engine="compiled")
-    result, ledger = ledgered_fixture(defense="track")
+    result, tracer = traced_fixture(defense="track")
     assert result.cycles == plain.cycles
     assert result.stats == plain.stats
-    assert ledger.events
-
-
-def test_ledger_pins_the_interpreter():
-    program, memory = build("v1-gadget")
-    with pytest.raises(CompileUnsupported):
-        CompiledCore(program, DEFENSES["track"](), P_CORE, memory,
-                     ledger=InterventionLedger())
-    # simulate() falls back silently even when compiled is requested.
-    plain = run_fixture(defense="track")
-    result, _ = ledgered_fixture(defense="track")
-    assert result.cycles == plain.cycles
+    assert tracer.events
 
 
 # ----------------------------------------------------------------------
-# Ledger events vs aggregate counters
+# The tracer's intervention ledger (``tracer.events``) vs aggregates
 # ----------------------------------------------------------------------
 
 def test_ledger_events_reconcile_with_aggregates():
-    result, ledger = ledgered_fixture(defense="track")
-    by_hook = ledger.by_hook()
-    for hook, stem in (("execute", "exec"), ("resolve", "resolve"),
-                       ("wakeup", "wakeup")):
-        assert len(by_hook[hook]) == \
-            result.stats[f"defense_{stem}_interventions"], hook
-    assert ledger.total_delay() == sum(
-        result.stats[f"defense_{stem}_delay_cycles"]
-        for stem in HOOK_STEMS)
-    assert ledger.dropped == 0
+    for defense in ("track", "nda", "spt"):
+        result, tracer = traced_fixture(defense=defense)
+        by_hook = collections.Counter(e.hook for e in tracer.events)
+        for hook, stem in HOOKS:
+            assert by_hook[hook] == \
+                result.stats[f"defense_{stem}_interventions"], hook
+        assert sum(event.delay for event in tracer.events) == sum(
+            result.stats[f"defense_{stem}_delay_cycles"]
+            for stem in HOOK_STEMS)
+        assert tracer.dropped_events == 0
 
 
 def test_ledger_event_fields_are_sane():
-    result, ledger = ledgered_fixture(defense="track")
-    for event in ledger.events:
+    _, tracer = traced_fixture(defense="track")
+    for event in tracer.events:
         assert event.delay >= 1
         assert 0 <= event.start < event.start + event.delay
         assert event.closed_by in ("allow", "squash", "halt")
         assert event.hook in ("execute", "resolve", "wakeup")
         assert event.asm  # disassembly, not an opcode number
         assert event.depth >= 0
-    dicts = ledger.to_dicts()
-    assert len(dicts) == len(ledger.events)
-    assert json.dumps(dicts)  # JSON-serializable as-is
+    # JSON-serializable as-is.
+    assert json.dumps([dataclasses.asdict(e) for e in tracer.events])
 
 
 def test_ledger_finish_is_idempotent():
-    _, ledger = ledgered_fixture(defense="track")
-    assert ledger.finished
-    n = len(ledger.events)
-    ledger.finish(None)  # core unused once finished
-    assert len(ledger.events) == n
+    _, tracer = traced_fixture(defense="track")
+    assert tracer.finished
+    n = len(tracer.events)
+    tracer.finish(None)  # core unused once finished
+    assert len(tracer.events) == n
 
 
 def test_ledger_caps_events_but_not_aggregates():
     plain = run_fixture(defense="track")
-    result, ledger = ledgered_fixture(defense="track", max_events=1)
+    result, tracer = traced_fixture(defense="track", max_uops=1)
     total = sum(plain.stats[f"defense_{stem}_interventions"]
                 for stem in HOOK_STEMS)
-    assert len(ledger.events) == 1
-    assert ledger.dropped == total - 1
+    assert len(tracer.events) == 1
+    assert tracer.dropped_events == total - 1
+    assert len(tracer.uops) == 1 and tracer.dropped > 0
     assert result.stats == plain.stats  # aggregates stay exact
 
 
@@ -252,24 +288,23 @@ def test_histogram_projection_orders_buckets():
 
 
 def test_chrome_overlay_rides_pid_two():
-    from repro.uarch.trace import PipelineTracer, chrome_trace
-
-    program, memory = build("v1-gadget")
-    tracer = PipelineTracer()
-    ledger = InterventionLedger()
-    simulate(program, DEFENSES["track"](), P_CORE, memory,
-             tracer=tracer, ledger=ledger)
-    overlay = ledger_chrome_events(ledger, label="t")
-    slices = [e for e in overlay if e["ph"] == "X"]
-    assert len(slices) == len(ledger.events)
-    assert all(e["pid"] == 2 for e in overlay)
-    metas = [e for e in overlay if e["ph"] == "M"]
-    assert {m["args"]["name"] for m in metas} >= \
+    _, tracer = traced_fixture(defense="track")
+    trace = chrome_trace(tracer, label="t")
+    assert len(pid2_slices(trace)) == len(tracer.events)
+    metas = [e for e in trace["traceEvents"]
+             if e["ph"] == "M" and e["pid"] == 2]
+    assert {m["args"]["name"] for m in metas} == \
         {"t: defense interventions", "may_execute", "may_resolve",
          "may_wakeup"}
-    merged = chrome_trace(tracer, label="t", ledger=ledger)
-    pids = {e.get("pid") for e in merged["traceEvents"]}
-    assert {1, 2} <= pids  # pipeline track + intervention overlay
+    pids = {e.get("pid") for e in trace["traceEvents"]}
+    assert pids == {0, 1, 2}  # pipeline, occupancy, interventions
+
+
+def test_chrome_trace_omits_the_track_without_interventions():
+    _, tracer = traced_fixture(defense="unsafe")
+    assert not tracer.events
+    pids = {e.get("pid") for e in chrome_trace(tracer)["traceEvents"]}
+    assert 2 not in pids
 
 
 def test_speculation_anatomy_table():
@@ -316,3 +351,20 @@ def test_speculation_cli_ledger_out(tmp_path, capsys):
     events = trace["traceEvents"] if isinstance(trace, dict) else trace
     assert any(e.get("pid") == 2 and e.get("ph") == "X" for e in events)
     assert "intervention events" in capsys.readouterr().out
+
+
+def test_trace_cli_writes_one_pid2_slice_per_event(tmp_path, capsys):
+    from repro.bench.runner import RunSpec, execute_spec
+    from repro.cli import main
+
+    out = tmp_path / "trace.json"
+    assert main(["trace", "ossl.ecadd", "--defense", "nda",
+                 "--out", str(out)]) == 0
+    tracer = PipelineTracer()
+    execute_spec(RunSpec(workload="ossl.ecadd", defense="nda"),
+                 tracer=tracer)
+    assert tracer.events
+    assert len(pid2_slices(json.loads(out.read_text()))) == \
+        len(tracer.events)
+    assert f"{len(tracer.events)} intervention events" in \
+        capsys.readouterr().out
