@@ -28,10 +28,9 @@ from typing import Iterable, Optional, Tuple
 from ..uarch.config import SpeculationModel
 from ..uarch.uop import Uop
 
-#: Returned by the ``*_recheck_seq`` hooks when a refusal can never be
-#: overturned by commits alone (only by the event counters the compiled
-#: engine's refusal caches track separately: squash, resolution, and —
-#: for load-sensitive mechanisms — load execution).
+#: Returned by the ``*_recheck_seq`` hooks when no head seq can flip a
+#: refusal: only an event can (a branch resolution under CONTROL, a
+#: load execution for load-sensitive mechanisms).
 RECHECK_NEVER = 1 << 62
 
 
@@ -45,11 +44,12 @@ class Defense:
     #: hardware-defined-ProtSet baselines that ignore PROT prefixes).
     binary = "base"
 
-    #: Refusal-cache invalidation hint for the compiled engine: True
-    #: when this mechanism's gate answers can change when *some other*
-    #: load executes (i.e. when ``on_load_executed`` mutates state that
+    #: Wake-event hint for the compiled engine: True when this
+    #: mechanism's gate answers can change when *some other* load
+    #: executes (i.e. when ``on_load_executed`` mutates state that
     #: ``may_execute`` / ``may_resolve`` / ``may_wakeup`` read for
-    #: unrelated uops, like SPT's public bits).  ``None`` (the default)
+    #: unrelated uops, like SPT's public bits), so that a load
+    #: execution must wake the uops its gates refused.  ``None`` (the default)
     #: auto-detects: any subclass overriding ``on_load_executed`` is
     #: treated as load-sensitive unless it explicitly sets this to False
     #: (ProtTrack does: its mutations are keyed by the executing load
@@ -121,24 +121,31 @@ class Defense:
     def on_squash(self, uop: Uop) -> None:
         pass
 
-    # -- refusal-stability hints ------------------------------------------
+    # -- refusal hints: when a refused uop is worth asking again ----------
     #
-    # The compiled engine (repro.uarch.compiled) consults each hook
-    # immediately after the corresponding ``may_*`` hook returned False,
-    # to bound its refusal caches; the reference interpreter never calls
-    # them.  Each answers "until when is this refusal guaranteed to
-    # stand?"  The contract:
-    # absent squash/resolution events (and load executions, for
-    # load-sensitive mechanisms) — all of which invalidate separately —
-    # the refusal must hold at least until the ROB head's sequence
-    # number reaches the returned value.  ``None`` means "a commit might
-    # flip it" (the conservative default: the cache dies at the next
-    # commit); :data:`RECHECK_NEVER` means commits alone can never flip
-    # it.  Returning too *small* a value merely costs a redundant
-    # re-probe; returning too large a value breaks cycle-identity, so
+    # The compiled engine (repro.uarch.compiled) calls each hook once,
+    # right after the matching ``may_*`` gate refused a uop, and then
+    # does not ask that gate about the uop until the ROB head's seq
+    # reaches the returned value or a watched event fires: a branch
+    # resolution under CONTROL, a load execution for load-sensitive
+    # mechanisms (:meth:`recheck_loads`).  The reference interpreter
+    # never calls these hooks.  The contract: absent a watched event,
+    # the refusal stands at least until the head's seq reaches the
+    # returned value.  ``None`` means "the next commit might flip it"
+    # (the conservative default); :data:`RECHECK_NEVER` means only an
+    # event can flip it.  A squash is not an event: under ATCOMMIT a
+    # uop that survives a squash is older than the squashing branch,
+    # and so are its operands' producers and YRoT roots (the youngest
+    # speculative load each operand depends on), so no state its gates
+    # read changes.  Returning too *small* a value merely costs a
+    # redundant re-ask; too large a value breaks cycle-identity, so
     # derive these only from monotone thresholds (``nonspeculative`` /
-    # taint clearing under ATCOMMIT advance with the head and never
-    # regress between events).
+    # taint clearing advance with the head and never regress).  A gate
+    # must also keep allowing a surviving uop it allowed once: a load
+    # that then stalls on disambiguation is not asked again until the
+    # stores it waits for resolve.
+    # :func:`repro.uarch.refcore.wake_contract_violations` checks both
+    # on the reference engine.
 
     def execute_recheck_seq(self, uop: Uop) -> Optional[int]:
         """Stability hint for a ``may_execute`` refusal."""
@@ -156,7 +163,7 @@ class Defense:
         """Head seq at which ``seq_nonspeculative(seq)`` can first turn
         True.  Under ATCOMMIT that is exactly ``seq`` (the head advances
         monotonically); under CONTROL the answer changes only at branch
-        resolutions, which bump the core's resolution event counter."""
+        resolutions, which wake the refused uop."""
         if self.core.config.speculation_model is SpeculationModel.ATCOMMIT:
             return seq
         return RECHECK_NEVER

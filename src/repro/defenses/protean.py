@@ -111,9 +111,9 @@ class ProtTrack(Defense):
 
     #: ``on_load_executed`` only touches ``_fallback`` /
     #: ``_forward_gated`` entries keyed by the executing load itself —
-    #: it never changes a gate answer for any *other* uop, so the
-    #: compiled engine need not invalidate its refusal caches on load
-    #: execution.
+    #: it never changes a gate answer for any *other* uop, so a load
+    #: execution need not wake the uops the compiled engine put to
+    #: sleep.
     recheck_on_load_execute = False
 
     def __init__(self, use_predictor: bool = True,
@@ -240,7 +240,6 @@ class ProtTrack(Defense):
             # Access false negative: the load's output was predictively
             # untainted but holds protected data.  Fall back to
             # ProtDelay: no dependent wakeup until the load retires.
-            self.predictor.false_negatives += 0  # counted at train time
             self._fallback.add(uop.seq)
         if (uop.forwarded_from is not None
                 and not self.tainted_dests(uop)

@@ -7,6 +7,14 @@ subsystem map, so "make the hot path faster" work starts from a
 breakdown in the simulator's own vocabulary instead of a wall of
 function names.
 
+The compiled backend's generated modules (``<repro-compiled:…>``
+frames) form the ``compiled`` subsystem, one function per closure
+(``run``, ``try_exec``, ``attempt_res``, ``do_wakeup``, ``classify``,
+``rename_blocked``, ...), and the import system's frames form
+``imports``.  A built-in (``any``, ``list.sort``, ``compile``,
+``heappush``) has no subsystem of its own: its time is charged to its
+callers' subsystems in proportion to the time each caller spent in it.
+
 Because the subsystem map partitions every profiled function (unmatched
 frames land in ``host-runtime``), the per-subsystem times sum exactly
 to the profile's total internal time — asserted by the test suite, so
@@ -51,12 +59,28 @@ SUBSYSTEM_RULES: Tuple[Tuple[str, str], ...] = (
     ("bench/", "bench-harness"),
 )
 
-#: Catch-all for frames outside ``src/repro`` (stdlib, builtins).
+#: Catch-all for frames outside ``src/repro`` (stdlib, and built-ins
+#: called from such frames).
 HOST_SUBSYSTEM = "host-runtime"
+
+#: Filename prefix of the compiled backend's generated modules
+#: (:func:`repro.uarch.compiled.compile_step`).
+COMPILED_PREFIX = "<repro-compiled:"
+
+#: Filename prefix of the import system's frames: module loading the
+#: run triggers (lazy imports; source compiles when no bytecode cache).
+IMPORT_PREFIX = "<frozen importlib"
+
+#: cProfile's filename for built-in functions.
+BUILTIN_FILE = "~"
 
 
 def classify_module(filename: str) -> str:
     """Map a profiled frame's filename to its simulator subsystem."""
+    if filename.startswith(COMPILED_PREFIX):
+        return "compiled"
+    if filename.startswith(IMPORT_PREFIX):
+        return "imports"
     path = filename.replace("\\", "/")
     marker = "/repro/"
     index = path.rfind(marker)
@@ -181,22 +205,61 @@ def profile_spec(spec, top_n: int = 15) -> ProfileReport:
     return report
 
 
+def _function_label(filename: str, lineno: int, funcname: str) -> str:
+    if filename.startswith(COMPILED_PREFIX):
+        return f"<repro-compiled>({funcname})"
+    if filename == BUILTIN_FILE:
+        return f"<built-in>({funcname})"
+    return f"{pathlib.PurePath(filename).name}:{lineno}({funcname})"
+
+
 def report_from_stats(stats: pstats.Stats, label: str,
                       cycles: int = 0) -> ProfileReport:
-    """Aggregate a :class:`pstats.Stats` flat profile by subsystem."""
-    report = ProfileReport(label=label, cycles=cycles, total_s=0.0)
+    """Aggregate a :class:`pstats.Stats` flat profile by subsystem.
+
+    Generated-code frames merge by closure name across artifacts.  A
+    built-in is split over its callers' subsystems, weighted by the
+    time each caller spent in it (by call count when cProfile measured
+    no time), one entry per subsystem.
+    """
+    merged: Dict[Tuple[str, str], ProfileEntry] = {}
+
+    def add(subsystem, function, calls, internal_s, cumulative_s):
+        entry = merged.get((subsystem, function))
+        if entry is None:
+            merged[subsystem, function] = ProfileEntry(
+                subsystem, function, calls, internal_s, cumulative_s)
+        else:
+            entry.calls += calls
+            entry.internal_s += internal_s
+            entry.cumulative_s += cumulative_s
+
     for (filename, lineno, funcname), row in stats.stats.items():
-        _, ncalls, tottime, cumtime, _callers = row
-        subsystem = classify_module(filename)
-        short = pathlib.PurePath(filename).name
-        function = (f"{short}:{lineno}({funcname})"
-                    if short != "~" else f"<built-in>({funcname})")
-        report.entries.append(ProfileEntry(
-            subsystem=subsystem, function=function, calls=ncalls,
-            internal_s=tottime, cumulative_s=cumtime))
-        report.subsystems[subsystem] = \
-            report.subsystems.get(subsystem, 0.0) + tottime
-        report.subsystem_calls[subsystem] = \
-            report.subsystem_calls.get(subsystem, 0) + ncalls
-        report.total_s += tottime
+        _, ncalls, tottime, cumtime, callers = row
+        function = _function_label(filename, lineno, funcname)
+        if filename != BUILTIN_FILE or not callers:
+            add(classify_module(filename), function, ncalls, tottime,
+                cumtime)
+            continue
+        # callers: caller -> (calls, primitive calls, tottime, cumtime)
+        shares: Dict[str, List[float]] = {}
+        for caller, (calls, _, caller_tt, _) in callers.items():
+            share = shares.setdefault(classify_module(caller[0]), [0, 0.0])
+            share[0] += calls
+            share[1] += caller_tt
+        by = 1 if any(share[1] > 0 for share in shares.values()) else 0
+        weight = sum(share[by] for share in shares.values())
+        for subsystem, share in shares.items():
+            part = share[by] / weight
+            add(subsystem, function, share[0], tottime * part,
+                cumtime * part)
+
+    report = ProfileReport(label=label, cycles=cycles, total_s=0.0)
+    for entry in merged.values():
+        report.entries.append(entry)
+        report.subsystems[entry.subsystem] = \
+            report.subsystems.get(entry.subsystem, 0.0) + entry.internal_s
+        report.subsystem_calls[entry.subsystem] = \
+            report.subsystem_calls.get(entry.subsystem, 0) + entry.calls
+        report.total_s += entry.internal_s
     return report

@@ -16,10 +16,10 @@ emits one flat ``run(core)`` function in which
 * defense hooks the mechanism does not override are dropped entirely,
   along with the machinery that only exists to service them (a defense
   that never refuses ``may_resolve`` on a core without the buggy
-  squash port cannot populate the pending-resolution list, so neither
-  the retry loop nor its fast-forward cache check is emitted),
-* all hot scalars (cycle, sequence counter, event counters, retry-cache
-  fields) are function locals instead of attribute loads.
+  squash port cannot leave a branch pending, so neither the retry loop
+  nor its wake structures are emitted),
+* all hot scalars (cycle, sequence counter, head seq, wake-structure
+  handles) are function locals instead of attribute loads.
 
 The generator mirrors the interpreter: one emitter per ``Core`` method,
 named after it (``_Codegen._commit_stage`` emits what
@@ -28,21 +28,31 @@ named after it (``_Codegen._commit_stage`` emits what
 It is also the only engine with fast paths; the reference
 :class:`~repro.uarch.pipeline.Core` has none:
 
-* **Refusal caches.**  The blocked-issue, pending-resolution and
-  pending-wakeup retry loops each remember an all-refused pass.  A
-  cache snapshots the event counters (squash, resolution, divider,
-  store and load issue) whose events could flip its answers, plus a
-  *barrier*: the smallest ROB-head seq at which any cached refusal
-  could flip, from the defenses' ``*_recheck_seq`` hints and the
-  structural thresholds (an MFENCE waits for its own seq, a
-  disambiguation stall for its blocking store's).  Commits bump no
-  counter; their only effect on the gates is the monotone advance of
-  the head seq, which the barrier bounds.  While the snapshot holds,
-  the loop is skipped: re-asking the same pure questions could only
-  refuse again, and a refusal that stands has no side effect (its
-  intervention episode is already open).
+* **Wake, don't poll.**  The reference re-asks every blocked,
+  pending-resolution and pending-wakeup uop every cycle.  Here a uop a
+  gate refuses asks the defense's ``*_recheck_seq`` hint once and
+  sleeps until the ROB head reaches it (``None``: the next commit) or
+  until an event that can flip the refusal sooner fires (a branch
+  resolution under CONTROL; a load execution for load-sensitive
+  mechanisms).  Structural stalls sleep the same way: a
+  disambiguation stall until every older store without an address has
+  issued (or, when its blocker's address partly overlaps, until that
+  store commits), an MFENCE until it is the head, a divide until the
+  divider frees, and a gate-refused divide also at the next divide
+  issue (after which the reference would report it ``div_busy``).
+  Each stage keeps a heap
+  ``(wake seq, seq, uop)``, a ``<stage>_wait`` dict of its sleepers
+  (stale heap and event entries fail its check), event lists, and an
+  awake set asked oldest first; an issue in the blocked pass wakes
+  younger sleepers into the same pass and older ones into the next
+  cycle, as the reference's sorted pass would see them.  Buggy-port
+  ``squash_notify`` entries stay awake.  A squash invalidates nothing:
+  under ATCOMMIT a survivor's operand producers and YRoT roots are all
+  older than the squashing branch, and under CONTROL the resolution
+  event covers it.  A sleeper is not asked, so a refusal that stands
+  has no side effect (its intervention episode is already open).
 * **Fast-forward.**  When a cycle could commit, complete, resolve,
-  wake, issue, rename or fetch nothing, and every retry cache holds,
+  wake, issue, rename or fetch nothing, and no uop is awake or due,
   ``cycle`` jumps to the next candidate event (completion-wheel heap,
   redirect end, divider free, rename-ready, the no-progress and
   ``max_cycles`` limits).  Each skipped cycle is charged exactly what
@@ -52,8 +62,8 @@ It is also the only engine with fast paths; the reference
 
 The generated function mutates the same ``Core`` state objects (PRF,
 ROB, LSQ, caches, branch predictor, defense) the interpreter does and
-writes the shared scalars back on exit; the caches, event counters,
-wheel heap and fast-forward state are its own locals, and it returns
+writes the shared scalars back on exit; the wake structures, wheel
+heap and fast-forward state are its own locals, and it returns
 the fast-forward telemetry.  ``Core._result()`` — and therefore the
 bit-identical :class:`CoreResult` contract checked by ``repro diff``
 (reference vs compiled) — is shared by both engines.
@@ -93,7 +103,7 @@ from .pipeline import (
 #: cached artifact (the simulator-source hash usually also changes, but
 #: the version makes intent explicit and survives hash collisions of
 #: whitespace-only edits).
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -331,9 +341,6 @@ _ALU_EXPR = {
 _ALU_EXPR.update({Op[f"{op.name}I"]: expr
                   for op, expr in list(_ALU_EXPR.items())})
 
-#: The event counters (``evt_*`` locals) a refusal cache can watch.
-_EVENTS = ("squash", "resolve", "div", "store", "load")
-
 #: (generated local, ``Core`` attribute) for each hot scalar ``run``
 #: loads on entry and writes back on exit.
 _HOT_SCALARS = (
@@ -342,60 +349,8 @@ _HOT_SCALARS = (
     ("halted", "halted"), ("halt_reason", "halt_reason"),
     ("divbusy", "div_busy_until"), ("iq_count", "iq_count"),
     ("last_commit", "_last_commit_cycle"),
-    ("rename_block", "_rename_block"), ("blocked", "_blocked"),
-    ("pend_wake", "_pending_wakeup"),
-    ("pend_res", "_pending_resolution"),
+    ("rename_block", "_rename_block"),
 )
-
-#: Every refusal cache's head-seq barrier field (see _RefusalCache).
-_BARRIER = ("barrier", "0", "barrier")
-
-
-class _RefusalCache:
-    """One retry loop's refusal cache, held in ``<prefix>_*`` locals.
-
-    A cache is a valid flag, the event counters snapshotted at the last
-    all-refused pass, a head-seq barrier and any ``extra`` fields
-    (``(name, initial value, snapshot source)``).  ``watch`` lists the
-    conditions, besides the flag and the barrier, under which that pass
-    would refuse again; while they hold, the loop is skipped.
-    """
-
-    def __init__(self, prefix: str, events: Tuple[str, ...],
-                 watch: List[str], extra=(_BARRIER,)) -> None:
-        self.prefix = prefix
-        self.events = events
-        self.watch = watch
-        self.fields = [(e, "0", f"{e}0") for e in events] + list(extra)
-
-    def declare(self, s: _Emitter) -> None:
-        s(f"{self.prefix}_valid = False")
-        for name, initial, _ in self.fields:
-            s(f"{self.prefix}_{name} = {initial}")
-
-    def holds(self) -> str:
-        parts = ([f"{self.prefix}_valid"] + self.watch
-                 + [f"robq and robq[0].seq < {self.prefix}_barrier"])
-        return "(" + "\n        and ".join(parts) + ")"
-
-    def invalidate(self, s: _Emitter) -> None:
-        """Drop the cache and note the counters before a retry pass."""
-        s(f"{self.prefix}_valid = False")
-        for e in self.events:
-            s(f"{e}0 = evt_{e}")
-
-    def unchanged(self, *guards: str) -> str:
-        """``if`` header: the pass left work refused and no event fired."""
-        terms = list(guards) + [f"{e}0 == evt_{e}" for e in self.events]
-        lines = [" and ".join(terms[i:i + 2])
-                 for i in range(0, len(terms), 2)]
-        return "if (" + "\n        and ".join(lines) + "):"
-
-    def store(self, s: _Emitter) -> None:
-        s(f"{self.prefix}_valid = True")
-        for name, _, source in self.fields:
-            s(f"{self.prefix}_{name} = {source}")
-
 
 class _Codegen:
     """Source generator for one (program, config, defense) triple.
@@ -433,30 +388,25 @@ class _Codegen:
         self.res_possible = self.has_branches and (traits.may_resolve
                                                    or self.buggy)
         self.wake_possible = traits.may_wakeup
+        self.disamb = self.has_loads and self.has_stores
         self.blockable = (self.h_exec or self.has_mfence or self.has_divs
-                          or self.has_loads)
+                          or self.disamb)
+        # Per wake stage ('is' blocked issue, 'rs' pending resolution,
+        # 'wk' pending wakeup): whether uops sleep on a head-seq heap,
+        # and the events that can flip a gate refusal before its hint.
+        self.heaps = {"is": self.h_exec or self.has_mfence or self.disamb,
+                      "rs": self.has_branches and traits.may_resolve,
+                      "wk": self.wake_possible}
+        events = ((("resolve",) if self.ctrl and self.has_branches else ())
+                  + (("load",) if traits.load_sensitive and self.has_loads
+                     else ()))
+        self.events = {"is": events if self.h_exec else (),
+                       "rs": events if self.heaps["rs"] else (),
+                       "wk": events if self.wake_possible else ()}
+        # A gate-refused divide wakes at the next divide issue.
+        self.div_gate = self.h_exec and self.has_divs
         self.width = config.width
         self.fbuf_cap = 2 * config.width
-
-        def watch(prefix, *events):
-            return [f"{prefix}_{e} == evt_{e}" for e in events]
-
-        resolve = ("resolve",) if self.ctrl else ()
-        load = ("load",) if traits.load_sensitive else ()
-        self.issue_cache = _RefusalCache(
-            "is", _EVENTS,
-            watch("is", "squash", "div") + ["cycle < is_retry"]
-            + watch("is", *resolve)
-            + ["(not is_hasdis or is_store == evt_store)"]
-            + watch("is", *load),
-            extra=(("hasdis", "False", "has_disamb"), _BARRIER,
-                   ("retry", _NEVER_LIT, "retry_cycle")))
-        self.res_cache = _RefusalCache(
-            "rs", ("squash", "resolve", "load"),
-            watch("rs", "squash", "resolve", *load))
-        self.wake_cache = _RefusalCache(
-            "wk", ("squash", "resolve", "load"),
-            watch("wk", "squash", *resolve, *load))
 
     # ---- compiled-only: module header and run() set-up ----------------
 
@@ -543,8 +493,7 @@ class _Codegen:
                 ("d_exec_recheck", "execute_recheck_seq",
                  self.h_exec and traits.execute_recheck_seq),
                 ("d_res_recheck", "resolve_recheck_seq",
-                 self.res_possible and traits.may_resolve
-                 and traits.resolve_recheck_seq),
+                 self.heaps["rs"] and traits.resolve_recheck_seq),
                 ("d_wake_recheck", "wakeup_recheck_seq",
                  self.wake_possible and traits.wakeup_recheck_seq)):
             if live:
@@ -556,12 +505,35 @@ class _Codegen:
             s(f"{local} = None" if local == "rename_block"
               else f"{local} = core.{attr}")
         s("")
-        s("# engine-local state: event counters, refusal caches, fast-forward")
+        s("# engine-local state: wake structures, fast-forward")
+        s("hseq = 0  # the ROB head's seq after this cycle's commits")
         s("disamb_blocker = None")
-        for e in _EVENTS:
-            s(f"evt_{e} = 0")
-        for cache in (self.issue_cache, self.res_cache, self.wake_cache):
-            cache.declare(s)
+        if self.blockable:
+            s("is_awake = []  # heap (seq, uop): blocked uops to ask")
+        if self.res_possible:
+            s("rs_awake = []  # heap (seq, uop): pending branches to ask")
+        if self.wake_possible:
+            s("wk_awake = []  # pending wakeups to ask")
+        for stage, live in (("is", self.blockable),
+                            ("rs", self.res_possible)):
+            if live:
+                s(f"{stage}_next = []  # woken behind the pass: ask next cycle")
+                s(f"{stage}_cur = -1  # seq of the uop the pass is asking")
+        for stage, heap in self.heaps.items():
+            if heap:
+                s(f"{stage}_wait = {{}}  # sleeper -> head seq that wakes it")
+                s(f"{stage}_sleep = []  # heap (wake seq, seq, uop)")
+            if self.events[stage]:
+                s(f"{stage}_evt = []  # sleepers an event can wake")
+        if self.div_gate:
+            s("is_dgate = []  # gate-refused divides: wake at a divide issue")
+        if self.has_divs:
+            s("is_div = []  # divider-busy sleepers: wake at cycle divbusy")
+        if self.disamb:
+            s("dis_wait = {}  # store -> loads stalled on its unknown address")
+            s("dis_left = {}  # such a load -> stores it still waits for")
+        if self.buggy and self.res_possible:
+            s("pend_res = []  # unresolved pending branches (squash port)")
         s("ff_cycles = 0")
         s("ff_jumps = 0")
         s("")
@@ -588,6 +560,67 @@ class _Codegen:
         s(f"    dstats['{stem}_delay_cycles'] += cycle - {start}")
         s(f"    stats['_open_{stem}'] -= 1")
         s(f"    stats['_open_{stem}_sum'] -= {start}")
+
+    def _wake(self, stage: str, uop: str) -> None:
+        """Make ``uop`` awake in ``stage``.  A uop behind the position
+        of the stage's pass was already asked this cycle: it waits for
+        the next one."""
+        s = self.s
+        if stage == "wk":
+            s(f"wk_awake.append({uop})")
+            return
+        s(f"if {uop}.seq > {stage}_cur:")
+        s(f"    heappush({stage}_awake, ({uop}.seq, {uop}))")
+        s("else:")
+        s(f"    {stage}_next.append({uop})")
+
+    def _wake_due(self, stage: str) -> None:
+        """Wake the stage's sleepers whose head seq has come (outside
+        any pass, so straight into the awake set)."""
+        s = self.s
+        s(f"while {stage}_sleep and {stage}_sleep[0][0] <= hseq:")
+        s(f"    w, _, o = heappop({stage}_sleep)")
+        s(f"    if {stage}_wait.get(o) == w:")
+        s(f"        del {stage}_wait[o]")
+        s("        wk_awake.append(o)" if stage == "wk"
+          else f"        heappush({stage}_awake, (o.seq, o))")
+
+    def _wake_list(self, stage: str, sleepers: str) -> None:
+        """Wake every ``stage`` sleeper listed in ``sleepers`` (entries
+        the sleeper set no longer holds are stale) and clear the list."""
+        s = self.s
+        s(f"for o in {sleepers}:")
+        s(f"    if {stage}_wait.pop(o, None) is not None:")
+        s.indent()
+        s.indent()
+        self._wake(stage, "o")
+        s.dedent()
+        s.dedent()
+        s(f"{sleepers}.clear()")
+
+    def _fire(self, event: str) -> None:
+        """Wake every sleeper of every stage ``event`` can flip."""
+        for stage, events in self.events.items():
+            if event in events:
+                self._wake_list(stage, f"{stage}_evt")
+
+    def _sleep_gate(self, stage: str, recheck: Optional[str]) -> None:
+        """Put ``u``, just refused by the stage's gate, to sleep until
+        the head reaches the defense's hint (``recheck``, the bound
+        ``*_recheck_seq`` local, or None when the class inherits it:
+        the next commit) or an event fires."""
+        s = self.s
+        if recheck is not None:
+            s(f"w = {recheck}(u)")
+            s("if w is None:")
+            s("    w = hseq + 1")
+        else:
+            s("w = hseq + 1")
+        s(f"{stage}_wait[u] = w")
+        s(f"if w < {_NEVER_LIT}:")
+        s(f"    heappush({stage}_sleep, (w, u.seq, u))")
+        if self.events[stage]:
+            s(f"{stage}_evt.append(u)")
 
     def _lsq_remove(self, uop: str, is_load: str, is_store: str) -> None:
         """LoadStoreQueue.remove for ``uop`` (absent entries are fine)."""
@@ -689,8 +722,7 @@ class _Codegen:
         if closure:
             s("def try_exec(u):")
             s.indent()
-            s("nonlocal divbusy, iq_count, disamb_blocker, "
-              "evt_load, evt_store, evt_div"
+            s("nonlocal divbusy, iq_count, disamb_blocker"
               + (", fblocked" if self.has_mfence else ""))
             fail, success = "return False", "return True"
         else:
@@ -739,13 +771,20 @@ class _Codegen:
         s("iq_count -= 1")
         s("u.issue_cycle = cycle")
         s("stats['issued_uops'] += 1")
-        events = [(cond, evt) for live, cond, evt in (
-            (self.has_loads, "ISLD[pc]", "evt_load"),
-            (self.has_stores, "ISST[pc]", "evt_store"),
-            (self.has_divs, "ISDIV[pc]", "evt_div")) if live]
-        for i, (cond, evt) in enumerate(events):
+        # What this issue wakes: a load execution's event sleepers, the
+        # loads stalled on this store's address (younger: this pass),
+        # the gate-refused divides (the divider is busy now).
+        wakes = [(cond, emit) for live, cond, emit in (
+            (any("load" in ev for ev in self.events.values()), "ISLD[pc]",
+             lambda: self._fire("load")),
+            (self.disamb, "ISST[pc]", self._wake_stalled_loads),
+            (self.div_gate, "ISDIV[pc]",
+             lambda: self._wake_list("is", "is_dgate"))) if live]
+        for i, (cond, emit) in enumerate(wakes):
             s(f"{'if' if i == 0 else 'elif'} {cond}:")
-            s(f"    {evt} += 1")
+            s.indent()
+            emit()
+            s.dedent()
         s("done = cycle + (latency if latency > 1 else 1)")
         s("bkt = wheel.get(done)")
         s("if bkt is None:")
@@ -757,6 +796,18 @@ class _Codegen:
         if closure:
             s.dedent()
             s("")
+
+    def _wake_stalled_loads(self) -> None:
+        s = self.s
+        s("ws = dis_wait.pop(u, None)")
+        s("if ws:")
+        s("    for o in ws:")
+        s("        n = dis_left[o] - 1")
+        s("        if n:")
+        s("            dis_left[o] = n")
+        s("        else:")
+        s("            del dis_left[o]")
+        s("            heappush(is_awake, (o.seq, o))")
 
     def _gate(self, fail: str) -> None:
         """The ``may_execute`` gate; its episode closes at the allow,
@@ -945,31 +996,36 @@ class _Codegen:
         s = self.s
         s("def attempt_res(u):")
         s.indent()
-        s("nonlocal evt_resolve, evt_squash, rs_valid, iq_count, "
-          "fpc, fstall, fblocked")
+        s("nonlocal iq_count, fpc, fstall, fblocked")
         if self.traits.may_resolve:
             s("if not d_may_res(u):")
             s.indent()
             self._open_episode("resolve")
             s("u.block_reason = 'defense_resolution'")
-            s("u.resolution_pending = True")
-            s("pend_res.append(u)")
-            s("rs_valid = False")
+            self._mark_pending()
+            self._sleep_gate("rs", "d_res_recheck"
+                             if self.traits.resolve_recheck_seq else None)
             s("return")
             s.dedent()
             # Close before the buggy-squash-port check: bug-port hold
             # time is never charged to the defense.
             self._close_episode("resolve")
         if self.buggy:
+            # Core._buggy_blocked over the pending branches still
+            # unresolved: those the reference's rebuilt list holds.
             s("for o in pend_res:")
-            s("    if (o.seq < u.seq and not o.squashed and o.executed")
-            s("            and o.actual_next != o.predicted_next):")
-            s("        u.block_reason = 'squash_notify'")
-            s("        u.resolution_pending = True")
-            s("        pend_res.append(u)")
-            s("        rs_valid = False")
-            s("        return")
-        s("evt_resolve += 1")
+            s("    if (o.seq < u.seq and o.resolution_pending "
+              "and not o.squashed")
+            s("            and o.executed "
+              "and o.actual_next != o.predicted_next):")
+            s.indent()
+            s.indent()
+            s("u.block_reason = 'squash_notify'")
+            self._mark_pending()
+            self._wake("rs", "u")
+            s("return")
+            s.dedent()
+            s.dedent()
         s("dep = stats['_spec_depth']")
         s("stats[_hist('spec_depth', dep)] += 1")
         s("stats['_spec_depth'] = dep - 1")
@@ -977,6 +1033,7 @@ class _Codegen:
         s("u.resolved = True")
         s("u.resolution_pending = False")
         self._prune_resolved_branches()
+        self._fire("resolve")
         s("bp_train(u.pc, u.inst, True if u.taken else False, "
           "u.actual_next, u.bp_index)")
         s("if u.actual_next != u.predicted_next:")
@@ -987,11 +1044,19 @@ class _Codegen:
         s.dedent()
         s("")
 
+    def _mark_pending(self) -> None:
+        """Flag ``u`` pending resolution, entering it in the squash
+        port's list the first time."""
+        s = self.s
+        if self.buggy:
+            s("if not u.resolution_pending:")
+            s("    pend_res.append(u)")
+        s("u.resolution_pending = True")
+
     def _squash_after(self) -> None:
         """Inline in ``attempt_res``, for the mispredicted branch ``u``."""
         s, traits = self.s, self.traits
         s("# squash everything younger (youngest-first rollback)")
-        s("evt_squash += 1")
         s("stats['squashes'] += 1")
         s("stats[SQK[u.pc]] += 1")
         s("bseq = u.seq")
@@ -1189,8 +1254,7 @@ class _Codegen:
             s.indent()
             self._open_episode("wakeup")
             s("u.wakeup_pending = True")
-            s("pend_wake.append(u)")
-            s("wk_valid = False")
+            self._sleep_wakeup()
             s.dedent()
         else:
             s("do_wakeup(u)")
@@ -1199,166 +1263,154 @@ class _Codegen:
         s.dedent()
         s("")
 
+    def _sleep_wakeup(self) -> None:
+        self._sleep_gate("wk", "d_wake_recheck"
+                         if self.traits.wakeup_recheck_seq else None)
+
     def _retry_pending(self) -> None:
-        """The pending-resolution and pending-wakeup retry loops, each
-        skipped while its refusal cache holds."""
-        s, traits = self.s, self.traits
+        """The pending-resolution and pending-wakeup retries: each asks
+        its awake uops only."""
+        s = self.s
         if self.res_possible:
-            cache = self.res_cache
             s("# ---- pending-resolution retry ----")
-            s("if pend_res:")
+            if self.heaps["rs"]:
+                self._wake_due("rs")
+            s("if rs_awake:")
             s.indent()
-            s(f"if not {cache.holds()}:")
-            s.indent()
-            cache.invalidate(s)
-            s("pending = pend_res")
-            s("pending.sort()")
-            s("pend_res = []")
-            s("for u in pending:")
+            if self.buggy:
+                s("pend_res[:] = [o for o in pend_res")
+                s("               if o.resolution_pending "
+                  "and not o.squashed]")
+            s("while rs_awake:")
+            s("    u = heappop(rs_awake)[1]")
             s("    if u.squashed or u.resolved:")
             s("        continue")
+            s("    rs_cur = u.seq")
             s("    attempt_res(u)")
-            s(cache.unchanged("pend_res"))
-            s.indent()
-            s(f"barrier = {_NEVER_LIT}")
-            s("for u in pend_res:")
-            s.indent()
-            if traits.may_resolve:
-                s("if u.block_reason == 'defense_resolution':")
-                s.indent()
-                if traits.resolve_recheck_seq:
-                    s("seq = d_res_recheck(u)")
-                    s("if seq is None:")
-                    s("    seq = robq[0].seq + 1")
-                else:
-                    s("seq = robq[0].seq + 1")
-                s("if seq < barrier:")
-                s("    barrier = seq")
-                s.dedent()
-            else:
-                s("pass  # squash_notify entries need no barrier")
-            s.dedent()
-            cache.store(s)
-            s.dedent()
-            s.dedent()
+            s("rs_cur = -1")
+            s("for o in rs_next:")
+            s("    heappush(rs_awake, (o.seq, o))")
+            s("rs_next.clear()")
             s.dedent()
             s("")
         if self.wake_possible:
-            cache = self.wake_cache
             s("# ---- pending-wakeup retry ----")
-            s("if pend_wake:")
+            self._wake_due("wk")
+            s("if wk_awake:")
             s.indent()
-            s(f"if not {cache.holds()}:")
-            s.indent()
-            cache.invalidate(s)
-            s("pending = pend_wake")
-            s("pend_wake = []")
+            s("pending = wk_awake")
+            s("wk_awake = []")
             s("for u in pending:")
-            s("    if u.squashed:")
-            s("        continue")
-            s("    if d_may_wake(u):")
-            s("        do_wakeup(u)")
-            s("    else:")
-            s("        pend_wake.append(u)")
-            s(cache.unchanged("pend_wake"))
             s.indent()
-            s(f"barrier = {_NEVER_LIT}")
-            s("head_next = robq[0].seq + 1 if robq else 0")
-            s("for u in pend_wake:")
+            s("if u.squashed:")
+            s("    continue")
+            s("if d_may_wake(u):")
+            s("    do_wakeup(u)")
+            s("else:")
             s.indent()
-            if traits.wakeup_recheck_seq:
-                s("seq = d_wake_recheck(u)")
-                s("if seq is None:")
-                s("    seq = head_next")
-            else:
-                s("seq = head_next")
-            s("if seq < barrier:")
-            s("    barrier = seq")
-            s.dedent()
-            cache.store(s)
+            self._sleep_wakeup()
             s.dedent()
             s.dedent()
             s.dedent()
             s("")
 
+    def _block(self) -> None:
+        """Compiled only: the ``block`` closure puts a uop ``try_exec``
+        refused to sleep on what can let it issue."""
+        s = self.s
+        s("def block(u):")
+        s.indent()
+        s("r = u.block_reason")
+        chain = []
+        if self.h_exec:
+            chain.append(("r == 'defense_execute'", self._block_gate))
+        if self.disamb:
+            chain.append(("r == 'disambiguation'", self._block_disamb))
+        if self.has_mfence:
+            chain.append(("r == 'mfence'", self._block_mfence))
+        for i, (cond, emit) in enumerate(chain):
+            s(f"{'if' if i == 0 else 'elif'} {cond}:")
+            s.indent()
+            emit()
+            s.dedent()
+        if self.has_divs:
+            s("else:  # div_busy" if chain else "# div_busy")
+            s("    is_div.append(u)" if chain else "is_div.append(u)")
+        s.dedent()
+        s("")
+
+    def _block_gate(self) -> None:
+        self._sleep_gate("is", "d_exec_recheck"
+                         if self.traits.execute_recheck_seq else None)
+        if self.div_gate:
+            self.s("if ISDIV[u.pc]:")
+            self.s("    is_dgate.append(u)")
+
+    def _block_disamb(self) -> None:
+        """Until every older store without an address has issued (the
+        load cannot pass any of them before), or, when the blocking
+        store's address partly overlaps, until that store commits."""
+        s = self.s
+        s("st = disamb_blocker")
+        s("if st.mem_addr is None:")
+        s.indent()
+        s("n = 0")
+        s("for o in sq:")
+        s("    if o.seq >= u.seq:")
+        s("        break")
+        s("    if o.mem_addr is None:")
+        s("        n += 1")
+        s("        ws = dis_wait.get(o)")
+        s("        if ws is None:")
+        s("            dis_wait[o] = [u]")
+        s("        else:")
+        s("            ws.append(u)")
+        s("dis_left[u] = n")
+        s.dedent()
+        s("else:")
+        s("    is_wait[u] = st.seq + 1")
+        s("    heappush(is_sleep, (st.seq + 1, u.seq, u))")
+
+    def _block_mfence(self) -> None:
+        """Until the fence is the ROB head."""
+        self.s("is_wait[u] = u.seq")
+        self.s("heappush(is_sleep, (u.seq, u.seq, u))")
+
     def _issue_stage(self) -> None:
-        """The blocked-list retry (skipped while its refusal cache
-        holds), then the ready queue."""
-        s, traits, cache = self.s, self.traits, self.issue_cache
+        """The blocked pass over the awake uops, oldest first, then the
+        ready queue."""
+        s = self.s
         s("# ---- issue ----")
         s("issued = 0")
         if self.blockable:
-            s("if blocked:")
-            s.indent()
-            s(f"if not {cache.holds()}:")
-            s.indent()
-            cache.invalidate(s)
-            s(f"barrier = {_NEVER_LIT}")
-            s("unknown = False")
-            s("has_disamb = False")
-            s(f"retry_cycle = {_NEVER_LIT}")
-            s("blocked.sort()")
-            s("still_b = []")
-            s("for u in blocked:")
-            s.indent()
-            s("if u.squashed or u.issued:")
-            s("    continue")
-            s(f"if issued < {self.width} and try_exec(u):")
-            s("    issued += 1")
-            s("    continue")
-            s("still_b.append(u)")
-            s("reason = u.block_reason")
-            # The barrier each kind of refusal contributes.
-            chain: List[Tuple[str, List[str]]] = []
-            if self.h_exec:
-                if traits.execute_recheck_seq:
-                    body = ["seq = d_exec_recheck(u)",
-                            "if seq is None:",
-                            "    unknown = True",
-                            "elif seq < barrier:",
-                            "    barrier = seq"]
-                else:
-                    body = ["unknown = True"]
-                chain.append(("reason == 'defense_execute'", body))
-            if self.has_loads:
-                chain.append(("reason == 'disambiguation'",
-                              ["has_disamb = True",
-                               "if (disamb_blocker is not None",
-                               "        and disamb_blocker.seq < barrier):",
-                               "    barrier = disamb_blocker.seq"]))
-            if self.has_mfence:
-                chain.append(("reason == 'mfence'",
-                              ["if u.seq < barrier:",
-                               "    barrier = u.seq"]))
-            for i, (cond, body) in enumerate(chain):
-                s(f"{'if' if i == 0 else 'elif'} {cond}:")
-                for line in body:
-                    s(f"    {line}")
+            if self.heaps["is"]:
+                self._wake_due("is")
             if self.has_divs:
-                if chain:
-                    s("else:  # div_busy")
-                    s("    retry_cycle = divbusy")
-                else:
-                    s("retry_cycle = divbusy")
-            s.dedent()  # for u in blocked
-            s("blocked = still_b")
-            s(cache.unchanged("still_b", f"issued < {self.width}"))
-            s.indent()
-            s("if unknown:")
-            s("    seq = robq[0].seq + 1")
-            s("    if seq < barrier:")
-            s("        barrier = seq")
-            cache.store(s)
-            s.dedent()
-            s.dedent()  # if the cache does not hold
-            s.dedent()  # if blocked
+                s("if is_div and cycle >= divbusy:")
+                s("    for o in is_div:")
+                s("        heappush(is_awake, (o.seq, o))")
+                s("    is_div.clear()")
+            s(f"while is_awake and issued < {self.width}:")
+            s("    u = heappop(is_awake)[1]")
+            s("    if u.squashed or u.issued:")
+            s("        continue")
+            s("    is_cur = u.seq")
+            s("    if try_exec(u):")
+            s("        issued += 1")
+            s("    else:")
+            s("        block(u)")
+            s("is_cur = -1")
+            s("if is_next:")
+            s("    for o in is_next:")
+            s("        heappush(is_awake, (o.seq, o))")
+            s("    is_next.clear()")
         s(f"while issued < {self.width} and ready_q:")
         s.indent()
         s("u = heappop(ready_q)[1]")
         s("if u.squashed or u.issued:")
         s("    continue")
         if self.blockable:
-            self._try_execute("blocked.append(u)\nis_valid = False\ncontinue")
+            self._try_execute("block(u)\ncontinue")
         else:  # pragma: no cover - nothing in this program can block
             self._try_execute("continue")
         s.dedent()
@@ -1500,27 +1552,28 @@ class _Codegen:
 
     def _fast_forward(self) -> None:
         """Jump ``cycle`` over provably idle cycles, charging each
-        skipped cycle's ``width`` stall slots to its one cause."""
+        skipped cycle's ``width`` stall slots to its one cause.  Idle
+        means no uop is awake and none is due at the (unmoving) head."""
         s = self.s
+        awake = [f"{stage}_awake" for stage, live in (
+            ("is", self.blockable), ("rs", self.res_possible),
+            ("wk", self.wake_possible)) if live]
         s("# ---- fast-forward over provably idle cycles ----")
         s("if not halted:")
         s.indent()
         s("head = robq[0] if robq else None")
         s("if ((head is None or not head.completed")
         s("        or (head.is_branch and not head.resolved))")
-        s("        and not ready_q):")
+        s("        and not " + " and not ".join(["ready_q"] + awake) + "):")
         s.indent()
         s("ok = True")
-        if self.res_possible:
-            s(f"if pend_res and not {self.res_cache.holds()}:")
-            s("    ok = False")
-        if self.wake_possible:
-            s(f"if ok and pend_wake and not {self.wake_cache.holds()}:")
-            s("    ok = False")
-        if self.blockable:
-            s(f"if ok and blocked and not {self.issue_cache.holds()}:")
-            s("    ok = False")
-        s(f"if (ok and not fblocked and len(fbuf) < {self.fbuf_cap}")
+        if any(self.heaps.values()):
+            s(f"hs = head.seq if head is not None else {_NEVER_LIT}")
+        for stage, heap in self.heaps.items():
+            if heap:
+                s(f"if {stage}_sleep and {stage}_sleep[0][0] <= hs:")
+                s("    ok = False")
+        s(f"if (not fblocked and len(fbuf) < {self.fbuf_cap}")
         s(f"        and 0 <= fpc < {self.plen} and fstall <= cycle):")
         s("    ok = False  # fetch would deliver next cycle")
         s("if ok:")
@@ -1532,10 +1585,9 @@ class _Codegen:
         s("        target = t")
         s("if cycle < fstall < target:")
         s("    target = fstall")
-        if self.blockable:
-            s(f"if blocked and is_retry != {_NEVER_LIT} "
-              "and is_retry < target:")
-            s("    target = is_retry")
+        if self.has_divs:
+            s("if is_div and divbusy < target:")
+            s("    target = divbusy")
         s("while wtimes and wtimes[0] not in wheel:")
         s("    heappop(wtimes)")
         s("if wtimes:")
@@ -1595,6 +1647,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     g._do_wakeup()
     if g.blockable:
         g._try_execute()
+        g._block()
     if g.has_branches:
         g._attempt_resolution()
     g._classify_stall()
@@ -1608,6 +1661,8 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     g._commit_stage()
     s("if not halted:")
     s.indent()
+    if any(g.heaps.values()):
+        s(f"hseq = robq[0].seq if robq else {_NEVER_LIT}")
     g._complete_stage()
     g._retry_pending()
     g._issue_stage()

@@ -56,7 +56,7 @@ class MultiCore:
     invalidates the others' L1Ds before their next cycle.  The compiled
     engine runs a whole program inside one call and refuses shared
     memory (``CompileUnsupported``), so it cannot interleave cores;
-    multicore runs therefore get no refusal caches or fast-forward.
+    multicore runs therefore get no sleeping uops or fast-forward.
     """
 
     def __init__(

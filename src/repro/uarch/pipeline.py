@@ -14,9 +14,9 @@ protection bit at execute, and the L1D byte tags are updated at commit.
 Defenses that ignore ProtISA simply never read these planes.
 
 :class:`Core` is the reference engine: a plain per-cycle interpreter
-with no fast-forwarding and no refusal caches.  The one optimized
-engine, :mod:`repro.uarch.compiled`, must stay cycle-identical to it
-(``repro diff``).
+with no fast-forwarding, which re-asks every refused uop each cycle.
+The one optimized engine, :mod:`repro.uarch.compiled`, must stay
+cycle-identical to it (``repro diff``).
 """
 
 from __future__ import annotations
@@ -805,9 +805,9 @@ class Core:
     # One episode spans first-refusal -> allow (or squash / end of run)
     # for one uop at one hook.  Episodes only ever open at a *real* hook
     # refusal and close at a real allow (or the squash rollback), so the
-    # compiled engine's refusal caches — which skip a retry loop without
-    # re-asking the hooks — are automatically episode-correct: the
-    # episode stays open across the skipped window and the delay accrues
+    # compiled engine's sleeping uops — which it does not re-ask until
+    # their wake condition fires — are automatically episode-correct:
+    # the episode stays open while the uop sleeps and the delay accrues
     # through the fast-forward jump.
 
     def _open_episode(self, uop: Uop, stem: str) -> None:

@@ -3,7 +3,7 @@
 :class:`~repro.uarch.pipeline.Core` is the reference — the plain
 per-cycle interpreter with no fast paths.  The compiled backend
 (:mod:`repro.uarch.compiled`) is the one optimized engine, and every
-optimization it carries (specialization, refusal caches,
+optimization it carries (specialization, sleeping uops,
 fast-forwarding) must be an observational no-op.  This module is that
 claim's proof obligation: run the same simulation on both engines and
 assert the two :class:`~repro.uarch.pipeline.CoreResult` outcomes are
@@ -20,6 +20,10 @@ Entry points:
 * :func:`fixture_cases` — the security fixtures (Spectre v1, divider
   channel, squash-notification bug) under their signature configs.
 * :func:`mitigation_cases` — software-mitigated binaries.
+* :func:`wake_contract_violations` / :func:`wake_contract_case` — the
+  proof obligation behind the compiled engine's sleeping uops: on the
+  reference engine, no gate refusal turns into an allow before its
+  ``*_recheck_seq`` hint or a watched event.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .pipeline import (
     CoreResult,
     DEFAULT_MAX_CYCLES,
     DEFAULT_NO_PROGRESS_LIMIT,
+    HOOKS,
     simulate,
 )
 
@@ -232,10 +237,9 @@ def diff_cases(programs: int = 3, seed: int = 0,
                                    seed + index)
 
 
-def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
-    """Run one grid cell: generate, instrument, simulate on both
-    engines, diff."""
-    from ..bench.runner import DEFENSES
+def case_program(case: DiffCase, program_size: int = 40):
+    """One grid cell's generated, instrumented program and its test
+    input (``build_memory()``, ``build_regs()``)."""
     from ..fuzzing.generator import generate_program
     from ..fuzzing.inputs import generate_input
     from ..protcc import compile_program
@@ -244,9 +248,17 @@ def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
     compiled = compile_program(
         program, case.instrument,
         rng=random.Random(case.seed ^ 0xC0DE)).program
-    test_input = generate_input(random.Random(case.seed ^ 0xF00D))
+    return compiled, generate_input(random.Random(case.seed ^ 0xF00D))
+
+
+def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
+    """Run one grid cell: generate, instrument, simulate on both
+    engines, diff."""
+    from ..bench.runner import DEFENSES
+
+    program, test_input = case_program(case, program_size)
     _, report = run_engines(
-        compiled, DEFENSES[case.defense], case.config(),
+        program, DEFENSES[case.defense], case.config(),
         memory_factory=test_input.build_memory,
         regs=test_input.build_regs(), label=case.label)
     return report
@@ -304,3 +316,105 @@ def mitigation_cases(seed: int = 0) -> Iterator[Tuple[str, DiffReport]]:
             memory_factory=test_input.build_memory,
             regs=test_input.build_regs(), label=label)
         yield label, report
+
+
+# ---------------------------------------------------------------------
+# The wake contract: what lets the compiled engine stop re-asking.
+# ---------------------------------------------------------------------
+
+def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
+                             memory=None,
+                             regs: Optional[Dict[int, int]] = None,
+                             max_cycles: int = DEFAULT_MAX_CYCLES,
+                             ) -> List[str]:
+    """Run ``program`` on the reference engine with ``defense``'s three
+    gates wrapped, and return one line per broken promise.
+
+    On each refusal the wrapper records the gate's ``*_recheck_seq``
+    hint and the commit, load-execution and resolution counts.  When
+    the same uop is later allowed, some record must have expired: the
+    head reached its hint (``None``: a commit happened since), or a
+    watched event fired since (a resolution under CONTROL, a load
+    execution for load-sensitive defenses; never a squash).  A
+    ``may_execute`` refusal after an allow is also reported: the
+    compiled engine does not re-ask a uop the gate allowed that then
+    stalled on disambiguation.
+
+    The wrappers are instance attributes on ``defense`` and on this
+    run's :class:`Core`, so the reference's default path pays nothing.
+    """
+    from .pipeline import Core
+
+    core = Core(program, defense, config, memory, regs, max_cycles)
+    counts = {"commit": 0, "load": 0, "resolve": 0}
+    watched = [event for event, live in (
+        ("resolve",
+         config.speculation_model is SpeculationModel.CONTROL),
+        ("load", defense.recheck_loads())) if live]
+    violations: List[str] = []
+    records: Dict[Tuple[str, object], Dict[Optional[int], Dict]] = {}
+    allowed_exec = set()
+
+    def counting(event, original):
+        def wrapped(uop):
+            counts[event] += 1
+            return original(uop)
+        return wrapped
+
+    defense.on_commit = counting("commit", defense.on_commit)
+    defense.on_load_executed = counting("load", defense.on_load_executed)
+    attempt = core._attempt_resolution
+
+    def attempt_resolution(uop):
+        attempt(uop)
+        if uop.resolved:
+            counts["resolve"] += 1
+
+    core._attempt_resolution = attempt_resolution
+
+    def expired(hint, seen) -> bool:
+        if hint is None:
+            return counts["commit"] > seen["commit"]
+        return core.rob.head.seq >= hint
+
+    def gate(name, ask, hint_of):
+        def wrapped(uop):
+            allowed = ask(uop)
+            if allowed:
+                for hint, seen in records.pop((name, uop), {}).items():
+                    if not (expired(hint, seen) or any(
+                            counts[e] > seen[e] for e in watched)):
+                        violations.append(
+                            f"{name} allowed seq {uop.seq} (pc {uop.pc}) "
+                            f"at cycle {core.cycle}, head "
+                            f"{core.rob.head.seq}: refused with hint "
+                            f"{hint} and no watched event since")
+                if name == "may_execute":
+                    allowed_exec.add(uop)
+            else:
+                if name == "may_execute" and uop in allowed_exec:
+                    violations.append(
+                        f"{name} refused seq {uop.seq} (pc {uop.pc}) at "
+                        f"cycle {core.cycle} after allowing it")
+                records.setdefault((name, uop), {})[hint_of(uop)] = \
+                    dict(counts)
+            return allowed
+        return wrapped
+
+    for hook, _ in HOOKS:
+        name = f"may_{hook}"
+        setattr(defense, name, gate(name, getattr(defense, name),
+                                    getattr(defense, f"{hook}_recheck_seq")))
+    core.run()
+    return violations
+
+
+def wake_contract_case(case: DiffCase, program_size: int = 40
+                       ) -> List[str]:
+    """:func:`wake_contract_violations` on one grid cell's program."""
+    from ..bench.runner import DEFENSES
+
+    program, test_input = case_program(case, program_size)
+    return wake_contract_violations(
+        program, DEFENSES[case.defense](), case.config(),
+        test_input.build_memory(), test_input.build_regs())

@@ -1,7 +1,7 @@
-"""The compiled engine's fast-forward and refusal caches (that they
-engage, and that skipping cycles and retry loops changes no result),
-the tracer pinning the reference interpreter, the stall-sum invariant
-on both engines, and the no-forward-progress early abort."""
+"""The compiled engine's fast-forward and sleeping uops (that they
+engage, and that skipping cycles and re-asks changes no result), the
+tracer pinning the reference interpreter, the stall-sum invariant on
+both engines, and the no-forward-progress early abort."""
 
 import pytest
 
@@ -12,7 +12,12 @@ from repro.isa import assemble
 from repro.metrics import MetricsRegistry, attached
 from repro.uarch import P_CORE, PipelineTracer, simulate
 from repro.uarch.pipeline import Core
-from repro.uarch.refcore import ENGINE_PAIR, compare_results
+from repro.uarch.refcore import (
+    ENGINE_PAIR,
+    DiffCase,
+    case_program,
+    compare_results,
+)
 
 
 def stall_sum(result) -> int:
@@ -83,8 +88,33 @@ def test_stall_sum_invariant_both_engines(fixture):
 
 
 # ----------------------------------------------------------------------
-# Refusal caches hold
+# Sleeping uops are not asked
 # ----------------------------------------------------------------------
+
+def _count_asks(build_run, defense, gates):
+    """Each engine's calls to ``gates``, after checking the two results
+    agree.  A sleeper that wakes every cycle is invisible to ``repro
+    diff``: results stay identical and only speed is lost.  The counting
+    wrappers are instance attributes; the compiled engine judges hook
+    liveness from the class, so the generated code calls them."""
+    calls, results = {}, {}
+    for engine in ENGINE_PAIR:
+        program, memory, regs = build_run()
+        instance = DEFENSES[defense]()
+        count = [0]
+        for gate in gates:
+            def counted(uop, original=getattr(instance, gate)):
+                count[0] += 1
+                return original(uop)
+
+            setattr(instance, gate, counted)
+        results[engine] = simulate(program, instance, P_CORE, memory, regs,
+                                   engine=engine)
+        calls[engine] = count[0]
+    compare_results(results["compiled"], results["ref"]).raise_if_different()
+    assert calls["ref"] > 0
+    return calls
+
 
 @pytest.mark.parametrize("fixture, defense, gate", [
     ("v1-gadget", "track", "may_execute"),
@@ -92,29 +122,30 @@ def test_stall_sum_invariant_both_engines(fixture):
     ("v1-gadget", "delay", "may_wakeup"),
 ])
 def test_refusal_cache_skips_repeated_asks(fixture, defense, gate):
-    # A cache that never holds is invisible to ``repro diff``: results
-    # stay identical and only speed is lost.  So count the gate's calls
-    # on each engine.  The counting wrapper is an instance attribute;
-    # the compiled engine judges hook liveness from the class, so the
-    # generated code is unchanged and calls the wrapper.
-    calls, results = {}, {}
-    for engine in ENGINE_PAIR:
-        program, memory = build(fixture)
-        instance = DEFENSES[defense]()
-        original = getattr(instance, gate)
-        count = [0]
-
-        def counted(uop, original=original, count=count):
-            count[0] += 1
-            return original(uop)
-
-        setattr(instance, gate, counted)
-        results[engine] = simulate(program, instance, P_CORE, memory,
-                                   engine=engine)
-        calls[engine] = count[0]
-    compare_results(results["compiled"], results["ref"]).raise_if_different()
-    assert calls["ref"] > 0
+    calls = _count_asks(lambda: build(fixture) + (None,), defense, (gate,))
     assert 5 * calls["compiled"] <= calls["ref"], calls
+
+
+def _generated(seed):
+    """``refcore.run_case``'s program for ``seed`` (``rand`` class)."""
+    program, test_input = case_program(DiffCase("track", "rand", "P", seed))
+    return program, test_input.build_memory(), test_input.build_regs()
+
+
+def test_refused_uops_sleep_until_their_wake():
+    # Seed 3 refuses at both gates: the reference asks them 175,511
+    # times, a sleeper only when its wake condition fires.
+    calls = _count_asks(lambda: _generated(3), "track",
+                        ("may_execute", "may_resolve"))
+    assert 20 * calls["compiled"] <= calls["ref"], calls
+
+
+def test_disambiguation_stalls_do_not_reask_the_gate():
+    # Seed 2's loads stall on older stores' unknown addresses after the
+    # gate allowed them; such a load is asked again only once those
+    # stores have issued.
+    calls = _count_asks(lambda: _generated(2), "track", ("may_execute",))
+    assert 20 * calls["compiled"] <= calls["ref"], calls
 
 
 # ----------------------------------------------------------------------

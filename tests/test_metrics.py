@@ -327,6 +327,8 @@ def test_classify_module_rules():
     assert classify_module("/usr/lib/python3/enum.py") == "host-runtime"
     assert classify_module("~") == "host-runtime"
     assert classify_module("/x/src/repro/newthing.py") == "repro-other"
+    assert classify_module("<repro-compiled:0123456789ab>") == "compiled"
+    assert classify_module("<frozen importlib._bootstrap>") == "imports"
 
 
 def test_profile_subsystems_sum_to_total(isolated_cache):
@@ -352,17 +354,62 @@ def test_profile_collapsed_stacks(isolated_cache, tmp_path):
         assert int(micros) > 0
 
 
-def test_report_from_stats_handles_builtins():
+def _profiled(calls):
+    """Profile ``calls``: (filename, body) pairs, each compiled as a
+    function ``f`` as if it lived in that file."""
     import cProfile
     import pstats
 
+    functions = []
+    for filename, body in calls:
+        namespace = {}
+        exec(compile(f"def f():\n    {body}\n", filename, "exec"),
+             namespace)
+        functions.append(namespace["f"])
     profile = cProfile.Profile()
     profile.enable()
-    sorted(range(1000))
+    for function in functions:
+        function()
     profile.disable()
-    report = report_from_stats(pstats.Stats(profile), label="x")
-    assert report.entries
-    assert all(e.subsystem == "host-runtime" for e in report.entries)
+    return report_from_stats(pstats.Stats(profile), label="x")
+
+
+def test_report_from_stats_handles_builtins():
+    # A built-in is charged to its callers' subsystems by their time.
+    report = _profiled([
+        ("/x/src/repro/uarch/pipeline.py", "sorted(range(20000))"),
+        ("/x/src/repro/defenses/base.py", "sorted(range(10000))"),
+        ("/usr/lib/python3/enum.py", "sorted(range(5000))"),
+    ])
+    sorts = {e.subsystem: e for e in report.entries
+             if e.function == "<built-in>(<built-in method builtins.sorted>)"}
+    assert set(sorts) == {"pipeline", "defense-hooks", "host-runtime"}
+    assert all(entry.calls == 1 for entry in sorts.values())
+    assert sorts["pipeline"].internal_s > sorts["host-runtime"].internal_s
+    assert sum(report.subsystems.values()) == pytest.approx(
+        report.total_s, rel=1e-9)
+
+
+def test_report_from_stats_files_compiled_frames_by_closure():
+    report = _profiled([("<repro-compiled:0123456789ab>", "any(())"),
+                        ("<repro-compiled:ba9876543210>", "any(())")])
+    compiled = [e for e in report.entries if e.subsystem == "compiled"]
+    functions = {e.function: e.calls for e in compiled}
+    # One entry per closure name, whichever artifact ran it.
+    assert functions["<repro-compiled>(f)"] == 2
+    assert functions["<built-in>(<built-in method builtins.any>)"] == 2
+    assert set(report.subsystems) <= {"compiled", "host-runtime"}
+
+
+def test_profile_sees_inside_compiled_code(isolated_cache):
+    report = profile_spec(RunSpec(workload="ossl.ecadd", defense="track"))
+    functions = {e.function for e in report.entries
+                 if e.subsystem == "compiled"}
+    assert {"<repro-compiled>(run)",
+            "<repro-compiled>(try_exec)"} <= functions
+    assert report.subsystems["compiled"] > 0
+    assert report.subsystems.get("host-runtime", 0.0) \
+        < 0.15 * report.total_s, report.render(10)
 
 
 def test_profile_cli_smoke(isolated_cache, tmp_path, capsys):

@@ -1,0 +1,87 @@
+"""The wake contract, checked on the reference engine.
+
+The compiled engine stops asking a refused uop until the ROB head
+reaches the gate's ``*_recheck_seq`` hint or a watched event fires.
+That is cycle-exact only if the reference, which asks every cycle,
+never sees such a refusal turn into an allow earlier.
+:func:`~repro.uarch.refcore.wake_contract_violations` wraps the gates
+of one reference run and lists every broken promise; a hint that fires
+too late would otherwise surface only as an unexplained ``repro diff``
+divergence.
+"""
+
+import pytest
+
+from repro.bench.runner import DEFENSES
+from repro.defenses import SPTSB, ProtTrack
+from repro.defenses.base import RECHECK_NEVER
+from repro.fixtures import FIXTURES, build
+from repro.uarch.config import P_CORE, SpeculationModel
+from repro.uarch.refcore import DiffCase, case_program, wake_contract_violations
+
+CONFIGS = {
+    "P": P_CORE,
+    "P+CONTROL": P_CORE.replace(speculation_model=SpeculationModel.CONTROL),
+    "P+squash-bug": P_CORE.replace(buggy_squash_notify=True),
+}
+
+#: The generated program runs its first cycles only: enough for a few
+#: hundred refusals per defense at a tenth of a full run's cost.
+RAND_CYCLES = 600
+
+
+def _programs():
+    for name in FIXTURES:
+        program, memory = build(name)
+        yield name, program, memory, None
+    program, test_input = case_program(DiffCase("track", "rand", "P", 0))
+    yield "rand", program, test_input.build_memory(), test_input.build_regs()
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("defense", sorted(DEFENSES))
+def test_no_refusal_is_allowed_before_its_wake(defense, config):
+    for name, program, memory, regs in _programs():
+        violations = wake_contract_violations(
+            program, DEFENSES[defense](), CONFIGS[config], memory, regs,
+            max_cycles=RAND_CYCLES if name == "rand" else 3_000_000)
+        assert not violations, (name, violations[:5])
+
+
+class _LateHint(SPTSB):
+    """SPT-SB with every finite execute hint one seq too late."""
+
+    def execute_recheck_seq(self, uop):
+        seq = super().execute_recheck_seq(uop)
+        return seq if seq >= RECHECK_NEVER else seq + 1
+
+
+class _Flapping(ProtTrack):
+    """Allows a load once, then refuses it again."""
+
+    def __init__(self):
+        super().__init__()
+        self._asked = set()
+
+    def may_execute(self, uop):
+        if not uop.is_load:
+            return super().may_execute(uop)
+        if uop.seq in self._asked:
+            return self.nonspeculative(uop)
+        self._asked.add(uop.seq)
+        return True
+
+
+def test_checker_flags_a_late_hint():
+    program, memory = build("v1-gadget")
+    violations = wake_contract_violations(program, _LateHint(), P_CORE,
+                                          memory)
+    assert violations
+    assert all(v.startswith("may_execute allowed") for v in violations)
+
+
+def test_checker_flags_a_refusal_after_an_allow():
+    program, memory = build("v1-gadget")
+    violations = wake_contract_violations(program, _Flapping(), P_CORE,
+                                          memory)
+    assert any("after allowing it" in v for v in violations)
