@@ -23,14 +23,14 @@ threat model fixes (paper SII-B1).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..uarch.config import SpeculationModel
 from ..uarch.uop import Uop
 
 #: Returned by the ``*_recheck_seq`` hooks when no head seq can flip a
 #: refusal: only an event can (a branch resolution under CONTROL, a
-#: load execution for load-sensitive mechanisms).
+#: declassification for mechanisms that declassify).
 RECHECK_NEVER = 1 << 62
 
 
@@ -44,25 +44,19 @@ class Defense:
     #: hardware-defined-ProtSet baselines that ignore PROT prefixes).
     binary = "base"
 
-    #: Wake-event hint for the compiled engine: True when this
-    #: mechanism's gate answers can change when *some other* load
-    #: executes (i.e. when ``on_load_executed`` mutates state that
-    #: ``may_execute`` / ``may_resolve`` / ``may_wakeup`` read for
-    #: unrelated uops, like SPT's public bits), so that a load
-    #: execution must wake the uops its gates refused.  ``None`` (the default)
-    #: auto-detects: any subclass overriding ``on_load_executed`` is
-    #: treated as load-sensitive unless it explicitly sets this to False
-    #: (ProtTrack does: its mutations are keyed by the executing load
-    #: itself and never change answers for other uops).
-    recheck_on_load_execute: Optional[bool] = None
+    #: Wake-event trait for the compiled engine: True when this
+    #: mechanism turns registers public at commit (SPT's declassification
+    #: broadcast), which can flip an ``execute`` / ``resolve`` refusal
+    #: before its ``*_recheck_seq`` hint.  Such a mechanism appends each
+    #: physical register it declassifies to :attr:`declassified`
+    #: whenever that is a list.
+    declassifies = False
 
-    def recheck_loads(self) -> bool:
-        """Resolve :attr:`recheck_on_load_execute` (see there)."""
-        flag = self.recheck_on_load_execute
-        if flag is None:
-            return type(self).on_load_executed \
-                is not Defense.on_load_executed
-        return bool(flag)
+    #: The declassification report (see :attr:`declassifies`): ``None``
+    #: unless an observer attached a list.  The compiled engine attaches
+    #: one and drains it after every ``on_commit``; the reference engine
+    #: attaches none.
+    declassified: Optional[List[int]] = None
 
     def __init__(self) -> None:
         self.core = None
@@ -127,17 +121,23 @@ class Defense:
     # right after the matching ``may_*`` gate refused a uop, and then
     # does not ask that gate about the uop until the ROB head's seq
     # reaches the returned value or a watched event fires: a branch
-    # resolution under CONTROL, a load execution for load-sensitive
-    # mechanisms (:meth:`recheck_loads`).  The reference interpreter
-    # never calls these hooks.  The contract: absent a watched event,
-    # the refusal stands at least until the head's seq reaches the
-    # returned value.  ``None`` means "the next commit might flip it"
-    # (the conservative default); :data:`RECHECK_NEVER` means only an
-    # event can flip it.  A squash is not an event: under ATCOMMIT a
-    # uop that survives a squash is older than the squashing branch,
-    # and so are its operands' producers and YRoT roots (the youngest
-    # speculative load each operand depends on), so no state its gates
-    # read changes.  Returning too *small* a value merely costs a
+    # resolution under CONTROL, or, for a mechanism that
+    # :attr:`declassifies`, a declassification of one of the registers
+    # the refused uop transmits (its ``execute_sensitive_pregs`` or
+    # ``resolve_sensitive_pregs``; ``may_wakeup`` refusals watch no
+    # register).  The reference interpreter never calls these hooks.
+    # The contract: absent a watched event, the refusal stands at least
+    # until the head's seq reaches the returned value.  ``None`` means
+    # "the next commit might flip it" (the conservative default);
+    # :data:`RECHECK_NEVER` means only an event can flip it.  A load
+    # execution is not an event: a gate is asked only about a uop whose
+    # operands are ready, so the loads producing them have already
+    # executed, and ``on_load_executed`` may change only state about
+    # the load itself and its own fresh outputs.  Nor is a squash: under
+    # ATCOMMIT a uop that survives a squash is older than the squashing
+    # branch, and so are its operands' producers and YRoT roots (the
+    # youngest speculative load each operand depends on), so no state
+    # its gates read changes.  Returning too *small* a value merely costs a
     # redundant re-ask; too large a value breaks cycle-identity, so
     # derive these only from monotone thresholds (``nonspeculative`` /
     # taint clearing advance with the head and never regress).  A gate

@@ -94,6 +94,7 @@ class SPT(Defense):
 
     name = "SPT"
     binary = "base"
+    declassifies = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -195,14 +196,27 @@ class SPT(Defense):
             return True
         return self.nonspeculative(uop)
 
+    # Every SPT refusal is a ``nonspeculative(uop)`` miss; besides the
+    # head reaching the uop, only a declassification of a register it
+    # transmits can flip it (a RET's loaded target is fixed at its
+    # execution).
+
+    def execute_recheck_seq(self, uop: Uop) -> int:
+        return self._nonspec_flip_seq(uop.seq)
+
+    def resolve_recheck_seq(self, uop: Uop) -> int:
+        return self._nonspec_flip_seq(uop.seq)
+
     # -- declassification at retire -----------------------------------------
 
     def _make_public(self, preg: int) -> None:
         """Declassify a transmitted value, closing backward through
         invertible dependencies (paper SIII-C: 'directly or indirectly
         via invertible arithmetic dependencies') and through the memory
-        it was loaded from (the shadow-L1 analogue)."""
+        it was loaded from (the shadow-L1 analogue).  Reports each
+        register it turns public to an attached :attr:`declassified`."""
         prf = self.core.prf
+        report = self.declassified
         worklist = [preg]
         while worklist:
             current = worklist.pop()
@@ -210,6 +224,8 @@ class SPT(Defense):
                 continue
             prf.public[current] = True
             self.stats["declassified_pregs"] += 1
+            if report is not None:
+                report.append(current)
             producer = self._producer.get(current)
             if producer is None:
                 continue

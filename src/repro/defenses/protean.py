@@ -109,13 +109,6 @@ class ProtTrack(Defense):
     name = "Protean-Track"
     binary = "protcc"
 
-    #: ``on_load_executed`` only touches ``_fallback`` /
-    #: ``_forward_gated`` entries keyed by the executing load itself —
-    #: it never changes a gate answer for any *other* uop, so a load
-    #: execution need not wake the uops the compiled engine put to
-    #: sleep.
-    recheck_on_load_execute = False
-
     def __init__(self, use_predictor: bool = True,
                  predictor_entries: Optional[int] = 1024) -> None:
         super().__init__()

@@ -104,6 +104,10 @@ METRIC_HELP: Dict[str, str] = {
     "uarch.compiled_cycles_per_sec":
         "compiled-engine simulation throughput",
     "uarch.compiled_runs": "simulations served by the compiled backend",
+    "uarch.compile_fallbacks.tracer":
+        "compiled-engine runs served by the reference: tracer attached",
+    "uarch.compile_fallbacks.empty_program":
+        "compiled-engine runs served by the reference: empty program",
     "uarch.compile_seconds": "wall time spent generating/loading "
         "compiled artifacts",
     "uarch.compile_cache_hits": "compiled artifacts reused in-process",

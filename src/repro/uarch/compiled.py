@@ -33,19 +33,22 @@ It is also the only engine with fast paths; the reference
   gate refuses asks the defense's ``*_recheck_seq`` hint once and
   sleeps until the ROB head reaches it (``None``: the next commit) or
   until an event that can flip the refusal sooner fires (a branch
-  resolution under CONTROL; a load execution for load-sensitive
-  mechanisms).  Structural stalls sleep the same way: a
-  disambiguation stall until every older store without an address has
-  issued (or, when its blocker's address partly overlaps, until that
-  store commits), an MFENCE until it is the head, a divide until the
-  divider frees, and a gate-refused divide also at the next divide
-  issue (after which the reference would report it ``div_busy``).
-  Each stage keeps a heap
-  ``(wake seq, seq, uop)``, a ``<stage>_wait`` dict of its sleepers
-  (stale heap and event entries fail its check), event lists, and an
-  awake set asked oldest first; an issue in the blocked pass wakes
-  younger sleepers into the same pass and older ones into the next
-  cycle, as the reference's sorted pass would see them.  Buggy-port
+  resolution under CONTROL; for a mechanism that declassifies, the
+  declassification of a register the uop transmits, which wakes only
+  the uops sleeping on that register).  Structural stalls sleep the
+  same way: a disambiguation stall until every older store without an
+  address has issued (or, when its blocker's address partly overlaps,
+  until that store commits), an MFENCE until it is the head, a divide
+  until the divider frees, and a gate-refused divide also at the next
+  divide issue (after which the reference would report it
+  ``div_busy``).  Each stage keeps a heap ``(wake seq, seq, uop)``, a
+  ``<stage>_wait`` dict of its sleepers (stale heap, event and
+  register entries fail its check), event lists, and an awake set
+  asked oldest first; the declassification wake adds one sleeper list
+  per physical register (``dcl``), reset when rename reallocates the
+  register.  An issue in the blocked pass wakes younger sleepers into
+  the same pass and older ones into the next cycle, as the reference's
+  sorted pass would see them.  Buggy-port
   ``squash_notify`` entries stay awake.  A squash invalidates nothing:
   under ATCOMMIT a survivor's operand producers and YRoT roots are all
   older than the squashing branch, and under CONTROL the resolution
@@ -103,7 +106,7 @@ from .pipeline import (
 #: cached artifact (the simulator-source hash usually also changes, but
 #: the version makes intent explicit and survives hash collisions of
 #: whitespace-only edits).
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -136,7 +139,15 @@ _B2C_LITERAL = repr({reason: f"stall_{cause}"
 
 
 class CompileUnsupported(RuntimeError):
-    """The (core, run) shape cannot use the compiled backend."""
+    """The (core, run) shape cannot use the compiled backend.
+
+    ``reason`` is a short key naming the shape; :func:`simulate
+    <repro.uarch.pipeline.simulate>` counts its fallbacks to the
+    reference as ``uarch.compile_fallbacks.<reason>``."""
+
+    def __init__(self, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 # =====================================================================
@@ -165,11 +176,11 @@ class DefenseTraits:
         for hook in self._HOOKS:
             live = getattr(cls, hook) is not getattr(Defense, hook)
             setattr(self, hook, live)
-        self.load_sensitive = bool(defense.recheck_loads())
+        self.declassifies = bool(cls.declassifies)
 
     def key(self) -> Tuple:
         return tuple(getattr(self, h) for h in self._HOOKS) + (
-            self.load_sensitive,)
+            self.declassifies,)
 
 
 # =====================================================================
@@ -397,12 +408,17 @@ class _Codegen:
         self.heaps = {"is": self.h_exec or self.has_mfence or self.disamb,
                       "rs": self.has_branches and traits.may_resolve,
                       "wk": self.wake_possible}
-        events = ((("resolve",) if self.ctrl and self.has_branches else ())
-                  + (("load",) if traits.load_sensitive and self.has_loads
-                     else ()))
+        events = ("resolve",) if self.ctrl and self.has_branches else ()
         self.events = {"is": events if self.h_exec else (),
                        "rs": events if self.heaps["rs"] else (),
                        "wk": events if self.wake_possible else ()}
+        # Gate-refused uops also sleep on the registers they transmit
+        # when the defense declassifies: stage -> the defense's
+        # ``*_sensitive_pregs`` helper.
+        self.transmits = {stage: helper for stage, helper, live in (
+            ("is", "execute_sensitive_pregs", self.h_exec),
+            ("rs", "resolve_sensitive_pregs", self.heaps["rs"]))
+            if live and traits.declassifies}
         # A gate-refused divide wakes at the next divide issue.
         self.div_gate = self.h_exec and self.has_divs
         self.width = config.width
@@ -525,6 +541,12 @@ class _Codegen:
                 s(f"{stage}_sleep = []  # heap (wake seq, seq, uop)")
             if self.events[stage]:
                 s(f"{stage}_evt = []  # sleepers an event can wake")
+        for stage, helper in self.transmits.items():
+            s(f"{stage}_tx = d.{helper}")
+        if self.transmits:
+            s("ppub = prf.public")
+            s("dcl = [None] * len(pvals)  # preg -> sleepers transmitting it")
+            s("dreport = d.declassified = []  # drained after each commit")
         if self.div_gate:
             s("is_dgate = []  # gate-refused divides: wake at a divide issue")
         if self.has_divs:
@@ -608,7 +630,8 @@ class _Codegen:
         """Put ``u``, just refused by the stage's gate, to sleep until
         the head reaches the defense's hint (``recheck``, the bound
         ``*_recheck_seq`` local, or None when the class inherits it:
-        the next commit) or an event fires."""
+        the next commit), an event fires, or, for a declassifying
+        defense, a register it transmits is declassified."""
         s = self.s
         if recheck is not None:
             s(f"w = {recheck}(u)")
@@ -621,6 +644,40 @@ class _Codegen:
         s(f"    heappush({stage}_sleep, (w, u.seq, u))")
         if self.events[stage]:
             s(f"{stage}_evt.append(u)")
+        if stage in self.transmits:
+            # Only a register still secret can be declassified.
+            s(f"for p in {stage}_tx(u):")
+            s("    if not ppub[p]:")
+            s("        ws = dcl[p]")
+            s("        if ws is None:")
+            s("            dcl[p] = [u]")
+            s("        else:")
+            s("            ws.append(u)")
+
+    def _wake_declassified(self) -> None:
+        """Wake the gate sleepers on each register the defense's
+        ``on_commit`` just declassified (outside any pass, so straight
+        into the awake set; a uop sleeps in one stage at a time)."""
+        s = self.s
+        s("if dreport:")
+        s.indent()
+        s("for p in dreport:")
+        s.indent()
+        s("ws = dcl[p]")
+        s("if ws is not None:")
+        s.indent()
+        s("dcl[p] = None")
+        s("for o in ws:")
+        s.indent()
+        for i, stage in enumerate(self.transmits):
+            s(f"{'if' if i == 0 else 'elif'} "
+              f"{stage}_wait.pop(o, None) is not None:")
+            s(f"    heappush({stage}_awake, (o.seq, o))")
+        s.dedent()
+        s.dedent()
+        s.dedent()
+        s("dreport.clear()")
+        s.dedent()
 
     def _lsq_remove(self, uop: str, is_load: str, is_store: str) -> None:
         """LoadStoreQueue.remove for ``uop`` (absent entries are fine)."""
@@ -771,12 +828,10 @@ class _Codegen:
         s("iq_count -= 1")
         s("u.issue_cycle = cycle")
         s("stats['issued_uops'] += 1")
-        # What this issue wakes: a load execution's event sleepers, the
-        # loads stalled on this store's address (younger: this pass),
-        # the gate-refused divides (the divider is busy now).
+        # What this issue wakes: the loads stalled on this store's
+        # address (younger: this pass), the gate-refused divides (the
+        # divider is busy now).
         wakes = [(cond, emit) for live, cond, emit in (
-            (any("load" in ev for ev in self.events.values()), "ISLD[pc]",
-             lambda: self._fire("load")),
             (self.disamb, "ISST[pc]", self._wake_stalled_loads),
             (self.div_gate, "ISDIV[pc]",
              lambda: self._wake_list("is", "is_dgate"))) if live]
@@ -1207,6 +1262,8 @@ class _Codegen:
             s("        stats['mispredicted_branches'] += 1")
         if self.traits.on_commit:
             s("d_on_commit(head)")
+        if self.transmits:
+            self._wake_declassified()
         s("head.committed = True")
         s("head.commit_cycle = cycle")
         s("committed_list.append(head)")
@@ -1448,6 +1505,8 @@ class _Codegen:
         s("        rmap[a] = pg")
         s("        pready[pg] = False")
         s("        pprot[pg] = pr")
+        if self.transmits:
+            s("        dcl[pg] = None  # its sleepers read a dead value")
         s("        pd_l.append((a, pg))")
         s("        producer_of[pg] = u")
         s("    u.pdests = tuple(pd_l)")
@@ -1639,7 +1698,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if not program.is_linked:
         program = program.linked()
     if not program.instructions:
-        raise CompileUnsupported("empty program")
+        raise CompileUnsupported("empty_program", "empty program")
     g = _Codegen(program, config, defense)
     s = g.s
     g._prologue()
@@ -1713,11 +1772,11 @@ class CompiledCore(Core):
     ) -> None:
         if tracer is not None:
             raise CompileUnsupported(
-                "PipelineTracer requires the per-cycle interpreter")
+                "tracer", "PipelineTracer requires the per-cycle interpreter")
         if kwargs.get("store_commit_listener") is not None \
                 or kwargs.get("shared_memory") or kwargs.get("shared_l3"):
             raise CompileUnsupported(
-                "multi-core sharing requires the interpreter")
+                "shared_memory", "multi-core sharing requires the interpreter")
         super().__init__(program, defense, config, memory, regs,
                          max_cycles, tracer=None,
                          no_progress_limit=no_progress_limit, **kwargs)

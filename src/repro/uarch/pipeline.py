@@ -1123,7 +1123,9 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
       (:mod:`repro.uarch.compiled`), falling back to the reference
       interpreter for shapes it refuses: an attached tracer (a
       single-spec diagnostic that must see every cycle) or an empty
-      program.
+      program.  An attached registry counts each fallback as
+      ``uarch.compile_fallbacks.<reason>`` (``tracer``,
+      ``empty_program``).
     * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
     if engine is None:
@@ -1131,15 +1133,20 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")
-    if engine == "compiled" and tracer is None:
+    if engine == "compiled":
         from .compiled import CompiledCore, CompileUnsupported
 
         try:
             return CompiledCore(program, defense, config, memory, regs,
-                                max_cycles,
+                                max_cycles, tracer=tracer,
                                 no_progress_limit=no_progress_limit).run()
-        except CompileUnsupported:
-            pass  # fall back to the interpreter
+        except CompileUnsupported as refusal:  # fall back to the interpreter
+            from ..metrics.registry import get_registry
+
+            metrics = get_registry()
+            if metrics is not None:
+                metrics.counter(
+                    f"uarch.compile_fallbacks.{refusal.reason}").inc()
     return Core(program, defense, config, memory, regs, max_cycles,
                 tracer=tracer,
                 no_progress_limit=no_progress_limit).run()

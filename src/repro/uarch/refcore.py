@@ -18,12 +18,14 @@ Entry points:
   over every defense x ProtCC class x core config in the paper's
   Tables II/III, used by ``repro diff`` and the test suite.
 * :func:`fixture_cases` — the security fixtures (Spectre v1, divider
-  channel, squash-notification bug) under their signature configs.
+  channel, squash-notification bug) under every defense and their
+  signature configs.
 * :func:`mitigation_cases` — software-mitigated binaries.
 * :func:`wake_contract_violations` / :func:`wake_contract_case` — the
   proof obligation behind the compiled engine's sleeping uops: on the
   reference engine, no gate refusal turns into an allow before its
-  ``*_recheck_seq`` hint or a watched event.
+  ``*_recheck_seq`` hint or a watched event (a resolution under
+  CONTROL, a declassification of a register the gate transmits).
 """
 
 from __future__ import annotations
@@ -265,8 +267,8 @@ def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
 
 
 def fixture_cases() -> Iterator[Tuple[str, DiffReport]]:
-    """Differential runs of the security fixtures under the hardware
-    configs that make each one interesting."""
+    """Differential runs of the security fixtures, under every defense
+    and the hardware configs that make each fixture interesting."""
     from ..bench.runner import DEFENSES
     from ..fixtures import FIXTURES, build
 
@@ -277,7 +279,7 @@ def fixture_cases() -> Iterator[Tuple[str, DiffReport]]:
     }
     for name, fixture in FIXTURES.items():
         config = configs.get(name, P_CORE)
-        for defense in ("unsafe", "track", "delay", "spt-sb"):
+        for defense in DEFENSES:
             label = f"fixture:{name}/{defense}"
             program, _ = build(name)
             _, report = run_engines(
@@ -331,14 +333,17 @@ def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
     gates wrapped, and return one line per broken promise.
 
     On each refusal the wrapper records the gate's ``*_recheck_seq``
-    hint and the commit, load-execution and resolution counts.  When
+    hint and the commit, resolution and declassification counts.  When
     the same uop is later allowed, some record must have expired: the
     head reached its hint (``None``: a commit happened since), or a
-    watched event fired since (a resolution under CONTROL, a load
-    execution for load-sensitive defenses; never a squash).  A
-    ``may_execute`` refusal after an allow is also reported: the
-    compiled engine does not re-ask a uop the gate allowed that then
-    stalled on disambiguation.
+    watched event fired since: a resolution under CONTROL, or, for a
+    defense that declassifies, a declassification of a register the
+    gate transmits (``execute_sensitive_pregs`` /
+    ``resolve_sensitive_pregs``), reported after an ``on_commit`` as
+    the compiled engine sees it.  A load execution and a squash are
+    never events.  A ``may_execute`` refusal after an allow is also
+    reported: the compiled engine does not re-ask a uop the gate
+    allowed that then stalled on disambiguation.
 
     The wrappers are instance attributes on ``defense`` and on this
     run's :class:`Core`, so the reference's default path pays nothing.
@@ -346,23 +351,32 @@ def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
     from .pipeline import Core
 
     core = Core(program, defense, config, memory, regs, max_cycles)
-    counts = {"commit": 0, "load": 0, "resolve": 0}
-    watched = [event for event, live in (
-        ("resolve",
-         config.speculation_model is SpeculationModel.CONTROL),
-        ("load", defense.recheck_loads())) if live]
+    counts = {"commit": 0, "resolve": 0, "declassify": 0}
+    control = config.speculation_model is SpeculationModel.CONTROL
+    #: gate -> the registers whose declassification wakes its sleepers
+    transmits: Dict[str, Callable] = {}
+    #: preg -> the ``declassify`` count at its latest declassification
+    declassified_at: Dict[int, int] = {}
     violations: List[str] = []
     records: Dict[Tuple[str, object], Dict[Optional[int], Dict]] = {}
     allowed_exec = set()
 
-    def counting(event, original):
-        def wrapped(uop):
-            counts[event] += 1
-            return original(uop)
-        return wrapped
+    report: List[int] = []
+    if defense.declassifies:
+        transmits = {"may_execute": defense.execute_sensitive_pregs,
+                     "may_resolve": defense.resolve_sensitive_pregs}
+        defense.declassified = report
+    commit = defense.on_commit
 
-    defense.on_commit = counting("commit", defense.on_commit)
-    defense.on_load_executed = counting("load", defense.on_load_executed)
+    def on_commit(uop):
+        counts["commit"] += 1
+        commit(uop)
+        for preg in report:
+            counts["declassify"] += 1
+            declassified_at[preg] = counts["declassify"]
+        report.clear()
+
+    defense.on_commit = on_commit
     attempt = core._attempt_resolution
 
     def attempt_resolution(uop):
@@ -377,13 +391,19 @@ def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
             return counts["commit"] > seen["commit"]
         return core.rob.head.seq >= hint
 
+    def woken(name, uop, seen) -> bool:
+        if control and counts["resolve"] > seen["resolve"]:
+            return True
+        pregs = transmits[name](uop) if name in transmits else ()
+        return any(declassified_at.get(p, 0) > seen["declassify"]
+                   for p in pregs)
+
     def gate(name, ask, hint_of):
         def wrapped(uop):
             allowed = ask(uop)
             if allowed:
                 for hint, seen in records.pop((name, uop), {}).items():
-                    if not (expired(hint, seen) or any(
-                            counts[e] > seen[e] for e in watched)):
+                    if not (expired(hint, seen) or woken(name, uop, seen)):
                         violations.append(
                             f"{name} allowed seq {uop.seq} (pc {uop.pc}) "
                             f"at cycle {core.cycle}, head "

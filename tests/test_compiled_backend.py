@@ -18,6 +18,7 @@ from repro.bench.runner import DEFENSES
 from repro.cli import build_parser
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
+from repro.isa import assemble
 from repro.metrics import MetricsRegistry, attached
 from repro.uarch import P_CORE, simulate
 from repro.uarch.compiled import (
@@ -134,6 +135,12 @@ def _compiled_runs(registry) -> int:
     return registry.snapshot()["counters"].get("uarch.compiled_runs", 0)
 
 
+def _fallbacks(registry):
+    return {name: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("uarch.compile_fallbacks.")}
+
+
 def test_default_engine_picks_compiled(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     program, memory = build("v1-gadget")
@@ -142,6 +149,7 @@ def test_default_engine_picks_compiled(monkeypatch):
         result = simulate(program, ProtTrack(), P_CORE, memory)
     assert result.halt_reason == "halt"
     assert _compiled_runs(registry) == 1
+    assert not _fallbacks(registry)
 
 
 def test_tracer_pins_the_interpreter():
@@ -175,6 +183,28 @@ def test_explicit_compiled_engine_with_tracer_falls_back():
                          build("v1-gadget")[1], engine="ref")
     assert fallback.cycles == reference.cycles
     assert fallback.stats == reference.stats
+
+
+def test_tracer_fallback_is_counted():
+    program, memory = build("v1-gadget")
+    registry = MetricsRegistry()
+    with attached(registry):
+        simulate(program, ProtTrack(), P_CORE, memory,
+                 tracer=PipelineTracer(), engine="compiled")
+        # The reference engine asked for by name is no fallback.
+        simulate(program, ProtTrack(), P_CORE, build("v1-gadget")[1],
+                 tracer=PipelineTracer(), engine="ref")
+    assert _fallbacks(registry) == {"uarch.compile_fallbacks.tracer": 1}
+
+
+def test_empty_program_fallback_is_counted():
+    registry = MetricsRegistry()
+    with attached(registry):
+        result = simulate(assemble(""), Unsafe(), P_CORE,
+                          no_progress_limit=50, engine="compiled")
+    assert result.halt_reason == "no_progress"
+    assert _fallbacks(registry) == {
+        "uarch.compile_fallbacks.empty_program": 1}
 
 
 def test_compiled_core_rejects_tracer():

@@ -140,6 +140,15 @@ def test_refused_uops_sleep_until_their_wake():
     assert 20 * calls["compiled"] <= calls["ref"], calls
 
 
+def test_spt_refusals_sleep_until_declassified():
+    # SPT's refusals flip when the head reaches the uop or when a
+    # commit declassifies a register it transmits; the reference asks
+    # 174,894 times, and a sleeper woken at every commit 12,378 times.
+    calls = _count_asks(lambda: _generated(3), "spt",
+                        ("may_execute", "may_resolve"))
+    assert 50 * calls["compiled"] <= calls["ref"], calls
+
+
 def test_disambiguation_stalls_do_not_reask_the_gate():
     # Seed 2's loads stall on older stores' unknown addresses after the
     # gate allowed them; such a load is asked again only once those

@@ -100,7 +100,7 @@ def test_buggy_squash_notify_identical(defense):
 
 def test_fixture_runs_identical():
     reports = list(fixture_cases())
-    assert len(reports) >= 12
+    assert len(reports) == 3 * len(DEFENSES)
     for _, report in reports:
         report.raise_if_different()
 

@@ -1,7 +1,9 @@
 """The wake contract, checked on the reference engine.
 
 The compiled engine stops asking a refused uop until the ROB head
-reaches the gate's ``*_recheck_seq`` hint or a watched event fires.
+reaches the gate's ``*_recheck_seq`` hint or a watched event fires (a
+resolution under CONTROL; under SPT, a commit declassifying a register
+the uop transmits).
 That is cycle-exact only if the reference, which asks every cycle,
 never sees such a refusal turn into an allow earlier.
 :func:`~repro.uarch.refcore.wake_contract_violations` wraps the gates
@@ -13,11 +15,18 @@ divergence.
 import pytest
 
 from repro.bench.runner import DEFENSES
-from repro.defenses import SPTSB, ProtTrack
+from repro.defenses import SPT, SPTSB, ProtTrack
 from repro.defenses.base import RECHECK_NEVER
 from repro.fixtures import FIXTURES, build
+from repro.isa import assemble
 from repro.uarch.config import P_CORE, SpeculationModel
-from repro.uarch.refcore import DiffCase, case_program, wake_contract_violations
+from repro.uarch.refcore import (
+    DiffCase,
+    case_program,
+    run_engines,
+    wake_contract_violations,
+)
+from repro.workloads import get_workload
 
 CONFIGS = {
     "P": P_CORE,
@@ -48,12 +57,40 @@ def test_no_refusal_is_allowed_before_its_wake(defense, config):
         assert not violations, (name, violations[:5])
 
 
+#: Workloads on which SPT refusals flip at a declassification before
+#: the head reaches them (the fixtures and ``rand`` seed 0 have none).
+DECLASSIFYING = ("mcf.s", "gcc.s", "canneal.p")
+
+
+def _workload_violations(name, defense):
+    workload = get_workload(name)
+    return wake_contract_violations(workload.program, defense, P_CORE,
+                                    workload.memory, workload.regs)
+
+
+@pytest.mark.parametrize("workload", DECLASSIFYING)
+def test_spt_declassifications_wake_their_sleepers(workload):
+    violations = _workload_violations(workload, SPT())
+    assert not violations, violations[:5]
+
+
 class _LateHint(SPTSB):
     """SPT-SB with every finite execute hint one seq too late."""
 
     def execute_recheck_seq(self, uop):
         seq = super().execute_recheck_seq(uop)
         return seq if seq >= RECHECK_NEVER else seq + 1
+
+
+class _Unreported(SPT):
+    """SPT that declassifies without reporting it."""
+
+    def _make_public(self, preg):
+        report, self.declassified = self.declassified, None
+        try:
+            super()._make_public(preg)
+        finally:
+            self.declassified = report
 
 
 class _Flapping(ProtTrack):
@@ -78,6 +115,41 @@ def test_checker_flags_a_late_hint():
                                           memory)
     assert violations
     assert all(v.startswith("may_execute allowed") for v in violations)
+
+
+def test_checker_flags_an_unreported_declassification():
+    violations = _workload_violations("mcf.s", _Unreported())
+    assert violations
+    assert all(" allowed seq " in v for v in violations)
+
+
+#: The second branch reuses the first one's secret flags: SPT refuses
+#: its resolution until the first branch commits and declassifies
+#: them, while the load between them (secret address: it runs only at
+#: the head, then misses) keeps it from the head.  No workload needs
+#: this wake at the resolve gate.
+SHARED_FLAGS = """
+main:
+    movi r1, 0x1000
+    movi r5, 0x40000
+    load r2, [r1]
+    cmpi r2, 7
+    beq first
+first:
+    load r6, [r5 + r2]
+    bne second
+second:
+    halt
+"""
+
+
+def test_spt_branch_resolves_at_declassification():
+    program = assemble(SHARED_FLAGS).linked()
+    flagged = wake_contract_violations(program, _Unreported(), P_CORE)
+    assert flagged
+    assert all(v.startswith("may_resolve allowed") for v in flagged)
+    assert not wake_contract_violations(program, SPT(), P_CORE)
+    run_engines(program, SPT, P_CORE)[1].raise_if_different()
 
 
 def test_checker_flags_a_refusal_after_an_allow():
