@@ -51,12 +51,6 @@ from .report import (
     table_to_dict,
     write_report,
 )
-from .fabric import (
-    Broker,
-    Spool,
-    WorkerStats,
-    run_worker,
-)
 from .ablations import (
     access_mechanisms,
     bugfix_overhead,
@@ -79,5 +73,4 @@ __all__ = [
     "l1d_tag_variants", "protcc_overhead",
     "compare_reports", "format_run_stats", "load_report", "table_to_dict",
     "write_report",
-    "Broker", "Spool", "WorkerStats", "run_worker",
 ]

@@ -9,8 +9,8 @@ with cores instead of wall-clock:
 * a **batch API** (:func:`run_batch`): callers declare their full
   :class:`~repro.bench.runner.RunSpec` matrix up front, and the
   executor answers what it can from the caches and hands the misses to
-  the job runner (:mod:`repro.bench.jobs`) as ``spec`` jobs — serial,
-  process pool or fabric, with per-spec timeouts, retry/requeue, and a
+  the job runner (:mod:`repro.bench.jobs`) as ``spec`` jobs — serial
+  or over a process pool, with per-spec timeouts, retry/requeue, and a
   progress line;
 
 * a **persistent content-addressed cache** under ``benchmarks/.cache/``
@@ -165,7 +165,7 @@ class BatchStats:
     elapsed_s: float = 0.0
     #: Compiled-backend artifact cache traffic during this batch
     #: (attached-registry deltas; pool workers' counts arrive in their
-    #: merged metrics snapshots, so every backend but the fabric counts).
+    #: merged metrics snapshots, so both backends count).
     compile_hits: int = 0
     compile_misses: int = 0
 
@@ -266,18 +266,11 @@ def spec_cache_key(spec: RunSpec) -> str:
 
 
 # ======================================================================
-# Wire formats shared with the campaign fabric
+# The ``spec`` job payload
 # ======================================================================
 
-def canonical_json(payload) -> str:
-    """Byte-deterministic JSON: the fabric's dedup protocol asserts
-    byte-equality of duplicate results, so every result must serialize
-    to exactly one string."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def spec_to_payload(spec: RunSpec) -> Dict:
-    """JSON-safe projection of a spec (the fabric's spool format)."""
+    """JSON-safe projection of a spec (what the pool ships)."""
     return dataclasses.asdict(spec)
 
 
@@ -286,7 +279,7 @@ def spec_from_payload(payload: Dict) -> RunSpec:
     fields = {f.name for f in dataclasses.fields(RunSpec)}
     unknown = set(payload) - fields
     if unknown:
-        raise ValueError(f"unknown RunSpec fields in spool payload: "
+        raise ValueError(f"unknown RunSpec fields in spec payload: "
                          f"{sorted(unknown)}")
     return RunSpec(**payload)
 
@@ -415,10 +408,7 @@ def run_spec_job(payload: Dict) -> Dict:
     """The ``spec`` job: simulate one spec payload and return its
     :class:`RunSummary` dict.  Caching is the submitting side's
     business, so each result reaches the disk cache exactly once."""
-    try:
-        spec = spec_from_payload(payload)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad spec payload: {exc}") from None
+    spec = spec_from_payload(payload)
     with Telemetry().span("sim", span_attrs_for_spec(spec)):
         return summarize(execute_spec(spec)).to_dict()
 
@@ -479,19 +469,16 @@ def run_batch(
     timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
     retries: int = DEFAULT_RETRIES,
     worker: Optional[Callable] = None,
-    fabric: Optional[str] = None,
 ) -> Dict[RunSpec, RunSummary]:
     """Resolve a whole spec matrix, fanning misses out over processes.
 
     Specs already in the in-memory or on-disk cache are never re-run.
     The misses go to the job runner (:func:`repro.bench.jobs.run_jobs`)
     as ``spec`` jobs: serially in-process with an effective job count
-    of 1 (or a single pending spec), over a process pool otherwise, and
-    sharded through the campaign fabric (:mod:`repro.bench.fabric`)
-    when ``fabric`` or ``REPRO_FABRIC`` names a spool directory.  Every
-    backend produces bit-identical results, because a simulation is a
-    pure function of its spec; each result is written to the disk cache
-    once, here.
+    of 1 (or a single pending spec), over a process pool otherwise.
+    Both backends produce bit-identical results, because a simulation
+    is a pure function of its spec; each result is written to the disk
+    cache once, here.
 
     ``worker`` overrides the pool's job function (tests use this to
     exercise the timeout/retry/crash paths).
@@ -542,14 +529,9 @@ def run_batch(
         if pending:
             run = run_jobs([Job(KIND_SPEC, spec_to_payload(spec))
                             for spec in pending], store,
-                           workers=stats.jobs, fabric=fabric,
-                           timeout_s=timeout_s, retries=retries,
-                           worker=worker)
+                           workers=stats.jobs, timeout_s=timeout_s,
+                           retries=retries, worker=worker)
             stats.jobs, stats.retried = run.workers, run.retried
-            # Jobs already done in the spool are shared-state reuse (a
-            # disk hit in fabric clothing), not simulations.
-            stats.simulated -= run.reused
-            stats.disk_hits += run.reused
         stats.elapsed_s = time.monotonic() - started
     finally:
         tel.finish(batch_span, simulated=stats.simulated,

@@ -2,17 +2,14 @@
 
 Every paper table walks a matrix of independent simulations, and every
 contract-fuzzing cell a list of independent programs.  Both reach this
-module as :class:`Job` s — a kind plus the JSON payload the fabric's
-spool stores (``spec``: a ``RunSpec``'s fields; ``fuzz-program``: one
-program of a campaign cell) — and :func:`run_jobs` runs them on one of
-three backends:
+module as :class:`Job` s — a kind plus a JSON payload (``spec``: a
+``RunSpec``'s fields; ``fuzz-program``: one program of a campaign cell)
+— and :func:`run_jobs` runs them on one of two backends:
 
 * **serial** — in this process, in order: one worker, one job, or a job
   with an in-process body that cannot be shipped;
 * **pool** — a :class:`~concurrent.futures.ProcessPoolExecutor` that
-  ships the same JSON payloads as the fabric;
-* **fabric** — the broker/worker spool of :mod:`repro.bench.fabric`
-  (``fabric=DIR`` or ``REPRO_FABRIC``).
+  ships each job's JSON payload to a worker process.
 
 Inside there is one of everything.  :func:`run_job` runs one job in any
 process under one wall-clock alarm and returns one :class:`JobResult`.
@@ -26,7 +23,6 @@ and hands results to the caller in submission order.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import signal
@@ -43,7 +39,7 @@ from ..metrics.spans import SpanRecorder, get_recorder, set_recorder
 
 logger = logging.getLogger(__name__)
 
-#: Job kinds (the fabric's spool stores them beside each payload).
+#: Job kinds.
 KIND_SPEC = "spec"
 KIND_FUZZ = "fuzz-program"
 
@@ -112,24 +108,6 @@ class JobResult:
     metrics: Optional[Dict] = None
 
 
-def job_key(job: Job) -> str:
-    """The job's content-addressed spool key: a spec's result-cache key
-    (so respooling a matrix dedups and a code change respools it), or a
-    hash of any other payload with the simulator source."""
-    from .executor import (
-        _hash,
-        canonical_json,
-        code_version_hash,
-        spec_cache_key,
-        spec_from_payload,
-    )
-
-    if job.kind == KIND_SPEC:
-        return spec_cache_key(spec_from_payload(job.payload))
-    return _hash(canonical_json(job.payload).encode(),
-                 code_version_hash().encode())
-
-
 def _attrs(kind: _Kind, payload: Dict) -> Dict:
     return {name: payload[name] for name in kind.fields if name in payload}
 
@@ -164,13 +142,11 @@ def run_job(job: Job, timeout_s: Optional[float] = None,
     a copy of its parent's), and a fresh span recorder whose root span
     parents under ``trace_ctx`` when one is given.  Both come back in
     the result for the submitting side to merge.  SIGALRM only works in
-    the main thread, so a run in another thread (a thread-hosted fabric
-    worker) has no alarm.  ``raise_errors`` lets an in-process caller
-    see the job's own exception instead of an ``"error"`` result.
+    the main thread, so a run in another thread has no alarm.
+    ``raise_errors`` lets an in-process caller see the job's own
+    exception instead of an ``"error"`` result.
     """
-    kind = _KINDS.get(job.kind)
-    if kind is None:
-        return JobResult("error", error=f"unknown job kind {job.kind!r}")
+    kind = _KINDS[job.kind]
     recorder = SpanRecorder() if trace_ctx is not None else None
     registry = MetricsRegistry() if metrics else None
     saved = set_recorder(recorder), set_registry(registry)
@@ -254,13 +230,10 @@ class Telemetry:
 class RunStats:
     """What one :func:`run_jobs` call did."""
 
-    #: Processes it ran jobs in: 1 serially, the pool size, 0 on the
-    #: fabric (its workers belong to the fleet).
+    #: Processes it ran jobs in: 1 serially, else the pool size.
     workers: int = 1
     #: Attempts the retry policy requeued.
     retried: int = 0
-    #: Fabric jobs whose results were already in the spool.
-    reused: int = 0
 
 
 class _Run:
@@ -283,29 +256,23 @@ class _Run:
 
     # -- spans ---------------------------------------------------------
 
-    def _job_context(self, index: int, **attrs) -> Optional[Dict]:
-        """The context a job's runs parent under: its job span (opened
-        on first use), or the caller's span for kinds without one."""
+    def begin(self, index: int) -> Optional[Dict]:
+        """Charge job ``index`` one attempt; returns the trace context
+        its run parents under — an ``attempt`` span under the job span
+        (opened on first use), or the caller's span for kinds without a
+        job span — or None when untraced."""
+        self.attempts[index] += 1
+        recorder = self.tel.recorder
+        if recorder is None:
+            return None
         job = self.jobs[index]
         kind = _KINDS[job.kind]
         if kind.job_span is None:
-            return self.tel.recorder.context()
+            return recorder.context()
         if self.job_spans[index] is None:
-            self.job_spans[index] = self.tel.recorder.start(
-                kind.job_span, attrs=dict(_attrs(kind, job.payload), **attrs))
-        return self.job_spans[index].context()
-
-    def begin(self, index: int) -> Optional[Dict]:
-        """Charge job ``index`` one attempt; returns the trace context
-        its run parents under (an ``attempt`` span under the job span),
-        or None when untraced."""
-        self.attempts[index] += 1
-        if self.tel.recorder is None:
-            return None
-        context = self._job_context(index)
-        if self.job_spans[index] is None:
-            return context
-        attempt = self.tel.recorder.start(
+            self.job_spans[index] = recorder.start(
+                kind.job_span, attrs=_attrs(kind, job.payload))
+        attempt = recorder.start(
             "attempt", attrs={"attempt": self.attempts[index]},
             parent=self.job_spans[index])
         self.attempt_spans[index] = attempt
@@ -421,50 +388,10 @@ class _Run:
                                 and index not in queue:
                             self.end(index, crashed, queue)
 
-    def fabric(self, spool_dir) -> None:
-        """Shard the jobs through the spool at ``spool_dir``.  Traced
-        runs stamp each job's span context into the spool, and write
-        this side's shard (with per-worker clock-offset estimates) into
-        the spool's ``metrics/`` directory for ``repro trace-merge``."""
-        from .fabric.broker import Broker
-
-        tel = self.tel
-        self.stats.workers = 0
-        keys = [job_key(job) for job in self.jobs]
-        traces = None
-        if tel.recorder is not None:
-            traces = {key: self._job_context(index, fabric=str(spool_dir))
-                      for index, key in enumerate(keys)}
-        with Broker(spool_dir, retries=self.retries) as broker:
-            with tel.span("fabric.submit"):
-                outcome = broker.submit_jobs(
-                    [(key, job.kind, job.payload)
-                     for key, job in zip(keys, self.jobs)],
-                    registry=tel.registry, traces=traces)
-            with tel.span("fabric.wait", {"jobs": len(keys)}):
-                broker.wait(registry=tel.registry)
-            with tel.span("fabric.merge"):
-                rows = broker.collect(keys)
-            clock_offsets = dict(broker.clock_offsets)
-            metrics_dir = broker.spool.metrics_dir
-        self.stats.reused = outcome["done"]
-        for index, key in enumerate(keys):
-            row = rows[key]
-            # The spool's lease-to-result interval stands in for the
-            # worker-side wall time (results must stay byte-identical,
-            # so the time cannot ride in the result text).
-            self.end(index, JobResult(
-                "ok", result=json.loads(row.result),
-                wall_s=max(0.0, row.finished - row.leased_at)), [])
-        tel.count("fabric.collected", len(keys))
-        if tel.recorder is not None:
-            tel.recorder.write_shard(metrics_dir,
-                                     clock_offsets=clock_offsets)
-
 
 def run_jobs(jobs: Sequence[Job],
              on_result: Callable[[int, JobResult], None],
-             workers: int = 1, fabric: Optional[str] = None,
+             workers: int = 1,
              timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
              retries: int = DEFAULT_RETRIES,
              worker: Optional[Callable[..., JobResult]] = None
@@ -472,23 +399,14 @@ def run_jobs(jobs: Sequence[Job],
     """Run ``jobs``, calling ``on_result(index, result)`` for each in
     submission order as soon as it and every earlier job succeeded.
 
-    The backend: the fabric when ``fabric`` (else ``REPRO_FABRIC``)
-    names a spool; serial with one worker, one job, or a job that
-    cannot be shipped — there a job's own exception propagates;
-    otherwise a pool of ``workers`` processes running ``worker``
-    (default :func:`run_job`; tests inject faulty ones).
+    The backend: serial with one worker, one job, or a job that cannot
+    be shipped — there a job's own exception propagates; otherwise a
+    pool of ``workers`` processes running ``worker`` (default
+    :func:`run_job`; tests inject faulty ones).
     """
-    if fabric is None:
-        fabric = os.environ.get("REPRO_FABRIC") or None
-    shippable = all(job.local is None for job in jobs)
-    if fabric and not shippable:
-        logger.warning(
-            "jobs cannot be shipped through the fabric (anonymous defense "
-            "factory or bespoke core); running locally")
     run = _Run(list(jobs), on_result, timeout_s, retries)
-    if fabric and shippable:
-        run.fabric(fabric)
-    elif workers <= 1 or len(jobs) <= 1 or not shippable:
+    if workers <= 1 or len(jobs) <= 1 \
+            or any(job.local is not None for job in jobs):
         run.serial()
     else:
         run.pool(workers, worker or run_job)

@@ -14,7 +14,6 @@ The paper's Docker artifact ships ``table-v.py``, ``table-ii.py``, etc.
     python -m repro bench [--quick] [--only NAME ...] [--report FILE]
     python -m repro fuzz  [--defense D] [--contract C] [--programs N]
                           [--mitigation M] [--report-dir DIR]
-    python -m repro work  --spool DIR [--lease S] [--max-jobs N]
     python -m repro explain WITNESS.json [--minimize]
     python -m repro diff  [--programs N] [--defense D ...] [--core P E]
                           [--workload NAME ...]
@@ -26,8 +25,6 @@ The paper's Docker artifact ships ``table-v.py``, ``table-ii.py``, etc.
     python -m repro profile WORKLOAD [--top N] [--collapsed FILE]
     python -m repro history [--metric M ...] [--limit N]
     python -m repro compare OLD NEW [--threshold PCT]
-    python -m repro trace-merge DIR [--out FILE]
-    python -m repro top --spool DIR [--interval S] [--once]
 
 Every simulation-heavy subcommand takes ``--jobs N`` to fan its run
 matrix out over worker processes (default: ``REPRO_JOBS`` env, then
@@ -38,20 +35,11 @@ violations, so CI can gate on the security result; with
 ``--report-dir`` it also emits leak witnesses, a JSONL event log, and a
 Markdown forensics report that ``repro explain`` can dig into.
 
-``repro bench --fabric DIR`` / ``repro fuzz --fabric DIR`` shard the
-run matrix through the campaign fabric: a broker spools jobs into DIR
-and workers started with ``repro work --spool DIR`` (any host sharing
-the filesystem) lease and execute them; the merged result is
-byte-identical to a local run.
-
 ``repro bench --trace-out FILE`` / ``repro fuzz --trace-out FILE``
 record the whole invocation as a span tree and write one merged
-Chrome-trace JSON (Perfetto-loadable).  With ``--fabric`` the trace
-context rides in the spool, workers record their own span shards into
-the spool's ``metrics/`` directory, and the merged timeline covers
-every process — ``repro trace-merge DIR`` re-merges a spool's shards
-after the fact, and ``repro top --spool DIR`` is a live terminal
-monitor for a draining spool.
+Chrome-trace JSON (Perfetto-loadable).  Pool workers record their own
+spans under the trace context shipped with each job and return them
+with the result, so the merged timeline covers every process.
 
 ``repro bench`` and ``repro fuzz`` attach a metrics registry and append
 one record per invocation (git SHA, host fingerprint, metrics snapshot,
@@ -177,14 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the metrics snapshot as JSON "
                             "(FILE.prom gets the Prometheus rendition)")
-    bench.add_argument("--fabric", default=None, metavar="DIR",
-                       help="shard the run matrix through the campaign "
-                            "fabric spool at DIR (start workers with "
-                            "`repro work --spool DIR`)")
     bench.add_argument("--trace-out", default=None, metavar="FILE",
                        help="record the invocation as a span tree and "
-                            "write one merged Chrome trace (with "
-                            "--fabric, includes worker spans)")
+                            "write one merged Chrome trace (includes "
+                            "pool workers' spans)")
     _add_jobs(bench)
 
     fuzz = sub.add_parser(
@@ -217,34 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "delta-debugging minimization")
     fuzz.add_argument("--no-ledger", action="store_true",
                       help="skip appending a run-ledger record")
-    fuzz.add_argument("--fabric", default=None, metavar="DIR",
-                      help="shard per-program units through the campaign "
-                           "fabric spool at DIR")
     fuzz.add_argument("--trace-out", default=None, metavar="FILE",
                       help="record the campaign as a span tree and "
-                           "write one merged Chrome trace (with "
-                           "--fabric, includes worker spans)")
+                           "write one merged Chrome trace (includes "
+                           "pool workers' spans)")
     _add_jobs(fuzz)
-
-    work = sub.add_parser(
-        "work", help="run a campaign-fabric worker against a spool")
-    work.add_argument("--spool", required=True, metavar="DIR",
-                      help="spool directory shared with the broker")
-    work.add_argument("--lease", type=float, default=30.0, metavar="S",
-                      help="lease duration in seconds (default: 30)")
-    work.add_argument("--poll", type=float, default=0.5, metavar="S",
-                      help="idle poll interval (default: 0.5)")
-    work.add_argument("--idle-timeout", type=float, default=None,
-                      metavar="S",
-                      help="exit after S seconds with nothing claimable "
-                           "(default: run until signalled)")
-    work.add_argument("--max-jobs", type=int, default=None, metavar="N",
-                      help="exit after claiming N jobs")
-    work.add_argument("--timeout", type=float, default=None, metavar="S",
-                      help="per-job wall-clock limit "
-                           "(default: executor default)")
-    work.add_argument("--name", default=None,
-                      help="worker identity (default: host-pid)")
 
     ex = sub.add_parser(
         "explain", help="replay a leak witness and name the transmitter")
@@ -325,23 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ledger path (default: "
                            "benchmarks/results/ledger.db)")
     hist.add_argument("--json", action="store_true")
-
-    tm = sub.add_parser(
-        "trace-merge", help="merge a spool's span shards into one "
-                            "Chrome trace")
-    tm.add_argument("directory", metavar="DIR",
-                    help="spool directory (or its metrics/ subdir)")
-    tm.add_argument("--out", default="campaign-trace.json", metavar="FILE",
-                    help="output path (default: campaign-trace.json)")
-
-    top = sub.add_parser(
-        "top", help="live terminal monitor for a campaign-fabric spool")
-    top.add_argument("--spool", required=True, metavar="DIR",
-                     help="spool directory shared with broker and workers")
-    top.add_argument("--interval", type=float, default=2.0, metavar="S",
-                     help="refresh interval in seconds (default: 2)")
-    top.add_argument("--once", action="store_true",
-                     help="print one snapshot and exit (scripts, CI logs)")
 
     cmp_ = sub.add_parser(
         "compare", help="diff two ledger records; exits nonzero on a "
@@ -427,8 +371,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_bench_suite(args)
     elif args.command == "fuzz":
         return _run_fuzz(args)
-    elif args.command == "work":
-        return _run_work(args)
     elif args.command == "explain":
         return _run_explain(args)
     elif args.command == "diff":
@@ -445,10 +387,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_profile(args)
     elif args.command == "history":
         return _run_history(args)
-    elif args.command == "trace-merge":
-        return _run_trace_merge(args)
-    elif args.command == "top":
-        return _run_top(args)
     elif args.command == "compare":
         return _run_compare(args)
     elif args.command == "workloads":
@@ -494,10 +432,6 @@ def _run_bench_suite(args) -> int:
         # Via the environment so pool workers, and every simulate() call
         # in this process, inherit the choice.
         os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "fabric", None):
-        # Same pattern: run_batch picks REPRO_FABRIC up wherever the
-        # builders call it.
-        os.environ["REPRO_FABRIC"] = args.fabric
     targets = tuple(args.only) if args.only else BENCH_TARGETS
     tables = []
 
@@ -555,8 +489,7 @@ def _run_bench_suite(args) -> int:
                     print()
     finally:
         if recorder is not None:
-            _finish_cli_trace(recorder, root_span, args.trace_out,
-                              fabric=getattr(args, "fabric", None))
+            _finish_cli_trace(recorder, root_span, args.trace_out)
     elapsed = time.monotonic() - started
 
     counters = registry.snapshot()["counters"]
@@ -603,26 +536,14 @@ def _start_cli_trace(trace_out, name: str, attrs):
     return recorder, recorder.start(name, attrs=attrs, push=True)
 
 
-def _finish_cli_trace(recorder, root_span, trace_out,
-                      fabric=None) -> None:
+def _finish_cli_trace(recorder, root_span, trace_out) -> None:
     """Finish the invocation's root span and write the merged Chrome
-    trace, folding in the spool's broker/worker shards when the run
-    went through the fabric.  The merger dedups by span id, so spans
-    that exist both in this recorder and in a shard count once."""
-    from .metrics.spans import (
-        load_shards,
-        set_recorder,
-        write_merged_trace,
-    )
+    trace (pool workers' spans were adopted as their jobs finished)."""
+    from .metrics.spans import set_recorder, write_merged_trace
 
     recorder.finish(root_span)
     set_recorder(None)
-    spans = list(recorder.spans)
-    offsets = {}
-    if fabric:
-        shard_spans, offsets = load_shards(fabric)
-        spans.extend(shard_spans)
-    path = write_merged_trace(trace_out, spans, clock_offsets=offsets)
+    path = write_merged_trace(trace_out, recorder.spans)
     print(f"campaign trace written to {path} "
           f"(load in Perfetto / chrome://tracing)")
 
@@ -716,16 +637,14 @@ def _run_fuzz(args) -> int:
     try:
         with attached(registry):
             result = run_campaign(config, jobs=args.jobs,
-                                  on_program=on_program,
-                                  fabric=args.fabric)
+                                  on_program=on_program)
         if reporter is not None:
             reporter.campaign_end(result)
     finally:
         if reporter is not None:
             reporter.close()
         if recorder is not None:
-            _finish_cli_trace(recorder, root_span, args.trace_out,
-                              fabric=args.fabric)
+            _finish_cli_trace(recorder, root_span, args.trace_out)
     _append_ledger(
         command=f"fuzz {args.defense} {args.contract}",
         config={"defense": args.defense, "contract": args.contract,
@@ -773,23 +692,6 @@ def _run_fuzz(args) -> int:
                   f"security but recorded {result.violations} violations",
                   file=sys.stderr)
             return 1
-    return 0
-
-
-def _run_work(args) -> int:
-    """``repro work``: one campaign-fabric worker loop.
-
-    Runs with a metrics registry attached so per-worker counters land
-    in the spool's ``metrics/<worker>.prom`` textfile after every job."""
-    from .bench.fabric import run_worker
-    from .metrics import MetricsRegistry, attached
-
-    with attached(MetricsRegistry()):
-        stats = run_worker(
-            args.spool, lease_s=args.lease, poll_s=args.poll,
-            idle_timeout_s=args.idle_timeout, max_jobs=args.max_jobs,
-            job_timeout_s=args.timeout, name=args.name)
-    print(stats.line())
     return 0
 
 
@@ -1166,37 +1068,6 @@ def _run_history(args) -> int:
         return 0
     print(render_history(records, metrics=args.metric))
     return 0
-
-
-def _run_trace_merge(args) -> int:
-    """``repro trace-merge``: merge a spool's span shards into one
-    Chrome trace, after the fact (the broker does the same at the end
-    of a ``--trace-out`` run).  Exit status: 0 on success, 1 when the
-    directory holds no shards."""
-    from .metrics.spans import load_shards, write_merged_trace
-
-    spans, offsets = load_shards(args.directory)
-    if not spans:
-        print(f"no span shards (spans-*.jsonl) under {args.directory} — "
-              f"run the campaign with --trace-out to record them",
-              file=sys.stderr)
-        return 1
-    path = write_merged_trace(args.out, spans, clock_offsets=offsets)
-    processes = {span.process for span in spans}
-    print(f"merged {len(spans)} spans from {len(processes)} "
-          f"process(es) into {path} "
-          f"(load in Perfetto / chrome://tracing)")
-    return 0
-
-
-def _run_top(args) -> int:
-    """``repro top``: the live spool monitor."""
-    from .bench.fabric import run_top
-
-    if not os.path.isdir(args.spool):
-        print(f"no spool at {args.spool}", file=sys.stderr)
-        return 2
-    return run_top(args.spool, interval_s=args.interval, once=args.once)
 
 
 def _run_compare(args) -> int:

@@ -7,14 +7,13 @@ distinguishability under one or more adversary models.
 
 Programs are independent test units: each is one ``fuzz-program`` job
 of the bench job runner (:mod:`repro.bench.jobs`), so a campaign runs
-serially, over a process pool (``jobs=N``) or through the campaign
-fabric, with the runner's per-job timeout and retries.  Every program's
-RNG streams are derived from a per-program seed drawn from the master
-RNG *before* fan-out, and per-program tallies are merged back in
-program order, so the result is bit-identical for any job count and
-backend.  That invariant extends to forensics: witnesses are captured
-inside the per-program unit as plain serializable dicts and merged in
-the same order.
+serially or over a process pool (``jobs=N``), with the runner's per-job
+timeout and retries.  Every program's RNG streams are derived from a
+per-program seed drawn from the master RNG *before* fan-out, and
+per-program tallies are merged back in program order, so the result is
+bit-identical for any job count.  That invariant extends to forensics:
+witnesses are captured inside the per-program unit as plain
+serializable dicts and merged in the same order.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from ..contracts.checker import (
     check_contract_pair,
 )
 from ..protcc import compile_program, mitigate_program
-from ..uarch.config import CoreConfig, P_CORE
+from ..uarch.config import E_CORE, CoreConfig, P_CORE
 from .generator import generate_program
 from .inputs import generate_input, mutate_input
 
@@ -105,8 +104,8 @@ class CampaignResult:
 
     def to_dict(self) -> Dict:
         """Job result wire format.  ``wall_time`` is telemetry, not
-        result identity, so it is excluded — two workers racing the same
-        program seed must produce byte-identical payloads."""
+        result identity, so it is excluded: the same program seed must
+        produce byte-identical payloads in whichever process ran it."""
         payload = dataclasses.asdict(self)
         del payload["wall_time"]
         payload["violation_sites"] = [list(site)
@@ -213,27 +212,19 @@ def _run_program(config: CampaignConfig, program_seed: int) -> Dict:
 
 #: Core configurations a job payload can name (payloads are JSON; a
 #: bespoke ``CoreConfig`` keeps the cell in this process).
-_CORES_BY_NAME = {P_CORE.name: P_CORE}
-
-
-def _register_fabric_cores() -> Dict[str, CoreConfig]:
-    from ..uarch.config import E_CORE
-
-    _CORES_BY_NAME.setdefault(E_CORE.name, E_CORE)
-    return _CORES_BY_NAME
+_CORES_BY_NAME = {core.name: core for core in (P_CORE, E_CORE)}
 
 
 def campaign_job_payload(config: CampaignConfig,
                          program_seed: int) -> Optional[Dict]:
-    """The JSON wire format of one per-program job (what the pool and
-    the fabric ship), or None when the cell cannot be shipped as JSON
-    (anonymous defense factory, bespoke core config) and must stay in
-    this process."""
+    """The JSON wire format of one per-program job (what the pool
+    ships), or None when the cell cannot be shipped as JSON (anonymous
+    defense factory, bespoke core config) and must stay in this
+    process."""
     name = _defense_name(config)
     if name is None:
         return None
-    cores = _register_fabric_cores()
-    core = cores.get(config.core.name)
+    core = _CORES_BY_NAME.get(config.core.name)
     if core is None or core != config.core:
         return None
     return {
@@ -254,8 +245,7 @@ def campaign_job_payload(config: CampaignConfig,
 def run_campaign_job(payload: Dict) -> Dict:
     """Run one per-program job from its wire payload: rebuild the cell
     and run exactly the per-program function, so tallies merge
-    bit-identical whichever process or host ran them."""
-    cores = _register_fabric_cores()
+    bit-identical whichever process ran them."""
     config = CampaignConfig(
         defense_factory=None,
         defense_name=payload["defense"],
@@ -265,7 +255,7 @@ def run_campaign_job(payload: Dict) -> Dict:
         n_programs=1,
         pairs_per_program=payload["pairs_per_program"],
         program_size=payload["program_size"],
-        core=cores[payload["core"]],
+        core=_CORES_BY_NAME[payload["core"]],
         adversaries=tuple(AdversaryModel(value)
                           for value in payload["adversaries"]),
         collect_witnesses=payload["collect_witnesses"],
@@ -277,17 +267,14 @@ def run_campaign(
     config: CampaignConfig,
     jobs: Optional[int] = None,
     on_program: Optional[Callable[[int, CampaignResult], None]] = None,
-    fabric: Optional[str] = None,
 ) -> CampaignResult:
     """Run one fuzzing cell to completion.
 
     Each program is one ``fuzz-program`` job of the bench job runner:
-    with ``jobs > 1`` they fan out over a process pool, and with
-    ``fabric`` (or ``REPRO_FABRIC``) naming a spool directory they ship
-    through the campaign fabric.  Either way each program gets the
-    per-job timeout and retries, and the merge is bit-identical to a
-    serial run.  Cells that cannot ship as JSON (an anonymous defense
-    factory, a bespoke core) run serially.
+    with ``jobs > 1`` they fan out over a process pool.  Serial or
+    pooled, each program gets the per-job timeout and retries, and the
+    merge is bit-identical to a serial run.  Cells that cannot ship as
+    JSON (an anonymous defense factory, a bespoke core) run serially.
 
     ``on_program(program_seed, partial_result)`` is invoked in the
     parent process, in program order, as each per-program result is
@@ -328,7 +315,7 @@ def run_campaign(
             on_program(seeds[index], partial)
 
     try:
-        run_jobs(units, merge, workers=jobs, fabric=fabric)
+        run_jobs(units, merge, workers=jobs)
     finally:
         tel.finish(campaign_span, tests=result.tests,
                    violations=result.violations)

@@ -3,10 +3,10 @@
 * :mod:`.registry` — counters/gauges/timers with JSON + Prometheus
   export, attached per process with :func:`set_registry` (detached
   code pays one ``is not None`` check, the ``PipelineTracer`` pattern).
-* :mod:`.spans` — distributed campaign tracing: spans with
-  cross-process trace-context propagation, per-process shard files,
-  and a deterministic Chrome-trace merger (attached per process with
-  :func:`set_recorder`, same zero-overhead contract).
+* :mod:`.spans` — campaign tracing: spans with cross-process
+  trace-context propagation to pool workers and a deterministic
+  Chrome-trace merger (attached per process with :func:`set_recorder`,
+  same zero-overhead contract).
 * :mod:`.profiler` — host-side cProfile wrapper aggregating hotspots
   by simulator subsystem, with collapsed-stack flamegraph output.
 * :mod:`.ledger` — the persistent SQLite run ledger behind
@@ -30,7 +30,6 @@ from .spans import (
     Span,
     SpanRecorder,
     get_recorder,
-    load_shards,
     merged_trace,
     nesting_violations,
     recording,
@@ -71,8 +70,8 @@ __all__ = [
     "MetricsRegistry", "Timer",
     "attached", "flatten_snapshot", "get_registry", "set_registry",
     "TRACE_SCHEMA", "Span", "SpanRecorder", "get_recorder",
-    "load_shards", "merged_trace", "nesting_violations", "recording",
-    "set_recorder", "write_merged_trace",
+    "merged_trace", "nesting_violations", "recording", "set_recorder",
+    "write_merged_trace",
     "HOST_SUBSYSTEM", "ProfileEntry", "ProfileReport", "SUBSYSTEM_RULES",
     "classify_module", "profile_spec", "report_from_stats",
     "LEDGER_SCHEMA", "Comparison", "Delta", "LedgerError", "LedgerRecord",

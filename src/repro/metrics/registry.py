@@ -69,22 +69,6 @@ METRIC_HELP: Dict[str, str] = {
     "cache.memory_hits": "specs served from the in-process cache",
     "cache.disk_hits": "specs served from benchmarks/.cache/",
     "cache.misses": "specs that had to simulate",
-    "fabric.submitted": "jobs newly inserted into a spool",
-    "fabric.reused": "submitted jobs already done in the spool",
-    "fabric.collected": "job results merged back by a broker",
-    "fabric.lease_expiries": "leases reaped after a missed heartbeat",
-    "fabric.backoffs": "spool transactions retried on lock contention",
-    "fabric.heartbeat_errors":
-        "heartbeat-thread failures (lease at risk of expiring)",
-    "fabric.worker_claims": "jobs leased by this worker",
-    "fabric.worker_completed": "jobs this worker completed",
-    "fabric.worker_releases": "jobs this worker released after errors",
-    "fabric.job_seconds": "worker-side wall time per fabric job",
-    "fabric.pending": "jobs waiting for a worker",
-    "fabric.leased": "jobs currently leased",
-    "fabric.done": "jobs finished in the spool",
-    "fabric.failed": "jobs that exhausted their attempt budget",
-    "fabric.workers_active": "workers with a fresh spool heartbeat",
     "fuzz.campaigns": "fuzzing campaign cells run",
     "fuzz.programs": "generated programs fuzzed",
     "fuzz.checks": "contract-pair checks executed",

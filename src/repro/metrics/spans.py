@@ -1,38 +1,30 @@
-"""Distributed campaign tracing: spans, propagation, and the merger.
+"""Campaign tracing: spans, propagation, and the merger.
 
-A campaign is a tree of work that crosses process — and potentially
-machine — boundaries: ``run_batch`` fans specs over a local pool or
-the campaign fabric, fuzzing campaigns shard per-program cells, and
-fabric workers lease jobs from a spool on any host that shares the
-filesystem.  This module gives every piece of that tree one timeline:
+A campaign is a tree of work that crosses process boundaries:
+``run_batch`` fans specs over a process pool, and fuzzing campaigns fan
+out per-program cells.  This module gives every piece of that tree one
+timeline:
 
 * a **span** is a named interval (``trace_id``/``span_id``/
   ``parent_id``, attrs, start/end) whose timestamps come from a
   per-process monotonic clock anchored to the wall clock once at
   recorder creation — monotone within a process, comparable across
-  processes up to clock offset;
+  the processes of one host;
 * a **trace context** (``{"trace_id", "span_id"}``) is the wire format
-  shipped across process boundaries — with each pool job the runner
-  submits and in the fabric spool's job rows — so remote children parent under
-  the submitting side's span;
-* **shards** are per-process JSONL files (``spans-<process>.jsonl``)
-  dropped into the spool's ``metrics/`` directory, one line per
-  finished span plus per-worker clock-offset estimates;
-* the **merger** (:func:`merged_trace`) assembles shards into one
-  Chrome-trace/Perfetto JSON, shifting each worker's spans by its
-  estimated clock offset and then clamping children into their parents
-  in integer microseconds, so the nesting invariant holds exactly even
-  across unsynchronized clocks.
+  shipped with each pool job the runner submits, so a worker's spans
+  parent under the submitting side's span; they come back in the job's
+  result and are adopted into the submitting side's recorder;
+* the **merger** (:func:`merged_trace`) assembles the spans into one
+  Chrome-trace/Perfetto JSON, clamping children into their parents in
+  integer microseconds, so the nesting invariant holds exactly even
+  when two processes' wall-clock anchors disagree slightly.
 
 Attachment follows the metrics-registry contract exactly: nothing is
 recorded unless a recorder is attached via :func:`set_recorder` /
 :func:`recording`, and detached code paths pay at most one
 ``is not None`` check per batch/spec/run — ``Core.step`` contains no
 span code at all (asserted by test).  The recorder is deliberately not
-thread-safe (the reproduction parallelizes with processes); the one
-in-process thread we own — the fabric worker's heartbeat — records
-into its *own* recorder against an explicit parent context and is
-merged in afterwards.
+thread-safe: the reproduction parallelizes with processes.
 """
 
 from __future__ import annotations
@@ -45,11 +37,11 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-#: Bumped whenever the shard or merged-trace layout changes; the golden
-#: schema test pins the merged shape.
-TRACE_SCHEMA = 1
+#: Bumped whenever the merged-trace layout changes; the golden schema
+#: test pins it.
+TRACE_SCHEMA = 2
 
 #: Sentinel: "parent defaults to the innermost open span".
 _CURRENT = object()
@@ -118,9 +110,8 @@ class SpanRecorder:
 
     Timestamps are ``anchor_wall + (monotonic - anchor_mono)``: the
     wall clock is read exactly once (at construction), so spans never
-    jump backwards under NTP slew, yet remain comparable across
-    processes up to clock offset — which the fabric estimates and the
-    merger corrects.
+    jump backwards under NTP slew, yet remain comparable across the
+    processes of one host.
     """
 
     def __init__(self, process: Optional[str] = None) -> None:
@@ -130,7 +121,6 @@ class SpanRecorder:
         self._stack: List[Span] = []
         self._anchor_wall = time.time()
         self._anchor_mono = time.monotonic()
-        self._written = 0  # shard append high-water mark
 
     def now(self) -> float:
         """Monotonic seconds anchored to this process's wall clock."""
@@ -187,7 +177,7 @@ class SpanRecorder:
     def add(self, name: str, start_s: float, end_s: float,
             attrs: Optional[Dict] = None, parent=_CURRENT) -> Span:
         """Record an already-completed span with explicit timestamps
-        (queue waits, lease round-trips: measured around a call)."""
+        (queue waits, cache lookups: measured around a call)."""
         trace_id, parent_id = self._resolve_parent(parent)
         span = Span(name=name, trace_id=trace_id, span_id=new_id(),
                     parent_id=parent_id, start_s=start_s,
@@ -219,44 +209,6 @@ class SpanRecorder:
             self.spans.append(Span.from_dict(payload))
             adopted += 1
         return adopted
-
-    # -- shard files ---------------------------------------------------
-
-    def shard_path(self, directory) -> pathlib.Path:
-        safe = "".join(ch if ch.isalnum() or ch in "-_." else "_"
-                       for ch in self.process)
-        return pathlib.Path(directory) / f"spans-{safe}.jsonl"
-
-    def write_shard(self, directory,
-                    clock_offsets: Optional[Dict[str, float]] = None
-                    ) -> Optional[pathlib.Path]:
-        """Append spans finished since the last write (plus any clock
-        estimates) to this process's shard.  Best effort: a read-only
-        metrics directory must never fail the work being traced."""
-        path = self.shard_path(directory)
-        lines: List[str] = []
-        if not path.exists():
-            lines.append(json.dumps(
-                {"kind": "meta", "schema": TRACE_SCHEMA,
-                 "process": self.process}, sort_keys=True))
-        for span in self.spans[self._written:]:
-            lines.append(json.dumps({"kind": "span", **span.to_dict()},
-                                    sort_keys=True))
-        for worker, offset in sorted((clock_offsets or {}).items()):
-            lines.append(json.dumps(
-                {"kind": "clock", "process": worker,
-                 "offset_s": offset, "source": "heartbeat-rtt"},
-                sort_keys=True))
-        if not lines:
-            return None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with path.open("a") as stream:
-                stream.write("\n".join(lines) + "\n")
-        except OSError:
-            return None
-        self._written = len(self.spans)
-        return path
 
 
 # ----------------------------------------------------------------------
@@ -291,41 +243,8 @@ def recording(recorder: SpanRecorder):
 
 
 # ----------------------------------------------------------------------
-# Shard loading and the deterministic merger
+# The deterministic merger
 # ----------------------------------------------------------------------
-
-def load_shards(directory) -> Tuple[List[Span], Dict[str, float]]:
-    """Read every ``spans-*.jsonl`` shard under ``directory``.
-
-    Accepts either a shard directory or a spool root (in which case
-    the spool's ``metrics/`` subdirectory is read).  Returns the spans
-    and the per-process clock-offset estimates (last writer wins —
-    later estimates come from more round-trip samples).  Malformed
-    lines are skipped: a shard truncated by a dying worker must not
-    sink the whole merge.
-    """
-    base = pathlib.Path(directory)
-    if not list(base.glob("spans-*.jsonl")) and (base / "metrics").is_dir():
-        base = base / "metrics"
-    spans: List[Span] = []
-    offsets: Dict[str, float] = {}
-    for path in sorted(base.glob("spans-*.jsonl")):
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                kind = payload.get("kind")
-                if kind == "span":
-                    spans.append(Span.from_dict(payload))
-                elif kind == "clock":
-                    offsets[str(payload["process"])] = \
-                        float(payload["offset_s"])
-            except (ValueError, KeyError, TypeError):
-                continue
-    return spans, offsets
-
 
 def _assign_lanes(roots: List[Tuple[int, int, str]]) -> Dict[str, int]:
     """Interval-partition one process's root spans onto display lanes
@@ -347,21 +266,17 @@ def _assign_lanes(roots: List[Tuple[int, int, str]]) -> Dict[str, int]:
 
 
 def merged_trace(spans: Iterable[Span],
-                 clock_offsets: Optional[Dict[str, float]] = None,
                  label: str = "campaign") -> Dict:
-    """Assemble spans (usually from :func:`load_shards`) into one
-    Chrome-trace JSON dict.
+    """Assemble spans (one recorder's, with its adopted worker spans)
+    into one Chrome-trace JSON dict.
 
-    Deterministic: the same spans and offsets always produce the same
-    dict (and, via ``json.dumps(..., sort_keys=True)``, the same
-    bytes).  Worker clocks are corrected in two steps: first each
-    span's timestamps are shifted by its process's estimated offset
-    (recorded as a ``clock_offset_s`` attr), then every child interval
-    is clamped into its parent's in integer microseconds — so the
-    nesting invariant (child within parent) holds *exactly* even when
-    the offset estimate is off by the residual round-trip delay.
+    Deterministic: the same spans always produce the same dict (and,
+    via ``json.dumps(..., sort_keys=True)``, the same bytes); a span
+    id seen twice counts once.  Every child interval is clamped into
+    its parent's in integer microseconds, so the nesting invariant
+    (child within parent) holds *exactly* even when a worker process's
+    wall-clock anchor disagrees slightly with its parent's.
     """
-    clock_offsets = dict(clock_offsets or {})
     spans = sorted(spans, key=lambda s: (s.start_s, s.span_id))
     if not spans:
         return {
@@ -369,18 +284,17 @@ def merged_trace(spans: Iterable[Span],
             "displayTimeUnit": "ms",
             "metadata": {"tool": "repro.metrics.spans",
                          "schema": TRACE_SCHEMA, "epoch_s": 0.0,
-                         "processes": {}, "clock_offsets": clock_offsets},
+                         "processes": {}},
         }
 
-    # 1. Clock correction + integer microsecond intervals.
+    # 1. Integer microsecond intervals.
     corrected: Dict[str, Dict] = {}
     for span in spans:
-        offset = clock_offsets.get(span.process, 0.0)
-        start = span.start_s - offset
-        end = (span.end_s - offset) if span.end_s is not None else start
+        start = span.start_s
+        end = span.end_s if span.end_s is not None else start
         corrected[span.span_id] = {
             "span": span, "start": start, "end": max(start, end),
-            "offset": offset, "unfinished": span.end_s is None,
+            "unfinished": span.end_s is None,
         }
     epoch = min(entry["start"] for entry in corrected.values())
     for entry in corrected.values():
@@ -388,8 +302,7 @@ def merged_trace(spans: Iterable[Span],
         entry["te"] = int(round((entry["end"] - epoch) * 1e6))
 
     # 2. Clamp children into parents, parents first (spans whose parent
-    #    is not in the set are roots — the submitting side's shard may
-    #    not have been collected; they keep their own interval).
+    #    is not in the set are roots and keep their own interval).
     def clamp(entry, seen) -> None:
         span = entry["span"]
         if entry.get("clamped") is not None or span.span_id in seen:
@@ -452,8 +365,6 @@ def merged_trace(spans: Iterable[Span],
         args = {"trace_id": span.trace_id, "span_id": span.span_id,
                 "parent_id": span.parent_id, "process": span.process,
                 **span.attrs}
-        if entry["offset"]:
-            args["clock_offset_s"] = entry["offset"]
         if entry["clamped"]:
             args["clamped"] = True
         if entry["unfinished"]:
@@ -479,18 +390,15 @@ def merged_trace(spans: Iterable[Span],
             "schema": TRACE_SCHEMA,
             "epoch_s": epoch,
             "processes": {str(pid_of[p]): p for p in processes},
-            "clock_offsets": clock_offsets,
         },
     }
 
 
 def write_merged_trace(path, spans: Iterable[Span],
-                       clock_offsets: Optional[Dict[str, float]] = None,
                        label: str = "campaign") -> pathlib.Path:
     """Write one merged Chrome trace (Perfetto-loadable JSON)."""
     path = pathlib.Path(path)
-    path.write_text(json.dumps(merged_trace(spans, clock_offsets,
-                                            label=label),
+    path.write_text(json.dumps(merged_trace(spans, label=label),
                                sort_keys=True))
     return path
 
@@ -518,7 +426,7 @@ def nesting_violations(trace: Dict) -> List[str]:
 
 
 def span_attrs_for_spec(spec) -> Dict:
-    """The standard attrs a spec-shaped span carries (shared by the
-    executor, the fabric, and the CLI so traces join cleanly)."""
+    """The standard attrs a spec-shaped span carries (the executor's
+    ``spec`` and ``sim`` spans share them so traces join cleanly)."""
     return {"workload": spec.workload, "defense": spec.defense,
             "instrument": spec.instrument, "core": spec.core}

@@ -95,7 +95,7 @@ def test_fuzz_exits_nonzero_for_protected_defense_violations(
     import repro.fuzzing
 
     monkeypatch.setattr(repro.fuzzing, "run_campaign",
-                        lambda config, jobs=None, on_program=None, fabric=None:
+                        lambda config, jobs=None, on_program=None:
                         _fake_campaign(violations=2))
     code = main(["fuzz", "--defense", "track", "--programs", "1",
                  "--pairs", "1"])
@@ -108,7 +108,7 @@ def test_fuzz_unsafe_violations_exit_zero(capsys, monkeypatch):
     import repro.fuzzing
 
     monkeypatch.setattr(repro.fuzzing, "run_campaign",
-                        lambda config, jobs=None, on_program=None, fabric=None:
+                        lambda config, jobs=None, on_program=None:
                         _fake_campaign(violations=2))
     assert main(["fuzz", "--defense", "unsafe", "--programs", "1",
                  "--pairs", "1"]) == 0
@@ -118,7 +118,7 @@ def test_fuzz_clean_protected_defense_exits_zero(capsys, monkeypatch):
     import repro.fuzzing
 
     monkeypatch.setattr(repro.fuzzing, "run_campaign",
-                        lambda config, jobs=None, on_program=None, fabric=None:
+                        lambda config, jobs=None, on_program=None:
                         _fake_campaign(violations=0))
     assert main(["fuzz", "--defense", "track", "--programs", "1",
                  "--pairs", "1"]) == 0
@@ -131,7 +131,7 @@ def test_fuzz_secure_mitigation_violations_exit_nonzero(
     import repro.fuzzing
 
     monkeypatch.setattr(repro.fuzzing, "run_campaign",
-                        lambda config, jobs=None, on_program=None, fabric=None:
+                        lambda config, jobs=None, on_program=None:
                         _fake_campaign(violations=2))
     code = main(["fuzz", "--defense", "unsafe", "--mitigation", "fence",
                  "--programs", "1", "--pairs", "1"])
@@ -146,7 +146,7 @@ def test_fuzz_mask_mitigation_violations_exit_zero(capsys, monkeypatch):
     import repro.fuzzing
 
     monkeypatch.setattr(repro.fuzzing, "run_campaign",
-                        lambda config, jobs=None, on_program=None, fabric=None:
+                        lambda config, jobs=None, on_program=None:
                         _fake_campaign(violations=2))
     assert main(["fuzz", "--defense", "unsafe", "--mitigation", "mask",
                  "--programs", "1", "--pairs", "1"]) == 0
@@ -278,7 +278,7 @@ def test_diff_report_and_timing(capsys, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Tracing surface: --trace-out, trace-merge, top
+# Tracing surface: --trace-out
 # ----------------------------------------------------------------------
 
 def test_bench_trace_out_writes_merged_trace(tmp_path, capsys):
@@ -305,56 +305,3 @@ def test_fuzz_trace_out_writes_merged_trace(tmp_path, capsys):
     names = {event["name"] for event in trace["traceEvents"]
              if event.get("ph") == "X"}
     assert {"fuzz.cli", "fuzz.campaign", "fuzz.program"} <= names
-
-
-def test_trace_merge_without_shards_exits_1(tmp_path, capsys):
-    assert main(["trace-merge", str(tmp_path),
-                 "--out", str(tmp_path / "t.json")]) == 1
-    assert "no span shards" in capsys.readouterr().err
-
-
-def test_trace_merge_rebuilds_trace_from_shards(tmp_path, capsys):
-    import json
-
-    from repro.metrics.spans import SpanRecorder
-
-    recorder = SpanRecorder(process="w1")
-    with recorder.span("fabric.job"):
-        pass
-    assert recorder.write_shard(tmp_path) is not None
-    out_file = tmp_path / "merged.json"
-    assert main(["trace-merge", str(tmp_path),
-                 "--out", str(out_file)]) == 0
-    assert "merged 1 spans from 1 process(es)" in \
-        capsys.readouterr().out
-    trace = json.loads(out_file.read_text())
-    slices = [event["name"] for event in trace["traceEvents"]
-              if event.get("ph") == "X"]
-    assert slices == ["fabric.job"]
-
-
-def test_top_missing_spool_exits_2(tmp_path, capsys):
-    assert main(["top", "--spool", str(tmp_path / "nope")]) == 2
-    assert "no spool" in capsys.readouterr().err
-
-
-def test_top_acceptance_renders_state_from_real_worker(tmp_path, capsys):
-    """The acceptance criterion: ``repro top`` renders live campaign
-    state from a spool a real ``repro work`` subprocess drained."""
-    from repro.bench import RunSpec
-    from repro.bench.fabric import Broker
-
-    spool_dir = tmp_path / "spool"
-    with Broker(spool_dir) as broker:
-        broker.submit_specs([RunSpec(workload="ossl.ecadd")])
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "work", "--spool",
-         str(spool_dir), "--idle-timeout", "0.5", "--poll", "0.05",
-         "--name", "acceptance-worker"],
-        capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert main(["top", "--spool", str(spool_dir), "--once"]) == 0
-    out = capsys.readouterr().out
-    assert "repro top" in out
-    assert "1 done" in out
-    assert "acceptance-worker" in out

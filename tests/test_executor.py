@@ -397,6 +397,30 @@ def test_serial_on_program_fires_before_the_next_program(isolated_cache,
                       for event in ("start", "done")]
 
 
+def test_pool_on_program_fires_in_program_order(isolated_cache):
+    """Programs finish in any order on the pool, but their tallies
+    merge and reach ``on_program`` in program order."""
+    from repro.fuzzing import campaign
+
+    order = []
+    run_campaign(_named_cell(n_programs=4), jobs=2,
+                 on_program=lambda seed, partial: order.append(seed))
+    assert order == campaign._program_seeds(_named_cell(n_programs=4))
+
+
+def test_fuzz_programs_report_wall_time_on_every_backend(isolated_cache):
+    """Wall time is telemetry outside the wire format, so it comes from
+    the runner's result — the run's own seconds, serially and on the
+    pool — never the 0.0 a bare ``CampaignResult.from_dict`` leaves."""
+    for jobs in (1, 2):
+        walls = []
+        result = run_campaign(
+            _named_cell(n_programs=2), jobs=jobs,
+            on_program=lambda seed, partial: walls.append(partial.wall_time))
+        assert len(walls) == 2 and min(walls) > 0
+        assert result.wall_time == pytest.approx(sum(walls))
+
+
 # ----------------------------------------------------------------------
 # Satellite fixes in the legacy runner
 # ----------------------------------------------------------------------
@@ -683,7 +707,7 @@ def test_queue_wait_restarts_after_pool_rebuild(isolated_cache,
 
 
 # ----------------------------------------------------------------------
-# Spool wire format helpers
+# Spec job payload helpers
 # ----------------------------------------------------------------------
 
 def test_spec_payload_round_trip():
@@ -699,14 +723,6 @@ def test_spec_from_payload_rejects_unknown_fields():
     payload["not_a_field"] = 1
     with pytest.raises(ValueError, match="unknown RunSpec fields"):
         spec_from_payload(payload)
-
-
-def test_canonical_json_is_byte_stable():
-    from repro.bench.executor import canonical_json
-
-    a = canonical_json({"b": 1, "a": [1, 2]})
-    b = canonical_json({"a": [1, 2], "b": 1})
-    assert a == b == '{"a":[1,2],"b":1}'
 
 
 def test_batch_stats_count_compile_cache_traffic(isolated_cache):

@@ -115,3 +115,19 @@ def test_merge_accumulates_breakdown_and_telemetry():
     assert a.invalid_nonterminating == 2
     assert a.wall_time == 0.75
     assert a.witnesses == [{"w": 1}, {"w": 2}]
+
+
+def test_campaign_result_wire_format_round_trips():
+    import json
+
+    from repro.fuzzing import CampaignResult
+
+    result = CampaignResult(tests=3, violations=1, wall_time=1.5,
+                            violation_sites=[(9, 0, "timing")],
+                            witnesses=[{"w": 1}])
+    payload = result.to_dict()
+    assert "wall_time" not in payload  # telemetry, not identity
+    rebuilt = CampaignResult.from_dict(
+        json.loads(json.dumps(payload, sort_keys=True)))
+    assert rebuilt.violation_sites == [(9, 0, "timing")]
+    assert rebuilt.tests == 3 and rebuilt.witnesses == [{"w": 1}]

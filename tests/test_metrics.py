@@ -186,8 +186,7 @@ def test_empty_registry_prometheus_is_empty():
 def test_every_published_metric_has_help(isolated_cache):
     """HELP enforcement: walk a real bench + fuzz snapshot and fail on
     any metric the instrumentation publishes without a ``# HELP``
-    description in ``METRIC_HELP``.  Per-worker fabric gauges are the
-    one sanctioned dynamic family (``fabric.worker.<id>.*``)."""
+    description in ``METRIC_HELP``."""
     from repro.contracts import Contract
     from repro.fuzzing import CampaignConfig, run_campaign
     from repro.metrics.registry import METRIC_HELP
@@ -207,10 +206,7 @@ def test_every_published_metric_has_help(isolated_cache):
     names = (set(snapshot["counters"]) | set(snapshot["gauges"])
              | set(snapshot["timers"]))
     assert len(names) > 10  # the walk covered a real surface
-    missing = sorted(
-        name for name in names
-        if name not in METRIC_HELP
-        and not name.startswith("fabric.worker."))
+    missing = sorted(name for name in names if name not in METRIC_HELP)
     assert not missing, \
         f"metrics published without a # HELP description: {missing}"
     # And every described metric that fired carries its HELP line.

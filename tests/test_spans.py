@@ -1,5 +1,5 @@
-"""Distributed campaign tracing: recorder semantics, cross-process
-propagation, the deterministic merger, and the zero-overhead contract."""
+"""Campaign tracing: recorder semantics, cross-process propagation,
+the deterministic merger, and the zero-overhead contract."""
 
 import inspect
 import json
@@ -16,7 +16,6 @@ from repro.metrics.spans import (
     SpanRecorder,
     TRACE_SCHEMA,
     get_recorder,
-    load_shards,
     merged_trace,
     nesting_violations,
     recording,
@@ -72,13 +71,13 @@ def test_finish_merges_attrs_and_is_idempotent_on_end():
 
 
 def test_wire_context_round_trip_across_recorders():
-    broker = SpanRecorder(process="broker")
-    parent = broker.start("spec")
+    parent_side = SpanRecorder(process="parent")
+    parent = parent_side.start("spec")
     ctx = parent.context()
     assert set(ctx) == {"trace_id", "span_id"}
     # Ship ctx over the wire (it is plain JSON) to another process.
     worker = SpanRecorder(process="worker")
-    child = worker.start("fabric.job",
+    child = worker.start("worker.run",
                          parent=json.loads(json.dumps(ctx)))
     assert child.trace_id == parent.trace_id
     assert child.parent_id == parent.span_id
@@ -121,59 +120,6 @@ def test_adopt_merges_foreign_span_dicts():
 
 
 # ----------------------------------------------------------------------
-# Shard files
-# ----------------------------------------------------------------------
-
-def test_shard_write_append_and_load(tmp_path):
-    recorder = SpanRecorder(process="worker-a")
-    with recorder.span("one"):
-        pass
-    path = recorder.write_shard(tmp_path)
-    assert path is not None and path.name == "spans-worker-a.jsonl"
-    with recorder.span("two"):
-        pass
-    recorder.write_shard(tmp_path, clock_offsets={"worker-a": 1.5})
-    lines = path.read_text().splitlines()
-    kinds = [json.loads(line)["kind"] for line in lines]
-    # Meta once, each span once (append-only high-water mark), clocks.
-    assert kinds == ["meta", "span", "span", "clock"]
-    assert json.loads(lines[0])["schema"] == TRACE_SCHEMA
-    spans, offsets = load_shards(tmp_path)
-    assert sorted(span.name for span in spans) == ["one", "two"]
-    assert offsets == {"worker-a": 1.5}
-
-
-def test_load_shards_redirects_to_metrics_dir_and_skips_junk(tmp_path):
-    metrics = tmp_path / "metrics"
-    recorder = SpanRecorder(process="w")
-    with recorder.span("kept"):
-        pass
-    shard = recorder.write_shard(metrics)
-    with shard.open("a") as stream:
-        stream.write("not json at all\n")
-        stream.write('{"kind": "span", "name": "broken"}\n')  # no ids
-    spans, _ = load_shards(tmp_path)  # spool root, not metrics/
-    assert [span.name for span in spans] == ["kept"]
-
-
-def test_write_shard_survives_unwritable_directory(tmp_path,
-                                                   monkeypatch):
-    recorder = SpanRecorder(process="w")
-    with recorder.span("s"):
-        pass
-
-    def refuse(self, *args, **kwargs):
-        raise OSError("read-only filesystem")
-
-    monkeypatch.setattr(pathlib.Path, "mkdir", refuse)
-    assert recorder.write_shard(tmp_path / "ro") is None
-    monkeypatch.undo()
-    # The high-water mark did not advance: a later write still ships it.
-    path = recorder.write_shard(tmp_path)
-    assert path is not None and '"name": "s"' in path.read_text()
-
-
-# ----------------------------------------------------------------------
 # The merger
 # ----------------------------------------------------------------------
 
@@ -185,51 +131,59 @@ def _span(name, span_id, parent, start, end, process,
 
 
 def _sample_spans():
-    """A two-process tree: the worker clock runs 2s ahead of the
-    broker's, so its raw timestamps land outside the parent spec span
-    until the merger corrects and clamps them."""
+    """A two-process tree: the worker's wall-clock anchor runs ahead of
+    the parent's, so its raw run span ends after the parent spec span
+    until the merger clamps it."""
     return [
-        _span("executor.batch", "b" * 16, None, 100.0, 110.0, "broker"),
-        _span("spec", "c" * 16, "b" * 16, 101.0, 109.0, "broker",
+        _span("executor.batch", "b" * 16, None, 100.0, 110.0, "parent"),
+        _span("spec", "c" * 16, "b" * 16, 101.0, 109.0, "parent",
               attrs={"workload": "ossl.ecadd"}),
-        _span("fabric.job", "d" * 16, "c" * 16, 103.5, 112.5, "worker-a"),
+        _span("worker.run", "d" * 16, "c" * 16, 103.5, 112.5, "worker-a"),
         _span("sim", "e" * 16, "d" * 16, 104.0, 112.0, "worker-a"),
     ]
 
 
 def test_merged_trace_is_deterministic_bytes():
-    offsets = {"worker-a": 2.0}
-    first = json.dumps(merged_trace(_sample_spans(), offsets),
-                       sort_keys=True)
-    second = json.dumps(merged_trace(list(reversed(_sample_spans())),
-                                     offsets), sort_keys=True)
+    first = json.dumps(merged_trace(_sample_spans()), sort_keys=True)
+    second = json.dumps(merged_trace(list(reversed(_sample_spans()))),
+                        sort_keys=True)
     assert first == second
 
 
 def test_merged_trace_corrects_clocks_and_clamps_nesting():
-    trace = merged_trace(_sample_spans(), {"worker-a": 2.0})
+    """Pool workers share the host's clock, so the clamp is the only
+    correction the merger makes."""
+    trace = merged_trace(_sample_spans())
     assert nesting_violations(trace) == []
     slices = {e["args"]["span_id"]: e for e in trace["traceEvents"]
               if e.get("ph") == "X"}
     job = slices["d" * 16]
     spec = slices["c" * 16]
-    # Shifted by the 2s offset: 103.5 → 101.5 relative to the epoch.
-    assert job["args"]["clock_offset_s"] == 2.0
-    assert job["ts"] >= spec["ts"]
+    # 103.5s is 2.5s after the 101s spec start: no clamp at the start.
+    assert job["ts"] - spec["ts"] == 2_500_000
     assert job["ts"] + job["dur"] <= spec["ts"] + spec["dur"]
-    # The uncorrected raw end (112.5s) overran the spec span (109s), so
-    # the residual was clamped and flagged.
+    # The raw end (112.5s) overran the spec span (109s), so it was
+    # clamped to the spec's end and flagged; so was its sim child.
+    assert job["ts"] + job["dur"] == spec["ts"] + spec["dur"]
     assert job["args"]["clamped"] is True
+    assert slices["e" * 16]["args"]["clamped"] is True
     # Distinct processes get distinct pids, named via metadata.
     assert spec["pid"] != job["pid"]
     assert set(trace["metadata"]["processes"].values()) == \
-        {"broker", "worker-a"}
+        {"parent", "worker-a"}
 
 
 def test_merged_trace_without_offsets_keeps_raw_violations_clamped():
-    trace = merged_trace(_sample_spans())
-    # Even with no clock estimate, clamping enforces the invariant.
+    spans = {span.span_id: span for span in _sample_spans()}
+    # The raw worker spans end after their parent spec span ends...
+    assert spans["d" * 16].end_s > spans["c" * 16].end_s
+    trace = merged_trace(spans.values())
+    # ...yet, with no clock estimate, clamping enforces the invariant,
+    # and only the spans that escaped are flagged.
     assert nesting_violations(trace) == []
+    flagged = {e["args"]["span_id"] for e in trace["traceEvents"]
+               if e.get("ph") == "X" and e["args"].get("clamped")}
+    assert flagged == {"d" * 16, "e" * 16}
 
 
 def test_merged_trace_dedups_by_span_id():
@@ -295,12 +249,12 @@ def test_nesting_violations_detects_escape():
 
 def test_write_merged_trace_round_trips(tmp_path):
     path = write_merged_trace(tmp_path / "trace.json", _sample_spans(),
-                              {"worker-a": 2.0}, label="test")
+                              label="test")
     trace = json.loads(path.read_text())
     assert nesting_violations(trace) == []
     names = {e["args"]["name"] for e in trace["traceEvents"]
              if e.get("ph") == "M"}
-    assert names == {"test: broker", "test: worker-a"}
+    assert names == {"test: parent", "test: worker-a"}
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +279,7 @@ def _trace_schema(trace):
 
 
 def test_merged_trace_schema_golden():
-    schema = _trace_schema(merged_trace(_sample_spans(),
-                                        {"worker-a": 2.0}))
+    schema = _trace_schema(merged_trace(_sample_spans()))
     if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
         GOLDEN.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN.write_text(json.dumps(schema, indent=2, sort_keys=True)
