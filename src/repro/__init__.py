@@ -13,7 +13,7 @@ Subpackages:
 * :mod:`repro.forensics` — leak witnesses, minimization, explanation.
 * :mod:`repro.workloads` — the synthetic benchmark suites.
 * :mod:`repro.bench`     — the experiment harness (paper tables/figures).
-* :mod:`repro.metrics`   — metrics registry, host profiler, run ledger.
+* :mod:`repro.metrics`   — metrics registry, span tracing, host profiler.
 
 Run ``python -m repro --help`` for the artifact-style command line.
 """

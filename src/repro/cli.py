@@ -23,8 +23,6 @@ The paper's Docker artifact ships ``table-v.py``, ``table-ii.py``, etc.
                           [--json] [--ledger-out FILE]
     python -m repro trace WORKLOAD [--out FILE] [--fmt chrome|text]
     python -m repro profile WORKLOAD [--top N] [--collapsed FILE]
-    python -m repro history [--metric M ...] [--limit N]
-    python -m repro compare OLD NEW [--threshold PCT]
 
 Every simulation-heavy subcommand takes ``--jobs N`` to fan its run
 matrix out over worker processes (default: ``REPRO_JOBS`` env, then
@@ -41,13 +39,9 @@ Chrome-trace JSON (Perfetto-loadable).  Pool workers record their own
 spans under the trace context shipped with each job and return them
 with the result, so the merged timeline covers every process.
 
-``repro bench`` and ``repro fuzz`` attach a metrics registry and append
-one record per invocation (git SHA, host fingerprint, metrics snapshot,
-per-table geomeans) to the run ledger at
-``benchmarks/results/ledger.db`` (``REPRO_LEDGER`` overrides the path,
-``--no-ledger``/``REPRO_NO_LEDGER=1`` disable it).  ``repro history``
-renders the trajectory; ``repro compare`` diffs two records and exits
-nonzero on a perf or overhead-fidelity regression beyond the threshold.
+``repro bench`` attaches a metrics registry for the invocation and
+prints its cache line; ``--metrics-out FILE`` writes the snapshot (JSON,
+plus ``FILE.prom`` in Prometheus text).
 """
 
 from __future__ import annotations
@@ -160,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: REPRO_ENGINE, then compiled, "
                             "which falls back to ref for shapes it "
                             "refuses)")
-    bench.add_argument("--no-ledger", action="store_true",
-                       help="skip appending a run-ledger record")
     bench.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the metrics snapshot as JSON "
                             "(FILE.prom gets the Prometheus rendition)")
@@ -199,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--no-minimize", action="store_true",
                       help="write witnesses verbatim, skipping "
                            "delta-debugging minimization")
-    fuzz.add_argument("--no-ledger", action="store_true",
-                      help="skip appending a run-ledger record")
     fuzz.add_argument("--trace-out", default=None, metavar="FILE",
                       help="record the campaign as a span tree and "
                            "write one merged Chrome trace (includes "
@@ -274,30 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write flamegraph-style collapsed stacks")
     pr.add_argument("--json", action="store_true",
                     help="emit the profile report as JSON")
-
-    hist = sub.add_parser(
-        "history", help="render metric trends from the run ledger")
-    hist.add_argument("--metric", nargs="+", default=None, metavar="M",
-                      help="metric/table name substrings to column-ize "
-                           "(default: command_seconds)")
-    hist.add_argument("--limit", type=int, default=20, metavar="N",
-                      help="show the N most recent records")
-    hist.add_argument("--ledger", default=None, metavar="DB",
-                      help="ledger path (default: "
-                           "benchmarks/results/ledger.db)")
-    hist.add_argument("--json", action="store_true")
-
-    cmp_ = sub.add_parser(
-        "compare", help="diff two ledger records; exits nonzero on a "
-                        "perf or fidelity regression")
-    cmp_.add_argument("old", help="record: #id, SHA prefix, latest, prev")
-    cmp_.add_argument("new", help="record: #id, SHA prefix, latest, prev")
-    cmp_.add_argument("--threshold", type=float, default=10.0,
-                      metavar="PCT",
-                      help="relative regression threshold in percent "
-                           "(default: 10)")
-    cmp_.add_argument("--ledger", default=None, metavar="DB")
-    cmp_.add_argument("--json", action="store_true")
 
     spec_ = sub.add_parser(
         "speculation",
@@ -385,10 +351,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_trace(args)
     elif args.command == "profile":
         return _run_profile(args)
-    elif args.command == "history":
-        return _run_history(args)
-    elif args.command == "compare":
-        return _run_compare(args)
     elif args.command == "workloads":
         from .workloads import get_workload, workload_names
 
@@ -402,10 +364,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run_bench_suite(args) -> int:
     """``repro bench``: every table/figure through the batch executor,
-    with a metrics registry attached and one run-ledger record appended
-    per invocation."""
-    import time
-
+    with a metrics registry attached for the cache line and
+    ``--metrics-out``."""
     from .bench import (
         SPEC,
         SPEC_INT_FAST,
@@ -479,7 +439,6 @@ def _run_bench_suite(args) -> int:
     recorder, root_span = _start_cli_trace(
         getattr(args, "trace_out", None), "bench.cli",
         {"targets": " ".join(targets), "quick": quick})
-    started = time.monotonic()
     try:
         with attached(registry):
             for name in targets:
@@ -490,7 +449,6 @@ def _run_bench_suite(args) -> int:
     finally:
         if recorder is not None:
             _finish_cli_trace(recorder, root_span, args.trace_out)
-    elapsed = time.monotonic() - started
 
     counters = registry.snapshot()["counters"]
     hits = counters.get("cache.memory_hits", 0) \
@@ -514,12 +472,6 @@ def _run_bench_suite(args) -> int:
         out.with_suffix(out.suffix + ".prom").write_text(
             registry.to_prometheus())
         print(f"metrics snapshot written to {out}")
-    _append_ledger(
-        command="bench " + " ".join(targets) + (" --quick" if quick
-                                                else ""),
-        config={"targets": targets, "quick": quick, "jobs": jobs},
-        tables=tables, registry=registry, elapsed_s=elapsed,
-        disabled=args.no_ledger)
     return 0
 
 
@@ -548,43 +500,15 @@ def _finish_cli_trace(recorder, root_span, trace_out) -> None:
           f"(load in Perfetto / chrome://tracing)")
 
 
-def _append_ledger(command: str, config, tables, registry,
-                   elapsed_s: float, disabled: bool) -> None:
-    """Append one run-ledger record (best-effort: a read-only ledger
-    directory must never fail the invocation that produced results)."""
-    from .metrics import (
-        append_record,
-        default_ledger_path,
-        ledger_enabled,
-        make_record,
-    )
-
-    if disabled or not ledger_enabled():
-        return
-    record = make_record(command=command, tables=tables,
-                         registry=registry, config=config,
-                         extra_metrics={"command_seconds": elapsed_s})
-    try:
-        record = append_record(record)
-    except OSError as exc:
-        print(f"[ledger] not recorded: {exc}", file=sys.stderr)
-        return
-    print(f"[ledger] appended record {record.label()} "
-          f"to {default_ledger_path()}")
-
-
 def _run_fuzz(args) -> int:
     """``repro fuzz``: one campaign cell, parallel at program level.
 
     Exit status: 0 on a clean (or unsafe-baseline) run, 1 when a
     protected defense recorded violations, 2 on bad arguments."""
-    import time
-
     from .bench.executor import resolve_jobs
     from .bench.runner import DEFENSES
     from .contracts import Contract
     from .fuzzing import CampaignConfig, run_campaign
-    from .metrics import MetricsRegistry, attached
 
     if args.defense not in DEFENSES:
         print(f"unknown defense {args.defense!r}; "
@@ -632,12 +556,8 @@ def _run_fuzz(args) -> int:
             pathlib.Path(args.report_dir) / "events.jsonl")
         reporter.campaign_start(config, resolve_jobs(args.jobs))
         on_program = reporter.on_program
-    registry = MetricsRegistry()
-    started = time.monotonic()
     try:
-        with attached(registry):
-            result = run_campaign(config, jobs=args.jobs,
-                                  on_program=on_program)
+        result = run_campaign(config, jobs=args.jobs, on_program=on_program)
         if reporter is not None:
             reporter.campaign_end(result)
     finally:
@@ -645,14 +565,6 @@ def _run_fuzz(args) -> int:
             reporter.close()
         if recorder is not None:
             _finish_cli_trace(recorder, root_span, args.trace_out)
-    _append_ledger(
-        command=f"fuzz {args.defense} {args.contract}",
-        config={"defense": args.defense, "contract": args.contract,
-                "instrument": args.instrument, "programs": args.programs,
-                "pairs": args.pairs, "size": args.size, "seed": args.seed,
-                "mitigation": args.mitigation},
-        tables=[], registry=registry,
-        elapsed_s=time.monotonic() - started, disabled=args.no_ledger)
     mitigated = f" + {args.mitigation}" if args.mitigation else ""
     print(f"{args.defense}{mitigated} vs {args.contract} "
           f"(ProtCC-{args.instrument.upper()}): {result.summary()}")
@@ -989,7 +901,6 @@ def _run_cache(args) -> int:
     """``repro cache``: show or wipe the persistent cache (results and
     compiled artifacts)."""
     from .bench.executor import cache_info, wipe_cache
-    from .metrics import default_ledger_path, load_records
 
     if args.wipe:
         removed = wipe_cache()
@@ -998,14 +909,6 @@ def _run_cache(args) -> int:
     state = "enabled" if info["enabled"] else "disabled (REPRO_NO_CACHE)"
     print(f"cache dir: {info['dir']} ({state})")
     print(f"entries:   {info['entries']} ({info['bytes']} bytes)")
-    if default_ledger_path().exists():
-        records = load_records(limit=1)
-        if records:
-            metrics = records[-1].metrics
-            print(f"last run:  {records[-1].label()} — "
-                  f"{metrics.get('cache.memory_hits', 0):.0f} mem hits, "
-                  f"{metrics.get('cache.disk_hits', 0):.0f} disk hits, "
-                  f"{metrics.get('cache.misses', 0):.0f} misses")
     return 0
 
 
@@ -1029,75 +932,6 @@ def _run_profile(args) -> int:
         print(f"collapsed stacks written to {args.collapsed} "
               f"(feed to flamegraph.pl / speedscope)")
     return 0
-
-
-def _filter_history_record(record: dict, patterns) -> dict:
-    """``history --json --metric``: keep only the metrics/tables
-    entries whose name contains one of the substrings; record identity
-    fields (sha, time, command, …) always stay."""
-    def keep(name: str) -> bool:
-        return any(pattern in name for pattern in patterns)
-
-    filtered = dict(record)
-    filtered["metrics"] = {name: value
-                           for name, value in record["metrics"].items()
-                           if keep(name)}
-    filtered["tables"] = {name: value
-                          for name, value in record["tables"].items()
-                          if keep(name)}
-    return filtered
-
-
-def _run_history(args) -> int:
-    """``repro history``: metric trends across ledger records."""
-    import json
-
-    from .metrics import load_records, render_history
-
-    records = load_records(path=args.ledger, limit=args.limit)
-    if args.json:
-        payload = [r.to_dict() for r in records]
-        if args.metric:
-            payload = [_filter_history_record(record, args.metric)
-                       for record in payload]
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    if not records:
-        print("the run ledger is empty — run `repro bench` or "
-              "`repro fuzz` to append a record")
-        return 0
-    print(render_history(records, metrics=args.metric))
-    return 0
-
-
-def _run_compare(args) -> int:
-    """``repro compare``: diff two ledger records.
-
-    Exit status: 0 when the new record holds up, 1 on a perf or
-    overhead-fidelity regression beyond the threshold, 2 when a record
-    selector does not resolve."""
-    import json
-
-    from .metrics import (
-        LedgerError,
-        compare_records,
-        load_records,
-        resolve_record,
-    )
-
-    records = load_records(path=args.ledger)
-    try:
-        old = resolve_record(records, args.old)
-        new = resolve_record(records, args.new)
-    except LedgerError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 2
-    comparison = compare_records(old, new, threshold_pct=args.threshold)
-    if args.json:
-        print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(comparison.render())
-    return 1 if comparison.regressed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""repro.metrics — the measure -> record -> compare loop.
+"""repro.metrics — host-side measurement of the simulator.
 
 * :mod:`.registry` — counters/gauges/timers with JSON + Prometheus
   export, attached per process with :func:`set_registry` (detached
@@ -9,8 +9,8 @@
   same zero-overhead contract).
 * :mod:`.profiler` — host-side cProfile wrapper aggregating hotspots
   by simulator subsystem, with collapsed-stack flamegraph output.
-* :mod:`.ledger` — the persistent SQLite run ledger behind
-  ``repro history`` and ``repro compare``.
+* :mod:`.ledger` — the provenance stamp (git SHA, host fingerprint)
+  perfbench records with each result; not re-exported here.
 """
 
 from .registry import (
@@ -21,7 +21,6 @@ from .registry import (
     MetricsRegistry,
     Timer,
     attached,
-    flatten_snapshot,
     get_registry,
     set_registry,
 )
@@ -45,38 +44,14 @@ from .profiler import (
     profile_spec,
     report_from_stats,
 )
-from .ledger import (
-    LEDGER_SCHEMA,
-    Comparison,
-    Delta,
-    LedgerError,
-    LedgerRecord,
-    append_record,
-    compare_records,
-    config_digest,
-    current_git_sha,
-    default_ledger_path,
-    host_fingerprint,
-    ledger_enabled,
-    load_records,
-    make_record,
-    render_history,
-    resolve_record,
-    summarize_tables,
-)
 
 __all__ = [
     "DEFAULT_BUCKETS", "METRIC_HELP", "Counter", "Gauge",
     "MetricsRegistry", "Timer",
-    "attached", "flatten_snapshot", "get_registry", "set_registry",
+    "attached", "get_registry", "set_registry",
     "TRACE_SCHEMA", "Span", "SpanRecorder", "get_recorder",
     "merged_trace", "nesting_violations", "recording", "set_recorder",
     "write_merged_trace",
     "HOST_SUBSYSTEM", "ProfileEntry", "ProfileReport", "SUBSYSTEM_RULES",
     "classify_module", "profile_spec", "report_from_stats",
-    "LEDGER_SCHEMA", "Comparison", "Delta", "LedgerError", "LedgerRecord",
-    "append_record", "compare_records", "config_digest",
-    "current_git_sha", "default_ledger_path", "host_fingerprint",
-    "ledger_enabled", "load_records", "make_record", "render_history",
-    "resolve_record", "summarize_tables",
 ]

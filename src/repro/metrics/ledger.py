@@ -1,28 +1,8 @@
-"""The persistent run ledger: a trajectory of benchmark invocations.
+"""Provenance stamp for benchmark results: the commit and the host.
 
-Every ``repro bench`` / ``repro fuzz`` invocation appends one schema-
-versioned record — git SHA, host fingerprint, config digest, a
-flattened metrics snapshot, and the per-table geomean overheads — to a
-SQLite database at ``benchmarks/results/ledger.db`` (override with the
-``REPRO_LEDGER`` environment variable).  The ledger is what gives the
-reproduction memory across runs: ``repro history`` renders trends and
-``repro compare`` diffs two records and exits nonzero on a regression,
-so CI can gate on both *simulator performance* (host seconds going up)
-and *overhead fidelity* (the paper's normalized-runtime geomeans
-drifting).
-
-Two regression axes, judged against a relative threshold (percent):
-
-* **perf** — wall-clock metrics (``command_seconds`` and every
-  ``*seconds*.sum`` timer aggregate).  Only an *increase* beyond the
-  threshold regresses; getting faster is an improvement.
-* **fidelity** — the recorded table values (geomean normalized
-  runtimes).  Any relative drift beyond the threshold regresses,
-  in either direction: a "faster" overhead number still means the
-  reproduction no longer reproduces the paper.
-
-Records are addressed by ``#<id>``, a git-SHA prefix (most recent
-match), or the keywords ``latest`` / ``prev``.
+``current_git_sha`` names the code a measurement ran on and
+``host_fingerprint`` the machine and interpreter; perfbench stamps
+every result file with both.
 """
 
 from __future__ import annotations
@@ -32,19 +12,8 @@ import json
 import os
 import pathlib
 import platform
-import sqlite3
 import subprocess
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
-
-#: Bumped whenever the record layout changes; ``load_records`` skips
-#: records written under another schema rather than misreading them.
-LEDGER_SCHEMA = 1
-
-
-class LedgerError(RuntimeError):
-    """Raised on unreadable ledgers and unresolvable record selectors."""
+from typing import Dict
 
 
 def repo_root() -> pathlib.Path:
@@ -52,22 +21,8 @@ def repo_root() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[3]
 
 
-def default_ledger_path() -> pathlib.Path:
-    override = os.environ.get("REPRO_LEDGER", "")
-    if override:
-        return pathlib.Path(override)
-    return repo_root() / "benchmarks" / "results" / "ledger.db"
-
-
-def ledger_enabled() -> bool:
-    return os.environ.get("REPRO_NO_LEDGER", "") in ("", "0")
-
-
 def current_git_sha() -> str:
-    """HEAD's SHA (``REPRO_GIT_SHA`` overrides; ``unknown`` fallback)."""
-    override = os.environ.get("REPRO_GIT_SHA", "")
-    if override:
-        return override
+    """HEAD's SHA, or ``unknown`` when git cannot tell."""
     try:
         out = subprocess.run(
             ["git", "-C", str(repo_root()), "rev-parse", "HEAD"],
@@ -80,12 +35,7 @@ def current_git_sha() -> str:
 
 
 def host_fingerprint() -> Dict:
-    """What makes two runs comparable: the machine and interpreter.
-
-    Trajectory points from different fingerprints still land in the
-    same ledger, but ``repro compare`` flags the mismatch so a laptop
-    run is never silently judged against a CI runner.
-    """
+    """What makes two runs comparable: the machine and interpreter."""
     info = {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -97,358 +47,3 @@ def host_fingerprint() -> Dict:
         json.dumps(info, sort_keys=True).encode()).hexdigest()
     info["digest"] = digest[:16]
     return info
-
-
-def config_digest(payload) -> str:
-    """Stable digest of an invocation's configuration knobs."""
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
-
-
-@dataclass
-class LedgerRecord:
-    """One invocation's snapshot — the unit the ledger appends."""
-
-    command: str
-    git_sha: str = ""
-    host: Dict = field(default_factory=dict)
-    config: str = ""
-    metrics: Dict[str, float] = field(default_factory=dict)
-    tables: Dict[str, float] = field(default_factory=dict)
-    schema: int = LEDGER_SCHEMA
-    created_at: float = 0.0
-    record_id: Optional[int] = None
-
-    def label(self) -> str:
-        rid = f"#{self.record_id}" if self.record_id is not None else "#?"
-        return f"{rid} {self.git_sha[:10] or '?'} ({self.command})"
-
-    def to_dict(self) -> Dict:
-        return {
-            "record_id": self.record_id,
-            "schema": self.schema,
-            "created_at": self.created_at,
-            "git_sha": self.git_sha,
-            "command": self.command,
-            "config": self.config,
-            "host": dict(self.host),
-            "metrics": dict(self.metrics),
-            "tables": dict(self.tables),
-        }
-
-
-def summarize_tables(tables: Iterable) -> Dict[str, float]:
-    """Flatten table results to the geomean scalars the ledger keeps.
-
-    ``tables`` is any iterable of objects with ``name`` and ``data``
-    (:class:`repro.bench.tables.TableResult`).  When a table's data
-    carries explicit ``geomean`` entries only those are kept (per-
-    benchmark points would make cross-commit diffs noisy and huge);
-    tables without geomeans contribute every numeric leaf.
-    """
-    flat: Dict[str, float] = {}
-    for table in tables:
-        leaves: Dict[str, float] = {}
-        for key, value in getattr(table, "data", {}).items():
-            if isinstance(key, str):
-                key_s = key
-            elif isinstance(key, (tuple, list)):
-                key_s = "/".join(str(part) for part in key)
-            else:
-                key_s = str(key)
-            if isinstance(value, dict):
-                for sub, number in value.items():
-                    if _is_number(number):
-                        leaves[f"{key_s}/{sub}"] = float(number)
-            elif _is_number(value):
-                leaves[key_s] = float(value)
-        geomeans = {k: v for k, v in leaves.items() if "geomean" in k}
-        chosen = geomeans or leaves
-        for key_s, number in chosen.items():
-            flat[f"{table.name}::{key_s}"] = number
-    return flat
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def make_record(command: str, tables: Iterable = (),
-                registry=None, config: Union[str, Dict, None] = None,
-                extra_metrics: Optional[Dict[str, float]] = None
-                ) -> LedgerRecord:
-    """Assemble a record from an invocation's outputs (not yet stored)."""
-    from .registry import flatten_snapshot
-
-    metrics: Dict[str, float] = {}
-    if registry is not None:
-        metrics.update(flatten_snapshot(registry.snapshot()))
-    if extra_metrics:
-        metrics.update(extra_metrics)
-    return LedgerRecord(
-        command=command,
-        git_sha=current_git_sha(),
-        host=host_fingerprint(),
-        config=(config if isinstance(config, str)
-                else config_digest(config or command)),
-        metrics=metrics,
-        tables=summarize_tables(tables),
-    )
-
-
-# ----------------------------------------------------------------------
-# SQLite storage
-# ----------------------------------------------------------------------
-
-def _connect(path: pathlib.Path) -> sqlite3.Connection:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    conn = sqlite3.connect(str(path))
-    conn.execute("""
-        CREATE TABLE IF NOT EXISTS runs (
-            id INTEGER PRIMARY KEY AUTOINCREMENT,
-            schema INTEGER NOT NULL,
-            created_at REAL NOT NULL,
-            git_sha TEXT NOT NULL,
-            command TEXT NOT NULL,
-            config TEXT NOT NULL,
-            host_json TEXT NOT NULL,
-            metrics_json TEXT NOT NULL,
-            tables_json TEXT NOT NULL
-        )""")
-    return conn
-
-
-def append_record(record: LedgerRecord,
-                  path: Union[str, pathlib.Path, None] = None
-                  ) -> LedgerRecord:
-    """Append one record; returns it with ``record_id``/``created_at``
-    stamped."""
-    ledger = pathlib.Path(path) if path else default_ledger_path()
-    record.created_at = record.created_at or time.time()
-    with _connect(ledger) as conn:
-        cursor = conn.execute(
-            "INSERT INTO runs (schema, created_at, git_sha, command, "
-            "config, host_json, metrics_json, tables_json) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (record.schema, record.created_at, record.git_sha,
-             record.command, record.config,
-             json.dumps(record.host, sort_keys=True),
-             json.dumps(record.metrics, sort_keys=True),
-             json.dumps(record.tables, sort_keys=True)))
-        record.record_id = cursor.lastrowid
-    return record
-
-
-def load_records(path: Union[str, pathlib.Path, None] = None,
-                 limit: Optional[int] = None) -> List[LedgerRecord]:
-    """Every readable record, oldest first (bounded by ``limit`` newest)."""
-    ledger = pathlib.Path(path) if path else default_ledger_path()
-    if not ledger.exists():
-        return []
-    try:
-        with _connect(ledger) as conn:
-            rows = conn.execute(
-                "SELECT id, schema, created_at, git_sha, command, config, "
-                "host_json, metrics_json, tables_json FROM runs "
-                "ORDER BY id DESC" + (f" LIMIT {int(limit)}" if limit
-                                      else "")).fetchall()
-    except sqlite3.Error as exc:
-        raise LedgerError(f"cannot read ledger {ledger}: {exc}") from exc
-    records = []
-    for (rid, schema, created, sha, command, config,
-         host_json, metrics_json, tables_json) in rows:
-        if schema != LEDGER_SCHEMA:
-            continue  # written by a different layout; never misread it
-        try:
-            records.append(LedgerRecord(
-                command=command, git_sha=sha,
-                host=json.loads(host_json), config=config,
-                metrics=json.loads(metrics_json),
-                tables=json.loads(tables_json),
-                schema=schema, created_at=created, record_id=rid))
-        except (ValueError, TypeError):
-            continue
-    records.reverse()
-    return records
-
-
-def resolve_record(records: List[LedgerRecord],
-                   selector: str) -> LedgerRecord:
-    """``#id`` | ``latest`` | ``prev`` | git-SHA prefix (newest match)."""
-    if not records:
-        raise LedgerError("the run ledger is empty — run `repro bench` "
-                          "to append a first record")
-    if selector == "latest":
-        return records[-1]
-    if selector == "prev":
-        if len(records) < 2:
-            raise LedgerError("`prev` needs at least two ledger records")
-        return records[-2]
-    if selector.startswith("#"):
-        try:
-            rid = int(selector[1:])
-        except ValueError:
-            raise LedgerError(f"bad record id {selector!r}") from None
-        for record in records:
-            if record.record_id == rid:
-                return record
-        raise LedgerError(f"no ledger record with id {selector}")
-    matches = [r for r in records if r.git_sha.startswith(selector)]
-    if not matches:
-        raise LedgerError(f"no ledger record matches SHA prefix "
-                          f"{selector!r}")
-    return matches[-1]
-
-
-# ----------------------------------------------------------------------
-# Cross-commit comparison
-# ----------------------------------------------------------------------
-
-def _is_perf_key(key: str) -> bool:
-    return key == "command_seconds" or (
-        "seconds" in key and key.endswith(".sum"))
-
-
-@dataclass
-class Delta:
-    """One compared value."""
-
-    axis: str         # "perf" | "fidelity"
-    name: str
-    old: float
-    new: float
-    pct: float        # signed relative change, percent
-    regression: bool
-
-    def describe(self) -> str:
-        arrow = "REGRESSION" if self.regression else (
-            "improved" if self.pct < 0 else "ok")
-        return (f"[{self.axis}] {self.name}: {self.old:.4g} -> "
-                f"{self.new:.4g} ({self.pct:+.1f}%) {arrow}")
-
-
-@dataclass
-class Comparison:
-    """Outcome of diffing two ledger records."""
-
-    old: LedgerRecord
-    new: LedgerRecord
-    threshold_pct: float
-    deltas: List[Delta] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[Delta]:
-        return [d for d in self.deltas if d.regression]
-
-    @property
-    def regressed(self) -> bool:
-        return bool(self.regressions)
-
-    def render(self) -> str:
-        lines = [f"compare {self.old.label()} -> {self.new.label()} "
-                 f"(threshold {self.threshold_pct:g}%)"]
-        lines += [f"  note: {note}" for note in self.notes]
-        changed = [d for d in self.deltas if d.regression or d.pct]
-        for delta in sorted(changed, key=lambda d: (not d.regression,
-                                                    -abs(d.pct))):
-            lines.append(f"  {delta.describe()}")
-        unchanged = len(self.deltas) - len(changed)
-        if unchanged:
-            lines.append(f"  ({unchanged} values unchanged)")
-        lines.append(f"verdict: {len(self.regressions)} regressions "
-                     f"in {len(self.deltas)} compared values")
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict:
-        return {
-            "old": self.old.label(),
-            "new": self.new.label(),
-            "threshold_pct": self.threshold_pct,
-            "regressed": self.regressed,
-            "notes": list(self.notes),
-            "deltas": [{"axis": d.axis, "name": d.name, "old": d.old,
-                        "new": d.new, "pct": d.pct,
-                        "regression": d.regression}
-                       for d in self.deltas],
-        }
-
-
-def compare_records(old: LedgerRecord, new: LedgerRecord,
-                    threshold_pct: float = 10.0) -> Comparison:
-    """Diff two records along the perf and fidelity axes."""
-    comparison = Comparison(old=old, new=new, threshold_pct=threshold_pct)
-    if old.host.get("digest") != new.host.get("digest"):
-        comparison.notes.append(
-            "records come from different hosts "
-            f"({old.host.get('digest')} vs {new.host.get('digest')}); "
-            "wall-clock comparisons are indicative only")
-
-    # Fidelity: recorded table values must agree in both directions.
-    shared = sorted(set(old.tables) & set(new.tables))
-    for name in sorted(set(old.tables) ^ set(new.tables)):
-        side = "old" if name in old.tables else "new"
-        comparison.notes.append(f"table value only in {side}: {name}")
-    for name in shared:
-        a, b = old.tables[name], new.tables[name]
-        pct = _relative_pct(a, b)
-        comparison.deltas.append(Delta(
-            axis="fidelity", name=name, old=a, new=b, pct=pct,
-            regression=abs(pct) > threshold_pct))
-
-    # Perf: host wall time may only increase within the threshold.
-    perf_keys = sorted(k for k in set(old.metrics) & set(new.metrics)
-                       if _is_perf_key(k))
-    for name in perf_keys:
-        a, b = old.metrics[name], new.metrics[name]
-        pct = _relative_pct(a, b)
-        comparison.deltas.append(Delta(
-            axis="perf", name=name, old=a, new=b, pct=pct,
-            regression=pct > threshold_pct))
-    return comparison
-
-
-def _relative_pct(old: float, new: float) -> float:
-    if old == new:
-        return 0.0
-    if old == 0:
-        return float("inf") if new > 0 else float("-inf")
-    return 100.0 * (new - old) / abs(old)
-
-
-# ----------------------------------------------------------------------
-# History rendering
-# ----------------------------------------------------------------------
-
-def render_history(records: List[LedgerRecord],
-                   metrics: Optional[List[str]] = None) -> str:
-    """One line per record, with selected metric/table columns.
-
-    ``metrics`` entries match by substring against both the metrics
-    and tables namespaces; the default shows the invocation wall time.
-    """
-    from ..bench.runner import render_table
-
-    wanted = metrics or ["command_seconds"]
-    columns: List[str] = []
-    for pattern in wanted:
-        for record in records:
-            for key in list(record.metrics) + list(record.tables):
-                if pattern in key and key not in columns:
-                    columns.append(key)
-    columns = columns[:6]  # keep the table readable
-
-    rows = []
-    for record in records:
-        when = time.strftime("%Y-%m-%d %H:%M",
-                             time.localtime(record.created_at))
-        row: List[object] = [f"#{record.record_id}", record.git_sha[:10],
-                             when, record.command]
-        for key in columns:
-            value = record.metrics.get(key, record.tables.get(key))
-            row.append("-" if value is None else f"{value:.4g}")
-        rows.append(row)
-    headers = ["id", "sha", "when", "command"] + columns
-    return render_table(f"run ledger ({len(records)} records)",
-                        headers, rows)

@@ -1,10 +1,9 @@
 """A lightweight metrics registry: counters, gauges, and timers.
 
-The registry is the measurement half of the measure -> record -> compare
-loop: hot components (the batch executor, fuzzing campaigns, the core's
-run loop) publish counters and timings into an attached
-:class:`MetricsRegistry`, the run ledger snapshots it per invocation,
-and ``repro compare`` diffs snapshots across commits.
+Hot components (the batch executor, fuzzing campaigns, the core's run
+loop) publish counters and timings into an attached
+:class:`MetricsRegistry`, and ``repro bench --metrics-out`` writes its
+snapshot as JSON and as Prometheus text.
 
 Attachment follows the same opt-in pattern as
 :class:`repro.uarch.trace.PipelineTracer`: nothing is measured unless a
@@ -29,8 +28,6 @@ Exports:
 * :meth:`MetricsRegistry.snapshot` — a JSON-safe dict.
 * :meth:`MetricsRegistry.to_prometheus` — Prometheus text exposition
   format (``# TYPE`` comments, ``_bucket{le=...}`` histogram series).
-* :func:`flatten_snapshot` — scalar ``name -> float`` projection, the
-  shape the run ledger stores and compares.
 """
 
 from __future__ import annotations
@@ -340,25 +337,6 @@ def _prom_value(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def flatten_snapshot(snapshot: Dict) -> Dict[str, float]:
-    """Project a snapshot to scalars — the run ledger's storage shape.
-
-    Counters and gauges keep their names; each timer contributes
-    ``<name>.count``, ``<name>.sum``, ``<name>.mean``, and
-    ``<name>.max`` (the comparable aggregates; bucket layouts are an
-    export detail).
-    """
-    flat: Dict[str, float] = {}
-    for name, value in snapshot.get("counters", {}).items():
-        flat[name] = float(value)
-    for name, value in snapshot.get("gauges", {}).items():
-        flat[name] = float(value)
-    for name, timer in snapshot.get("timers", {}).items():
-        for key in ("count", "sum", "mean", "max"):
-            flat[f"{name}.{key}"] = float(timer[key])
-    return flat
 
 
 # ----------------------------------------------------------------------

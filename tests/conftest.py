@@ -1,9 +1,7 @@
-"""Shared fixtures: keep the suite from touching developer state.
+"""Shared fixtures: keep one test's telemetry out of the next.
 
-Every test gets a throwaway run ledger (``REPRO_LEDGER``) so CLI
-invocations that append records never write the real
-``benchmarks/results/ledger.db``, and any metrics registry or span
-recorder a test attaches is detached again on teardown.
+Any metrics registry or span recorder a test attaches process-wide is
+detached again on teardown, so every test starts with both detached.
 """
 
 import pytest
@@ -12,8 +10,7 @@ from repro.metrics import set_recorder, set_registry
 
 
 @pytest.fixture(autouse=True)
-def _isolated_ledger(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.db"))
+def _detach_telemetry():
     yield
     set_registry(None)
     set_recorder(None)

@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from repro.cli import main
 
 
@@ -201,6 +203,50 @@ def test_bench_suite_subset(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "Figure 5" in out
     assert report.exists()
+
+
+@pytest.fixture()
+def bench_cache(monkeypatch, tmp_path):
+    """An isolated, empty result cache for in-process bench runs."""
+    from repro.bench import clear_caches
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_PROGRESS", "0")
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def test_bench_warm_rerun_hits_cache_and_repeats_report(bench_cache,
+                                                        tmp_path):
+    import json
+
+    counters, reports = [], []
+    for run in ("cold", "warm"):
+        metrics = tmp_path / f"{run}.json"
+        report = tmp_path / f"{run}-report.json"
+        assert main(["bench", "--quick", "--only", "table-v",
+                     "--jobs", "2", "--metrics-out", str(metrics),
+                     "--report", str(report)]) == 0
+        counters.append(json.loads(metrics.read_text())["counters"])
+        reports.append(report.read_bytes())
+    cold, warm = counters
+    # The second run in the same process simulates nothing.
+    assert warm.get("cache.memory_hits", 0) \
+        + warm.get("cache.disk_hits", 0) == cold["cache.misses"] > 0
+    assert reports[0] == reports[1]
+
+
+def test_bench_metrics_out_writes_json_and_prom(bench_cache, tmp_path):
+    import json
+
+    out = tmp_path / "metrics.json"
+    assert main(["bench", "--quick", "--only", "table-v", "--jobs", "1",
+                 "--metrics-out", str(out)]) == 0
+    snapshot = json.loads(out.read_text())
+    assert snapshot["counters"]["executor.specs"] == 24
+    prom = out.with_suffix(".json.prom").read_text()
+    assert "# TYPE repro_executor_specs_total counter" in prom
 
 
 def test_stats_subcommand(capsys):

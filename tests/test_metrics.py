@@ -1,4 +1,5 @@
-"""The metrics registry, its instrumentation sites, and the profiler.
+"""The metrics registry, its instrumentation sites, the profiler, and
+the provenance stamp.
 
 The headline invariants:
 
@@ -11,6 +12,7 @@ The headline invariants:
 
 import inspect
 import json
+import subprocess
 
 import pytest
 
@@ -21,11 +23,15 @@ from repro.metrics import (
     Timer,
     attached,
     classify_module,
-    flatten_snapshot,
     get_registry,
     profile_spec,
     report_from_stats,
     set_registry,
+)
+from repro.metrics.ledger import (
+    current_git_sha,
+    host_fingerprint,
+    repo_root,
 )
 from repro.uarch import P_CORE, simulate
 from repro.uarch.pipeline import Core
@@ -213,16 +219,6 @@ def test_every_published_metric_has_help(isolated_cache):
     text = registry.to_prometheus()
     for name in sorted(names & set(METRIC_HELP)):
         assert METRIC_HELP[name] in text, name
-
-
-def test_flatten_snapshot_scalars():
-    flat = flatten_snapshot(_sample_registry().snapshot())
-    assert flat["executor.specs"] == 3.0
-    assert flat["uarch.sim_cycles_per_sec"] == 1500.0
-    assert flat["executor.spec_seconds.count"] == 2.0
-    assert flat["executor.spec_seconds.sum"] == pytest.approx(0.55)
-    assert flat["executor.spec_seconds.max"] == 0.5
-    assert "executor.spec_seconds.buckets" not in flat
 
 
 # ----------------------------------------------------------------------
@@ -418,3 +414,31 @@ def test_profile_cli_smoke(isolated_cache, tmp_path, capsys):
     assert "host time by subsystem" in out
     assert collapsed.exists()
     assert main(["profile", "ossl.ecadd", "--defense", "nope"]) == 2
+
+
+# ----------------------------------------------------------------------
+# Provenance stamp (what perfbench records with each result)
+# ----------------------------------------------------------------------
+
+def test_host_fingerprint_is_stable():
+    a, b = host_fingerprint(), host_fingerprint()
+    assert a == b
+    assert len(a["digest"]) == 16
+
+
+def test_current_git_sha_names_head(monkeypatch):
+    try:
+        head = subprocess.run(
+            ["git", "-C", str(repo_root()), "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10)
+        expected = head.stdout.strip() if head.returncode == 0 \
+            else "unknown"
+    except (OSError, subprocess.SubprocessError):
+        expected = "unknown"
+    assert current_git_sha() == expected
+
+    def no_git(*args, **kwargs):
+        raise OSError("git not installed")
+
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert current_git_sha() == "unknown"
