@@ -26,8 +26,6 @@ Environment knobs:
   back to ``os.cpu_count()``).
 * ``REPRO_NO_CACHE=1`` — disable the on-disk cache entirely.
 * ``REPRO_CACHE_DIR`` — override the cache directory.
-* ``REPRO_CACHE_SALT`` — extra content mixed into the version hash
-  (used by tests to force invalidation).
 * ``REPRO_PROGRESS`` — force the progress line on (``1``) or off
   (``0``); default: only when stderr is a tty.
 
@@ -48,7 +46,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..metrics.spans import span_attrs_for_spec
@@ -163,11 +161,6 @@ class BatchStats:
     retried: int = 0
     jobs: int = 1
     elapsed_s: float = 0.0
-    #: Compiled-backend artifact cache traffic during this batch
-    #: (attached-registry deltas; pool workers' counts arrive in their
-    #: merged metrics snapshots, so both backends count).
-    compile_hits: int = 0
-    compile_misses: int = 0
 
     @property
     def hits(self) -> int:
@@ -177,21 +170,12 @@ class BatchStats:
     def hit_rate(self) -> float:
         return self.hits / self.total if self.total else 0.0
 
-    @property
-    def compile_hit_rate(self) -> float:
-        seen = self.compile_hits + self.compile_misses
-        return self.compile_hits / seen if seen else 0.0
-
     def line(self) -> str:
-        compile_part = ""
-        if self.compile_hits or self.compile_misses:
-            compile_part = (f", compile cache {self.compile_hits}/"
-                            f"{self.compile_hits + self.compile_misses} hit")
         return (f"[executor] {self.total} specs: {self.hits} cached "
                 f"({self.memory_hits} mem, {self.disk_hits} disk, "
                 f"{100 * self.hit_rate:.0f}% hit rate), "
                 f"{self.simulated} simulated, {self.retried} retried, "
-                f"jobs={self.jobs}, {self.elapsed_s:.1f}s{compile_part}")
+                f"jobs={self.jobs}, {self.elapsed_s:.1f}s")
 
 
 #: Stats of the most recent batch (tests and the bench script read it).
@@ -211,10 +195,10 @@ def _hash(*chunks: bytes) -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _source_fingerprint(salt: str) -> str:
-    """Hash of every simulator-relevant source file (plus ``salt``)."""
+def _source_fingerprint() -> str:
+    """Hash of every simulator-relevant source file."""
     root = pathlib.Path(__file__).resolve().parent.parent
-    digest = hashlib.sha256(salt.encode())
+    digest = hashlib.sha256()
     for package in _VERSIONED_PACKAGES:
         for path in sorted((root / package).glob("*.py")):
             digest.update(path.name.encode())
@@ -224,7 +208,7 @@ def _source_fingerprint(salt: str) -> str:
 
 def code_version_hash() -> str:
     """The simulator-source component of every cache key."""
-    return _source_fingerprint(os.environ.get("REPRO_CACHE_SALT", ""))
+    return _source_fingerprint()
 
 
 def program_fingerprint(program: Program) -> str:
@@ -320,11 +304,20 @@ def cache_load(spec: RunSpec) -> Optional[RunSummary]:
         return None
 
 
-def write_atomic(path: pathlib.Path, text: str) -> None:
-    """Write one cache file through a temp file and a rename, so
+def cache_store(spec: RunSpec, summary: RunSummary) -> None:
+    """Persist one result through a temp file and a rename, so
     concurrent writers are safe.  A read-only cache directory must
     never fail a run — but a failed write or rename must not leak its
     temp file either."""
+    if not cache_enabled():
+        return
+    path = _cache_path(spec_cache_key(spec))
+    text = json.dumps({
+        "format": CACHE_FORMAT,
+        "spec": dataclasses.asdict(spec),
+        "summary": summary.to_dict(),
+        "created": time.time(),
+    })
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -340,31 +333,10 @@ def write_atomic(path: pathlib.Path, text: str) -> None:
                 pass
 
 
-def cache_store(spec: RunSpec, summary: RunSummary) -> None:
-    """Persist one result (atomic write; concurrent writers are safe)."""
-    if not cache_enabled():
-        return
-    write_atomic(_cache_path(spec_cache_key(spec)), json.dumps({
-        "format": CACHE_FORMAT,
-        "spec": dataclasses.asdict(spec),
-        "summary": summary.to_dict(),
-        "created": time.time(),
-    }))
-
-
-def _cache_files() -> Iterator[pathlib.Path]:
-    """Every file the cache holds: result entries (``*.json``) and the
-    compiled engine's generated sources (``compiled/*.py``)."""
-    base = cache_dir()
-    for pattern in ("*.json", "compiled/*.py"):
-        yield from base.rglob(pattern)
-
-
 def wipe_cache() -> int:
-    """Delete every cached result and compiled artifact; returns the
-    number removed."""
+    """Delete every cached result; returns the number removed."""
     removed = 0
-    for path in _cache_files():
+    for path in cache_dir().rglob("*.json"):
         try:
             path.unlink()
             removed += 1
@@ -374,8 +346,7 @@ def wipe_cache() -> int:
 
 
 def cache_info() -> Dict:
-    """File count and total size of the on-disk cache (results and
-    compiled artifacts).
+    """File count and total size of the on-disk cache.
 
     Files that vanish between the directory walk and the ``stat`` (a
     concurrent ``wipe_cache`` or writer replacing its temp file) are
@@ -383,7 +354,7 @@ def cache_info() -> Dict:
     """
     entries = 0
     total_bytes = 0
-    for path in _cache_files():
+    for path in cache_dir().rglob("*.json"):
         try:
             total_bytes += path.stat().st_size
         except OSError:
@@ -490,7 +461,6 @@ def run_batch(
     recorder = tel.recorder
     batch_span = tel.start("executor.batch", {"specs": len(ordered)},
                            push=True)
-    compile_before = _compile_counts(tel)
     started = time.monotonic()
     results: Dict[RunSpec, RunSummary] = {}
     pending: List[RunSpec] = []
@@ -536,9 +506,6 @@ def run_batch(
     finally:
         tel.finish(batch_span, simulated=stats.simulated,
                    cached=stats.hits, jobs=stats.jobs)
-    stats.compile_hits, stats.compile_misses = (
-        after - before
-        for after, before in zip(_compile_counts(tel), compile_before))
     _progress(stats, len(results), final=True)
     for name, amount in (("executor.batches", 1),
                          ("executor.specs", stats.total),
@@ -552,10 +519,3 @@ def run_batch(
     logger.info("%s", stats.line())
     LAST_BATCH = stats
     return results
-
-
-def _compile_counts(tel: Telemetry) -> Tuple[int, int]:
-    """(hits, misses) of the compiled-artifact cache so far."""
-    return (tel.value("uarch.compile_cache_hits")
-            + tel.value("uarch.compile_cache_disk_hits"),
-            tel.value("uarch.compile_cache_misses"))

@@ -199,10 +199,6 @@ class Telemetry:
         if self.registry is not None:
             self.registry.counter(name).inc(amount)
 
-    def value(self, name: str) -> int:
-        return self.registry.counter(name).value \
-            if self.registry is not None else 0
-
     def gauge(self, name: str, value: float) -> None:
         if self.registry is not None:
             self.registry.gauge(name).set(value)

@@ -125,7 +125,7 @@ def mitigated(workload_name: str, instrument: Optional[str],
 
 
 def execute_spec(spec: RunSpec, tracer=None,
-                 engine: Optional[str] = None) -> CoreResult:
+                 engine: str = "compiled") -> CoreResult:
     """Simulate one configuration, uncached (the raw primitive the
     batch executor builds on), returning the full result.
 
@@ -135,9 +135,7 @@ def execute_spec(spec: RunSpec, tracer=None,
     interpreter; None — the default — is the zero-overhead path.
 
     ``engine`` picks the simulation engine (see
-    :func:`repro.uarch.pipeline.simulate`); None defers to the
-    ``REPRO_ENGINE`` environment variable and then to auto-selection
-    (compiled when possible).
+    :func:`repro.uarch.pipeline.simulate`).
     """
     workload = get_workload(spec.workload)
     if spec.mitigation is not None:

@@ -20,8 +20,9 @@ The paper's Docker artifact ships ``table-v.py``, ``table-ii.py``, etc.
     python -m repro cache [--wipe]
     python -m repro stats WORKLOAD [--defense D] [--instrument C]
     python -m repro speculation [--workload NAME ...] [--defense D ...]
-                          [--json] [--ledger-out FILE]
-    python -m repro trace WORKLOAD [--out FILE] [--fmt chrome|text]
+                          [--json]
+    python -m repro trace WORKLOAD [--defense D] [--out FILE]
+                          [--fmt chrome|text]
     python -m repro profile WORKLOAD [--top N] [--collapsed FILE]
 
 Every simulation-heavy subcommand takes ``--jobs N`` to fan its run
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from typing import List, Optional
 
@@ -92,8 +92,6 @@ def _make_spec(args):
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (every subcommand)."""
-    from .uarch.pipeline import ENGINES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the Protean paper's tables and figures.")
@@ -148,12 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=BENCH_TARGETS)
     bench.add_argument("--report", default=None, metavar="FILE",
                        help="also write a JSON report of the tables")
-    bench.add_argument("--engine", default=None, choices=ENGINES,
-                       help="simulation engine for cache misses and for "
-                            "the contract checks inside table-ii "
-                            "(default: REPRO_ENGINE, then compiled, "
-                            "which falls back to ref for shapes it "
-                            "refuses)")
     bench.add_argument("--metrics-out", default=None, metavar="FILE",
                        help="write the metrics snapshot as JSON "
                             "(FILE.prom gets the Prometheus rendition)")
@@ -279,10 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     spec_.add_argument("--core", default="P", choices=["P", "E"])
     spec_.add_argument("--json", action="store_true",
                        help="emit the per-defense anatomy as JSON")
-    spec_.add_argument("--ledger-out", default=None, metavar="FILE",
-                       help="trace the first workload x first "
-                            "intervening defense and write its Chrome "
-                            "trace (pipeline + interventions) here")
     _add_jobs(spec_)
     return parser
 
@@ -388,10 +376,6 @@ def _run_bench_suite(args) -> int:
 
     quick = args.quick
     jobs = args.jobs
-    if getattr(args, "engine", None):
-        # Via the environment so pool workers, and every simulate() call
-        # in this process, inherit the choice.
-        os.environ["REPRO_ENGINE"] = args.engine
     targets = tuple(args.only) if args.only else BENCH_TARGETS
     tables = []
 
@@ -666,9 +650,7 @@ def _run_speculation(args) -> int:
     Aggregates the always-on telemetry over a workload matrix (cached,
     batch-executed) into a per-defense table of intervention episodes
     and delay cycles per gating hook, plus transient-uop pressure.
-    ``--ledger-out`` additionally attaches a
-    :class:`~repro.uarch.trace.PipelineTracer` to one run and writes
-    its pipeline + intervention Chrome trace."""
+    ``repro trace`` records one run's interventions."""
     import json
 
     from .bench.runner import DEFENSES
@@ -700,33 +682,6 @@ def _run_speculation(args) -> int:
                          indent=2, sort_keys=True))
     else:
         _emit(result)
-
-    if args.ledger_out:
-        from .bench.runner import RunSpec, execute_spec
-        from .uarch.trace import PipelineTracer, write_chrome_trace
-
-        target = next(
-            ((d, i) for d, i in defenses
-             if any(hook["interventions"]
-                    for hook in result.data[d]["hooks"].values())),
-            None)
-        if target is None:
-            print("no defense intervened on this matrix; "
-                  "nothing to trace", file=sys.stderr)
-            return 1
-        defense, instrument = target
-        spec = RunSpec(workload=names[0], defense=defense,
-                       instrument=instrument, core=args.core)
-        tracer = PipelineTracer()
-        run = execute_spec(spec, tracer=tracer)
-        path = write_chrome_trace(args.ledger_out, tracer,
-                                  label=f"{names[0]}/{defense}")
-        print(f"{names[0]}/{defense}: {run.cycles} cycles, "
-              f"{len(tracer.events)} intervention events "
-              f"({tracer.dropped_events} dropped, "
-              f"{sum(e.delay for e in tracer.events)} delay cycles)")
-        print(f"chrome trace (pipeline + intervention overlay) "
-              f"written to {path}")
     return 0
 
 
@@ -787,62 +742,37 @@ def _run_diff(args) -> int:
                   f"known: {', '.join(sorted(DEFENSES))}",
                   file=sys.stderr)
             return 2
-    checked = divergent = 0
-    started = time.monotonic()
+    defenses = tuple(args.defense) if args.defense else None
+
+    def reports():
+        for case in diff_cases(programs=args.programs, seed=args.seed,
+                               defenses=defenses, cores=tuple(args.core)):
+            yield run_case(case, program_size=args.size)
+        if not args.no_fixtures:
+            yield from (report for _, report in fixture_cases())
+            # Mitigated binaries (all four software passes over the
+            # fixtures + one generated program) must agree across
+            # engines too — the passes only add architectural no-ops.
+            yield from (report for _, report
+                        in mitigation_cases(seed=args.seed))
+        if args.workload:
+            yield from _diff_workloads(args.workload, defenses)
+
     timings = []  # (seconds, label)
     divergent_lines = []
-
-    def tally(report, seconds: float) -> None:
-        nonlocal checked, divergent
-        checked += 1
-        timings.append((seconds, report.label))
-        if not report.identical:
-            divergent += 1
-            divergent_lines.append(report.render())
-            print(report.render())
-
-    def timed(thunk):
+    pending = reports()
+    started = time.monotonic()
+    while True:
         case_started = time.monotonic()
-        report = thunk()
-        tally(report, time.monotonic() - case_started)
-
-    for case in diff_cases(programs=args.programs, seed=args.seed,
-                           defenses=tuple(args.defense)
-                           if args.defense else None,
-                           cores=tuple(args.core)):
-        timed(lambda c=case: run_case(c, program_size=args.size))
-    if not args.no_fixtures:
-        fixture_iter = fixture_cases()
-        while True:
-            case_started = time.monotonic()
-            try:
-                _, report = next(fixture_iter)
-            except StopIteration:
-                break
-            tally(report, time.monotonic() - case_started)
-        # Mitigated binaries (all four software passes over the
-        # fixtures + one generated program) must agree across engines
-        # too — the passes only add architectural no-ops.
-        mitigation_iter = mitigation_cases(seed=args.seed)
-        while True:
-            case_started = time.monotonic()
-            try:
-                _, report = next(mitigation_iter)
-            except StopIteration:
-                break
-            tally(report, time.monotonic() - case_started)
-    if args.workload:
-        workload_iter = _diff_workloads(args.workload,
-                                        tuple(args.defense)
-                                        if args.defense else None)
-        while True:
-            case_started = time.monotonic()
-            try:
-                report = next(workload_iter)
-            except StopIteration:
-                break
-            tally(report, time.monotonic() - case_started)
+        report = next(pending, None)
+        if report is None:
+            break
+        timings.append((time.monotonic() - case_started, report.label))
+        if not report.identical:
+            divergent_lines.append(report.render())
+            print(divergent_lines[-1])
     elapsed = time.monotonic() - started
+    checked, divergent = len(timings), len(divergent_lines)
     timing_lines = _diff_timing_lines(timings, elapsed)
     for line in timing_lines:
         print(line)
@@ -898,8 +828,7 @@ def _diff_workloads(names, defenses):
 
 
 def _run_cache(args) -> int:
-    """``repro cache``: show or wipe the persistent cache (results and
-    compiled artifacts)."""
+    """``repro cache``: show or wipe the persistent result cache."""
     from .bench.executor import cache_info, wipe_cache
 
     if args.wipe:

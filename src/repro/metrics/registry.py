@@ -89,10 +89,9 @@ METRIC_HELP: Dict[str, str] = {
         "compiled-engine runs served by the reference: tracer attached",
     "uarch.compile_fallbacks.empty_program":
         "compiled-engine runs served by the reference: empty program",
-    "uarch.compile_seconds": "wall time spent generating/loading "
-        "compiled artifacts",
+    "uarch.compile_seconds": "wall time spent generating and compiling "
+        "step functions",
     "uarch.compile_cache_hits": "compiled artifacts reused in-process",
-    "uarch.compile_cache_disk_hits": "compiled artifacts reused from disk",
     "uarch.compile_cache_misses": "programs compiled from scratch",
     "uarch.fast_forward_cycles":
         "idle cycles the compiled engine fast-forwarded over",

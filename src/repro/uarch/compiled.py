@@ -71,10 +71,9 @@ the fast-forward telemetry.  ``Core._result()`` — and therefore the
 bit-identical :class:`CoreResult` contract checked by ``repro diff``
 (reference vs compiled) — is shared by both engines.
 
-Compiled artifacts are content-addressed exactly like the bench result
-cache: program fingerprint + full config + defense identity/params +
-simulator-source hash (see :func:`compile_key`).  Artifacts are cached
-in-process and on disk under ``<bench cache>/compiled/``.
+Compiled functions are memoized in-process under :func:`compile_key`
+(program fingerprint + full config + defense identity/params); nothing
+outlives the process.
 """
 
 from __future__ import annotations
@@ -101,12 +100,6 @@ from .pipeline import (
     _BLOCK_TO_CAUSE,
     _SQUASH_CAUSE,
 )
-
-#: Bump when the generator's output changes shape: invalidates every
-#: cached artifact (the simulator-source hash usually also changes, but
-#: the version makes intent explicit and survives hash collisions of
-#: whitespace-only edits).
-CODEGEN_VERSION = 6
 
 #: Stable opcode -> kind-integer mapping used by the generated decode
 #: tables (enum definition order; append-only by ISA convention).
@@ -184,7 +177,7 @@ class DefenseTraits:
 
 
 # =====================================================================
-# Content-addressed artifact cache
+# The in-process compile memo
 # =====================================================================
 
 _MEM_CACHE: Dict[str, object] = {}
@@ -192,33 +185,21 @@ _MEM_CACHE_LIMIT = 256
 
 
 def compile_key(program, config: CoreConfig, defense) -> str:
-    """Content hash of everything the generated source depends on.
-
-    Mirrors the bench-cache keying discipline
-    (:func:`repro.bench.executor.spec_cache_key`): the program
-    fingerprint, the complete core configuration, the defense identity
-    (class + constructor params + hook traits), the codegen version,
-    and the versioned simulator-source hash — so editing any simulator
-    package, any defense parameter, or any config field misses.
-    """
-    from ..bench.executor import _hash, code_version_hash, program_fingerprint
+    """Content hash of everything the generated source depends on
+    within one process: the program fingerprint, the complete core
+    configuration, and the defense identity (class + constructor
+    params + hook traits) — so any defense parameter or config field
+    misses.  Simulator source cannot change while the process runs."""
+    from ..bench.executor import _hash, program_fingerprint
 
     traits = DefenseTraits(defense)
     defense_sig = (type(defense).__module__, type(defense).__qualname__,
                    repr(defense.compile_params()), traits.key())
     return _hash(
-        f"compiled-v{CODEGEN_VERSION}".encode(),
         program_fingerprint(program).encode(),
         repr(config).encode(),
         repr(defense_sig).encode(),
-        code_version_hash().encode(),
     )
-
-
-def artifact_dir():
-    from ..bench.executor import cache_dir
-
-    return cache_dir() / "compiled"
 
 
 def clear_compile_cache() -> None:
@@ -228,8 +209,7 @@ def clear_compile_cache() -> None:
 
 def compile_step(program, config: CoreConfig, defense):
     """Return the compiled ``run(core)`` function for the triple,
-    consulting the in-memory and on-disk artifact caches."""
-    from ..bench.executor import cache_enabled, write_atomic
+    generating and compiling it on its first request in this process."""
     from ..metrics.registry import get_registry
 
     metrics = get_registry()
@@ -241,19 +221,7 @@ def compile_step(program, config: CoreConfig, defense):
         return fn
 
     start = time.perf_counter()
-    source = None
-    disk = cache_enabled()
-    path = artifact_dir() / f"{key}.py" if disk else None
-    if disk and path.is_file():
-        try:
-            source = path.read_text()
-        except OSError:
-            source = None
-    from_disk = source is not None
-    if source is None:
-        source = generate_source(program, config, defense)
-        if disk:
-            write_atomic(path, source)
+    source = generate_source(program, config, defense)
     namespace: Dict[str, object] = {"__name__": f"repro.uarch._compiled_{key[:12]}"}
     code = compile(source, f"<repro-compiled:{key[:12]}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
@@ -262,10 +230,7 @@ def compile_step(program, config: CoreConfig, defense):
         _MEM_CACHE.clear()
     _MEM_CACHE[key] = fn
     if metrics is not None:
-        if from_disk:
-            metrics.counter("uarch.compile_cache_disk_hits").inc()
-        else:
-            metrics.counter("uarch.compile_cache_misses").inc()
+        metrics.counter("uarch.compile_cache_misses").inc()
         metrics.timer("uarch.compile_seconds").observe(
             time.perf_counter() - start)
     return fn

@@ -22,7 +22,6 @@ cycle-identical to it (``repro diff``).
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -1099,8 +1098,7 @@ class Core:
                                 else "bad_pc")
 
 
-#: Engine names accepted by :func:`simulate`, the ``REPRO_ENGINE``
-#: environment variable, and ``repro bench --engine``.
+#: Engine names accepted by :func:`simulate`.
 ENGINES = ("ref", "compiled")
 
 
@@ -1110,16 +1108,13 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
              max_cycles: int = DEFAULT_MAX_CYCLES,
              tracer=None,
              no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
-             engine: Optional[str] = None,
+             engine: str = "compiled",
              ) -> CoreResult:
     """Run ``program`` to completion on a fresh core.
 
-    ``engine`` picks the execution backend.  ``None`` reads the
-    ``REPRO_ENGINE`` environment variable (default ``"compiled"``), so
-    a choice made once reaches pool workers and every simulation of a
-    run:
+    ``engine`` picks the execution backend:
 
-    * ``"compiled"`` — the specializing backend
+    * ``"compiled"`` (the default) — the specializing backend
       (:mod:`repro.uarch.compiled`), falling back to the reference
       interpreter for shapes it refuses: an attached tracer (a
       single-spec diagnostic that must see every cycle) or an empty
@@ -1128,8 +1123,6 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
       ``empty_program``).
     * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "compiled"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")

@@ -1,12 +1,12 @@
-"""The compiled simulation backend: engine selection, artifact-cache
-invalidation, fallback behaviour, and metrics.
+"""The compiled simulation backend: engine selection, compile-memo
+keying, fallback behaviour, and metrics.
 
 Cycle-identity of the compiled engine against the reference
 interpreter is proven by the differential harness
 (``tests/test_refcore_diff.py`` runs a grid subset; ``repro diff`` and
 the CI ``diff-twoway`` job run the full sweep).  This module covers
-everything *around* that proof: that the content-addressed compile
-cache misses exactly when it must, that the default engine and the
+everything *around* that proof: that the in-process compile memo
+misses exactly when it must, that the default engine and the
 documented fallbacks pick the right engine, and that the backend
 reports its compile costs.
 """
@@ -15,7 +15,6 @@ import pytest
 
 from repro.arch import run_program
 from repro.bench.runner import DEFENSES
-from repro.cli import build_parser
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
 from repro.isa import assemble
@@ -30,7 +29,7 @@ from repro.uarch.compiled import (
     generate_source,
 )
 from repro.uarch.pipeline import ENGINES
-from repro.uarch.refcore import run_engines
+from repro.uarch.refcore import ENGINE_PAIR, run_engines
 from repro.uarch.trace import PipelineTracer
 
 
@@ -41,7 +40,8 @@ def v1_program():
 
 @pytest.fixture(autouse=True)
 def _fresh_compile_cache(tmp_path, monkeypatch):
-    """Isolate every test from the repo's persistent artifact cache."""
+    """Start every test from an empty compile memo, with the result
+    cache pointed at a fresh directory."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     clear_compile_cache()
     yield
@@ -56,14 +56,6 @@ def test_compile_key_stable_for_equal_triples(v1_program):
     key_a = compile_key(v1_program, P_CORE, ProtTrack())
     key_b = compile_key(v1_program, P_CORE, ProtTrack())
     assert key_a == key_b
-
-
-def test_compile_key_misses_on_simulator_source_change(
-        v1_program, monkeypatch):
-    before = compile_key(v1_program, P_CORE, Unsafe())
-    monkeypatch.setenv("REPRO_CACHE_SALT", "edited-pipeline.py")
-    after = compile_key(v1_program, P_CORE, Unsafe())
-    assert before != after
 
 
 def test_compile_key_misses_on_defense_param_change(v1_program):
@@ -95,7 +87,7 @@ def test_compile_key_misses_on_program_change(v1_program):
 
 
 # ---------------------------------------------------------------------
-# compile_step: memory cache, disk artifacts, counters.
+# compile_step: the in-process memo and its counters.
 # ---------------------------------------------------------------------
 
 def test_compile_step_cache_traffic(v1_program, tmp_path):
@@ -103,20 +95,16 @@ def test_compile_step_cache_traffic(v1_program, tmp_path):
     with attached(registry):
         first = compile_step(v1_program, P_CORE, ProtTrack())
         second = compile_step(v1_program, P_CORE, ProtTrack())
-        # Drop only the in-process cache: the next call must reload the
-        # on-disk artifact instead of regenerating the source.
+        # The memo is the only store: once it is dropped, the triple
+        # compiles again.
         clear_compile_cache()
         third = compile_step(v1_program, P_CORE, ProtTrack())
     counters = registry.snapshot()["counters"]
-    assert counters["uarch.compile_cache_misses"] == 1
+    assert counters["uarch.compile_cache_misses"] == 2
     assert counters["uarch.compile_cache_hits"] == 1
-    assert counters["uarch.compile_cache_disk_hits"] == 1
     assert first is second  # memory hit returns the same function
-    assert callable(third)
-    key = compile_key(v1_program, P_CORE, ProtTrack())
-    artifact = tmp_path / "cache" / "compiled" / f"{key}.py"
-    assert artifact.is_file(), "miss must persist the generated source"
-    assert "def run(core):" in artifact.read_text()
+    assert callable(third) and third is not first
+    assert not list(tmp_path.rglob("*.py")), "compiling must write no file"
 
 
 def test_compile_timer_observed(v1_program):
@@ -141,8 +129,7 @@ def _fallbacks(registry):
             if name.startswith("uarch.compile_fallbacks.")}
 
 
-def test_default_engine_picks_compiled(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_default_engine_picks_compiled():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
     with attached(registry):
@@ -164,12 +151,11 @@ def test_tracer_pins_the_interpreter():
     assert traced.halt_reason == "halt"
 
 
-def test_repro_engine_env_pins_the_reference(monkeypatch):
+def test_ref_engine_pins_the_reference():
     program, memory = build("v1-gadget")
-    monkeypatch.setenv("REPRO_ENGINE", "ref")
     registry = MetricsRegistry()
     with attached(registry):
-        simulate(program, ProtTrack(), P_CORE, memory)
+        simulate(program, ProtTrack(), P_CORE, memory, engine="ref")
     assert _compiled_runs(registry) == 0
     assert registry.snapshot()["counters"]["uarch.runs"] == 1
 
@@ -214,26 +200,20 @@ def test_compiled_core_rejects_tracer():
                      tracer=PipelineTracer())
 
 
-def test_unknown_engine_rejected(v1_program, monkeypatch):
+def test_unknown_engine_rejected(v1_program):
     with pytest.raises(ValueError):
         simulate(v1_program, Unsafe(), P_CORE, engine="hyperspeed")
-    # Retired engine names fail loudly, naming the valid ones, whether
-    # passed directly or through the environment.
+    # Retired engine names fail loudly, naming the valid ones.
     for stale in ("fast", "auto"):
         with pytest.raises(ValueError, match="ref, compiled"):
             simulate(v1_program, Unsafe(), P_CORE, engine=stale)
-    monkeypatch.setenv("REPRO_ENGINE", "auto")
-    with pytest.raises(ValueError, match="ref, compiled"):
-        simulate(v1_program, Unsafe(), P_CORE)
 
 
 def test_engines_constant_covers_cli_choices():
+    # ``repro diff``, the one command that names engines, compares
+    # exactly the engines simulate() accepts.
     assert ENGINES == ("ref", "compiled")
-    commands = next(action for action in build_parser()._actions
-                    if action.dest == "command")
-    engine = next(action for action in commands.choices["bench"]._actions
-                  if action.dest == "engine")
-    assert tuple(engine.choices) == ENGINES
+    assert ENGINE_PAIR == ENGINES
 
 
 def test_compiled_cycles_per_sec_gauge():

@@ -73,7 +73,8 @@ def test_cache_key_depends_on_spec_and_workload(isolated_cache):
 def test_cache_key_invalidates_on_version_change(isolated_cache,
                                                  monkeypatch):
     before = spec_cache_key(FAST)
-    monkeypatch.setenv("REPRO_CACHE_SALT", "simulator-changed")
+    monkeypatch.setattr(executor, "code_version_hash",
+                        lambda: "simulator-changed")
     assert spec_cache_key(FAST) != before
 
 
@@ -101,7 +102,8 @@ def test_batch_miss_then_memory_then_disk_hits(isolated_cache):
 def test_version_change_forces_resimulation(isolated_cache, monkeypatch):
     run_batch([FAST], jobs=1)
     assert executor.LAST_BATCH.simulated == 1
-    monkeypatch.setenv("REPRO_CACHE_SALT", "new-simulator")
+    monkeypatch.setattr(executor, "code_version_hash",
+                        lambda: "new-simulator")
     clear_summary_cache()
     run_batch([FAST], jobs=1)
     assert executor.LAST_BATCH.simulated == 1  # old entry not reused
@@ -240,7 +242,7 @@ def test_pool_metrics_match_serial(isolated_cache, monkeypatch, tmp_path):
              RunSpec(workload="ossl.dh", defense="track",
                      instrument="unr")]
     names = ("uarch.sim_cycles", "uarch.runs", "uarch.compile_cache_hits",
-             "uarch.compile_cache_disk_hits", "uarch.compile_cache_misses")
+             "uarch.compile_cache_misses")
 
     def counters(jobs):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
@@ -248,14 +250,13 @@ def test_pool_metrics_match_serial(isolated_cache, monkeypatch, tmp_path):
         registry = MetricsRegistry()
         with attached(registry):
             run_batch(specs, jobs=jobs)
-        stats = executor.LAST_BATCH
-        return ({name: registry.counter(name).value for name in names},
-                (stats.compile_hits, stats.compile_misses))
+        return {name: registry.counter(name).value for name in names}
 
     serial, parallel = counters(1), counters(2)
     assert serial == parallel
-    assert serial[0]["uarch.sim_cycles"] > 0
-    assert serial[1] == (0, len(specs))
+    assert serial["uarch.sim_cycles"] > 0
+    assert (serial["uarch.compile_cache_hits"],
+            serial["uarch.compile_cache_misses"]) == (0, len(specs))
 
 
 def test_pool_writes_each_result_to_disk_once(isolated_cache, monkeypatch,
@@ -362,7 +363,7 @@ def test_campaign_pool_metrics_match_serial(isolated_cache, monkeypatch,
     from repro.metrics import MetricsRegistry, attached
 
     names = ("uarch.sim_cycles", "uarch.runs", "uarch.compile_cache_hits",
-             "uarch.compile_cache_disk_hits", "uarch.compile_cache_misses")
+             "uarch.compile_cache_misses")
 
     def counters(jobs):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
@@ -495,7 +496,6 @@ def test_serial_and_parallel_runsummary_json_byte_identical(
     import json
 
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     specs = [FAST, FAST_SPTSB,
              RunSpec(workload="ossl.dh", defense="track",
                      instrument="unr")]
@@ -518,33 +518,11 @@ def test_runsummary_engine_independent(isolated_cache, monkeypatch):
     """The slim perf summary is identical whichever engine produced it
     (the RunSummary-level corollary of the differential harness)."""
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     clear_caches()
     clear_summary_cache()
     reference = summarize(execute_spec(FAST_SPTSB, engine="ref"))
     summary = run_batch([FAST_SPTSB], jobs=1)[FAST_SPTSB]
     assert summary.to_dict() == reference.to_dict()
-
-
-def test_runsummary_repro_engine_env_independent(isolated_cache,
-                                                 monkeypatch):
-    """``REPRO_ENGINE`` picks the backend without changing results
-    (that is what lets ``repro bench --engine`` reach pool workers)."""
-    import json
-
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-
-    def summary_json():
-        clear_caches()
-        clear_summary_cache()
-        summary = run_batch([FAST_SPTSB], jobs=1)[FAST_SPTSB]
-        return json.dumps(summary.to_dict(), sort_keys=True)
-
-    by_engine = {}
-    for engine in ("ref", "compiled"):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        by_engine[engine] = summary_json()
-    assert by_engine["ref"] == by_engine["compiled"]
 
 
 # ----------------------------------------------------------------------
@@ -594,17 +572,16 @@ def test_cache_store_tolerates_unwritable_dir(isolated_cache,
     assert not list(isolated_cache.rglob("*.tmp"))
 
 
-def _artifacts(cache):
-    return list((cache / "compiled").glob("*.py"))
+def _entries(cache):
+    return list(cache.rglob("*.json"))
 
 
 def test_cache_info_tolerates_concurrent_wipe(isolated_cache,
                                               monkeypatch):
-    """Files deleted between the rglob walk and the stat (a racing
-    wipe_cache or writer) are skipped, not crashed on — result entries
-    and compiled artifacts alike."""
+    """Result entries deleted between the rglob walk and the stat (a
+    racing wipe_cache or writer) are skipped, not crashed on."""
     run_batch([FAST, FAST_SPTSB], jobs=1)
-    assert _artifacts(isolated_cache)
+    assert len(_entries(isolated_cache)) == 2
     real_rglob = pathlib.Path.rglob
 
     def racing_rglob(self, pattern):
@@ -617,13 +594,13 @@ def test_cache_info_tolerates_concurrent_wipe(isolated_cache,
     info = executor.cache_info()
     assert info["entries"] == 0
     assert info["bytes"] == 0
-    assert not _artifacts(isolated_cache)
+    assert not _entries(isolated_cache)
 
 
 def test_wipe_cache_tolerates_vanished_files(isolated_cache,
                                              monkeypatch):
     run_batch([FAST], jobs=1)
-    assert _artifacts(isolated_cache)
+    assert _entries(isolated_cache)
     real_rglob = pathlib.Path.rglob
 
     def racing_rglob(self, pattern):
@@ -634,40 +611,20 @@ def test_wipe_cache_tolerates_vanished_files(isolated_cache,
 
     monkeypatch.setattr(pathlib.Path, "rglob", racing_rglob)
     assert executor.wipe_cache() == 0  # nothing left to remove, no crash
-    assert not _artifacts(isolated_cache)
+    assert not _entries(isolated_cache)
 
 
-def test_cache_info_and_wipe_cover_compiled_artifacts(isolated_cache):
-    from repro.fixtures import build
-    from repro.uarch import P_CORE
-    from repro.uarch.compiled import artifact_dir, compile_step
-
-    program, _ = build("v1-gadget")
-    compile_step(program, P_CORE, Unsafe())
-    artifacts = _artifacts(isolated_cache)
-    assert [path.parent for path in artifacts] == [artifact_dir()]
-    info = executor.cache_info()
-    assert info["entries"] == 1
-    assert info["bytes"] == artifacts[0].stat().st_size
-    assert executor.wipe_cache() == 1
-    assert not _artifacts(isolated_cache)
-    assert executor.cache_info()["entries"] == 0
-
-
-def test_compile_step_does_not_leak_tmp(isolated_cache, monkeypatch):
-    """A failing artifact write still compiles, and unlinks its temp
-    file the way cache_store does."""
+def test_compile_step_writes_nothing_to_the_cache_dir(isolated_cache):
+    """Compiled code lives only in the process that compiled it."""
     from repro.fixtures import build
     from repro.uarch import P_CORE
     from repro.uarch.compiled import compile_step
 
-    def broken_replace(src, dst):
-        raise OSError("injected replace failure")
-
-    monkeypatch.setattr(executor.os, "replace", broken_replace)
+    isolated_cache.mkdir(parents=True)
     program, _ = build("v1-gadget")
     assert callable(compile_step(program, P_CORE, Unsafe()))
-    assert not list((isolated_cache / "compiled").iterdir())
+    assert not list(isolated_cache.iterdir())
+    assert executor.cache_info()["entries"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -723,25 +680,3 @@ def test_spec_from_payload_rejects_unknown_fields():
     payload["not_a_field"] = 1
     with pytest.raises(ValueError, match="unknown RunSpec fields"):
         spec_from_payload(payload)
-
-
-def test_batch_stats_count_compile_cache_traffic(isolated_cache):
-    """A cold serial batch compiles its triples once; a warm batch
-    reuses them (counters are registry deltas over the batch)."""
-    from repro.metrics import MetricsRegistry, attached
-
-    registry = MetricsRegistry()
-    with attached(registry):
-        run_batch([FAST, FAST_SPTSB], jobs=1)
-        cold = executor.LAST_BATCH
-        clear_summary_cache()  # forget summaries, keep compiled code
-        run_batch([FAST, FAST_SPTSB], jobs=1)
-        warm = executor.LAST_BATCH
-    assert cold.simulated == 2
-    assert cold.compile_misses == 2
-    assert cold.compile_hits == 0
-    assert "compile cache 0/2 hit" in cold.line()
-    # The second batch loads summaries from disk and never simulates,
-    # so it sees no compile traffic at all.
-    assert warm.simulated == 0 or warm.compile_hits == warm.simulated
-    assert warm.compile_misses == 0

@@ -340,19 +340,6 @@ def test_speculation_cli_rejects_unknown_defense(capsys):
     assert "unknown defenses" in capsys.readouterr().err
 
 
-def test_speculation_cli_ledger_out(tmp_path, capsys):
-    from repro.cli import main
-
-    out = tmp_path / "overlay.json"
-    assert main(["speculation", "--workload", "ossl.ecadd",
-                 "--defense", "nda", "--jobs", "1",
-                 "--ledger-out", str(out)]) == 0
-    trace = json.loads(out.read_text())
-    events = trace["traceEvents"] if isinstance(trace, dict) else trace
-    assert any(e.get("pid") == 2 and e.get("ph") == "X" for e in events)
-    assert "intervention events" in capsys.readouterr().out
-
-
 def test_trace_cli_writes_one_pid2_slice_per_event(tmp_path, capsys):
     from repro.bench.runner import RunSpec, execute_spec
     from repro.cli import main
