@@ -24,7 +24,6 @@ Environment knobs:
 
 * ``REPRO_JOBS`` — default worker count (``--jobs`` overrides; falls
   back to ``os.cpu_count()``).
-* ``REPRO_NO_CACHE=1`` — disable the on-disk cache entirely.
 * ``REPRO_CACHE_DIR`` — override the cache directory.
 * ``REPRO_PROGRESS`` — force the progress line on (``1``) or off
   (``0``); default: only when stderr is a tty.
@@ -50,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..isa.program import Program
 from ..metrics.spans import span_attrs_for_spec
+from ..metrics.telemetry import current
 from ..uarch.pipeline import CoreResult
 from ..workloads import get_workload
 from .jobs import (
@@ -59,7 +59,6 @@ from .jobs import (
     ExecutorError,  # noqa: F401 — re-exported: batch callers catch it here
     Job,
     JobResult,
-    Telemetry,
     run_jobs,
 )
 from .runner import RunSpec, execute_spec
@@ -282,18 +281,12 @@ def cache_dir() -> pathlib.Path:
             / "benchmarks" / ".cache")
 
 
-def cache_enabled() -> bool:
-    return os.environ.get("REPRO_NO_CACHE", "") in ("", "0")
-
-
 def _cache_path(key: str) -> pathlib.Path:
     return cache_dir() / key[:2] / f"{key}.json"
 
 
 def cache_load(spec: RunSpec) -> Optional[RunSummary]:
     """Look a spec up in the on-disk cache (None on miss/corruption)."""
-    if not cache_enabled():
-        return None
     path = _cache_path(spec_cache_key(spec))
     try:
         payload = json.loads(path.read_text())
@@ -309,8 +302,6 @@ def cache_store(spec: RunSpec, summary: RunSummary) -> None:
     concurrent writers are safe.  A read-only cache directory must
     never fail a run — but a failed write or rename must not leak its
     temp file either."""
-    if not cache_enabled():
-        return
     path = _cache_path(spec_cache_key(spec))
     text = json.dumps({
         "format": CACHE_FORMAT,
@@ -362,7 +353,6 @@ def cache_info() -> Dict:
         entries += 1
     return {
         "dir": str(cache_dir()),
-        "enabled": cache_enabled(),
         "entries": entries,
         "bytes": total_bytes,
     }
@@ -380,7 +370,7 @@ def run_spec_job(payload: Dict) -> Dict:
     :class:`RunSummary` dict.  Caching is the submitting side's
     business, so each result reaches the disk cache exactly once."""
     spec = spec_from_payload(payload)
-    with Telemetry().span("sim", span_attrs_for_spec(spec)):
+    with current().span("sim", span_attrs_for_spec(spec)):
         return summarize(execute_spec(spec)).to_dict()
 
 
@@ -457,7 +447,7 @@ def run_batch(
     global LAST_BATCH
     ordered = list(dict.fromkeys(specs))
     stats = BatchStats(total=len(ordered), jobs=resolve_jobs(jobs))
-    tel = Telemetry()
+    tel = current()
     recorder = tel.recorder
     batch_span = tel.start("executor.batch", {"specs": len(ordered)},
                            push=True)

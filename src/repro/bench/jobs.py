@@ -16,9 +16,9 @@ process under one wall-clock alarm and returns one :class:`JobResult`.
 One retry policy requeues timeouts, errors and crashed pools up to
 ``retries + 1`` attempts, then raises :class:`ExecutorError`.  And one
 place records every finished run — its spans into the attached span
-recorder, its metrics snapshot into the attached registry, through a
-:class:`Telemetry` handle that does nothing when neither is attached —
-and hands results to the caller in submission order.
+recorder, its metrics snapshot into the attached registry, through the
+:func:`repro.metrics.current` handle, which does nothing when neither is
+attached — and hands results to the caller in submission order.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..metrics.registry import MetricsRegistry, get_registry, set_registry
-from ..metrics.spans import SpanRecorder, get_recorder, set_recorder
+from ..metrics.registry import MetricsRegistry
+from ..metrics.spans import SpanRecorder
+from ..metrics.telemetry import attach, current
 
 logger = logging.getLogger(__name__)
 
@@ -149,31 +149,33 @@ def run_job(job: Job, timeout_s: Optional[float] = None,
     kind = _KINDS[job.kind]
     recorder = SpanRecorder() if trace_ctx is not None else None
     registry = MetricsRegistry() if metrics else None
-    saved = set_recorder(recorder), set_registry(registry)
     if recorder is not None:
         root = recorder.start(
             kind.run_span, parent=trace_ctx, push=True,
             attrs=dict(_attrs(kind, job.payload), pid=os.getpid()))
     alarm = (bool(timeout_s) and hasattr(signal, "SIGALRM")
              and threading.current_thread() is threading.main_thread())
-    if alarm:
-        previous = signal.signal(signal.SIGALRM, _on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    started = time.perf_counter()
-    try:
-        outcome = JobResult("ok", result=_execute(job))
-    except _Timeout:
-        outcome = JobResult("timeout", error=f"timed out after {timeout_s}s")
-    except Exception as exc:  # noqa: BLE001 — report, the policy decides
-        if raise_errors:
-            raise
-        outcome = JobResult("error", error=f"{type(exc).__name__}: {exc}")
-    finally:
+    # The alarm is disarmed inside the attach block, so it cannot fire
+    # while the caller's handle is being restored.
+    with attach(registry, recorder):
         if alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-        set_recorder(saved[0])
-        set_registry(saved[1])
+            previous = signal.signal(signal.SIGALRM, _on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        started = time.perf_counter()
+        try:
+            outcome = JobResult("ok", result=_execute(job))
+        except _Timeout:
+            outcome = JobResult("timeout",
+                                error=f"timed out after {timeout_s}s")
+        except Exception as exc:  # noqa: BLE001 — report, the policy decides
+            if raise_errors:
+                raise
+            outcome = JobResult("error",
+                                error=f"{type(exc).__name__}: {exc}")
+        finally:
+            if alarm:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, previous)
     outcome.wall_s = time.perf_counter() - started
     if recorder is not None:
         recorder.finish(root, status=outcome.status)
@@ -181,45 +183,6 @@ def run_job(job: Job, timeout_s: Optional[float] = None,
     if registry is not None:
         outcome.metrics = registry.snapshot()
     return outcome
-
-
-class Telemetry:
-    """The attached metrics registry and span recorder behind one handle.
-
-    Every method does nothing when neither is attached, so instrumented
-    code takes one handle per batch, campaign or job and needs no None
-    checks of its own.
-    """
-
-    def __init__(self) -> None:
-        self.registry = get_registry()
-        self.recorder = get_recorder()
-
-    def count(self, name: str, amount: int = 1) -> None:
-        if self.registry is not None:
-            self.registry.counter(name).inc(amount)
-
-    def gauge(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.gauge(name).set(value)
-
-    def observe(self, name: str, seconds: float) -> None:
-        if self.registry is not None:
-            self.registry.timer(name).observe(seconds)
-
-    def start(self, name: str, attrs: Optional[Dict] = None, **kwargs):
-        if self.recorder is None:
-            return None
-        return self.recorder.start(name, attrs=attrs, **kwargs)
-
-    def finish(self, span, **attrs) -> None:
-        if span is not None:
-            self.recorder.finish(span, **attrs)
-
-    def span(self, name: str, attrs: Optional[Dict] = None):
-        if self.recorder is None:
-            return nullcontext()
-        return self.recorder.span(name, attrs=attrs)
 
 
 @dataclass
@@ -241,7 +204,7 @@ class _Run:
         self.on_result = on_result
         self.timeout_s = timeout_s
         self.retries = retries
-        self.tel = Telemetry()
+        self.tel = current()
         self.stats = RunStats()
         self.attempts = [0] * len(jobs)
         self.job_spans: List = [None] * len(jobs)

@@ -41,8 +41,7 @@ spans under the trace context shipped with each job and return them
 with the result, so the merged timeline covers every process.
 
 ``repro bench`` attaches a metrics registry for the invocation and
-prints its cache line; ``--metrics-out FILE`` writes the snapshot (JSON,
-plus ``FILE.prom`` in Prometheus text).
+prints its cache line; ``--metrics-out FILE`` writes its JSON snapshot.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 
@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--report", default=None, metavar="FILE",
                        help="also write a JSON report of the tables")
     bench.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the metrics snapshot as JSON "
-                            "(FILE.prom gets the Prometheus rendition)")
+                       help="write the metrics snapshot as JSON")
     bench.add_argument("--trace-out", default=None, metavar="FILE",
                        help="record the invocation as a span tree and "
                             "write one merged Chrome trace (includes "
@@ -372,7 +371,7 @@ def _run_bench_suite(args) -> int:
         table_v,
         write_report,
     )
-    from .metrics import MetricsRegistry, attached
+    from .metrics import MetricsRegistry
 
     quick = args.quick
     jobs = args.jobs
@@ -420,19 +419,14 @@ def _run_bench_suite(args) -> int:
         return ablations
 
     registry = MetricsRegistry()
-    recorder, root_span = _start_cli_trace(
-        getattr(args, "trace_out", None), "bench.cli",
-        {"targets": " ".join(targets), "quick": quick})
-    try:
-        with attached(registry):
-            for name in targets:
-                for table in build(name):
-                    tables.append(table)
-                    _emit(table)
-                    print()
-    finally:
-        if recorder is not None:
-            _finish_cli_trace(recorder, root_span, args.trace_out)
+    with _cli_telemetry("bench.cli",
+                        {"targets": " ".join(targets), "quick": quick},
+                        args.trace_out, registry):
+        for name in targets:
+            for table in build(name):
+                tables.append(table)
+                _emit(table)
+                print()
 
     counters = registry.snapshot()["counters"]
     hits = counters.get("cache.memory_hits", 0) \
@@ -453,35 +447,27 @@ def _run_bench_suite(args) -> int:
 
         out = pathlib.Path(args.metrics_out)
         out.write_text(registry.to_json() + "\n")
-        out.with_suffix(out.suffix + ".prom").write_text(
-            registry.to_prometheus())
         print(f"metrics snapshot written to {out}")
     return 0
 
 
-def _start_cli_trace(trace_out, name: str, attrs):
-    """``--trace-out`` wiring: attach a span recorder with one root
-    span covering the whole invocation.  Returns ``(None, None)`` when
-    tracing was not requested — the zero-overhead default."""
-    if not trace_out:
-        return None, None
-    from .metrics.spans import SpanRecorder, set_recorder
+@contextmanager
+def _cli_telemetry(name: str, attrs, trace_out=None, registry=None):
+    """Attach ``registry`` for the invocation and, with ``--trace-out``,
+    a span recorder whose root span ``name`` covers it; on exit
+    (exceptions included) write the merged Chrome trace, which holds
+    pool workers' spans adopted as their jobs finished."""
+    from .metrics import SpanRecorder, attach, write_merged_trace
 
-    recorder = SpanRecorder()
-    set_recorder(recorder)
-    return recorder, recorder.start(name, attrs=attrs, push=True)
-
-
-def _finish_cli_trace(recorder, root_span, trace_out) -> None:
-    """Finish the invocation's root span and write the merged Chrome
-    trace (pool workers' spans were adopted as their jobs finished)."""
-    from .metrics.spans import set_recorder, write_merged_trace
-
-    recorder.finish(root_span)
-    set_recorder(None)
-    path = write_merged_trace(trace_out, recorder.spans)
-    print(f"campaign trace written to {path} "
-          f"(load in Perfetto / chrome://tracing)")
+    recorder = SpanRecorder() if trace_out else None
+    try:
+        with attach(registry, recorder) as tel, tel.span(name, attrs):
+            yield
+    finally:
+        if recorder is not None:
+            path = write_merged_trace(trace_out, recorder.spans)
+            print(f"campaign trace written to {path} "
+                  f"(load in Perfetto / chrome://tracing)")
 
 
 def _run_fuzz(args) -> int:
@@ -524,31 +510,24 @@ def _run_fuzz(args) -> int:
         collect_witnesses=args.report_dir is not None,
         mitigation=args.mitigation,
     )
-    recorder, root_span = _start_cli_trace(
-        getattr(args, "trace_out", None), "fuzz.cli",
-        {"defense": args.defense, "contract": args.contract,
-         "instrument": args.instrument, "programs": args.programs,
-         "mitigation": args.mitigation or ""})
-    reporter = None
-    on_program = None
-    if args.report_dir is not None:
-        import pathlib
+    with _cli_telemetry(
+            "fuzz.cli",
+            {"defense": args.defense, "contract": args.contract,
+             "instrument": args.instrument, "programs": args.programs,
+             "mitigation": args.mitigation or ""}, args.trace_out):
+        if args.report_dir is None:
+            result = run_campaign(config, jobs=args.jobs)
+        else:
+            import pathlib
 
-        from .forensics import CampaignReporter
+            from .forensics import CampaignReporter
 
-        reporter = CampaignReporter(
-            pathlib.Path(args.report_dir) / "events.jsonl")
-        reporter.campaign_start(config, resolve_jobs(args.jobs))
-        on_program = reporter.on_program
-    try:
-        result = run_campaign(config, jobs=args.jobs, on_program=on_program)
-        if reporter is not None:
-            reporter.campaign_end(result)
-    finally:
-        if reporter is not None:
-            reporter.close()
-        if recorder is not None:
-            _finish_cli_trace(recorder, root_span, args.trace_out)
+            with CampaignReporter(pathlib.Path(args.report_dir)
+                                  / "events.jsonl") as reporter:
+                reporter.campaign_start(config, resolve_jobs(args.jobs))
+                result = run_campaign(config, jobs=args.jobs,
+                                      on_program=reporter.on_program)
+                reporter.campaign_end(result)
     mitigated = f" + {args.mitigation}" if args.mitigation else ""
     print(f"{args.defense}{mitigated} vs {args.contract} "
           f"(ProtCC-{args.instrument.upper()}): {result.summary()}")
@@ -835,8 +814,7 @@ def _run_cache(args) -> int:
         removed = wipe_cache()
         print(f"removed {removed} cached files")
     info = cache_info()
-    state = "enabled" if info["enabled"] else "disabled (REPRO_NO_CACHE)"
-    print(f"cache dir: {info['dir']} ({state})")
+    print(f"cache dir: {info['dir']}")
     print(f"entries:   {info['entries']} ({info['bytes']} bytes)")
     return 0
 

@@ -21,9 +21,9 @@ import json
 import logging
 import pathlib
 import time
-from typing import Dict, List, Optional, TextIO, Union
+from typing import List, Optional, TextIO, Union
 
-from ..metrics.spans import get_recorder
+from ..metrics.telemetry import current
 from .explain import explain_witness
 from .minimize import DEFAULT_MAX_CHECKS, minimize_witness
 from .witness import LeakWitness, WitnessError
@@ -48,7 +48,7 @@ class CampaignReporter:
         if self._stream is None:  # pragma: no cover - use after close
             raise ValueError("reporter is closed")
         record = {"event": event, "time": round(time.time(), 3), **payload}
-        recorder = get_recorder()
+        recorder = current().recorder
         if recorder is not None:
             ctx = recorder.context()
             if ctx is not None:

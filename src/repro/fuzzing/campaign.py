@@ -282,7 +282,8 @@ def run_campaign(
     telemetry (JSONL event log) hook.
     """
     from ..bench.executor import resolve_jobs
-    from ..bench.jobs import KIND_FUZZ, Job, Telemetry, run_jobs
+    from ..bench.jobs import KIND_FUZZ, Job, run_jobs
+    from ..metrics.telemetry import current
 
     seeds = _program_seeds(config)
     jobs = resolve_jobs(jobs)
@@ -298,7 +299,7 @@ def run_campaign(
         units.append(Job(KIND_FUZZ, payload) if payload is not None else
                      Job(KIND_FUZZ, {"program_seed": seed},
                          local=functools.partial(_run_program, config, seed)))
-    tel = Telemetry()
+    tel = current()
     campaign_span = tel.start(
         "fuzz.campaign", push=True,
         attrs={"contract": config.contract.value,

@@ -1,12 +1,14 @@
 """repro.metrics — host-side measurement of the simulator.
 
-* :mod:`.registry` — counters/gauges/timers with JSON + Prometheus
-  export, attached per process with :func:`set_registry` (detached
-  code pays one ``is not None`` check, the ``PipelineTracer`` pattern).
+* :mod:`.telemetry` — the one attach point: :func:`attach` makes a
+  :class:`Telemetry` handle (a registry and/or a span recorder) current
+  for a ``with`` block, and instrumented code reads it with
+  :func:`current`; detached code pays one ``is not None`` check per
+  batch/spec/run (the ``PipelineTracer`` pattern).
+* :mod:`.registry` — counters/gauges/timers with a JSON snapshot.
 * :mod:`.spans` — campaign tracing: spans with cross-process
   trace-context propagation to pool workers and a deterministic
-  Chrome-trace merger (attached per process with :func:`set_recorder`,
-  same zero-overhead contract).
+  Chrome-trace merger.
 * :mod:`.profiler` — host-side cProfile wrapper aggregating hotspots
   by simulator subsystem, with collapsed-stack flamegraph output.
 * :mod:`.ledger` — the provenance stamp (git SHA, host fingerprint)
@@ -14,27 +16,20 @@
 """
 
 from .registry import (
-    DEFAULT_BUCKETS,
-    METRIC_HELP,
     Counter,
     Gauge,
     MetricsRegistry,
     Timer,
-    attached,
-    get_registry,
-    set_registry,
 )
 from .spans import (
     TRACE_SCHEMA,
     Span,
     SpanRecorder,
-    get_recorder,
     merged_trace,
     nesting_violations,
-    recording,
-    set_recorder,
     write_merged_trace,
 )
+from .telemetry import Telemetry, attach, current
 from .profiler import (
     HOST_SUBSYSTEM,
     ProfileEntry,
@@ -46,12 +41,10 @@ from .profiler import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS", "METRIC_HELP", "Counter", "Gauge",
-    "MetricsRegistry", "Timer",
-    "attached", "get_registry", "set_registry",
-    "TRACE_SCHEMA", "Span", "SpanRecorder", "get_recorder",
-    "merged_trace", "nesting_violations", "recording", "set_recorder",
-    "write_merged_trace",
+    "Counter", "Gauge", "MetricsRegistry", "Timer",
+    "TRACE_SCHEMA", "Span", "SpanRecorder",
+    "merged_trace", "nesting_violations", "write_merged_trace",
+    "Telemetry", "attach", "current",
     "HOST_SUBSYSTEM", "ProfileEntry", "ProfileReport", "SUBSYSTEM_RULES",
     "classify_module", "profile_spec", "report_from_stats",
 ]

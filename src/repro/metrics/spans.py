@@ -19,9 +19,8 @@ timeline:
   integer microseconds, so the nesting invariant holds exactly even
   when two processes' wall-clock anchors disagree slightly.
 
-Attachment follows the metrics-registry contract exactly: nothing is
-recorded unless a recorder is attached via :func:`set_recorder` /
-:func:`recording`, and detached code paths pay at most one
+Nothing is recorded unless a recorder is attached with
+:func:`repro.metrics.attach`, and detached code paths pay at most one
 ``is not None`` check per batch/spec/run — ``Core.step`` contains no
 span code at all (asserted by test).  The recorder is deliberately not
 thread-safe: the reproduction parallelizes with processes.
@@ -209,37 +208,6 @@ class SpanRecorder:
             self.spans.append(Span.from_dict(payload))
             adopted += 1
         return adopted
-
-
-# ----------------------------------------------------------------------
-# Process-wide attachment (the metrics-registry pattern).
-# ----------------------------------------------------------------------
-
-_ACTIVE: Optional[SpanRecorder] = None
-
-
-def set_recorder(recorder: Optional[SpanRecorder]
-                 ) -> Optional[SpanRecorder]:
-    """Attach ``recorder`` process-wide; returns the previous one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = recorder
-    return previous
-
-
-def get_recorder() -> Optional[SpanRecorder]:
-    """The attached recorder, or None (the zero-overhead default)."""
-    return _ACTIVE
-
-
-@contextmanager
-def recording(recorder: SpanRecorder):
-    """Attach a recorder for the duration of a ``with`` block."""
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)
 
 
 # ----------------------------------------------------------------------

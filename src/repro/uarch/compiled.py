@@ -210,9 +210,9 @@ def clear_compile_cache() -> None:
 def compile_step(program, config: CoreConfig, defense):
     """Return the compiled ``run(core)`` function for the triple,
     generating and compiling it on its first request in this process."""
-    from ..metrics.registry import get_registry
+    from ..metrics.telemetry import current
 
-    metrics = get_registry()
+    metrics = current().registry
     key = compile_key(program, config, defense)
     fn = _MEM_CACHE.get(key)
     if fn is not None:
@@ -1733,18 +1733,13 @@ class CompiledCore(Core):
         max_cycles: int = DEFAULT_MAX_CYCLES,
         tracer=None,
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
-        **kwargs,
     ) -> None:
         if tracer is not None:
             raise CompileUnsupported(
                 "tracer", "PipelineTracer requires the per-cycle interpreter")
-        if kwargs.get("store_commit_listener") is not None \
-                or kwargs.get("shared_memory") or kwargs.get("shared_l3"):
-            raise CompileUnsupported(
-                "shared_memory", "multi-core sharing requires the interpreter")
         super().__init__(program, defense, config, memory, regs,
                          max_cycles, tracer=None,
-                         no_progress_limit=no_progress_limit, **kwargs)
+                         no_progress_limit=no_progress_limit)
         self._compiled_run = compile_step(self.program, config,
                                           self.defense)
 

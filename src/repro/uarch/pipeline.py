@@ -181,7 +181,7 @@ class Core:
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
     ) -> None:
         from ..defenses.base import Unsafe
-        from ..metrics.registry import get_registry
+        from ..metrics.telemetry import current
         from ..protisa.tags import MemoryProtectionTags
 
         if not program.is_linked:
@@ -203,11 +203,11 @@ class Core:
         #: check per cycle, and the episode-close helper one more per
         #: closed defense-intervention episode.
         self.tracer = tracer
-        #: The process-attached :class:`repro.metrics.MetricsRegistry`,
-        #: or None.  Host-throughput accounting happens once per
-        #: :meth:`run`, never inside :meth:`step`, so the per-cycle path
-        #: pays nothing for it.
-        self.metrics = get_registry()
+        #: The attached :class:`repro.metrics.MetricsRegistry`, or None.
+        #: Host-throughput accounting happens once per :meth:`run`,
+        #: never inside :meth:`step`, so the per-cycle path pays nothing
+        #: for it.
+        self.metrics = current().registry
 
         self.prf = PhysRegFile(config.num_phys_regs)
         self.rename_map = RenameMap()
@@ -1134,12 +1134,9 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
                                 max_cycles, tracer=tracer,
                                 no_progress_limit=no_progress_limit).run()
         except CompileUnsupported as refusal:  # fall back to the interpreter
-            from ..metrics.registry import get_registry
+            from ..metrics.telemetry import current
 
-            metrics = get_registry()
-            if metrics is not None:
-                metrics.counter(
-                    f"uarch.compile_fallbacks.{refusal.reason}").inc()
+            current().count(f"uarch.compile_fallbacks.{refusal.reason}")
     return Core(program, defense, config, memory, regs, max_cycles,
                 tracer=tracer,
                 no_progress_limit=no_progress_limit).run()

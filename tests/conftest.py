@@ -1,16 +1,16 @@
 """Shared fixtures: keep one test's telemetry out of the next.
 
-Any metrics registry or span recorder a test attaches process-wide is
-detached again on teardown, so every test starts with both detached.
+Every test runs inside its own ``attach()`` block, so it starts with
+no registry or span recorder attached and whatever it attaches is
+gone on teardown.
 """
 
 import pytest
 
-from repro.metrics import set_recorder, set_registry
+from repro.metrics import attach
 
 
 @pytest.fixture(autouse=True)
 def _detach_telemetry():
-    yield
-    set_registry(None)
-    set_recorder(None)
+    with attach():
+        yield

@@ -237,7 +237,7 @@ def test_bench_warm_rerun_hits_cache_and_repeats_report(bench_cache,
     assert reports[0] == reports[1]
 
 
-def test_bench_metrics_out_writes_json_and_prom(bench_cache, tmp_path):
+def test_bench_metrics_out_writes_json(bench_cache, tmp_path):
     import json
 
     out = tmp_path / "metrics.json"
@@ -245,8 +245,10 @@ def test_bench_metrics_out_writes_json_and_prom(bench_cache, tmp_path):
                  "--metrics-out", str(out)]) == 0
     snapshot = json.loads(out.read_text())
     assert snapshot["counters"]["executor.specs"] == 24
-    prom = out.with_suffix(".json.prom").read_text()
-    assert "# TYPE repro_executor_specs_total counter" in prom
+    assert snapshot["timers"]
+    for name, timer in snapshot["timers"].items():
+        assert sorted(timer) == ["count", "max", "mean", "min", "sum"], name
+    assert not out.with_suffix(".json.prom").exists()
 
 
 def test_stats_subcommand(capsys):

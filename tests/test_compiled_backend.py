@@ -18,7 +18,7 @@ from repro.bench.runner import DEFENSES
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
 from repro.isa import assemble
-from repro.metrics import MetricsRegistry, attached
+from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, simulate
 from repro.uarch.compiled import (
     CompiledCore,
@@ -92,7 +92,7 @@ def test_compile_key_misses_on_program_change(v1_program):
 
 def test_compile_step_cache_traffic(v1_program, tmp_path):
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         first = compile_step(v1_program, P_CORE, ProtTrack())
         second = compile_step(v1_program, P_CORE, ProtTrack())
         # The memo is the only store: once it is dropped, the triple
@@ -109,7 +109,7 @@ def test_compile_step_cache_traffic(v1_program, tmp_path):
 
 def test_compile_timer_observed(v1_program):
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         compile_step(v1_program, P_CORE, Unsafe())
     timers = registry.snapshot()["timers"]
     assert timers["uarch.compile_seconds"]["count"] == 1
@@ -132,7 +132,7 @@ def _fallbacks(registry):
 def test_default_engine_picks_compiled():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         result = simulate(program, ProtTrack(), P_CORE, memory)
     assert result.halt_reason == "halt"
     assert _compiled_runs(registry) == 1
@@ -143,7 +143,7 @@ def test_tracer_pins_the_interpreter():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
     tracer = PipelineTracer()
-    with attached(registry):
+    with attach(registry):
         traced = simulate(program, ProtTrack(), P_CORE, memory,
                           tracer=tracer)
     assert _compiled_runs(registry) == 0
@@ -154,7 +154,7 @@ def test_tracer_pins_the_interpreter():
 def test_ref_engine_pins_the_reference():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         simulate(program, ProtTrack(), P_CORE, memory, engine="ref")
     assert _compiled_runs(registry) == 0
     assert registry.snapshot()["counters"]["uarch.runs"] == 1
@@ -174,7 +174,7 @@ def test_explicit_compiled_engine_with_tracer_falls_back():
 def test_tracer_fallback_is_counted():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         simulate(program, ProtTrack(), P_CORE, memory,
                  tracer=PipelineTracer(), engine="compiled")
         # The reference engine asked for by name is no fallback.
@@ -185,7 +185,7 @@ def test_tracer_fallback_is_counted():
 
 def test_empty_program_fallback_is_counted():
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         result = simulate(assemble(""), Unsafe(), P_CORE,
                           no_progress_limit=50, engine="compiled")
     assert result.halt_reason == "no_progress"
@@ -219,7 +219,7 @@ def test_engines_constant_covers_cli_choices():
 def test_compiled_cycles_per_sec_gauge():
     program, memory = build("v1-gadget")
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         simulate(program, Unsafe(), P_CORE, memory, engine="compiled")
     gauges = registry.snapshot()["gauges"]
     assert gauges.get("uarch.compiled_cycles_per_sec", 0) > 0

@@ -109,14 +109,6 @@ def test_version_change_forces_resimulation(isolated_cache, monkeypatch):
     assert executor.LAST_BATCH.simulated == 1  # old entry not reused
 
 
-def test_no_cache_env_disables_persistence(isolated_cache, monkeypatch):
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    run_batch([FAST], jobs=1)
-    assert cache_load(FAST) is None
-    if isolated_cache.exists():
-        assert not list(isolated_cache.rglob("*.json"))
-
-
 
 # ----------------------------------------------------------------------
 # Parallel == serial
@@ -236,7 +228,7 @@ def test_worker_run_reports_simulation_errors(isolated_cache):
 def test_pool_metrics_match_serial(isolated_cache, monkeypatch, tmp_path):
     """Pool workers record into fresh registries whose snapshots the
     parent merges, so a --jobs 2 batch reports what a serial one does."""
-    from repro.metrics import MetricsRegistry, attached
+    from repro.metrics import MetricsRegistry, attach
 
     specs = [FAST, FAST_SPTSB, RunSpec(workload="ossl.dh"),
              RunSpec(workload="ossl.dh", defense="track",
@@ -248,7 +240,7 @@ def test_pool_metrics_match_serial(isolated_cache, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
         clear_caches()
         registry = MetricsRegistry()
-        with attached(registry):
+        with attach(registry):
             run_batch(specs, jobs=jobs)
         return {name: registry.counter(name).value for name in names}
 
@@ -360,7 +352,7 @@ def test_campaign_pool_retries_a_crashed_program(isolated_cache,
 
 def test_campaign_pool_metrics_match_serial(isolated_cache, monkeypatch,
                                             tmp_path):
-    from repro.metrics import MetricsRegistry, attached
+    from repro.metrics import MetricsRegistry, attach
 
     names = ("uarch.sim_cycles", "uarch.runs", "uarch.compile_cache_hits",
              "uarch.compile_cache_misses")
@@ -369,7 +361,7 @@ def test_campaign_pool_metrics_match_serial(isolated_cache, monkeypatch,
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
         clear_caches()
         registry = MetricsRegistry()
-        with attached(registry):
+        with attach(registry):
             run_campaign(_named_cell(), jobs=jobs)
         return {name: registry.counter(name).value for name in names}
 
@@ -489,18 +481,18 @@ def test_cache_load_rejects_stale_payload_at_current_key(isolated_cache):
 
 
 def test_serial_and_parallel_runsummary_json_byte_identical(
-        isolated_cache, monkeypatch):
-    """Determinism regression: with the persistent cache disabled and
-    the default engine, a serial batch and a --jobs 2 batch must
-    produce byte-identical RunSummary JSON."""
+        isolated_cache, monkeypatch, tmp_path):
+    """Determinism regression: with each batch on its own empty
+    persistent cache and the default engine, a serial batch and a
+    --jobs 2 batch must produce byte-identical RunSummary JSON."""
     import json
 
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     specs = [FAST, FAST_SPTSB,
              RunSpec(workload="ossl.dh", defense="track",
                      instrument="unr")]
 
     def batch_json(jobs):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"c{jobs}"))
         clear_caches()
         results = run_batch(specs, jobs=jobs)
         return json.dumps(
@@ -509,19 +501,19 @@ def test_serial_and_parallel_runsummary_json_byte_identical(
 
     serial = batch_json(1)
     parallel = batch_json(2)
-    assert executor.LAST_BATCH.simulated == len(specs)  # cache was off
+    assert executor.LAST_BATCH.simulated == len(specs)  # cache was empty
     assert serial == parallel
     assert serial.encode() == parallel.encode()
 
 
-def test_runsummary_engine_independent(isolated_cache, monkeypatch):
+def test_runsummary_engine_independent(isolated_cache):
     """The slim perf summary is identical whichever engine produced it
     (the RunSummary-level corollary of the differential harness)."""
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
     clear_caches()
     clear_summary_cache()
     reference = summarize(execute_spec(FAST_SPTSB, engine="ref"))
     summary = run_batch([FAST_SPTSB], jobs=1)[FAST_SPTSB]
+    assert executor.LAST_BATCH.simulated == 1  # the empty cache missed
     assert summary.to_dict() == reference.to_dict()
 
 
@@ -648,13 +640,13 @@ def test_queue_wait_restarts_after_pool_rebuild(isolated_cache,
     fresh submission stamp: its queue wait is measured from the
     rebuild, not from the doomed pool's epoch (which would be >= the
     0.6s the crashing worker slept)."""
-    from repro.metrics import MetricsRegistry, attached
+    from repro.metrics import MetricsRegistry, attach
 
     markers = tmp_path / "markers"
     markers.mkdir()
     monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(markers))
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         results = run_batch([FAST, FAST_SPTSB], jobs=2, retries=2,
                             worker=_slow_crash_once_worker)
     assert len(results) == 2

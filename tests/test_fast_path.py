@@ -9,7 +9,7 @@ from repro.bench.runner import DEFENSES
 from repro.defenses import Defense
 from repro.fixtures import build
 from repro.isa import assemble
-from repro.metrics import MetricsRegistry, attached
+from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, PipelineTracer, simulate
 from repro.uarch.pipeline import Core
 from repro.uarch.refcore import (
@@ -50,7 +50,7 @@ def _run_div_channel(engine, registry=None):
     from repro.defenses import SPTSB
 
     program, memory = build("div-channel")
-    with attached(registry):
+    with attach(registry):
         return simulate(program, SPTSB(), P_CORE, memory, engine=engine)
 
 
@@ -167,7 +167,7 @@ def test_tracer_pins_the_reference_and_sees_every_cycle():
     program, memory = build("div-channel")
     tracer = PipelineTracer()
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         result = simulate(program, SPTSB(), P_CORE, memory, tracer=tracer,
                           engine="compiled")
     counters = registry.snapshot()["counters"]

@@ -18,15 +18,14 @@ import pytest
 
 from repro.bench import RunSpec, clear_caches, run_batch
 from repro.metrics import (
-    DEFAULT_BUCKETS,
     MetricsRegistry,
+    SpanRecorder,
     Timer,
-    attached,
+    attach,
     classify_module,
-    get_registry,
+    current,
     profile_spec,
     report_from_stats,
-    set_registry,
 )
 from repro.metrics.ledger import (
     current_git_sha,
@@ -73,8 +72,8 @@ def test_gauge_last_write_wins():
     assert gauge.value == 3.5
 
 
-def test_timer_aggregates_and_percentiles():
-    timer = Timer("t", buckets=(0.01, 0.1, 1.0))
+def test_timer_aggregates():
+    timer = Timer("t")
     for seconds in (0.005, 0.005, 0.05, 0.5):
         timer.observe(seconds)
     assert timer.count == 4
@@ -82,41 +81,17 @@ def test_timer_aggregates_and_percentiles():
     assert timer.min == 0.005
     assert timer.max == 0.5
     assert timer.mean == pytest.approx(0.14)
-    # p50 rank lands in the first bucket (edge 0.01)
-    assert timer.percentile(50) == 0.01
-    # p100 is clamped to the observed max, not the bucket edge
-    assert timer.percentile(100) == 0.5
-    with pytest.raises(ValueError):
-        timer.percentile(0)
-
-
-def test_timer_infinity_bucket_and_context_manager():
-    timer = Timer("t", buckets=(0.001,))
-    timer.observe(5.0)  # beyond the last edge -> +Inf bucket
-    assert timer.bucket_counts[-1] == 1
-    with timer.time():
-        pass
-    assert timer.count == 2
-
-
-def test_timer_rejects_unsorted_buckets():
-    with pytest.raises(ValueError, match="strictly"):
-        Timer("t", buckets=(1.0, 0.5))
-
-
-def test_default_buckets_are_strictly_increasing():
-    assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
 
 
 # ----------------------------------------------------------------------
-# Export formats
+# JSON snapshot and merge
 # ----------------------------------------------------------------------
 
 def _sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("executor.specs").inc(3)
     registry.gauge("uarch.sim_cycles_per_sec").set(1500.0)
-    timer = registry.timer("executor.spec_seconds", buckets=(0.1, 1.0))
+    timer = registry.timer("executor.spec_seconds")
     timer.observe(0.05)
     timer.observe(0.5)
     return registry
@@ -129,38 +104,14 @@ def test_json_snapshot_shape():
     timer = snapshot["timers"]["executor.spec_seconds"]
     assert timer["count"] == 2
     assert timer["sum"] == pytest.approx(0.55)
-    assert timer["buckets"] == [[0.1, 1], [1.0, 1]]
-
-
-def test_prometheus_export_golden():
-    text = _sample_registry().to_prometheus()
-    assert text == (
-        "# HELP repro_executor_specs_total "
-        "specs requested across all batches\n"
-        "# TYPE repro_executor_specs_total counter\n"
-        "repro_executor_specs_total 3\n"
-        "# HELP repro_uarch_sim_cycles_per_sec "
-        "simulation throughput (reference or compiled engine)\n"
-        "# TYPE repro_uarch_sim_cycles_per_sec gauge\n"
-        "repro_uarch_sim_cycles_per_sec 1500\n"
-        "# HELP repro_executor_spec_seconds "
-        "worker-side simulation time per spec\n"
-        "# TYPE repro_executor_spec_seconds histogram\n"
-        'repro_executor_spec_seconds_bucket{le="0.1"} 1\n'
-        'repro_executor_spec_seconds_bucket{le="1"} 2\n'
-        'repro_executor_spec_seconds_bucket{le="+Inf"} 2\n'
-        "repro_executor_spec_seconds_sum 0.55\n"
-        "repro_executor_spec_seconds_count 2\n"
-    )
 
 
 def test_merge_adds_counters_timers_and_keeps_the_last_gauge():
     first, second = _sample_registry(), _sample_registry()
     second.gauge("uarch.sim_cycles_per_sec").set(42.0)
     second.timer("executor.spec_seconds").observe(7.0)
-    # Into a registry with the same timer layout (which already holds
-    # one sample's worth), and into an empty one (default buckets: each
-    # edge lands in the bucket holding it).
+    # Into a registry that already holds one sample's worth, and into
+    # an empty one.
     for target, held in ((_sample_registry(), 1), (MetricsRegistry(), 0)):
         target.merge(first.snapshot())
         target.merge(second.snapshot())
@@ -168,72 +119,41 @@ def test_merge_adds_counters_timers_and_keeps_the_last_gauge():
         assert target.gauge("uarch.sim_cycles_per_sec").value == 42.0
         timer = target.timer("executor.spec_seconds")
         assert timer.count == 2 * held + 5
-        assert sum(timer.bucket_counts) == timer.count
         assert timer.max == 7.0 and timer.min == 0.05
         assert timer.sum == pytest.approx(0.55 * (held + 2) + 7.0)
     merged = MetricsRegistry()
     merged.merge(first.snapshot())
-    assert merged.snapshot()["timers"]["executor.spec_seconds"][
-        "buckets"] == [[0.1, 1], [1.0, 1]]
-
-
-def test_prometheus_help_omitted_for_unknown_metric():
-    registry = MetricsRegistry()
-    registry.counter("bespoke.unknown_counter").inc()
-    text = registry.to_prometheus()
-    assert "# HELP" not in text
-    assert "# TYPE repro_bespoke_unknown_counter_total counter" in text
-
-
-def test_empty_registry_prometheus_is_empty():
-    assert MetricsRegistry().to_prometheus() == ""
-
-
-def test_every_published_metric_has_help(isolated_cache):
-    """HELP enforcement: walk a real bench + fuzz snapshot and fail on
-    any metric the instrumentation publishes without a ``# HELP``
-    description in ``METRIC_HELP``."""
-    from repro.contracts import Contract
-    from repro.fuzzing import CampaignConfig, run_campaign
-    from repro.metrics.registry import METRIC_HELP
-
-    registry = MetricsRegistry()
-    with attached(registry):
-        run_batch([FAST,
-                   RunSpec(workload="ossl.ecadd", defense="track",
-                           instrument="auto")], jobs=1)
-        run_batch([FAST], jobs=1)  # a cache hit, for the hit counters
-        config = CampaignConfig(defense_factory=None,
-                                defense_name="unsafe",
-                                contract=Contract.CT_SEQ, n_programs=1,
-                                pairs_per_program=1, program_size=12)
-        run_campaign(config, jobs=1)
-    snapshot = registry.snapshot()
-    names = (set(snapshot["counters"]) | set(snapshot["gauges"])
-             | set(snapshot["timers"]))
-    assert len(names) > 10  # the walk covered a real surface
-    missing = sorted(name for name in names if name not in METRIC_HELP)
-    assert not missing, \
-        f"metrics published without a # HELP description: {missing}"
-    # And every described metric that fired carries its HELP line.
-    text = registry.to_prometheus()
-    for name in sorted(names & set(METRIC_HELP)):
-        assert METRIC_HELP[name] in text, name
+    assert merged.snapshot()["timers"] == first.snapshot()["timers"]
 
 
 # ----------------------------------------------------------------------
 # Attachment and the zero-overhead contract
 # ----------------------------------------------------------------------
 
-def test_attached_restores_previous_registry():
-    assert get_registry() is None
-    outer = MetricsRegistry()
-    previous = set_registry(outer)
-    assert previous is None
-    with attached(MetricsRegistry()) as inner:
-        assert get_registry() is inner
-    assert get_registry() is outer
-    set_registry(None)
+def test_attach_nests_and_restores():
+    """One attach point for both halves: blocks nest, each restores
+    the handle it replaced (also when the block raises), and a registry
+    or a recorder attaches without the other."""
+    detached = current()
+    assert detached.registry is None and detached.recorder is None
+    registry, recorder = MetricsRegistry(), SpanRecorder()
+    with attach(registry, recorder) as outer:
+        assert current() is outer
+        assert outer.registry is registry
+        assert outer.recorder is recorder
+        with pytest.raises(RuntimeError, match="inside"):
+            with attach(registry=MetricsRegistry()) as inner:
+                assert current() is inner
+                assert inner.registry is not registry
+                assert inner.recorder is None
+                raise RuntimeError("raised inside the block")
+        assert current() is outer
+        with attach(recorder=SpanRecorder()) as inner:
+            assert current() is inner
+            assert inner.registry is None
+            assert inner.recorder is not recorder
+        assert current() is outer
+    assert current() is detached
 
 
 def test_metrics_are_transparent_to_simulation():
@@ -244,7 +164,7 @@ def test_metrics_are_transparent_to_simulation():
 
     plain = simulate(w.program, SPTSB(), P_CORE, w.memory, w.regs)
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         measured = simulate(w.program, SPTSB(), P_CORE, w.memory, w.regs)
     assert plain.cycles == measured.cycles
     assert plain.stats == measured.stats
@@ -268,7 +188,7 @@ def test_core_step_has_no_metrics_code():
 
 def test_run_batch_publishes_counters(isolated_cache):
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         run_batch([FAST], jobs=1)
         run_batch([FAST], jobs=1)  # memory hit on the second pass
     counters = registry.snapshot()["counters"]
@@ -282,7 +202,7 @@ def test_run_batch_publishes_counters(isolated_cache):
 
 def test_run_batch_parallel_records_queue_wait(isolated_cache):
     registry = MetricsRegistry()
-    with attached(registry):
+    with attach(registry):
         run_batch([FAST, RunSpec(workload="ossl.ecadd",
                                  defense="spt-sb")], jobs=2)
     assert registry.timer("executor.spec_seconds").count == 2
@@ -298,7 +218,7 @@ def test_campaign_publishes_throughput():
     config = CampaignConfig(defense_factory=None, defense_name="unsafe",
                             contract=Contract.CT_SEQ, n_programs=2,
                             pairs_per_program=2, program_size=12)
-    with attached(registry):
+    with attach(registry):
         result = run_campaign(config, jobs=1)
     counters = registry.snapshot()["counters"]
     assert counters["fuzz.campaigns"] == 1

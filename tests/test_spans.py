@@ -11,15 +11,13 @@ import pytest
 from repro.bench import RunSpec, clear_caches, run_batch
 from repro.bench.executor import spec_to_payload
 from repro.bench.jobs import KIND_SPEC, Job, run_job
+from repro.metrics import attach, current
 from repro.metrics.spans import (
     Span,
     SpanRecorder,
     TRACE_SCHEMA,
-    get_recorder,
     merged_trace,
     nesting_violations,
-    recording,
-    set_recorder,
     write_merged_trace,
 )
 
@@ -97,17 +95,6 @@ def test_add_clamps_backwards_interval():
     recorder = SpanRecorder(process="p1")
     span = recorder.add("queue.wait", 10.0, 9.0)
     assert span.start_s == 10.0 and span.end_s == 10.0
-
-
-def test_attach_contract_mirrors_registry():
-    assert get_recorder() is None
-    recorder = SpanRecorder()
-    assert set_recorder(recorder) is None
-    assert get_recorder() is recorder
-    with recording(SpanRecorder()) as inner:
-        assert get_recorder() is inner
-    assert get_recorder() is recorder  # restored on exit
-    assert set_recorder(None) is recorder
 
 
 def test_adopt_merges_foreign_span_dicts():
@@ -314,7 +301,8 @@ def test_traced_results_identical_to_detached(isolated_cache,
     detached = run_batch([FAST], jobs=1)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
     clear_caches()
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         traced = run_batch([FAST], jobs=1)
     assert traced == detached
     assert {span.name for span in recorder.spans} >= \
@@ -326,7 +314,8 @@ def test_traced_results_identical_to_detached(isolated_cache,
 # ----------------------------------------------------------------------
 
 def test_serial_batch_records_spec_spans(isolated_cache):
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         run_batch([FAST, FAST_SPTSB], jobs=1)
     by_name = {}
     for span in recorder.spans:
@@ -343,7 +332,8 @@ def test_serial_batch_records_spec_spans(isolated_cache):
 
 def test_cache_hits_record_zero_or_short_spec_spans(isolated_cache):
     run_batch([FAST], jobs=1)  # populate memory + disk caches
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         run_batch([FAST], jobs=1)
     spec = [s for s in recorder.spans if s.name == "spec"][0]
     assert spec.attrs["cache"] == "memory"
@@ -351,7 +341,8 @@ def test_cache_hits_record_zero_or_short_spec_spans(isolated_cache):
     from repro.bench.executor import clear_summary_cache
 
     clear_summary_cache()
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         run_batch([FAST], jobs=1)
     spec = [s for s in recorder.spans if s.name == "spec"][0]
     assert spec.attrs["cache"] == "disk"
@@ -361,7 +352,8 @@ def test_pool_spans_propagate_to_workers(isolated_cache):
     """The canonical cross-process assertion: worker.run spans recorded
     in pool children nest (via the wire context) under the parent's
     attempt spans, which nest under spec spans, under the batch."""
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         run_batch([FAST, FAST_SPTSB], jobs=2)
     spans = {span.span_id: span for span in recorder.spans}
     batch = [s for s in spans.values() if s.name == "executor.batch"][0]
@@ -405,7 +397,8 @@ def test_trace_survives_broken_pool_rebuild(isolated_cache, monkeypatch,
     markers = tmp_path / "markers"
     markers.mkdir()
     monkeypatch.setenv("REPRO_TEST_MARKER_DIR", str(markers))
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         results = run_batch([FAST, FAST_SPTSB], jobs=2, retries=3,
                             worker=_crash_once_traced_worker)
     assert len(results) == 2
@@ -433,7 +426,7 @@ def test_worker_run_traced_returns_span_payloads(isolated_cache):
     assert run["trace_id"] == "a" * 16
     assert run["parent_id"] == "b" * 16
     assert run["attrs"]["status"] == "ok"
-    assert get_recorder() is None  # restored after the call
+    assert current().recorder is None  # restored after the call
     # Untraced runs carry no spans at all.
     assert run_job(Job(KIND_SPEC, spec_to_payload(FAST))).spans == []
 
@@ -458,7 +451,8 @@ def _campaign_config(n_programs=2):
 def test_campaign_serial_records_program_spans():
     from repro.fuzzing import run_campaign
 
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         run_campaign(_campaign_config(), jobs=1)
     campaign = [s for s in recorder.spans
                 if s.name == "fuzz.campaign"][0]
@@ -476,7 +470,8 @@ def test_campaign_pool_adopts_program_spans():
     from repro.fuzzing import run_campaign
 
     detached = run_campaign(_campaign_config(3), jobs=2)
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         traced = run_campaign(_campaign_config(3), jobs=2)
     assert traced.to_dict() == detached.to_dict()
     campaign = [s for s in recorder.spans
@@ -494,7 +489,8 @@ def test_campaign_pool_adopts_program_spans():
 def test_reporter_events_carry_trace_ids(tmp_path):
     from repro.forensics import CampaignReporter
 
-    with recording(SpanRecorder()) as recorder:
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
         with recorder.span("fuzz.cli") as root:
             with CampaignReporter(tmp_path / "events.jsonl") as reporter:
                 reporter._emit("probe", value=1)

@@ -26,7 +26,7 @@ import pytest
 
 from repro.bench.runner import DEFENSES
 from repro.fixtures import build
-from repro.metrics import MetricsRegistry, attached
+from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, simulate
 from repro.uarch.pipeline import HIST_EDGES, HOOKS, Core, hist_key
 from repro.uarch.refcore import REQUIRED_TELEMETRY
@@ -164,7 +164,7 @@ def test_both_engines_publish_the_folded_stats():
     published = {}
     for engine in ("ref", "compiled"):
         registry = MetricsRegistry()
-        with attached(registry):
+        with attach(registry):
             result = run_fixture(defense="track", engine=engine)
         counters = registry.snapshot()["counters"]
         stats = result.stats
