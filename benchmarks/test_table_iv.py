@@ -8,7 +8,7 @@ for CTS/CT; Protean-UNR under SPT-SB; E-core overheads below P-core
 
 from conftest import emit
 
-from repro.bench import geomean, table_iv
+from repro.bench import table_iv
 from repro.bench.runner import RunSpec
 from repro.uarch.pipeline import simulate
 from repro.workloads import get_workload

@@ -249,25 +249,6 @@ def spec_cache_key(spec: RunSpec) -> str:
 
 
 # ======================================================================
-# The ``spec`` job payload
-# ======================================================================
-
-def spec_to_payload(spec: RunSpec) -> Dict:
-    """JSON-safe projection of a spec (what the pool ships)."""
-    return dataclasses.asdict(spec)
-
-
-def spec_from_payload(payload: Dict) -> RunSpec:
-    """Rebuild a :class:`RunSpec` from :func:`spec_to_payload` output."""
-    fields = {f.name for f in dataclasses.fields(RunSpec)}
-    unknown = set(payload) - fields
-    if unknown:
-        raise ValueError(f"unknown RunSpec fields in spec payload: "
-                         f"{sorted(unknown)}")
-    return RunSpec(**payload)
-
-
-# ======================================================================
 # Persistent on-disk cache
 # ======================================================================
 
@@ -365,13 +346,12 @@ def cache_info() -> Dict:
 _summary_cache: Dict[RunSpec, RunSummary] = {}
 
 
-def run_spec_job(payload: Dict) -> Dict:
-    """The ``spec`` job: simulate one spec payload and return its
-    :class:`RunSummary` dict.  Caching is the submitting side's
-    business, so each result reaches the disk cache exactly once."""
-    spec = spec_from_payload(payload)
+def run_spec_job(spec: RunSpec) -> RunSummary:
+    """The ``spec`` job: simulate one spec and return its
+    :class:`RunSummary`.  Caching is the submitting side's business, so
+    each result reaches the disk cache exactly once."""
     with current().span("sim", span_attrs_for_spec(spec)):
-        return summarize(execute_spec(spec)).to_dict()
+        return summarize(execute_spec(spec))
 
 
 def clear_summary_cache() -> None:
@@ -457,7 +437,7 @@ def run_batch(
 
     def store(index: int, outcome: JobResult) -> None:
         spec = pending[index]
-        summary = RunSummary.from_dict(outcome.result)
+        summary = outcome.result
         results[spec] = _summary_cache[spec] = summary
         cache_store(spec, summary)
         stats.simulated += 1
@@ -487,9 +467,8 @@ def run_batch(
                 continue
             pending.append(spec)
         if pending:
-            run = run_jobs([Job(KIND_SPEC, spec_to_payload(spec))
-                            for spec in pending], store,
-                           workers=stats.jobs, timeout_s=timeout_s,
+            run = run_jobs([Job(KIND_SPEC, spec) for spec in pending],
+                           store, workers=stats.jobs, timeout_s=timeout_s,
                            retries=retries, worker=worker)
             stats.jobs, stats.retried = run.workers, run.retried
         stats.elapsed_s = time.monotonic() - started
@@ -499,7 +478,6 @@ def run_batch(
     _progress(stats, len(results), final=True)
     for name, amount in (("executor.batches", 1),
                          ("executor.specs", stats.total),
-                         ("executor.simulated", stats.simulated),
                          ("executor.retried", stats.retried),
                          ("cache.memory_hits", stats.memory_hits),
                          ("cache.disk_hits", stats.disk_hits),

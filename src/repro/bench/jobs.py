@@ -2,14 +2,15 @@
 
 Every paper table walks a matrix of independent simulations, and every
 contract-fuzzing cell a list of independent programs.  Both reach this
-module as :class:`Job` s — a kind plus a JSON payload (``spec``: a
-``RunSpec``'s fields; ``fuzz-program``: one program of a campaign cell)
-— and :func:`run_jobs` runs them on one of two backends:
+module as :class:`Job` s — a kind plus the objects its body takes
+(``spec``: a ``RunSpec``, answered with a ``RunSummary``;
+``fuzz-program``: a ``CampaignConfig`` and one program seed, answered
+with that program's ``CampaignResult``) — and :func:`run_jobs` runs
+them on one of two backends:
 
-* **serial** — in this process, in order: one worker, one job, or a job
-  with an in-process body that cannot be shipped;
-* **pool** — a :class:`~concurrent.futures.ProcessPoolExecutor` that
-  ships each job's JSON payload to a worker process.
+* **serial** — in this process, in order: one worker or one job;
+* **pool** — a :class:`~concurrent.futures.ProcessPoolExecutor`, which
+  pickles each job to a worker process and its result back.
 
 Inside there is one of everything.  :func:`run_job` runs one job in any
 process under one wall-clock alarm and returns one :class:`JobResult`.
@@ -31,10 +32,10 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..metrics.registry import MetricsRegistry
-from ..metrics.spans import SpanRecorder
+from ..metrics.spans import Span, SpanRecorder, span_attrs_for_spec
 from ..metrics.telemetry import attach, current
 
 logger = logging.getLogger(__name__)
@@ -66,30 +67,29 @@ class _Kind:
     job_span: Optional[str]
     #: Span around one run of the job, in whichever process runs it.
     run_span: str
-    #: Payload fields both spans carry as attributes.
-    fields: Tuple[str, ...]
+    #: The attributes both spans carry, read off the job's payload.
+    attrs: Callable[[Any], Dict]
     #: Timer of one successful run's wall seconds.
     timer: str
 
 
 _KINDS = {
-    KIND_SPEC: _Kind("spec", "worker.run",
-                     ("workload", "defense", "instrument", "core"),
+    KIND_SPEC: _Kind("spec", "worker.run", span_attrs_for_spec,
                      "executor.spec_seconds"),
-    KIND_FUZZ: _Kind(None, "fuzz.program", ("program_seed",),
+    KIND_FUZZ: _Kind(None, "fuzz.program",
+                     lambda payload: {"program_seed": payload[1]},
                      "fuzz.program_seconds"),
 }
 
 
 @dataclass
 class Job:
-    """One unit of work: a kind and its JSON payload."""
+    """One unit of work: a kind and what its body takes — a ``spec``
+    job's ``RunSpec``, a ``fuzz-program`` job's ``(CampaignConfig,
+    program_seed)``."""
 
     kind: str
-    payload: Dict
-    #: In-process body of a job that cannot be shipped (its payload then
-    #: only identifies it); such jobs always run serially.
-    local: Optional[Callable[[], Dict]] = None
+    payload: Any
 
 
 @dataclass
@@ -98,30 +98,25 @@ class JobResult:
 
     #: ``"ok"``, ``"timeout"`` or ``"error"``.
     status: str
-    #: The job's JSON result (``"ok"`` only).
-    result: Optional[Dict] = None
+    #: The job's result (``"ok"`` only): a ``RunSummary`` or a
+    #: ``CampaignResult``.
+    result: Any = None
     error: Optional[str] = None
     wall_s: float = 0.0
-    #: Span dicts the run recorded (only when it was traced).
-    spans: List[Dict] = field(default_factory=list)
+    #: Spans the run recorded (only when it was traced).
+    spans: List[Span] = field(default_factory=list)
     #: Snapshot of the run's own metrics registry (only when asked for).
     metrics: Optional[Dict] = None
 
 
-def _attrs(kind: _Kind, payload: Dict) -> Dict:
-    return {name: payload[name] for name in kind.fields if name in payload}
-
-
-def _execute(job: Job) -> Dict:
-    if job.local is not None:
-        return job.local()
+def _execute(job: Job):
     if job.kind == KIND_SPEC:
         from .executor import run_spec_job
 
         return run_spec_job(job.payload)
-    from ..fuzzing.campaign import run_campaign_job
+    from ..fuzzing.campaign import run_program
 
-    return run_campaign_job(job.payload)
+    return run_program(*job.payload)
 
 
 class _Timeout(Exception):
@@ -133,26 +128,26 @@ def _on_alarm(signum, frame):
 
 
 def run_job(job: Job, timeout_s: Optional[float] = None,
-            trace_ctx: Optional[Dict] = None, metrics: bool = False,
+            parent: Optional[Span] = None, metrics: bool = False,
             raise_errors: bool = False) -> JobResult:
     """Run one job in this process under the wall-clock alarm.
 
     The run records into telemetry of its own: a fresh registry when
     ``metrics`` is set (a forked pool worker would otherwise count into
     a copy of its parent's), and a fresh span recorder whose root span
-    parents under ``trace_ctx`` when one is given.  Both come back in
-    the result for the submitting side to merge.  SIGALRM only works in
-    the main thread, so a run in another thread has no alarm.
-    ``raise_errors`` lets an in-process caller see the job's own
-    exception instead of an ``"error"`` result.
+    parents under the submitting side's ``parent`` span when one is
+    given.  Both come back in the result for the submitting side to
+    merge.  SIGALRM only works in the main thread, so a run in another
+    thread has no alarm.  ``raise_errors`` lets an in-process caller see
+    the job's own exception instead of an ``"error"`` result.
     """
     kind = _KINDS[job.kind]
-    recorder = SpanRecorder() if trace_ctx is not None else None
+    recorder = SpanRecorder() if parent is not None else None
     registry = MetricsRegistry() if metrics else None
     if recorder is not None:
         root = recorder.start(
-            kind.run_span, parent=trace_ctx, push=True,
-            attrs=dict(_attrs(kind, job.payload), pid=os.getpid()))
+            kind.run_span, parent=parent, push=True,
+            attrs=dict(kind.attrs(job.payload), pid=os.getpid()))
     alarm = (bool(timeout_s) and hasattr(signal, "SIGALRM")
              and threading.current_thread() is threading.main_thread())
     # The alarm is disarmed inside the attach block, so it cannot fire
@@ -179,7 +174,7 @@ def run_job(job: Job, timeout_s: Optional[float] = None,
     outcome.wall_s = time.perf_counter() - started
     if recorder is not None:
         recorder.finish(root, status=outcome.status)
-        outcome.spans = recorder.to_dicts()
+        outcome.spans = recorder.spans
     if registry is not None:
         outcome.metrics = registry.snapshot()
     return outcome
@@ -215,11 +210,11 @@ class _Run:
 
     # -- spans ---------------------------------------------------------
 
-    def begin(self, index: int) -> Optional[Dict]:
-        """Charge job ``index`` one attempt; returns the trace context
-        its run parents under — an ``attempt`` span under the job span
-        (opened on first use), or the caller's span for kinds without a
-        job span — or None when untraced."""
+    def begin(self, index: int) -> Optional[Span]:
+        """Charge job ``index`` one attempt; returns the span its run
+        parents under — an ``attempt`` span under the job span (opened
+        on first use), or the caller's span for kinds without a job
+        span — or None when untraced."""
         self.attempts[index] += 1
         recorder = self.tel.recorder
         if recorder is None:
@@ -227,15 +222,15 @@ class _Run:
         job = self.jobs[index]
         kind = _KINDS[job.kind]
         if kind.job_span is None:
-            return recorder.context()
+            return recorder.current()
         if self.job_spans[index] is None:
             self.job_spans[index] = recorder.start(
-                kind.job_span, attrs=_attrs(kind, job.payload))
+                kind.job_span, attrs=kind.attrs(job.payload))
         attempt = recorder.start(
             "attempt", attrs={"attempt": self.attempts[index]},
             parent=self.job_spans[index])
         self.attempt_spans[index] = attempt
-        return attempt.context()
+        return attempt
 
     # -- the one place results land ------------------------------------
 
@@ -248,12 +243,12 @@ class _Run:
         ok = result.status == "ok"
         why = result.error or result.status
         if tel.recorder is not None:
-            tel.recorder.adopt(result.spans)
+            tel.recorder.spans.extend(result.spans)
             attempt = self.attempt_spans[index]
             self.attempt_spans[index] = None
             if attempt is not None:
-                run_started = min((span["start_s"] for span in result.spans
-                                   if span["name"] == kind.run_span),
+                run_started = min((span.start_s for span in result.spans
+                                   if span.name == kind.run_span),
                                   default=attempt.start_s)
                 if run_started > attempt.start_s:
                     tel.recorder.add("queue.wait", attempt.start_s,
@@ -286,12 +281,12 @@ class _Run:
     def requeue(self, index: int, why: str, queue: List[int]) -> None:
         """The retry policy: ``retries + 1`` attempts, then give up."""
         job, attempts = self.jobs[index], self.attempts[index]
+        attrs = _KINDS[job.kind].attrs(job.payload)
         if attempts > self.retries:
-            raise ExecutorError(f"{job.kind} job {job.payload} failed "
+            raise ExecutorError(f"{job.kind} job {attrs} failed "
                                 f"after {attempts} attempts: {why}")
         logger.warning("requeueing %s job %s (attempt %d/%d): %s",
-                       job.kind, job.payload, attempts, self.retries + 1,
-                       why)
+                       job.kind, attrs, attempts, self.retries + 1, why)
         self.stats.retried += 1
         self.tel.count("executor.requeues")
         queue.append(index)
@@ -358,14 +353,13 @@ def run_jobs(jobs: Sequence[Job],
     """Run ``jobs``, calling ``on_result(index, result)`` for each in
     submission order as soon as it and every earlier job succeeded.
 
-    The backend: serial with one worker, one job, or a job that cannot
-    be shipped — there a job's own exception propagates; otherwise a
-    pool of ``workers`` processes running ``worker`` (default
-    :func:`run_job`; tests inject faulty ones).
+    The backend: serial with one worker or one job — there a job's own
+    exception propagates; otherwise a pool of ``workers`` processes
+    running ``worker`` (default :func:`run_job`; tests inject faulty
+    ones).  Pool jobs must pickle.
     """
     run = _Run(list(jobs), on_result, timeout_s, retries)
-    if workers <= 1 or len(jobs) <= 1 \
-            or any(job.local is not None for job in jobs):
+    if workers <= 1 or len(jobs) <= 1:
         run.serial()
     else:
         run.pool(workers, worker or run_job)

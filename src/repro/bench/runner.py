@@ -10,6 +10,7 @@ base binary* on the same core.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -32,6 +33,7 @@ from ..workloads import get_workload
 #: Defense factories by harness name.  ``delay-raw``/``track-raw`` are
 #: the paper's SIX-A4 ablation: AccessDelay/AccessTrack applied to
 #: ProtISA directly (selective wakeup / access predictor disabled).
+#: Every factory pickles, so fuzzing cells that hold one run on a pool.
 DEFENSES: Dict[str, Callable[..., object]] = {
     "unsafe": Unsafe,
     "nda": AccessDelay,
@@ -40,8 +42,8 @@ DEFENSES: Dict[str, Callable[..., object]] = {
     "spt-sb": SPTSB,
     "delay": ProtDelay,
     "track": ProtTrack,
-    "delay-raw": lambda: ProtDelay(selective_wakeup=False),
-    "track-raw": lambda: ProtTrack(use_predictor=False),
+    "delay-raw": functools.partial(ProtDelay, selective_wakeup=False),
+    "track-raw": functools.partial(ProtTrack, use_predictor=False),
 }
 
 #: Which secure baseline targets each vulnerable-code class (Tab. I).

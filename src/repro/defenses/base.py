@@ -85,11 +85,11 @@ class Defense:
 
     def compile_params(self) -> Tuple:
         """Constructor parameters that change this mechanism's behaviour,
-        for the compiled backend's artifact cache key (see
-        :func:`repro.uarch.compiled.compile_key`).  Subclasses with
+        for the key of the compiled backend's in-process compile memo
+        (see :func:`repro.uarch.compiled.compile_key`).  Subclasses with
         behavioural constructor arguments must override this — two
         instances of the same class with different ``compile_params()``
-        must never share a compiled artifact."""
+        must never share compiled code."""
         return ()
 
     # -- hooks (default: allow everything) -------------------------------

@@ -49,11 +49,10 @@ class CampaignReporter:
             raise ValueError("reporter is closed")
         record = {"event": event, "time": round(time.time(), 3), **payload}
         recorder = current().recorder
-        if recorder is not None:
-            ctx = recorder.context()
-            if ctx is not None:
-                record.setdefault("trace_id", ctx["trace_id"])
-                record.setdefault("span_id", ctx["span_id"])
+        span = recorder.current() if recorder is not None else None
+        if span is not None:
+            record.setdefault("trace_id", span.trace_id)
+            record.setdefault("span_id", span.span_id)
         self._stream.write(json.dumps(record, sort_keys=True) + "\n")
         self._stream.flush()
 

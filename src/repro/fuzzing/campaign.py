@@ -6,10 +6,12 @@ them, and checks contract-equivalent input pairs for microarchitectural
 distinguishability under one or more adversary models.
 
 Programs are independent test units: each is one ``fuzz-program`` job
-of the bench job runner (:mod:`repro.bench.jobs`), so a campaign runs
+of the bench job runner (:mod:`repro.bench.jobs`), carrying the cell's
+:class:`CampaignConfig` and the program's seed, so a campaign runs
 serially or over a process pool (``jobs=N``), with the runner's per-job
-timeout and retries.  Every program's RNG streams are derived from a
-per-program seed drawn from the master RNG *before* fan-out, and
+timeout and retries.  A cell whose config does not pickle (a lambda
+defense factory) runs serially.  Every program's RNG streams are derived
+from a per-program seed drawn from the master RNG *before* fan-out, and
 per-program tallies are merged back in program order, so the result is
 bit-identical for any job count.  That invariant extends to forensics:
 witnesses are captured inside the per-program unit as plain
@@ -19,8 +21,8 @@ serializable dicts and merged in the same order.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
+import pickle
 import random
 import time
 from dataclasses import dataclass, field
@@ -35,7 +37,7 @@ from ..contracts.checker import (
     check_contract_pair,
 )
 from ..protcc import compile_program, mitigate_program
-from ..uarch.config import E_CORE, CoreConfig, P_CORE
+from ..uarch.config import CoreConfig, P_CORE
 from .generator import generate_program
 from .inputs import generate_input, mutate_input
 
@@ -63,10 +65,8 @@ class CampaignConfig:
     seed: int = 0
     core: CoreConfig = P_CORE
     adversaries: Tuple[AdversaryModel, ...] = ALL_MODELS
-    #: Harness name from ``repro.bench.runner.DEFENSES``.  When set,
-    #: program jobs ship the name and rebuild the factory from it, so
-    #: the cell parallelizes even if ``defense_factory`` itself (e.g. a
-    #: lambda) cannot leave this process.
+    #: Harness name from ``repro.bench.runner.DEFENSES``: the factory
+    #: when ``defense_factory`` is None, and the name witnesses record.
     defense_name: Optional[str] = None
     #: Capture a serializable ``LeakWitness`` dict for every violation
     #: (``CampaignResult.witnesses``).  Deterministic and merge-ordered,
@@ -103,21 +103,15 @@ class CampaignResult:
                 f"in {self.tests} tests ({rejected})")
 
     def to_dict(self) -> Dict:
-        """Job result wire format.  ``wall_time`` is telemetry, not
-        result identity, so it is excluded: the same program seed must
-        produce byte-identical payloads in whichever process ran it."""
+        """The tallies as JSON-safe data.  ``wall_time`` is telemetry,
+        not result identity, so it is excluded: the same program seed
+        must produce byte-identical tallies in whichever process ran
+        it."""
         payload = dataclasses.asdict(self)
         del payload["wall_time"]
         payload["violation_sites"] = [list(site)
                                       for site in self.violation_sites]
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "CampaignResult":
-        payload = dict(payload)
-        payload["violation_sites"] = [tuple(site) for site
-                                      in payload.get("violation_sites", [])]
-        return cls(**payload)
 
     def merge(self, other: "CampaignResult") -> None:
         self.tests += other.tests
@@ -161,9 +155,10 @@ def _program_seeds(config: CampaignConfig) -> List[int]:
     return [master.randrange(1 << 30) for _ in range(config.n_programs)]
 
 
-def _run_program(config: CampaignConfig, program_seed: int) -> Dict:
-    """Fuzz one generated program (the body of a ``fuzz-program`` job);
-    returns its tallies as :meth:`CampaignResult.to_dict`."""
+def run_program(config: CampaignConfig,
+                program_seed: int) -> CampaignResult:
+    """Fuzz one generated program: the body of a ``fuzz-program``
+    job."""
     result = CampaignResult()
     defense_factory = _resolve_factory(config)
     defense_name = _defense_name(config) if config.collect_witnesses else None
@@ -207,60 +202,19 @@ def _run_program(config: CampaignConfig, program_seed: int) -> Dict:
             if config.mitigation:
                 witness.meta["mitigation"] = config.mitigation
             result.witnesses.append(witness.to_dict())
-    return result.to_dict()
-
-
-#: Core configurations a job payload can name (payloads are JSON; a
-#: bespoke ``CoreConfig`` keeps the cell in this process).
-_CORES_BY_NAME = {core.name: core for core in (P_CORE, E_CORE)}
+    return result
 
 
 def campaign_job_payload(config: CampaignConfig,
-                         program_seed: int) -> Optional[Dict]:
-    """The JSON wire format of one per-program job (what the pool
-    ships), or None when the cell cannot be shipped as JSON (anonymous
-    defense factory, bespoke core config) and must stay in this
-    process."""
-    name = _defense_name(config)
-    if name is None:
-        return None
-    core = _CORES_BY_NAME.get(config.core.name)
-    if core is None or core != config.core:
-        return None
-    return {
-        "kind_version": 1,
-        "defense": name,
-        "contract": config.contract.value,
-        "instrumentation": config.instrumentation,
-        "mitigation": config.mitigation,
-        "pairs_per_program": config.pairs_per_program,
-        "program_size": config.program_size,
-        "core": config.core.name,
-        "adversaries": [model.value for model in config.adversaries],
-        "collect_witnesses": config.collect_witnesses,
-        "program_seed": program_seed,
-    }
+                         program_seed: int) -> Tuple[CampaignConfig, int]:
+    """The payload of one ``fuzz-program`` job."""
+    return config, program_seed
 
 
-def run_campaign_job(payload: Dict) -> Dict:
-    """Run one per-program job from its wire payload: rebuild the cell
-    and run exactly the per-program function, so tallies merge
-    bit-identical whichever process ran them."""
-    config = CampaignConfig(
-        defense_factory=None,
-        defense_name=payload["defense"],
-        contract=Contract(payload["contract"]),
-        instrumentation=payload["instrumentation"],
-        mitigation=payload.get("mitigation"),
-        n_programs=1,
-        pairs_per_program=payload["pairs_per_program"],
-        program_size=payload["program_size"],
-        core=_CORES_BY_NAME[payload["core"]],
-        adversaries=tuple(AdversaryModel(value)
-                          for value in payload["adversaries"]),
-        collect_witnesses=payload["collect_witnesses"],
-    )
-    return _run_program(config, payload["program_seed"])
+def run_campaign_job(payload: Tuple[CampaignConfig, int]) -> Dict:
+    """Run one ``fuzz-program`` payload in this process; returns its
+    tallies as :meth:`CampaignResult.to_dict`."""
+    return run_program(*payload).to_dict()
 
 
 def run_campaign(
@@ -273,8 +227,8 @@ def run_campaign(
     Each program is one ``fuzz-program`` job of the bench job runner:
     with ``jobs > 1`` they fan out over a process pool.  Serial or
     pooled, each program gets the per-job timeout and retries, and the
-    merge is bit-identical to a serial run.  Cells that cannot ship as
-    JSON (an anonymous defense factory, a bespoke core) run serially.
+    merge is bit-identical to a serial run.  A cell whose config does
+    not pickle (a lambda defense factory) runs serially.
 
     ``on_program(program_seed, partial_result)`` is invoked in the
     parent process, in program order, as each per-program result is
@@ -287,29 +241,33 @@ def run_campaign(
 
     seeds = _program_seeds(config)
     jobs = resolve_jobs(jobs)
+    # The name is looked up by the factory's identity, which a pickled
+    # ``functools.partial`` does not keep: resolve it before fan-out.
+    config = dataclasses.replace(config, defense_name=_defense_name(config))
+    if jobs > 1:
+        try:
+            pickle.dumps(config)
+        except (pickle.PicklingError, AttributeError, TypeError):
+            jobs = 1
     logger.info(
         "campaign start: contract=%s instrumentation=%s defense=%s "
         "programs=%d pairs=%d jobs=%d", config.contract.value,
-        config.instrumentation, _defense_name(config) or "<anonymous>",
+        config.instrumentation, config.defense_name or "<anonymous>",
         config.n_programs, config.pairs_per_program, jobs)
     started = time.perf_counter()
-    units = []
-    for seed in seeds:
-        payload = campaign_job_payload(config, seed)
-        units.append(Job(KIND_FUZZ, payload) if payload is not None else
-                     Job(KIND_FUZZ, {"program_seed": seed},
-                         local=functools.partial(_run_program, config, seed)))
+    units = [Job(KIND_FUZZ, campaign_job_payload(config, seed))
+             for seed in seeds]
     tel = current()
     campaign_span = tel.start(
         "fuzz.campaign", push=True,
         attrs={"contract": config.contract.value,
                "instrumentation": config.instrumentation,
-               "defense": _defense_name(config) or "<anonymous>",
+               "defense": config.defense_name or "<anonymous>",
                "programs": config.n_programs})
     result = CampaignResult()
 
     def merge(index: int, outcome) -> None:
-        partial = CampaignResult.from_dict(outcome.result)
+        partial = outcome.result
         partial.wall_time = outcome.wall_s
         result.merge(partial)
         if on_program is not None:

@@ -25,7 +25,7 @@ import itertools
 from typing import Dict, List
 
 from .instruction import Instruction
-from .operations import Cond, Op
+from .operations import Op
 from .program import FunctionRegion, Program
 
 

@@ -10,10 +10,10 @@ timeline:
   per-process monotonic clock anchored to the wall clock once at
   recorder creation — monotone within a process, comparable across
   the processes of one host;
-* a **trace context** (``{"trace_id", "span_id"}``) is the wire format
-  shipped with each pool job the runner submits, so a worker's spans
-  parent under the submitting side's span; they come back in the job's
-  result and are adopted into the submitting side's recorder;
+* **propagation**: each job the runner submits carries the submitting
+  side's :class:`Span`, so the run's spans parent under it in whichever
+  process runs the job; they come back in the job's result and join the
+  submitting side's recorder;
 * the **merger** (:func:`merged_trace`) assembles the spans into one
   Chrome-trace/Perfetto JSON, clamping children into their parents in
   integer microseconds, so the nesting invariant holds exactly even
@@ -28,6 +28,7 @@ thread-safe: the reproduction parallelizes with processes.
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import pathlib
@@ -36,7 +37,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 #: Bumped whenever the merged-trace layout changes; the golden schema
 #: test pins it.
@@ -73,36 +74,6 @@ class Span:
         return (self.end_s - self.start_s) if self.end_s is not None \
             else 0.0
 
-    def context(self) -> Dict[str, str]:
-        """The wire format shipped across process boundaries."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "process": self.process,
-            "attrs": self.attrs,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "Span":
-        return cls(
-            name=str(payload["name"]),
-            trace_id=str(payload["trace_id"]),
-            span_id=str(payload["span_id"]),
-            parent_id=payload.get("parent_id"),
-            start_s=float(payload["start_s"]),
-            end_s=(float(payload["end_s"])
-                   if payload.get("end_s") is not None else None),
-            process=str(payload.get("process", "")),
-            attrs=dict(payload.get("attrs", {})),
-        )
-
 
 class SpanRecorder:
     """Collects finished spans for one process.
@@ -133,17 +104,14 @@ class SpanRecorder:
             parent = self._stack[-1] if self._stack else None
         if parent is None:
             return new_id(), None
-        if isinstance(parent, Span):
-            return parent.trace_id, parent.span_id
-        # A wire-format context dict from another process.
-        return str(parent["trace_id"]), str(parent["span_id"])
+        return parent.trace_id, parent.span_id
 
     def start(self, name: str, attrs: Optional[Dict] = None,
               parent=_CURRENT, push: bool = False) -> Span:
         """Open a span.  ``parent`` is the innermost open span by
-        default; pass a :class:`Span`, a wire-format context dict, or
-        None (a new trace root).  ``push`` makes it the default parent
-        for spans opened while it is live."""
+        default; pass a :class:`Span` (one recorded in another process
+        too) or None (a new trace root).  ``push`` makes it the default
+        parent for spans opened while it is live."""
         trace_id, parent_id = self._resolve_parent(parent)
         span = Span(name=name, trace_id=trace_id, span_id=new_id(),
                     parent_id=parent_id, start_s=self.now(),
@@ -188,54 +156,33 @@ class SpanRecorder:
     def current(self) -> Optional[Span]:
         return self._stack[-1] if self._stack else None
 
-    def context(self, span: Optional[Span] = None) -> Optional[Dict]:
-        """Wire-format context of ``span`` (default: innermost open
-        span); None when nothing is open."""
-        if span is None:
-            span = self.current()
-        return span.context() if span is not None else None
-
-    # -- cross-process transport ---------------------------------------
-
-    def to_dicts(self) -> List[Dict]:
-        return [span.to_dict() for span in self.spans]
-
-    def adopt(self, payloads: Iterable[Dict]) -> int:
-        """Merge spans recorded in another process (job runs return them
-        in their ``JobResult``); returns how many were adopted."""
-        adopted = 0
-        for payload in payloads:
-            self.spans.append(Span.from_dict(payload))
-            adopted += 1
-        return adopted
-
 
 # ----------------------------------------------------------------------
 # The deterministic merger
 # ----------------------------------------------------------------------
 
-def _assign_lanes(roots: List[Tuple[int, int, str]]) -> Dict[str, int]:
-    """Interval-partition one process's root spans onto display lanes
-    so concurrent roots never overlap on one Perfetto track."""
-    import heapq
-
-    lanes: Dict[str, int] = {}
-    free: List[Tuple[int, int]] = []  # (free-from ts, lane)
+def assign_lanes(intervals: Iterable[Tuple[int, int, Hashable]]
+                 ) -> Dict[Hashable, int]:
+    """Interval-partition ``(start, end, key)`` triples, taken in the
+    caller's order, onto display lanes (Perfetto "threads") so that
+    intervals sharing a lane never overlap; returns each key's lane."""
+    lanes: Dict[Hashable, int] = {}
+    free: List[Tuple[int, int]] = []  # (free-from, lane)
     next_lane = 0
-    for start, end, span_id in sorted(roots):
+    for start, end, key in intervals:
         if free and free[0][0] <= start:
             _, lane = heapq.heappop(free)
         else:
             lane = next_lane
             next_lane += 1
-        lanes[span_id] = lane
+        lanes[key] = lane
         heapq.heappush(free, (end + 1, lane))
     return lanes
 
 
 def merged_trace(spans: Iterable[Span],
                  label: str = "campaign") -> Dict:
-    """Assemble spans (one recorder's, with its adopted worker spans)
+    """Assemble spans (one recorder's, with its pool workers' spans)
     into one Chrome-trace JSON dict.
 
     Deterministic: the same spans always produce the same dict (and,
@@ -319,7 +266,7 @@ def merged_trace(spans: Iterable[Span],
                 continue
             if find_root(span_id, frozenset({span_id})) == span_id:
                 roots.append((entry["ts"], entry["te"], span_id))
-        lanes.update(_assign_lanes(roots))
+        lanes.update(assign_lanes(sorted(roots)))
 
     # 4. Emit events, deterministically ordered.
     events: List[Dict] = []

@@ -1657,8 +1657,9 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     """Generate the specialized module source for one triple.
 
     Deterministic in (program instructions, config, defense traits):
-    no timestamps, hashes, or environment state are embedded, so the
-    golden test can pin the output byte-for-byte.
+    no timestamps, hashes, or environment state are embedded, so
+    generating twice gives identical source
+    (``test_generated_source_is_deterministic``).
     """
     if not program.is_linked:
         program = program.linked()

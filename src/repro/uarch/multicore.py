@@ -54,9 +54,9 @@ class MultiCore:
     Runs on the reference interpreter: the cores step in lockstep, one
     ``Core.step()`` each per cycle, so a store committed on one core
     invalidates the others' L1Ds before their next cycle.  The compiled
-    engine runs a whole program inside one call and refuses shared
-    memory (``CompileUnsupported``), so it cannot interleave cores;
-    multicore runs therefore get no sleeping uops or fast-forward.
+    engine runs a whole program inside one call, so it cannot
+    interleave cores; multicore runs therefore get no sleeping uops or
+    fast-forward.
     """
 
     def __init__(

@@ -27,7 +27,6 @@ Two export formats:
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import json
 import pathlib
 from typing import Dict, List, Optional, Tuple, Union
@@ -142,24 +141,6 @@ def _uop_end(uop: Uop) -> int:
     return max(c for c in candidates if c >= 0)
 
 
-def _assign_lanes(uops: List[Uop]) -> Dict[int, int]:
-    """Interval-partition uops onto display lanes (Perfetto "threads")
-    so concurrent uops never overlap on one track."""
-    lanes: Dict[int, int] = {}
-    free: List[Tuple[int, int]] = []  # (free-from cycle, lane)
-    next_lane = 0
-    for uop in uops:  # already in fetch (seq) order
-        start = uop.fetch_cycle
-        if free and free[0][0] <= start:
-            _, lane = heapq.heappop(free)
-        else:
-            lane = next_lane
-            next_lane += 1
-        lanes[uop.seq] = lane
-        heapq.heappush(free, (_uop_end(uop) + 1, lane))
-    return lanes
-
-
 def _asm(uop: Uop) -> str:
     from ..isa.assembler import format_instruction
 
@@ -173,13 +154,17 @@ def chrome_trace(tracer: PipelineTracer, label: str = "repro") -> Dict:
     the pipeline slices on their own track (pid 2, one lane per gating
     hook), so Perfetto shows each intervention above the uops it
     delayed."""
+    from ..metrics.spans import assign_lanes
+
     events: List[Dict] = [
         {"name": "process_name", "ph": "M", "pid": 0, "tid": 0,
          "args": {"name": f"{label}: pipeline"}},
         {"name": "process_name", "ph": "M", "pid": 1, "tid": 0,
          "args": {"name": f"{label}: occupancy"}},
     ]
-    lanes = _assign_lanes(tracer.uops)
+    # In seq order: sorting uops fetched in one cycle would reorder lanes.
+    lanes = assign_lanes((uop.fetch_cycle, _uop_end(uop), uop.seq)
+                         for uop in tracer.uops)
     for uop in tracer.uops:
         lane = lanes[uop.seq]
         for stage, start_attr, end_attr in _STAGES:

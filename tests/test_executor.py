@@ -20,7 +20,6 @@ from repro.bench.executor import (
     cache_load,
     clear_summary_cache,
     spec_cache_key,
-    spec_to_payload,
     summarize,
 )
 from repro.bench.jobs import KIND_SPEC, Job, JobResult, run_job
@@ -143,37 +142,37 @@ def test_repro_jobs_env_sets_default(isolated_cache, monkeypatch):
 # module-level so the pool can pickle them by reference)
 # ----------------------------------------------------------------------
 
-def _always_timeout_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _always_timeout_worker(job, timeout_s, parent=None, metrics=False):
     return JobResult("timeout")
 
 
-def _always_error_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _always_error_worker(job, timeout_s, parent=None, metrics=False):
     return JobResult("error", error="injected failure")
 
 
-def _always_crash_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _always_crash_worker(job, timeout_s, parent=None, metrics=False):
     os._exit(3)
 
 
 def _marker(job):
     return pathlib.Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / job.payload["workload"].replace("/", "_")
+        / job.payload.workload.replace("/", "_")
 
 
-def _fail_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _fail_once_worker(job, timeout_s, parent=None, metrics=False):
     marker = _marker(job)
     if not marker.exists():
         marker.write_text("failed once")
         return JobResult("error", error="injected transient failure")
-    return run_job(job, timeout_s, trace_ctx, metrics)
+    return run_job(job, timeout_s, parent, metrics)
 
 
-def _crash_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _crash_once_worker(job, timeout_s, parent=None, metrics=False):
     marker = _marker(job)
     if not marker.exists():
         marker.write_text("crashed once")
         os._exit(3)
-    return run_job(job, timeout_s, trace_ctx, metrics)
+    return run_job(job, timeout_s, parent, metrics)
 
 
 def test_worker_timeout_exhausts_retries(isolated_cache):
@@ -218,8 +217,7 @@ def test_reliably_crashing_worker_gives_up(isolated_cache):
 
 
 def test_worker_run_reports_simulation_errors(isolated_cache):
-    outcome = run_job(Job(KIND_SPEC, spec_to_payload(
-        RunSpec(workload="no-such-workload"))))
+    outcome = run_job(Job(KIND_SPEC, RunSpec(workload="no-such-workload")))
     assert outcome.status == "error"
     assert "no-such-workload" in outcome.error
     assert outcome.wall_s >= 0
@@ -320,6 +318,40 @@ def test_unpicklable_factory_falls_back_to_serial():
             parallel.invalid_pairs, parallel.violation_sites)
 
 
+def test_every_registered_defense_factory_pickles():
+    """A pool ships each fuzzing cell's config, factory included, so
+    every harness factory must come back from a pickle as the same
+    mechanism."""
+    import pickle
+
+    for name, factory in runner.DEFENSES.items():
+        built = factory()
+        rebuilt = pickle.loads(pickle.dumps(factory))()
+        assert type(rebuilt) is type(built), name
+        assert rebuilt.compile_params() == built.compile_params(), name
+
+
+def test_bespoke_core_cell_runs_on_the_pool():
+    """A cell on a core configuration of its own ships like any other:
+    its programs run in pool workers and tally as a serial run does."""
+    from repro.metrics import SpanRecorder, attach
+    from repro.uarch import P_CORE
+
+    config = CampaignConfig(defense_factory=runner.DEFENSES["unsafe"],
+                            contract=Contract.UNPROT_SEQ,
+                            instrumentation="rand", n_programs=3,
+                            pairs_per_program=1, program_size=20, seed=7,
+                            core=P_CORE.replace(div_is_transmitter=False))
+    serial = run_campaign(config, jobs=1)
+    recorder = SpanRecorder()
+    with attach(recorder=recorder):
+        parallel = run_campaign(config, jobs=2)
+    programs = [s for s in recorder.spans if s.name == "fuzz.program"]
+    assert len(programs) == 3
+    assert all(p.attrs["pid"] != os.getpid() for p in programs)
+    assert parallel.to_dict() == serial.to_dict()
+
+
 def _named_cell(n_programs=3):
     return CampaignConfig(defense_factory=None, defense_name="unsafe",
                           contract=Contract.UNPROT_SEQ,
@@ -402,9 +434,9 @@ def test_pool_on_program_fires_in_program_order(isolated_cache):
 
 
 def test_fuzz_programs_report_wall_time_on_every_backend(isolated_cache):
-    """Wall time is telemetry outside the wire format, so it comes from
-    the runner's result — the run's own seconds, serially and on the
-    pool — never the 0.0 a bare ``CampaignResult.from_dict`` leaves."""
+    """Wall time is telemetry outside the tallies, so it comes from the
+    runner's result — the run's own seconds, serially and on the pool —
+    never the 0.0 a program's own ``CampaignResult`` carries."""
     for jobs in (1, 2):
         walls = []
         result = run_campaign(
@@ -623,15 +655,15 @@ def test_compile_step_writes_nothing_to_the_cache_dir(isolated_cache):
 # Queue-wait accounting across a pool rebuild
 # ----------------------------------------------------------------------
 
-def _slow_crash_once_worker(job, timeout_s, trace_ctx=None, metrics=False):
+def _slow_crash_once_worker(job, timeout_s, parent=None, metrics=False):
     import time as _time
 
     marker = _marker(job)
-    if job.payload["defense"] == "unsafe" and not marker.exists():
+    if job.payload.defense == "unsafe" and not marker.exists():
         marker.write_text("crashing")
         _time.sleep(0.6)  # make the pre-crash epoch measurably old
         os._exit(3)
-    return run_job(job, timeout_s, trace_ctx, metrics)
+    return run_job(job, timeout_s, parent, metrics)
 
 
 def test_queue_wait_restarts_after_pool_rebuild(isolated_cache,
@@ -653,22 +685,3 @@ def test_queue_wait_restarts_after_pool_rebuild(isolated_cache,
     waited = registry.timer("executor.queue_wait_seconds")
     assert waited.count >= 1
     assert waited.max < 0.5
-
-
-# ----------------------------------------------------------------------
-# Spec job payload helpers
-# ----------------------------------------------------------------------
-
-def test_spec_payload_round_trip():
-    from repro.bench.executor import spec_from_payload, spec_to_payload
-
-    assert spec_from_payload(spec_to_payload(FAST_SPTSB)) == FAST_SPTSB
-
-
-def test_spec_from_payload_rejects_unknown_fields():
-    from repro.bench.executor import spec_from_payload, spec_to_payload
-
-    payload = spec_to_payload(FAST)
-    payload["not_a_field"] = 1
-    with pytest.raises(ValueError, match="unknown RunSpec fields"):
-        spec_from_payload(payload)

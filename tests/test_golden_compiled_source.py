@@ -2,8 +2,8 @@
 
 Behaviour is pinned elsewhere: ``tests/golden/core_stats.json`` and the
 ``repro diff`` grid compare every result against the reference engine,
-and ``test_generated_source_is_deterministic`` keeps the text stable
-for the content-addressed artifact cache.  These tests pin what the
+and ``test_generated_source_is_deterministic`` keeps the text identical
+from one generation to the next.  These tests pin what the
 generator must leave out or put in, whatever else the emitted text
 looks like:
 

@@ -5,11 +5,11 @@ import inspect
 import json
 import os
 import pathlib
+import pickle
 
 import pytest
 
 from repro.bench import RunSpec, clear_caches, run_batch
-from repro.bench.executor import spec_to_payload
 from repro.bench.jobs import KIND_SPEC, Job, run_job
 from repro.metrics import attach, current
 from repro.metrics.spans import (
@@ -71,15 +71,14 @@ def test_finish_merges_attrs_and_is_idempotent_on_end():
 def test_wire_context_round_trip_across_recorders():
     parent_side = SpanRecorder(process="parent")
     parent = parent_side.start("spec")
-    ctx = parent.context()
-    assert set(ctx) == {"trace_id", "span_id"}
-    # Ship ctx over the wire (it is plain JSON) to another process.
+    # Ship the open parent span to another process, as a pool does.
     worker = SpanRecorder(process="worker")
     child = worker.start("worker.run",
-                         parent=json.loads(json.dumps(ctx)))
+                         parent=pickle.loads(pickle.dumps(parent)))
     assert child.trace_id == parent.trace_id
     assert child.parent_id == parent.span_id
-    rebuilt = Span.from_dict(child.to_dict())
+    worker.finish(child)
+    rebuilt = pickle.loads(pickle.dumps(child))
     assert rebuilt == child
 
 
@@ -95,15 +94,6 @@ def test_add_clamps_backwards_interval():
     recorder = SpanRecorder(process="p1")
     span = recorder.add("queue.wait", 10.0, 9.0)
     assert span.start_s == 10.0 and span.end_s == 10.0
-
-
-def test_adopt_merges_foreign_span_dicts():
-    parent = SpanRecorder(process="parent")
-    child = SpanRecorder(process="child")
-    with child.span("fuzz.program"):
-        pass
-    assert parent.adopt(child.to_dicts()) == 1
-    assert parent.spans[0].process == "child"
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +340,9 @@ def test_cache_hits_record_zero_or_short_spec_spans(isolated_cache):
 
 def test_pool_spans_propagate_to_workers(isolated_cache):
     """The canonical cross-process assertion: worker.run spans recorded
-    in pool children nest (via the wire context) under the parent's
-    attempt spans, which nest under spec spans, under the batch."""
+    in pool children nest (via the shipped attempt span) under the
+    parent's attempt spans, which nest under spec spans, under the
+    batch."""
     recorder = SpanRecorder()
     with attach(recorder=recorder):
         run_batch([FAST, FAST_SPTSB], jobs=2)
@@ -379,14 +370,13 @@ def test_pool_spans_propagate_to_workers(isolated_cache):
     assert nesting_violations(merged_trace(recorder.spans)) == []
 
 
-def _crash_once_traced_worker(job, timeout_s, trace_ctx=None,
-                              metrics=False):
+def _crash_once_traced_worker(job, timeout_s, parent=None, metrics=False):
     marker = pathlib.Path(os.environ["REPRO_TEST_MARKER_DIR"]) \
-        / job.payload["workload"].replace("/", "_")
+        / job.payload.workload.replace("/", "_")
     if not marker.exists():
         marker.write_text("crashed once")
         os._exit(3)
-    return run_job(job, timeout_s, trace_ctx, metrics)
+    return run_job(job, timeout_s, parent, metrics)
 
 
 def test_trace_survives_broken_pool_rebuild(isolated_cache, monkeypatch,
@@ -419,16 +409,17 @@ def test_trace_survives_broken_pool_rebuild(isolated_cache, monkeypatch,
 
 
 def test_worker_run_traced_returns_span_payloads(isolated_cache):
-    ctx = {"trace_id": "a" * 16, "span_id": "b" * 16}
-    outcome = run_job(Job(KIND_SPEC, spec_to_payload(FAST)), None, ctx)
+    parent = _span("attempt", "b" * 16, None, 1.0, None, "parent",
+                   trace="a" * 16)
+    outcome = run_job(Job(KIND_SPEC, FAST), None, parent)
     assert outcome.status == "ok"
-    run = [p for p in outcome.spans if p["name"] == "worker.run"][0]
-    assert run["trace_id"] == "a" * 16
-    assert run["parent_id"] == "b" * 16
-    assert run["attrs"]["status"] == "ok"
+    run = [span for span in outcome.spans if span.name == "worker.run"][0]
+    assert run.trace_id == "a" * 16
+    assert run.parent_id == "b" * 16
+    assert run.attrs["status"] == "ok"
     assert current().recorder is None  # restored after the call
     # Untraced runs carry no spans at all.
-    assert run_job(Job(KIND_SPEC, spec_to_payload(FAST))).spans == []
+    assert run_job(Job(KIND_SPEC, FAST)).spans == []
 
 
 # ----------------------------------------------------------------------

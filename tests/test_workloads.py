@@ -6,7 +6,7 @@ import pytest
 from repro.arch import run_program
 from repro.protcc import CLASSES, compile_program
 from repro.uarch import simulate
-from repro.workloads import Workload, get_workload, workload_names
+from repro.workloads import get_workload, workload_names
 
 ALL = workload_names()
 
