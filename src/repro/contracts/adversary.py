@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..uarch.pipeline import CoreResult
+from ..uarch.uop import TIMING_FIELDS
 
 
 class AdversaryModel(enum.Enum):
@@ -51,9 +52,9 @@ ALL_MODELS = (AdversaryModel.CACHE_TLB, AdversaryModel.TIMING)
 #: order (paper Tab. III hierarchy; the TLB rides last).
 CACHE_LEVELS = ("l1d", "l2", "l3")
 
-#: Per-stage timestamp labels matching ``Uop.timing_observation()``
-#: (pc rides in slot 0; the stages follow).
-TIMING_STAGES = ("fetch", "rename", "issue", "complete", "commit")
+#: Per-stage timestamp labels of a ``CoreResult.timing_trace`` tuple
+#: (pc rides in slot 0; the stages follow), from ``TIMING_FIELDS``.
+TIMING_STAGES = tuple(name[:-len("_cycle")] for name in TIMING_FIELDS[1:])
 
 
 @dataclass(frozen=True)

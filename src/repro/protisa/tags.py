@@ -20,7 +20,7 @@ are maintained by the pipeline's rename stage.
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Callable, Optional, Set
 
 from ..uarch.config import L1DTagMode
 
@@ -34,22 +34,32 @@ class MemoryProtectionTags:
         #: protected (the safe default).
         self._unprotected: Set[int] = set()
         self._l1d = None
-        self.line_shift = 6
 
     def attach_l1d(self, l1d) -> None:
         """Bind to the L1D whose presence gates unprotection tracking."""
         self._l1d = l1d
-        self.line_shift = l1d.line_shift
+
+    def eviction_listener(self, line_bytes: int
+                          ) -> Optional[Callable[[int], None]]:
+        """The L1D's eviction callback for ``line_bytes``-byte lines:
+        forget unprotection for the evicted line's bytes.  ``None``
+        outside ``L1D`` mode, where an eviction forgets nothing.
+
+        It closes over the byte set, not over the tags: the tags hold
+        the L1D (:meth:`attach_l1d`), so an L1D holding the tags back
+        would leave every core's caches behind as a reference cycle."""
+        if self.mode is not L1DTagMode.L1D:
+            return None
+        unprotected = self._unprotected
+
+        def on_l1d_eviction(line_addr: int) -> None:
+            base = line_addr * line_bytes
+            for offset in range(line_bytes):
+                unprotected.discard(base + offset)
+
+        return on_l1d_eviction
 
     # ------------------------------------------------------------------
-
-    def on_l1d_eviction(self, line_addr: int) -> None:
-        """Eviction callback: forget unprotection for the line's bytes."""
-        if self.mode is not L1DTagMode.L1D:
-            return
-        base = line_addr << self.line_shift
-        for offset in range(1 << self.line_shift):
-            self._unprotected.discard(base + offset)
 
     def _may_track(self, addr: int) -> bool:
         if self.mode is L1DTagMode.NONE:

@@ -324,7 +324,7 @@ _HOT_SCALARS = (
     ("fstall", "fetch_stalled_until"), ("fblocked", "fetch_blocked"),
     ("halted", "halted"), ("halt_reason", "halt_reason"),
     ("divbusy", "div_busy_until"), ("iq_count", "iq_count"),
-    ("last_commit", "_last_commit_cycle"),
+    ("last_commit", "_last_commit_cycle"), ("ncommit", "committed_uops"),
     ("rename_block", "_rename_block"),
 )
 
@@ -408,7 +408,7 @@ class _Codegen:
         s("from collections import deque")
         s("from heapq import heappush, heappop")
         s("")
-        s("from repro.uarch.uop import Uop")
+        s("from repro.uarch.uop import Uop, timing_observation")
         if self.has_branches:
             s("from repro.uarch.pipeline import hist_key as _hist")
         s("")
@@ -452,7 +452,10 @@ class _Codegen:
         if self.has_branches:
             s("bp_train = bp.train")
             s("bp_restore = bp.restore")
-        s("committed_list = core.committed")
+        s("pcs_append = core.committed_pcs.append")
+        s("trace_append = core.timing_trace.append")
+        if self.has_loads or self.has_stores:
+            s("acc_append = core.committed_accesses.append")
         s("waiters = core._waiters")
         s("wheel = core._wheel")
         s("wtimes = []  # min-heap over the live wheel keys")
@@ -1179,7 +1182,8 @@ class _Codegen:
         s("")
 
     def _commit_stage(self) -> None:
-        """With Core._commit_uop inline."""
+        """With Core._commit_uop inline: commit records the committed
+        streams ``CoreResult`` reports, and keeps no uop."""
         s = self.s
         s("# ---- commit ----")
         s("committed_n = 0")
@@ -1200,7 +1204,6 @@ class _Codegen:
             s(f"if K[hpc] == {KIND_OF[Op.HALT]}:  # HALT")
             s("    head.committed = True")
             s("    head.commit_cycle = cycle")
-            s("    committed_list.append(head)")
             s("    robq.popleft()")
             s("    head.in_rob = False")
             s("    halted = True")
@@ -1231,7 +1234,12 @@ class _Codegen:
             self._wake_declassified()
         s("head.committed = True")
         s("head.commit_cycle = cycle")
-        s("committed_list.append(head)")
+        s("pcs_append(hpc)")
+        s("trace_append(timing_observation(head))")
+        if self.has_loads or self.has_stores:
+            s("ma = head.mem_addr")
+            s("if ma is not None:")
+            s("    acc_append((hpc, ma))")
         s("robq.popleft()")
         s("head.in_rob = False")
         self._lsq_remove("head", "ISLD[hpc]", "ISST[hpc]")
@@ -1249,6 +1257,7 @@ class _Codegen:
         s("if halted:")
         s("    break")
         s.dedent()  # commit for
+        s("ncommit += committed_n")
         s("")
 
     def _complete_stage(self) -> None:

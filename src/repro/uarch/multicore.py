@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from ..arch.executor import STACK_TOP
 from ..arch.memory import Memory
 from ..isa.program import Program
-from .caches import Cache
+from .caches import Cache, CacheHierarchy
 from .config import CoreConfig, E_CORE, P_CORE
 from .pipeline import Core, DEFAULT_MAX_CYCLES
 
@@ -48,6 +48,27 @@ class MultiCoreResult:
         return len(self.per_thread_cycles)
 
 
+class WriteInvalidation:
+    """The write-invalidation broadcast, every core's store-commit
+    listener: a store committed on one core drops its line from the
+    other cores' private caches (the observable MESI effect).
+
+    It holds the cores' cache hierarchies, not the cores: each core
+    holds the broadcast, so a broadcast holding the cores back would
+    keep every core of a finished run alive as one reference cycle."""
+
+    def __init__(self) -> None:
+        self.caches: List[CacheHierarchy] = []
+        self.invalidations = 0
+
+    def __call__(self, writer: Core, addr: int) -> None:
+        for caches in self.caches:
+            if caches is not writer.caches:
+                if caches.l1d.contains(addr):
+                    self.invalidations += 1
+                caches.invalidate(addr)
+
+
 class MultiCore:
     """N cores over one address space with a shared L3.
 
@@ -56,7 +77,9 @@ class MultiCore:
     invalidates the others' L1Ds before their next cycle.  The compiled
     engine runs a whole program inside one call, so it cannot
     interleave cores; multicore runs therefore get no sleeping uops or
-    fast-forward.
+    fast-forward.  Each core stops as :meth:`Core.run` would stop it
+    (:meth:`Core.stopped`): at its halt, at ``max_cycles``, or after
+    ``no_progress_limit`` cycles without a commit.
     """
 
     def __init__(
@@ -75,8 +98,7 @@ class MultiCore:
             raise ValueError("need at least one thread")
         self.memory = memory.copy() if memory is not None else Memory()
         self.shared_l3 = Cache(p_config.l3)
-        self.invalidations = 0
-        self.max_cycles = max_cycles
+        self.broadcast = WriteInvalidation()
         self.cores: List[Core] = []
         for tid in range(threads):
             # Hybrid scheduling: the first p_cores threads land on
@@ -94,37 +116,27 @@ class MultiCore:
                 max_cycles=max_cycles,
                 shared_memory=True,
                 shared_l3=self.shared_l3,
-                store_commit_listener=self._on_store_commit,
+                store_commit_listener=self.broadcast,
             )
+            self.broadcast.caches.append(core.caches)
             self.cores.append(core)
 
-    def _on_store_commit(self, writer: Core, addr: int) -> None:
-        """Write-invalidation broadcast: the observable MESI effect."""
-        for core in self.cores:
-            if core is not writer:
-                if core.caches.l1d.contains(addr):
-                    self.invalidations += 1
-                core.caches.invalidate(addr)
-
     def run(self) -> MultiCoreResult:
-        """Step all cores in lockstep until every thread halts."""
-        cycle = 0
-        while cycle < self.max_cycles:
-            all_halted = True
-            for core in self.cores:
-                if not core.halted:
-                    core.step()
-                    all_halted = all_halted and core.halted
-            if all_halted:
-                break
-            cycle += 1
+        """Step all cores in lockstep until every thread stops."""
+        running = [core for core in self.cores if not core.stopped()]
+        while running:
+            for core in running:
+                core.step()
+            running = [core for core in running if not core.stopped()]
         results = [core._result() for core in self.cores]
+        for core in self.cores:
+            core.defense.attach(None)  # as Core._finish does
         return MultiCoreResult(
             cycles=max(r.cycles for r in results),
             per_thread_cycles=[r.cycles for r in results],
             halt_reasons=[r.halt_reason for r in results],
             memory=self.memory,
-            invalidations=self.invalidations,
+            invalidations=self.broadcast.invalidations,
             per_thread_instructions=[r.instructions for r in results],
         )
 

@@ -49,7 +49,7 @@ from .branch_predictor import BranchPredictor
 from .caches import CacheHierarchy
 from .config import CoreConfig, P_CORE, SpeculationModel
 from .structures import LoadStoreQueue, PhysRegFile, RenameMap, ReorderBuffer
-from .uop import Uop
+from .uop import Uop, timing_observation
 
 #: Safety valve for runaway simulations.
 DEFAULT_MAX_CYCLES = 3_000_000
@@ -224,8 +224,9 @@ class Core:
             self.prf.prot[index] = False
 
         self.mem_tags = MemoryProtectionTags(config.l1d_tag_mode)
-        self.caches = CacheHierarchy(config, self.mem_tags.on_l1d_eviction,
-                                     shared_l3=shared_l3)
+        self.caches = CacheHierarchy(
+            config, self.mem_tags.eviction_listener(config.l1d.line_bytes),
+            shared_l3=shared_l3)
         self.mem_tags.attach_l1d(self.caches.l1d)
         self.bp = BranchPredictor(config.bp_table_bits,
                                   config.bp_history_bits,
@@ -261,8 +262,17 @@ class Core:
 
         self.halted = False
         self.halt_reason = "timeout"
-        self.committed: List[Uop] = []
         self.div_busy_until = 0
+
+        #: What :class:`CoreResult` reports of the committed stream,
+        #: recorded at commit (a committed uop is kept nowhere): pcs,
+        #: timing observations and memory accesses of every committed
+        #: instruction except HALT, and the count of committed uops,
+        #: HALT included.
+        self.committed_pcs: List[int] = []
+        self.timing_trace: List[Tuple[int, int, int, int, int, int]] = []
+        self.committed_accesses: List[Tuple[int, int]] = []
+        self.committed_uops = 0
 
         #: No-forward-progress early abort (None disables it): a run
         #: with no commit for this many cycles stops with
@@ -334,25 +344,39 @@ class Core:
 
     def run(self) -> CoreResult:
         host_start = time.perf_counter()
-        limit = self.no_progress_limit
-        while not self.halted and self.cycle < self.max_cycles:
-            if limit is not None \
-                    and self.cycle - self._last_commit_cycle >= limit:
-                break
+        while not self.stopped():
             self.step()
-        if not self.halted:
-            if (limit is not None and self.cycle < self.max_cycles
-                    and self.cycle - self._last_commit_cycle >= limit):
-                self.halt_reason = "no_progress"
-            else:
-                self.halt_reason = "timeout"
         return self._finish(time.perf_counter() - host_start)
+
+    def stopped(self) -> bool:
+        """Whether the run is over before the next cycle: the core
+        halted, or it reached ``max_cycles`` (``halt_reason`` becomes
+        ``"timeout"``) or ``no_progress_limit`` cycles without a commit
+        (``"no_progress"``).  :meth:`run` and
+        :meth:`repro.uarch.multicore.MultiCore.run` step a core until
+        this holds."""
+        if self.halted:
+            return True
+        if self.cycle >= self.max_cycles:
+            self.halt_reason = "timeout"
+            return True
+        limit = self.no_progress_limit
+        if limit is not None and self.cycle - self._last_commit_cycle >= limit:
+            self.halt_reason = "no_progress"
+            return True
+        return False
 
     def _finish(self, elapsed: float) -> CoreResult:
         """The run's result, with its metrics published to an attached
         registry: once per run, from the result's already-folded stats,
-        for both engines' ``run``."""
+        for both engines' ``run``.
+
+        The defense's back-reference is dropped once the result is
+        built, so a finished core is no reference cycle: dropping it
+        frees its caches and uops at once, without the cyclic garbage
+        collector."""
         result = self._result()
+        self.defense.attach(None)
         metrics = self.metrics
         if metrics is None:
             return result
@@ -397,7 +421,7 @@ class Core:
         stats = dict(self.stats)
         stats.pop("_spec_depth")
         stats.update(self.caches.stats())
-        stats["committed_uops"] = len(self.committed)
+        stats["committed_uops"] = self.committed_uops
         stats["fetched_uops"] = self.seq_counter
         for key, value in self.defense.stats.items():
             stats[f"defense_{key}"] = value
@@ -415,17 +439,15 @@ class Core:
                     cycle * n - start_sum
         if self.tracer is not None:
             self.tracer.finish(self)
-        committed = [u for u in self.committed if u.inst.op is not Op.HALT]
         return CoreResult(
             cycles=self.cycle,
             halt_reason=self.halt_reason,
-            committed_pcs=[u.pc for u in committed],
+            committed_pcs=self.committed_pcs,
             final_regs=tuple(self.arch_values),
             memory=self.memory,
-            timing_trace=[u.timing_observation() for u in committed],
+            timing_trace=self.timing_trace,
             adversary_cache_state=self.caches.adversary_state(),
-            committed_accesses=[(u.pc, u.mem_addr) for u in committed
-                                if u.mem_addr is not None],
+            committed_accesses=self.committed_accesses,
             stats=stats,
         )
 
@@ -1046,11 +1068,11 @@ class Core:
 
     def _commit_uop(self, uop: Uop) -> None:
         self._last_commit_cycle = self.cycle
+        self.committed_uops += 1
         inst = uop.inst
         if inst.op is Op.HALT:
             uop.committed = True
             uop.commit_cycle = self.cycle
-            self.committed.append(uop)
             self.rob.pop_head()
             self.halted = True
             self.halt_reason = "halt"
@@ -1082,7 +1104,10 @@ class Core:
         self.defense.on_commit(uop)
         uop.committed = True
         uop.commit_cycle = self.cycle
-        self.committed.append(uop)
+        self.committed_pcs.append(uop.pc)
+        self.timing_trace.append(timing_observation(uop))
+        if uop.mem_addr is not None:
+            self.committed_accesses.append((uop.pc, uop.mem_addr))
         self.rob.pop_head()
         if inst.is_mem:
             self.lsq.remove(uop)

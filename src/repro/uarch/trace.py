@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .pipeline import HOOKS
 from .speculation import InterventionEvent
-from .uop import Uop
+from .uop import Uop, timing_observation
 
 #: Stage slices emitted per uop: (label, start attribute, end attribute).
 _STAGES = (
@@ -240,9 +240,7 @@ def timing_signature(uop: Uop) -> Tuple:
     """Everything about a uop's pipeline walk that a co-resident timing
     adversary could in principle resolve: identity plus every per-stage
     timestamp and the squash outcome."""
-    return (uop.pc, uop.fetch_cycle, uop.rename_cycle, uop.issue_cycle,
-            uop.complete_cycle, uop.commit_cycle, uop.squash_cycle,
-            uop.squashed)
+    return timing_observation(uop) + (uop.squash_cycle, uop.squashed)
 
 
 def first_uop_divergence(uops_a: List[Uop],

@@ -7,9 +7,21 @@ that ProtISA and the defense policies annotate.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Tuple
 
 from ..isa.instruction import Instruction
+
+#: What a committed uop shows the timing adversary (paper SVII-B1d), in
+#: the order of each ``CoreResult.timing_trace`` tuple: its pc, then the
+#: cycle it reached each pipeline stage.  Both engines record it at
+#: commit through :data:`timing_observation`.
+TIMING_FIELDS = ("pc", "fetch_cycle", "rename_cycle", "issue_cycle",
+                 "complete_cycle", "commit_cycle")
+
+#: ``timing_observation(uop)`` -> the uop's :data:`TIMING_FIELDS` as one
+#: tuple.
+timing_observation = attrgetter(*TIMING_FIELDS)
 
 
 class Uop:
@@ -128,11 +140,6 @@ class Uop:
             if areg == arch_reg:
                 return preg
         return None
-
-    def timing_observation(self) -> Tuple[int, int, int, int, int, int]:
-        """Per-stage timing exposed to the timing adversary."""
-        return (self.pc, self.fetch_cycle, self.rename_cycle,
-                self.issue_cycle, self.complete_cycle, self.commit_cycle)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         from ..isa.assembler import format_instruction

@@ -2,16 +2,22 @@
 
 from repro.defenses import ProtTrack
 from repro.isa import assemble
-from repro.uarch import Core, P_CORE, simulate
+from repro.uarch import Core, P_CORE, PipelineTracer, simulate
 from repro.uarch.refcore import ENGINE_PAIR, compare_results
 
 
 def run_track(src, memory=None):
     defense = ProtTrack()
-    core = Core(assemble(src).linked(), defense, P_CORE, memory)
+    core = Core(assemble(src).linked(), defense, P_CORE, memory,
+                tracer=PipelineTracer())
     result = core.run()
     assert result.halt_reason == "halt"
     return core, defense
+
+
+def committed(core):
+    """The run's committed uops, from its tracer."""
+    return [u for u in core.tracer.uops if u.committed]
 
 
 def test_tainted_store_forwarding_gates_wakeup():
@@ -71,7 +77,7 @@ def test_predictor_predictive_untainting():
         halt
     """
     core, defense = run_track(src)
-    warm_loads = [u for u in core.committed if u.pc == 3]
+    warm_loads = [u for u in committed(core) if u.pc == 3]
     # First encounter of the PC conservatively predicts *access*...
     assert not warm_loads[0].predicted_no_access
     # ...later ones are predictively untainted.
@@ -79,7 +85,7 @@ def test_predictor_predictive_untainting():
     assert core.prf.yrot[warm_loads[-1].pdests[0][1]] is None
     # A never-seen load PC stays conservative (cold entries mean
     # "access", the safe default).
-    cold_load = next(u for u in core.committed if u.pc == 10)
+    cold_load = next(u for u in committed(core) if u.pc == 10)
     assert not cold_load.predicted_no_access
 
 
@@ -89,7 +95,7 @@ def test_prot_prefixed_load_not_tainted():
         prot load r1, [r8]
         halt
     """)
-    load = next(u for u in core.committed if u.pc == 1)
+    load = next(u for u in committed(core) if u.pc == 1)
     preg = load.pdests[0][1]
     assert core.prf.prot[preg]
     assert core.prf.yrot[preg] is None
@@ -103,8 +109,9 @@ def test_raw_accesstrack_taints_all_loads():
         load r1, [r8]
         halt
     """
-    core = Core(assemble(src).linked(), defense, P_CORE)
+    core = Core(assemble(src).linked(), defense, P_CORE,
+                tracer=PipelineTracer())
     core.run()
     for pc in (1, 2):
-        uop = next(u for u in core.committed if u.pc == pc)
+        uop = next(u for u in committed(core) if u.pc == pc)
         assert core.prf.yrot[uop.pdests[0][1]] == uop.seq

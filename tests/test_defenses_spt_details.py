@@ -4,19 +4,20 @@ shadow-memory analogue, and first-transmission delays."""
 from repro.arch import Memory
 from repro.defenses import SPT
 from repro.isa import assemble
-from repro.uarch import Core, P_CORE
+from repro.uarch import Core, P_CORE, PipelineTracer
 
 
 def run_spt(src, memory=None):
     defense = SPT()
-    core = Core(assemble(src).linked(), defense, P_CORE, memory)
+    core = Core(assemble(src).linked(), defense, P_CORE, memory,
+                tracer=PipelineTracer())
     result = core.run()
     assert result.halt_reason == "halt"
     return core, defense
 
 
 def preg_of(core, pc, which=0):
-    uop = next(u for u in core.committed if u.pc == pc)
+    uop = next(u for u in core.tracer.uops if u.committed and u.pc == pc)
     return uop.pdests[which][1]
 
 

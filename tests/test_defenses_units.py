@@ -15,7 +15,7 @@ from repro.defenses import (
     Unsafe,
 )
 from repro.isa import assemble
-from repro.uarch import Core, P_CORE
+from repro.uarch import Core, P_CORE, PipelineTracer
 
 
 # ---------------------------------------------------------------- predictor
@@ -68,45 +68,48 @@ def test_predictor_rate():
 # ---------------------------------------------------------------- taint
 
 def run_with(defense, src, memory=None):
-    core = Core(assemble(src).linked(), defense, P_CORE, memory)
+    """The finished core and its committed uops, from the run's tracer."""
+    tracer = PipelineTracer()
+    core = Core(assemble(src).linked(), defense, P_CORE, memory,
+                tracer=tracer)
     result = core.run()
     assert result.halt_reason == "halt"
-    return core, result
+    return core, [u for u in tracer.uops if u.committed]
 
 
 def test_stt_taints_load_outputs():
     mem = Memory()
     mem.write_word(0x100, 3)
     defense = AccessTrack()
-    core, _ = run_with(defense, """
+    core, committed = run_with(defense, """
         movi r1, 0x100
         load r2, [r1]
         add r3, r2, r2
         halt
     """, mem)
-    load = next(u for u in core.committed if u.pc == 1)
-    add = next(u for u in core.committed if u.pc == 2)
+    load = next(u for u in committed if u.pc == 1)
+    add = next(u for u in committed if u.pc == 2)
     # Taint roots propagate: the add's output carries the load's seq.
     assert core.prf.yrot[add.pdests[0][1]] == load.seq
 
 
 def test_stt_does_not_taint_alu_roots():
     defense = AccessTrack()
-    core, _ = run_with(defense, "movi r1, 1\nadd r2, r1, r1\nhalt\n")
-    add = next(u for u in core.committed if u.pc == 1)
+    core, committed = run_with(defense, "movi r1, 1\nadd r2, r1, r1\nhalt\n")
+    add = next(u for u in committed if u.pc == 1)
     assert core.prf.yrot[add.pdests[0][1]] is None
 
 
 def test_prottrack_protected_source_taints_unprefixed_output():
     defense = ProtTrack()
-    core, _ = run_with(defense, """
+    core, committed = run_with(defense, """
         prot movi r1, 5
         add r2, r1, r1
         prot add r3, r1, r1
         halt
     """)
-    unprefixed = next(u for u in core.committed if u.pc == 1)
-    prefixed = next(u for u in core.committed if u.pc == 2)
+    unprefixed = next(u for u in committed if u.pc == 1)
+    prefixed = next(u for u in committed if u.pc == 2)
     assert core.prf.yrot[unprefixed.pdests[0][1]] == unprefixed.seq
     # The PROT-prefixed output is covered by its protection tag instead.
     assert core.prf.yrot[prefixed.pdests[0][1]] is None
@@ -127,20 +130,20 @@ def test_prottrack_trains_predictor_at_commit():
 
 def test_spt_publicness_via_transmission():
     defense = SPT()
-    core, _ = run_with(defense, """
+    core, committed = run_with(defense, """
         movi r1, 0x200
         movi r2, 1
         store [r1], r2
         halt
     """)
-    store = next(u for u in core.committed if u.pc == 2)
+    store = next(u for u in committed if u.pc == 2)
     addr_preg = store.phys_for(1)
     assert core.prf.public[addr_preg]  # transmitted as a store address
 
 
 def test_spt_lossy_op_blocks_publicness():
     defense = SPT()
-    core, _ = run_with(defense, """
+    core, committed = run_with(defense, """
         movi r1, 0x200
         store [r1], r1
         andi r2, r1, 0xF8
@@ -148,7 +151,10 @@ def test_spt_lossy_op_blocks_publicness():
         addi r4, r1, 8
         halt
     """)
-    get = lambda pc: next(u for u in core.committed if u.pc == pc)
+
+    def get(pc):
+        return next(u for u in committed if u.pc == pc)
+
     assert not core.prf.public[get(2).pdests[0][1]]  # AND is lossy
     assert not core.prf.public[get(3).pdests[0][1]]  # MUL is lossy
     assert core.prf.public[get(4).pdests[0][1]]      # ADDI is invertible

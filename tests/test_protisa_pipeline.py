@@ -4,18 +4,19 @@ execute, L1D bits at commit."""
 
 from repro.arch import Memory
 from repro.isa import assemble
-from repro.uarch import Core, P_CORE
+from repro.uarch import Core, P_CORE, PipelineTracer
 
 
 def run_core(src, memory=None):
-    core = Core(assemble(src).linked(), None, P_CORE, memory)
+    core = Core(assemble(src).linked(), None, P_CORE, memory,
+                tracer=PipelineTracer())
     result = core.run()
     assert result.halt_reason == "halt"
     return core
 
 
 def committed(core, pc):
-    return next(u for u in core.committed if u.pc == pc)
+    return next(u for u in core.tracer.uops if u.committed and u.pc == pc)
 
 
 def test_prot_prefix_tags_physical_register():

@@ -6,7 +6,8 @@ from repro.uarch import CacheHierarchy, L1DTagMode, P_CORE
 
 def make(mode=L1DTagMode.L1D):
     tags = MemoryProtectionTags(mode)
-    caches = CacheHierarchy(P_CORE, tags.on_l1d_eviction)
+    caches = CacheHierarchy(P_CORE,
+                            tags.eviction_listener(P_CORE.l1d.line_bytes))
     tags.attach_l1d(caches.l1d)
     return tags, caches
 
@@ -58,7 +59,11 @@ def test_perfect_mode_survives_eviction():
     tags, caches = make(L1DTagMode.PERFECT)
     tags.clear_word(0x1000)          # no residence requirement
     assert not tags.word_protected(0x1000)
-    tags.on_l1d_eviction(0x1000 >> 6)
+    caches.access(0x1000)
+    sets = caches.l1d.num_sets
+    for way in range(P_CORE.l1d.assoc + 1):
+        caches.access(0x1000 + (way + 1) * sets * 64)
+    assert not caches.l1d.contains(0x1000)
     assert not tags.word_protected(0x1000)
 
 

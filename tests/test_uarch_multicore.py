@@ -6,8 +6,10 @@ import pytest
 from repro.arch import run_program
 from repro.arch.executor import STACK_TOP
 from repro.defenses import ProtTrack, SPTSB, Unsafe
-from repro.uarch import MultiCore, TID_REG, simulate_mt
+from repro.defenses.base import Defense
+from repro.uarch import MultiCore, TID_REG, simulate, simulate_mt
 from repro.uarch.multicore import STACK_STRIDE
+from repro.uarch.pipeline import DEFAULT_NO_PROGRESS_LIMIT, ENGINES
 from repro.workloads import get_workload
 
 MT_NAMES = ("blackscholes.mt", "swaptions.mt", "canneal.mt")
@@ -71,6 +73,29 @@ def test_shared_l3_is_shared():
     mc = MultiCore(w.program, Unsafe, w.memory, threads=2, p_cores=2)
     mc.run()
     assert mc.cores[0].caches.l3 is mc.cores[1].caches.l3
+
+
+class RefuseAll(Defense):
+    """A gate that refuses every uop, so nothing ever commits."""
+
+    def may_execute(self, uop):
+        return False
+
+
+def test_wedged_threads_stop_at_the_no_progress_limit():
+    # Both single-core engines stop a core that commits nothing for
+    # ``no_progress_limit`` cycles; the lockstep loop applies the same
+    # per-core check instead of running every thread to max_cycles.
+    w = get_workload("lbm.s")
+    for engine in ENGINES:
+        single = simulate(w.program, RefuseAll(), memory=w.memory,
+                          regs=w.regs, engine=engine)
+        assert single.halt_reason == "no_progress", engine
+        assert single.cycles == DEFAULT_NO_PROGRESS_LIMIT, engine
+    result = simulate_mt(w.program, RefuseAll, w.memory, threads=2,
+                         max_cycles=4 * DEFAULT_NO_PROGRESS_LIMIT)
+    assert result.halt_reasons == ["no_progress"] * 2
+    assert result.per_thread_cycles == [DEFAULT_NO_PROGRESS_LIMIT] * 2
 
 
 def test_thread_count_validation():

@@ -2,7 +2,7 @@
 
 from repro.arch import Memory, run_program
 from repro.isa import assemble
-from repro.uarch import Core, E_CORE, P_CORE, simulate
+from repro.uarch import Core, E_CORE, P_CORE, PipelineTracer, simulate
 from repro.uarch.config import SpeculationModel
 
 
@@ -144,9 +144,10 @@ def test_timing_monotonic_per_uop():
         div r4, r3, r2
         halt
     """).linked()
-    core = Core(program, None, P_CORE)
+    tracer = PipelineTracer()
+    core = Core(program, None, P_CORE, tracer=tracer)
     core.run()
-    for uop in core.committed:
+    for uop in [u for u in tracer.uops if u.committed]:
         if uop.issue_cycle >= 0:
             assert (uop.fetch_cycle <= uop.rename_cycle <= uop.issue_cycle
                     <= uop.complete_cycle <= uop.commit_cycle)
