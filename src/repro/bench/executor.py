@@ -478,7 +478,6 @@ def run_batch(
     _progress(stats, len(results), final=True)
     for name, amount in (("executor.batches", 1),
                          ("executor.specs", stats.total),
-                         ("executor.retried", stats.retried),
                          ("cache.memory_hits", stats.memory_hits),
                          ("cache.disk_hits", stats.disk_hits),
                          ("cache.misses", stats.simulated)):

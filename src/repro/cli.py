@@ -706,12 +706,13 @@ def _run_diff(args) -> int:
     import time
 
     from .bench.runner import DEFENSES
+    from .uarch.pipeline import ENGINES
     from .uarch.refcore import (
-        ENGINE_PAIR,
-        diff_cases,
         fixture_cases,
+        grid_cases,
         mitigation_cases,
-        run_case,
+        run_engines,
+        workload_cases,
     )
 
     if args.defense:
@@ -723,23 +724,22 @@ def _run_diff(args) -> int:
             return 2
     defenses = tuple(args.defense) if args.defense else None
 
-    def reports():
-        for case in diff_cases(programs=args.programs, seed=args.seed,
-                               defenses=defenses, cores=tuple(args.core)):
-            yield run_case(case, program_size=args.size)
+    def cases():
+        yield from grid_cases(programs=args.programs, seed=args.seed,
+                              defenses=defenses, cores=tuple(args.core),
+                              program_size=args.size)
         if not args.no_fixtures:
-            yield from (report for _, report in fixture_cases())
+            yield from fixture_cases()
             # Mitigated binaries (all four software passes over the
             # fixtures + one generated program) must agree across
             # engines too — the passes only add architectural no-ops.
-            yield from (report for _, report
-                        in mitigation_cases(seed=args.seed))
+            yield from mitigation_cases(seed=args.seed)
         if args.workload:
-            yield from _diff_workloads(args.workload, defenses)
+            yield from workload_cases(args.workload, defenses)
 
     timings = []  # (seconds, label)
     divergent_lines = []
-    pending = reports()
+    pending = (run_engines(case)[1] for case in cases())
     started = time.monotonic()
     while True:
         case_started = time.monotonic()
@@ -757,7 +757,7 @@ def _run_diff(args) -> int:
         print(line)
     status = "identical" if divergent == 0 else "DIVERGENT"
     summary = (f"{checked} differential runs "
-               f"({','.join(ENGINE_PAIR)}), {divergent} divergent: "
+               f"({','.join(ENGINES)}), {divergent} divergent: "
                f"{status}")
     print(summary)
     if args.report:
@@ -782,28 +782,6 @@ def _diff_timing_lines(timings, elapsed: float) -> List[str]:
     for seconds, label in ranked:
         lines.append(f"  {label:<{width}}  {seconds:8.3f}s")
     return lines
-
-
-def _diff_workloads(names, defenses):
-    """Differential runs of full workloads (both engines, every
-    defense)."""
-    from .bench.runner import DEFENSES
-    from .protcc import compile_program
-    from .uarch.refcore import run_engines
-    from .workloads import get_workload
-
-    for name in names:
-        workload = get_workload(name)
-        prot = compile_program(workload.program, workload.classes).program
-        for dname, factory in DEFENSES.items():
-            if defenses is not None and dname not in defenses:
-                continue
-            program = prot if factory().binary == "protcc" \
-                else workload.program
-            _, report = run_engines(
-                program, factory, memory_factory=lambda w=workload: w.memory,
-                regs=workload.regs, label=f"workload:{name}/{dname}")
-            yield report
 
 
 def _run_cache(args) -> int:

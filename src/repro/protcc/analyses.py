@@ -100,27 +100,12 @@ def _solve_forward(graph: FunctionGraph, transfer, entry_value: int
 
 def past_leaked_transfer(inst: Instruction, state: int) -> int:
     """One instruction's effect on the past-leaked set: registers whose
-    current value has already been fully transmitted or is constant."""
-    state |= regs_mask(full_transmit_regs(inst))
-    op = inst.op
-    dests = _dests_mask(inst)
-    if op is Op.MOVI:
-        state |= dests
-    elif op in _DERIVED_OPS:
-        srcs = regs_mask(inst.src_regs())
-        if srcs & ~state:
-            state &= ~dests
-        else:
-            state |= dests
-    elif op in (Op.PUSH, Op.RET):
-        pass  # SP := SP +/- 8, derived from SP which was just transmitted
-    elif op is Op.CALL:
-        state &= ~CALLER_SAVED_MASK
-    elif op is Op.POP:
-        state &= ~(dests & ~SP_MASK)  # the loaded value is unknown
-    else:
-        state &= ~dests  # loads: memory contents are not "leaked"
-    return state
+    current value has already been fully transmitted or is constant.
+    Once ``inst`` transmits its operands, the set propagates exactly as
+    the unprotectable one does: constants and values derived solely
+    from past-leaked registers join it, loaded values leave it."""
+    return unprotectable_transfer(
+        inst, state | regs_mask(full_transmit_regs(inst)))
 
 
 def past_leaked(graph: FunctionGraph, entry_extra: int = 0

@@ -12,36 +12,33 @@ and adversary cache line.
 
 Entry points:
 
+* :class:`Case` — one run for the oracles: program, defense factory,
+  core config, initial memory and registers.
 * :func:`run_engines` — one case on both engines, diffed.
 * :func:`compare_results` — the field-by-field :class:`DiffReport`.
-* :func:`diff_cases` / :func:`run_case` — the randomized-program grid
-  over every defense x ProtCC class x core config in the paper's
-  Tables II/III, used by ``repro diff`` and the test suite.
-* :func:`fixture_cases` — the security fixtures (Spectre v1, divider
-  channel, squash-notification bug) under every defense and their
-  signature configs.
-* :func:`mitigation_cases` — software-mitigated binaries.
-* :func:`wake_contract_violations` / :func:`wake_contract_case` — the
-  proof obligation behind the compiled engine's sleeping uops: on the
-  reference engine, no gate refusal turns into an allow before its
-  ``*_recheck_seq`` hint or a watched event (a resolution under
-  CONTROL, a declassification of a register the gate transmits).
+* The case sources, lazy and in ``repro diff`` order:
+  :func:`grid_cases` (the randomized-program grid over every defense x
+  ProtCC class x core config in the paper's Tables II/III; one cell is
+  :func:`grid_case`), :func:`fixture_cases` (the security fixtures
+  under every defense), :func:`mitigation_cases` (software-mitigated
+  binaries) and :func:`workload_cases` (full workloads).
+* :func:`wake_contract_violations` — the proof obligation behind the
+  compiled engine's sleeping uops: on the reference engine, no gate
+  refusal turns into an allow before its ``*_recheck_seq`` hint or a
+  watched event (a resolution under CONTROL, a declassification of a
+  register the gate transmits).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..arch.memory import Memory
+from ..isa.program import Program
 from .config import CoreConfig, E_CORE, P_CORE, SpeculationModel
-from .pipeline import (
-    CoreResult,
-    DEFAULT_MAX_CYCLES,
-    DEFAULT_NO_PROGRESS_LIMIT,
-    HOOKS,
-    simulate,
-)
+from .pipeline import CoreResult, DEFAULT_MAX_CYCLES, ENGINES, HOOKS, simulate
 
 
 #: CoreResult fields the harness compares, in report order.  ``memory``
@@ -147,35 +144,33 @@ def compare_results(got: CoreResult, ref: CoreResult,
     return report
 
 
-#: The engines every differential run compares, reference first.
-ENGINE_PAIR: Tuple[str, str] = ("ref", "compiled")
+@dataclass(frozen=True)
+class Case:
+    """One run for the oracles: a program, the defense that guards it,
+    the core config, and the initial memory image and registers.
 
-
-def run_engines(program, defense_factory: Callable[[], object],
-                config: CoreConfig = P_CORE,
-                memory_factory: Optional[Callable[[], object]] = None,
-                regs: Optional[Dict[int, int]] = None,
-                max_cycles: int = DEFAULT_MAX_CYCLES,
-                no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
-                label: str = "diff",
-                ) -> Tuple[Dict[str, CoreResult], DiffReport]:
-    """Run one case on the reference and the compiled engine and diff
-    the compiled result against the reference one.
-
-    ``defense_factory`` (not an instance: defenses carry state) is
-    called once per engine; likewise ``memory_factory`` when the
-    program needs an initial memory image.  Divergent fields are
-    reported as ``compiled:field``.
+    ``defense`` is a factory, not an instance: defenses carry state, so
+    every run calls it once.  ``memory`` is a plain image that every
+    core copies, so one case serves any number of runs.
     """
-    results: Dict[str, CoreResult] = {}
-    for engine in ENGINE_PAIR:
-        memory = memory_factory() if memory_factory is not None else None
-        results[engine] = simulate(
-            program, defense_factory(), config, memory=memory,
-            regs=dict(regs) if regs else None, max_cycles=max_cycles,
-            no_progress_limit=no_progress_limit, engine=engine)
-    reference, engine = ENGINE_PAIR
-    report = DiffReport(label=label)
+
+    label: str
+    program: Program
+    defense: Callable[[], object]
+    config: CoreConfig = P_CORE
+    memory: Optional[Memory] = None
+    regs: Optional[Dict[int, int]] = None
+
+
+def run_engines(case: Case) -> Tuple[Dict[str, CoreResult], DiffReport]:
+    """Run ``case`` on every engine and diff the compiled result against
+    the reference one; divergent fields are reported as
+    ``compiled:field``."""
+    results = {engine: simulate(case.program, case.defense(), case.config,
+                                case.memory, case.regs, engine=engine)
+               for engine in ENGINES}
+    reference, engine = ENGINES
+    report = DiffReport(label=case.label)
     for diff in compare_results(results[engine], results[reference]).diffs:
         report.diffs.append(FieldDiff(
             f"{engine}:{diff.field}", diff.got, diff.ref))
@@ -183,7 +178,7 @@ def run_engines(program, defense_factory: Callable[[], object],
 
 
 # ---------------------------------------------------------------------
-# The randomized grid: Tables II/III coverage.
+# The case sources, in ``repro diff`` order.
 # ---------------------------------------------------------------------
 
 #: ProtCC instrumentation classes from the paper's Table II fuzzing
@@ -194,106 +189,73 @@ INSTRUMENTS: Tuple[str, ...] = ("rand", "arch", "cts", "ct", "unr")
 CORE_CONFIGS: Dict[str, CoreConfig] = {"P": P_CORE, "E": E_CORE}
 
 
-@dataclass(frozen=True)
-class DiffCase:
-    """One cell of the differential grid (hashable, reproducible)."""
-
-    defense: str
-    instrument: str
-    core: str
-    seed: int
-
-    @property
-    def label(self) -> str:
-        return (f"{self.defense}/{self.instrument}/{self.core}"
-                f"/seed{self.seed}")
-
-    def config(self) -> CoreConfig:
-        config = CORE_CONFIGS[self.core]
-        # Rotate the speculation model and the squash-notification bug
-        # with the seed so the grid also sweeps the Table III hardware
-        # variants without multiplying the case count.
-        if self.seed % 3 == 1:
-            config = config.replace(
-                speculation_model=SpeculationModel.CONTROL)
-        if self.seed % 4 == 2:
-            config = config.replace(buggy_squash_notify=True)
-        return config
-
-
-def diff_cases(programs: int = 3, seed: int = 0,
-               defenses: Optional[Tuple[str, ...]] = None,
-               instruments: Tuple[str, ...] = INSTRUMENTS,
-               cores: Tuple[str, ...] = ("P", "E"),
-               ) -> Iterator[DiffCase]:
-    """Enumerate the grid: every defense x instrumentation x core,
-    ``programs`` seeded random programs per cell."""
+def grid_case(defense: str, instrument: str, core: str, seed: int,
+              program_size: int = 40) -> Case:
+    """One cell of the randomized grid: seed ``seed``'s generated
+    program, instrumented with ProtCC class ``instrument``, and its
+    test input."""
     from ..bench.runner import DEFENSES
-
-    names = defenses if defenses is not None else tuple(DEFENSES)
-    for defense in names:
-        for instrument in instruments:
-            for core in cores:
-                for index in range(programs):
-                    yield DiffCase(defense, instrument, core,
-                                   seed + index)
-
-
-def case_program(case: DiffCase, program_size: int = 40):
-    """One grid cell's generated, instrumented program and its test
-    input (``build_memory()``, ``build_regs()``)."""
     from ..fuzzing.generator import generate_program
     from ..fuzzing.inputs import generate_input
     from ..protcc import compile_program
 
-    program = generate_program(case.seed, program_size)
-    compiled = compile_program(
-        program, case.instrument,
-        rng=random.Random(case.seed ^ 0xC0DE)).program
-    return compiled, generate_input(random.Random(case.seed ^ 0xF00D))
+    config = CORE_CONFIGS[core]
+    # Rotate the speculation model and the squash-notification bug with
+    # the seed so the grid also sweeps the Table III hardware variants
+    # without multiplying the case count.
+    if seed % 3 == 1:
+        config = config.replace(speculation_model=SpeculationModel.CONTROL)
+    if seed % 4 == 2:
+        config = config.replace(buggy_squash_notify=True)
+    program = compile_program(
+        generate_program(seed, program_size), instrument,
+        rng=random.Random(seed ^ 0xC0DE)).program
+    test_input = generate_input(random.Random(seed ^ 0xF00D))
+    return Case(f"{defense}/{instrument}/{core}/seed{seed}", program,
+                DEFENSES[defense], config, test_input.build_memory(),
+                test_input.build_regs())
 
 
-def run_case(case: DiffCase, program_size: int = 40) -> DiffReport:
-    """Run one grid cell: generate, instrument, simulate on both
-    engines, diff."""
+def grid_cases(programs: int = 3, seed: int = 0,
+               defenses: Optional[Tuple[str, ...]] = None,
+               instruments: Tuple[str, ...] = INSTRUMENTS,
+               cores: Tuple[str, ...] = ("P", "E"),
+               program_size: int = 40) -> Iterator[Case]:
+    """The grid over the paper's Tables II/III: every defense x
+    instrumentation class x core, ``programs`` seeded random programs
+    per cell."""
     from ..bench.runner import DEFENSES
 
-    program, test_input = case_program(case, program_size)
-    _, report = run_engines(
-        program, DEFENSES[case.defense], case.config(),
-        memory_factory=test_input.build_memory,
-        regs=test_input.build_regs(), label=case.label)
-    return report
+    for defense in defenses if defenses is not None else DEFENSES:
+        for instrument in instruments:
+            for core in cores:
+                for index in range(programs):
+                    yield grid_case(defense, instrument, core, seed + index,
+                                    program_size)
 
 
-def fixture_cases() -> Iterator[Tuple[str, DiffReport]]:
-    """Differential runs of the security fixtures, under every defense
-    and the hardware configs that make each fixture interesting."""
+def fixture_cases() -> Iterator[Case]:
+    """The security fixtures (Spectre v1, divider channel,
+    squash-notification bug) under every defense, the squash-bug
+    fixture on the buggy core it exposes."""
     from ..bench.runner import DEFENSES
     from ..fixtures import FIXTURES, build
 
-    configs = {
-        "v1-gadget": P_CORE,
-        "div-channel": P_CORE.replace(div_is_transmitter=True),
-        "squash-bug": P_CORE.replace(buggy_squash_notify=True),
-    }
-    for name, fixture in FIXTURES.items():
-        config = configs.get(name, P_CORE)
-        for defense in DEFENSES:
-            label = f"fixture:{name}/{defense}"
-            program, _ = build(name)
-            _, report = run_engines(
-                program, DEFENSES[defense], config,
-                memory_factory=lambda n=name: build(n)[1], label=label)
-            yield label, report
+    for name in FIXTURES:
+        program, memory = build(name)
+        config = P_CORE.replace(buggy_squash_notify=True) \
+            if name == "squash-bug" else P_CORE
+        for defense, factory in DEFENSES.items():
+            yield Case(f"fixture:{name}/{defense}", program, factory, config,
+                       memory)
 
 
-def mitigation_cases(seed: int = 0) -> Iterator[Tuple[str, DiffReport]]:
-    """Differential runs of software-mitigated binaries under the
-    ``Unsafe`` hardware defense: each registered pass applied to the
-    security fixtures and to one seeded generated program, on both
-    engines.  Proves the mitigation passes' output (fences, poison
-    threading, masked loads) executes identically on both engines."""
+def mitigation_cases(seed: int = 0) -> Iterator[Case]:
+    """Software-mitigated binaries under the ``Unsafe`` hardware
+    defense: each registered pass applied to the security fixtures and
+    to one seeded generated program.  Proves the passes' output
+    (fences, poison threading, masked loads) executes identically on
+    both engines."""
     from ..bench.runner import DEFENSES
     from ..fixtures import FIXTURES, build
     from ..fuzzing.generator import generate_program
@@ -302,34 +264,46 @@ def mitigation_cases(seed: int = 0) -> Iterator[Tuple[str, DiffReport]]:
 
     test_input = generate_input(random.Random(seed ^ 0xF00D))
     generated = generate_program(seed, 40)
+    unsafe = DEFENSES["unsafe"]
     for mitigation in MITIGATIONS:
         for name in FIXTURES:
-            label = f"mitigation:{name}/{mitigation}"
-            program, _ = build(name)
-            mitigated = mitigate_program(program, mitigation).program
-            _, report = run_engines(
-                mitigated, DEFENSES["unsafe"], P_CORE,
-                memory_factory=lambda n=name: build(n)[1], label=label)
-            yield label, report
-        label = f"mitigation:generated-seed{seed}/{mitigation}"
-        mitigated = mitigate_program(generated, mitigation).program
-        _, report = run_engines(
-            mitigated, DEFENSES["unsafe"], P_CORE,
-            memory_factory=test_input.build_memory,
-            regs=test_input.build_regs(), label=label)
-        yield label, report
+            program, memory = build(name)
+            yield Case(f"mitigation:{name}/{mitigation}",
+                       mitigate_program(program, mitigation).program, unsafe,
+                       memory=memory)
+        yield Case(f"mitigation:generated-seed{seed}/{mitigation}",
+                   mitigate_program(generated, mitigation).program, unsafe,
+                   memory=test_input.build_memory(),
+                   regs=test_input.build_regs())
+
+
+def workload_cases(names: Iterable[str],
+                   defenses: Optional[Tuple[str, ...]] = None
+                   ) -> Iterator[Case]:
+    """Full workloads under every defense (or ``defenses``), Protean
+    defenses on the workload's ProtCC binary."""
+    from ..bench.runner import DEFENSES, compiled
+    from ..workloads import get_workload
+
+    for name in names:
+        workload = get_workload(name)
+        for defense, factory in DEFENSES.items():
+            if defenses is not None and defense not in defenses:
+                continue
+            program = compiled(name, "auto").program \
+                if factory().binary == "protcc" else workload.program
+            yield Case(f"workload:{name}/{defense}", program, factory,
+                       memory=workload.memory, regs=workload.regs)
 
 
 # ---------------------------------------------------------------------
 # The wake contract: what lets the compiled engine stop re-asking.
 # ---------------------------------------------------------------------
 
-def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
-                             memory=None,
-                             regs: Optional[Dict[int, int]] = None,
+def wake_contract_violations(case: Case,
                              max_cycles: int = DEFAULT_MAX_CYCLES,
                              ) -> List[str]:
-    """Run ``program`` on the reference engine with ``defense``'s three
+    """Run ``case`` on the reference engine with its defense's three
     gates wrapped, and return one line per broken promise.
 
     On each refusal the wrapper records the gate's ``*_recheck_seq``
@@ -345,14 +319,17 @@ def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
     reported: the compiled engine does not re-ask a uop the gate
     allowed that then stalled on disambiguation.
 
-    The wrappers are instance attributes on ``defense`` and on this
-    run's :class:`Core`, so the reference's default path pays nothing.
+    The wrappers are instance attributes on the defense and on this
+    run's :class:`Core`, so the reference's default path pays nothing;
+    they are deleted once the run ends, so it leaves no reference cycle.
     """
     from .pipeline import Core
 
-    core = Core(program, defense, config, memory, regs, max_cycles)
+    defense = case.defense()
+    core = Core(case.program, defense, case.config, case.memory, case.regs,
+                max_cycles)
     counts = {"commit": 0, "resolve": 0, "declassify": 0}
-    control = config.speculation_model is SpeculationModel.CONTROL
+    control = case.config.speculation_model is SpeculationModel.CONTROL
     #: gate -> the registers whose declassification wakes its sleepers
     transmits: Dict[str, Callable] = {}
     #: preg -> the ``declassify`` count at its latest declassification
@@ -425,16 +402,10 @@ def wake_contract_violations(program, defense, config: CoreConfig = P_CORE,
         name = f"may_{hook}"
         setattr(defense, name, gate(name, getattr(defense, name),
                                     getattr(defense, f"{hook}_recheck_seq")))
-    core.run()
+    try:
+        core.run()
+    finally:
+        for hook, _ in HOOKS:
+            delattr(defense, f"may_{hook}")
+        del defense.on_commit, core._attempt_resolution
     return violations
-
-
-def wake_contract_case(case: DiffCase, program_size: int = 40
-                       ) -> List[str]:
-    """:func:`wake_contract_violations` on one grid cell's program."""
-    from ..bench.runner import DEFENSES
-
-    program, test_input = case_program(case, program_size)
-    return wake_contract_violations(
-        program, DEFENSES[case.defense](), case.config(),
-        test_input.build_memory(), test_input.build_regs())

@@ -29,7 +29,7 @@ from repro.uarch.compiled import (
     generate_source,
 )
 from repro.uarch.pipeline import ENGINES
-from repro.uarch.refcore import ENGINE_PAIR, run_engines
+from repro.uarch.refcore import Case, run_engines
 from repro.uarch.trace import PipelineTracer
 
 
@@ -213,7 +213,6 @@ def test_engines_constant_covers_cli_choices():
     # ``repro diff``, the one command that names engines, compares
     # exactly the engines simulate() accepts.
     assert ENGINES == ("ref", "compiled")
-    assert ENGINE_PAIR == ENGINES
 
 
 def test_compiled_cycles_per_sec_gauge():
@@ -234,10 +233,8 @@ def test_compiled_cycles_per_sec_gauge():
 @pytest.mark.parametrize("defense", ["unsafe", "track", "delay", "stt"])
 def test_threeway_fixture_equivalence(defense):
     program, memory = build("v1-gadget")
-    results, report = run_engines(
-        program, DEFENSES[defense],
-        memory_factory=lambda: build("v1-gadget")[1],
-        label=f"v1-gadget/{defense}")
+    results, report = run_engines(Case(f"v1-gadget/{defense}", program,
+                                       DEFENSES[defense], memory=memory))
     assert report.identical, report.render()
     seq = run_program(program, memory)
     assert results["ref"].final_regs == seq.final_regs

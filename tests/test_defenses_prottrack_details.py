@@ -3,7 +3,8 @@
 from repro.defenses import ProtTrack
 from repro.isa import assemble
 from repro.uarch import Core, P_CORE, PipelineTracer, simulate
-from repro.uarch.refcore import ENGINE_PAIR, compare_results
+from repro.uarch.pipeline import ENGINES
+from repro.uarch.refcore import compare_results
 
 
 def run_track(src, memory=None):
@@ -51,7 +52,7 @@ def test_tainted_store_forwarding_gates_wakeup():
     """
     program = assemble(src).linked()
     results = {engine: simulate(program, ProtTrack(), P_CORE, engine=engine)
-               for engine in ENGINE_PAIR}
+               for engine in ENGINES}
     for engine, result in results.items():
         assert result.halt_reason == "halt", engine
         assert result.stats["defense_wakeup_interventions"] > 0, engine

@@ -11,13 +11,8 @@ from repro.fixtures import build
 from repro.isa import assemble
 from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, PipelineTracer, simulate
-from repro.uarch.pipeline import Core
-from repro.uarch.refcore import (
-    ENGINE_PAIR,
-    DiffCase,
-    case_program,
-    compare_results,
-)
+from repro.uarch.pipeline import ENGINES, Core
+from repro.uarch.refcore import compare_results, grid_case
 
 
 def stall_sum(result) -> int:
@@ -79,7 +74,7 @@ def test_fast_forward_result_matches_reference():
 def test_stall_sum_invariant_both_engines(fixture):
     from repro.defenses import ProtTrack
 
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         program, memory = build(fixture)
         result = simulate(program, ProtTrack(), P_CORE, memory,
                           engine=engine)
@@ -98,7 +93,7 @@ def _count_asks(build_run, defense, gates):
     wrappers are instance attributes; the compiled engine judges hook
     liveness from the class, so the generated code calls them."""
     calls, results = {}, {}
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         program, memory, regs = build_run()
         instance = DEFENSES[defense]()
         count = [0]
@@ -121,15 +116,15 @@ def _count_asks(build_run, defense, gates):
     ("squash-bug", "track", "may_resolve"),
     ("v1-gadget", "delay", "may_wakeup"),
 ])
-def test_refusal_cache_skips_repeated_asks(fixture, defense, gate):
+def test_sleepers_skip_repeated_asks(fixture, defense, gate):
     calls = _count_asks(lambda: build(fixture) + (None,), defense, (gate,))
     assert 5 * calls["compiled"] <= calls["ref"], calls
 
 
 def _generated(seed):
-    """``refcore.run_case``'s program for ``seed`` (``rand`` class)."""
-    program, test_input = case_program(DiffCase("track", "rand", "P", seed))
-    return program, test_input.build_memory(), test_input.build_regs()
+    """The ``rand``-class grid program for ``seed`` and its input."""
+    case = grid_case("track", "rand", "P", seed)
+    return case.program, case.memory, case.regs
 
 
 def test_refused_uops_sleep_until_their_wake():
@@ -189,7 +184,7 @@ def test_tracer_pins_the_reference_and_sees_every_cycle():
 # ----------------------------------------------------------------------
 
 def test_wedged_run_aborts_early_with_no_progress():
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         program, memory = build("v1-gadget")
         result = simulate(program, WedgeDefense(), P_CORE, memory,
                           no_progress_limit=200, engine=engine)
@@ -201,7 +196,7 @@ def test_wedged_run_aborts_early_with_no_progress():
 
 def test_wedged_run_identical_across_engines():
     results = []
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         program, memory = build("v1-gadget")
         results.append(simulate(program, WedgeDefense(), P_CORE, memory,
                                 no_progress_limit=200, engine=engine))
@@ -209,7 +204,7 @@ def test_wedged_run_identical_across_engines():
 
 
 def test_no_progress_limit_none_falls_back_to_timeout():
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         program, memory = build("v1-gadget")
         result = simulate(program, WedgeDefense(), P_CORE, memory,
                           no_progress_limit=None, max_cycles=3_000,
@@ -228,7 +223,7 @@ spin:
     addi r1, r1, 1
     jmp spin
 """).linked()
-    for engine in ENGINE_PAIR:
+    for engine in ENGINES:
         result = simulate(program, None, P_CORE, max_cycles=2_000,
                           no_progress_limit=500, engine=engine)
         assert result.halt_reason == "timeout", engine

@@ -17,6 +17,7 @@ from repro.bench.runner import DEFENSES
 from repro.fixtures import build
 from repro.protcc import mitigate_program
 from repro.uarch import P_CORE, simulate
+from repro.uarch.refcore import Case
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "core_stats.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -51,18 +52,18 @@ def test_golden_file_covers_every_case():
     assert set(GOLDEN) == set(CASES)
 
 
-def _case_program(fixture, mitigation):
+def _case(label) -> Case:
+    fixture, defense, config, mitigation = CASES[label]
     program, memory = build(fixture)
     if mitigation is not None:
         program = mitigate_program(program, mitigation).program
-    return program, memory
+    return Case(label, program, DEFENSES[defense], config, memory)
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_stats_match_golden(label):
-    fixture, defense, config, mitigation = CASES[label]
-    program, memory = _case_program(fixture, mitigation)
-    result = simulate(program, DEFENSES[defense](), config, memory)
+    case = _case(label)
+    result = simulate(case.program, case.defense(), case.config, case.memory)
     assert result.halt_reason == "halt"
     golden = GOLDEN[label]
     actual = dict(sorted(result.stats.items()))
@@ -77,9 +78,8 @@ def test_stats_match_golden(label):
 def test_golden_runs_identical_on_reference_engine(label):
     # The goldens pin the *observable* behaviour, which by the
     # differential contract is engine-independent.
-    fixture, defense, config, mitigation = CASES[label]
-    program, memory = _case_program(fixture, mitigation)
-    result = simulate(program, DEFENSES[defense](), config, memory,
+    case = _case(label)
+    result = simulate(case.program, case.defense(), case.config, case.memory,
                       engine="ref")
     golden = GOLDEN[label]
     assert result.cycles == golden["cycles"]

@@ -251,12 +251,13 @@ def test_mitigated_program_reports_code_size_overhead():
 
 def test_mitigation_cases_identical_across_engines():
     # The full 16-case sweep runs in CI's `repro diff`; four cases here
-    # keep the three-engine contract under the tier-1 suite too.
+    # keep the two-engine contract under the tier-1 suite too.
     import itertools
 
-    from repro.uarch.refcore import mitigation_cases
+    from repro.uarch.refcore import mitigation_cases, run_engines
 
-    for label, report in itertools.islice(mitigation_cases(), 4):
+    for case in itertools.islice(mitigation_cases(), 4):
+        report = run_engines(case)[1]
         assert report.identical, report.render()
 
 

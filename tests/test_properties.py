@@ -83,21 +83,18 @@ def test_cache_hit_after_fill(addresses):
 
 # ======================================================================
 # Pipeline invariants on seeded random programs, audited live on the
-# reference engine; the compiled (fast) engine must reproduce the
-# audited run exactly.
+# reference engine; the compiled engine must reproduce the audited run
+# exactly.
 # ======================================================================
 
 import functools
+from dataclasses import replace
 
 import pytest
 
-from repro.fuzzing.generator import generate_program
-from repro.fuzzing.inputs import generate_input
 from repro.uarch.config import P_CORE
 from repro.uarch.pipeline import Core, simulate
-from repro.uarch.refcore import compare_results
-
-import random as _random
+from repro.uarch.refcore import compare_results, grid_case
 
 
 class AuditCore(Core):
@@ -154,23 +151,17 @@ class AuditCore(Core):
         assert not self.fetch_buffer, "fetch buffer not cleared by squash"
 
 
-def _audit_case(seed):
-    from repro.protcc import compile_program
-
-    program = generate_program(seed, 40)
-    compiled = compile_program(
-        program, "arch", rng=_random.Random(seed ^ 0xC0DE)).program
-    return compiled, generate_input(_random.Random(seed ^ 0xF00D))
+def _audit_case(seed, defense_name):
+    """The ``arch``-class grid program for ``seed`` on the plain P-core."""
+    return replace(grid_case(defense_name, "arch", "P", seed), config=P_CORE)
 
 
 @functools.lru_cache(maxsize=None)
 def _audit_run(seed, defense_name):
     """The audited reference run (shared by both engines' tests)."""
-    from repro.bench.runner import DEFENSES
-
-    program, test_input = _audit_case(seed)
-    core = AuditCore(program, DEFENSES[defense_name](), P_CORE,
-                     test_input.build_memory(), test_input.build_regs())
+    case = _audit_case(seed, defense_name)
+    core = AuditCore(case.program, case.defense(), case.config, case.memory,
+                     case.regs)
     result = core.run()
     # Every committed uop went through the audited commit path.
     assert len(core.commit_seqs) == result.stats["committed_uops"]
@@ -182,14 +173,11 @@ def _audit_run(seed, defense_name):
 def test_pipeline_invariants_fast_engine(defense_name, seed):
     # The compiled engine runs no per-cycle hooks to audit; it inherits
     # the invariants by reproducing the audited reference run exactly.
-    from repro.bench.runner import DEFENSES
-
-    audited = _audit_run(seed, defense_name)
-    program, test_input = _audit_case(seed)
-    fast = simulate(program, DEFENSES[defense_name](), P_CORE,
-                    test_input.build_memory(), test_input.build_regs(),
-                    engine="compiled")
-    compare_results(fast, audited).raise_if_different()
+    case = _audit_case(seed, defense_name)
+    compiled = simulate(case.program, case.defense(), case.config,
+                        case.memory, case.regs, engine="compiled")
+    compare_results(compiled, _audit_run(seed, defense_name)) \
+        .raise_if_different()
 
 
 @pytest.mark.parametrize("defense_name", ["unsafe", "track", "spt"])

@@ -13,12 +13,13 @@ from repro.fixtures import build
 from repro.uarch import P_CORE, simulate
 from repro.uarch.config import SpeculationModel
 from repro.uarch.refcore import (
-    DiffCase,
+    REQUIRED_TELEMETRY,
     compare_results,
-    diff_cases,
     fixture_cases,
-    run_case,
+    grid_case,
+    grid_cases,
     run_engines,
+    workload_cases,
 )
 
 ALL_DEFENSES = tuple(DEFENSES)
@@ -54,14 +55,27 @@ def test_identical_results_render_clean():
     assert "identical" in report.render()
 
 
-def test_diff_cases_cover_every_defense_and_core():
-    cases = list(diff_cases(programs=2))
-    assert {c.defense for c in cases} == set(ALL_DEFENSES)
-    assert {c.core for c in cases} == {"P", "E"}
-    assert {c.instrument for c in cases} == {
-        "rand", "arch", "cts", "ct", "unr"}
+def test_telemetry_missing_on_both_sides_is_a_divergence():
+    # Equal stats dicts both lacking a REQUIRED_TELEMETRY key must not
+    # compare identical: an engine that stopped emitting a counter
+    # would otherwise pass unnoticed.
+    program, memory = build("v1-gadget")
+    result = simulate(program, None, P_CORE, memory)
+    key = REQUIRED_TELEMETRY[0]
+    result.stats = {k: v for k, v in result.stats.items() if k != key}
+    report = compare_results(result, result)
+    assert not report.identical
+    assert f"stats[{key}] present" in report.render()
+
+
+def test_grid_cases_cover_every_defense_and_core():
+    cases = list(grid_cases(programs=2))
+    cells = [case.label.split("/") for case in cases]
+    assert {cell[0] for cell in cells} == set(ALL_DEFENSES)
+    assert {cell[1] for cell in cells} == {"rand", "arch", "cts", "ct", "unr"}
+    assert {cell[2] for cell in cells} == {"P", "E"}
     # Seed rotation sweeps the Table III hardware variants.
-    models = {c.config().speculation_model for c in cases}
+    models = {case.config.speculation_model for case in cases}
     assert models == {SpeculationModel.ATCOMMIT, SpeculationModel.CONTROL}
 
 
@@ -73,25 +87,24 @@ def test_diff_cases_cover_every_defense_and_core():
 @pytest.mark.parametrize("instrument", ["rand", "arch", "ct"])
 def test_random_program_identical(defense, instrument):
     for core in ("P", "E"):
-        report = run_case(DiffCase(defense, instrument, core, seed=11))
-        report.raise_if_different()
+        run_engines(grid_case(defense, instrument, core, seed=11))[1] \
+            .raise_if_different()
 
 
 @pytest.mark.parametrize("defense", ["track", "stt", "spt", "nda"])
 def test_control_speculation_identical(defense):
     # seed % 3 == 1 rotates in the CONTROL speculation model.
-    report = run_case(DiffCase(defense, "arch", "P", seed=4))
-    assert (DiffCase(defense, "arch", "P", seed=4).config()
-            .speculation_model is SpeculationModel.CONTROL)
-    report.raise_if_different()
+    case = grid_case(defense, "arch", "P", seed=4)
+    assert case.config.speculation_model is SpeculationModel.CONTROL
+    run_engines(case)[1].raise_if_different()
 
 
 @pytest.mark.parametrize("defense", ["track", "stt"])
 def test_buggy_squash_notify_identical(defense):
     # seed % 4 == 2 rotates in the squash-notification bug.
-    case = DiffCase(defense, "arch", "P", seed=6)
-    assert case.config().buggy_squash_notify
-    run_case(case).raise_if_different()
+    case = grid_case(defense, "arch", "P", seed=6)
+    assert case.config.buggy_squash_notify
+    run_engines(case)[1].raise_if_different()
 
 
 # ----------------------------------------------------------------------
@@ -99,25 +112,13 @@ def test_buggy_squash_notify_identical(defense):
 # ----------------------------------------------------------------------
 
 def test_fixture_runs_identical():
-    reports = list(fixture_cases())
-    assert len(reports) == 3 * len(DEFENSES)
-    for _, report in reports:
-        report.raise_if_different()
+    cases = list(fixture_cases())
+    assert len(cases) == 3 * len(DEFENSES)
+    for case in cases:
+        run_engines(case)[1].raise_if_different()
 
 
 @pytest.mark.parametrize("defense", ["unsafe", "spt", "spt-sb", "track"])
 def test_workload_identical(defense):
-    from repro.workloads import get_workload
-    from repro.protcc import compile_program
-
-    workload = get_workload("mcf.s")
-    factory = DEFENSES[defense]
-    program = workload.program
-    if factory().binary == "protcc":
-        program = compile_program(workload.program,
-                                  workload.classes).program
-    _, report = run_engines(program, factory,
-                            memory_factory=lambda: workload.memory,
-                            regs=workload.regs,
-                            label=f"mcf.s/{defense}")
-    report.raise_if_different()
+    case, = workload_cases(("mcf.s",), (defense,))
+    run_engines(case)[1].raise_if_different()

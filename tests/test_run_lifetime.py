@@ -7,7 +7,9 @@ defense's back-reference to its core goes once the result is built,
 the L1D's eviction listener does not hold the tags that hold the L1D,
 and the multicore write-invalidation broadcast holds caches, not
 cores.  Dropping a result therefore frees the whole core by reference
-counting, and the collector finds nothing.
+counting, and the collector finds nothing.  The wake-contract checker
+removes the gate wrappers it installs once its run ends, so a checked
+run leaves nothing either.
 """
 
 import gc
@@ -15,12 +17,14 @@ import gc
 import pytest
 
 from repro.bench.runner import DEFENSES
-from repro.defenses import ProtTrack
+from repro.defenses import SPT, ProtTrack
+from repro.fixtures import build
 from repro.isa import assemble
 from repro.uarch import simulate, simulate_mt
 from repro.uarch.compiled import compile_step
 from repro.uarch.config import P_CORE
 from repro.uarch.pipeline import ENGINES
+from repro.uarch.refcore import Case, wake_contract_violations
 from repro.workloads import get_workload
 
 
@@ -76,5 +80,15 @@ def test_finished_multicore_run_leaves_no_cyclic_garbage():
                              threads=4, p_cores=2)
         assert result.halt_reasons == ["halt"] * 4
         assert result.invalidations > 0
+
+    assert cyclic_garbage(run) == 0
+
+
+def test_wake_contract_check_leaves_no_cyclic_garbage():
+    program, memory = build("v1-gadget")
+    case = Case("v1-gadget/spt", program, SPT, memory=memory)
+
+    def run():
+        assert not wake_contract_violations(case)
 
     assert cyclic_garbage(run) == 0

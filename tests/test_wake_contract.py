@@ -12,6 +12,8 @@ too late would otherwise surface only as an unexplained ``repro diff``
 divergence.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.runner import DEFENSES
@@ -21,12 +23,12 @@ from repro.fixtures import FIXTURES, build
 from repro.isa import assemble
 from repro.uarch.config import P_CORE, SpeculationModel
 from repro.uarch.refcore import (
-    DiffCase,
-    case_program,
+    Case,
+    grid_case,
     run_engines,
     wake_contract_violations,
+    workload_cases,
 )
-from repro.workloads import get_workload
 
 CONFIGS = {
     "P": P_CORE,
@@ -39,22 +41,21 @@ CONFIGS = {
 RAND_CYCLES = 600
 
 
-def _programs():
-    for name in FIXTURES:
-        program, memory = build(name)
-        yield name, program, memory, None
-    program, test_input = case_program(DiffCase("track", "rand", "P", 0))
-    yield "rand", program, test_input.build_memory(), test_input.build_regs()
+def _fixture(name, defense, config=P_CORE):
+    program, memory = build(name)
+    return Case(name, program, defense, config, memory)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("defense", sorted(DEFENSES))
 def test_no_refusal_is_allowed_before_its_wake(defense, config):
-    for name, program, memory, regs in _programs():
+    for name in FIXTURES:
         violations = wake_contract_violations(
-            program, DEFENSES[defense](), CONFIGS[config], memory, regs,
-            max_cycles=RAND_CYCLES if name == "rand" else 3_000_000)
+            _fixture(name, DEFENSES[defense], CONFIGS[config]))
         assert not violations, (name, violations[:5])
+    rand = replace(grid_case(defense, "rand", "P", 0), config=CONFIGS[config])
+    violations = wake_contract_violations(rand, max_cycles=RAND_CYCLES)
+    assert not violations, ("rand", violations[:5])
 
 
 #: Workloads on which SPT refusals flip at a declassification before
@@ -63,14 +64,13 @@ DECLASSIFYING = ("mcf.s", "gcc.s", "canneal.p")
 
 
 def _workload_violations(name, defense):
-    workload = get_workload(name)
-    return wake_contract_violations(workload.program, defense, P_CORE,
-                                    workload.memory, workload.regs)
+    case, = workload_cases((name,), ("spt",))
+    return wake_contract_violations(replace(case, defense=defense))
 
 
 @pytest.mark.parametrize("workload", DECLASSIFYING)
 def test_spt_declassifications_wake_their_sleepers(workload):
-    violations = _workload_violations(workload, SPT())
+    violations = _workload_violations(workload, SPT)
     assert not violations, violations[:5]
 
 
@@ -110,15 +110,13 @@ class _Flapping(ProtTrack):
 
 
 def test_checker_flags_a_late_hint():
-    program, memory = build("v1-gadget")
-    violations = wake_contract_violations(program, _LateHint(), P_CORE,
-                                          memory)
+    violations = wake_contract_violations(_fixture("v1-gadget", _LateHint))
     assert violations
     assert all(v.startswith("may_execute allowed") for v in violations)
 
 
 def test_checker_flags_an_unreported_declassification():
-    violations = _workload_violations("mcf.s", _Unreported())
+    violations = _workload_violations("mcf.s", _Unreported)
     assert violations
     assert all(" allowed seq " in v for v in violations)
 
@@ -144,16 +142,14 @@ second:
 
 
 def test_spt_branch_resolves_at_declassification():
-    program = assemble(SHARED_FLAGS).linked()
-    flagged = wake_contract_violations(program, _Unreported(), P_CORE)
+    case = Case("shared-flags", assemble(SHARED_FLAGS).linked(), SPT)
+    flagged = wake_contract_violations(replace(case, defense=_Unreported))
     assert flagged
     assert all(v.startswith("may_resolve allowed") for v in flagged)
-    assert not wake_contract_violations(program, SPT(), P_CORE)
-    run_engines(program, SPT, P_CORE)[1].raise_if_different()
+    assert not wake_contract_violations(case)
+    run_engines(case)[1].raise_if_different()
 
 
 def test_checker_flags_a_refusal_after_an_allow():
-    program, memory = build("v1-gadget")
-    violations = wake_contract_violations(program, _Flapping(), P_CORE,
-                                          memory)
+    violations = wake_contract_violations(_fixture("v1-gadget", _Flapping))
     assert any("after allowing it" in v for v in violations)
