@@ -66,6 +66,13 @@ class InvalidReason(enum.Enum):
     HW_TIMEOUT = "hw-timeout"
 
 
+#: The budgets of one check: sequential fuel per victim run, and the
+#: cycle limit of each hardware run.  Witnesses record them, so that a
+#: replay runs under the limits the campaign used.
+CHECK_FUEL = 60_000
+CHECK_MAX_CYCLES = 400_000
+
+
 @dataclass(frozen=True)
 class TestInput:
     """One victim input: initial memory words and registers."""
@@ -105,11 +112,19 @@ def check_contract_pair(
     adversaries: Tuple[AdversaryModel, ...] = (AdversaryModel.CACHE_TLB,
                                                AdversaryModel.TIMING),
     public_def_pcs: Optional[Set[int]] = None,
-    fuel: int = 60_000,
-    max_cycles: int = 400_000,
+    fuel: int = CHECK_FUEL,
+    max_cycles: int = CHECK_MAX_CYCLES,
+    hw_runs: Optional[Dict[TestInput, CoreResult]] = None,
 ) -> CheckOutcome:
     """Run one AMuLeT*-style test: two inputs, one contract, one or more
-    adversary models."""
+    adversary models.
+
+    ``hw_runs`` memoizes the hardware runs, ``TestInput -> CoreResult``:
+    an input is simulated the first time a pair that reaches the
+    hardware stage needs it.  Pairs of one program (same program,
+    defense factory, config and ``max_cycles``) may share one memo, so
+    that an input they have in common is simulated once; without one,
+    each check simulates both of its inputs."""
     seq_a = run_program(program, input_a.build_memory(),
                         input_a.build_regs(), fuel=fuel)
     seq_b = run_program(program, input_b.build_memory(),
@@ -125,12 +140,15 @@ def check_contract_pair(
                             detail="contract-distinguishable inputs",
                             invalid_reason=InvalidReason.DISTINGUISHABLE)
 
-    hw_a = simulate(program, defense_factory(), config,
-                    input_a.build_memory(), input_a.build_regs(),
-                    max_cycles=max_cycles)
-    hw_b = simulate(program, defense_factory(), config,
-                    input_b.build_memory(), input_b.build_regs(),
-                    max_cycles=max_cycles)
+    if hw_runs is None:
+        hw_runs = {}
+    for test_input in (input_a, input_b):
+        if test_input not in hw_runs:
+            hw_runs[test_input] = simulate(
+                program, defense_factory(), config,
+                test_input.build_memory(), test_input.build_regs(),
+                max_cycles=max_cycles)
+    hw_a, hw_b = hw_runs[input_a], hw_runs[input_b]
     # "no_progress" is the early-abort flavour of a timeout: the core
     # proved the machine wedged instead of burning max_cycles.
     if (hw_a.halt_reason in ("timeout", "no_progress")

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..contracts.adversary import AdversaryModel, Divergence
-from ..contracts.checker import CheckOutcome, Contract, TestInput
+from ..contracts.checker import (
+    CHECK_FUEL,
+    CHECK_MAX_CYCLES,
+    CheckOutcome,
+    Contract,
+    TestInput,
+)
 from ..isa.instruction import Instruction
 from ..isa.operations import Cond, Op
 from ..isa.program import Program
@@ -27,10 +33,6 @@ from ..uarch.config import CacheConfig, CoreConfig, L1DTagMode, P_CORE, Speculat
 
 #: Bumped when the witness JSON layout changes incompatibly.
 WITNESS_SCHEMA = 1
-
-#: Checker limits witnesses record so replays match the original run.
-DEFAULT_FUEL = 60_000
-DEFAULT_MAX_CYCLES = 400_000
 
 
 class WitnessError(Exception):
@@ -135,8 +137,8 @@ class LeakWitness:
     program_seed: Optional[int] = None
     pair_index: Optional[int] = None
     public_def_pcs: Optional[List[int]] = None
-    fuel: int = DEFAULT_FUEL
-    max_cycles: int = DEFAULT_MAX_CYCLES
+    fuel: int = CHECK_FUEL
+    max_cycles: int = CHECK_MAX_CYCLES
     minimized: bool = False
     #: Instruction count before minimization (== len(instructions) for
     #: unminimized witnesses).
@@ -260,8 +262,8 @@ def capture_witness(
     program_seed: Optional[int] = None,
     pair_index: Optional[int] = None,
     public_def_pcs: Optional[set] = None,
-    fuel: int = DEFAULT_FUEL,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    fuel: int = CHECK_FUEL,
+    max_cycles: int = CHECK_MAX_CYCLES,
 ) -> LeakWitness:
     """Package a VIOLATION outcome from :func:`check_contract_pair` into
     a serializable witness."""

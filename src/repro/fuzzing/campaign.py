@@ -5,6 +5,12 @@ security contract) triple: it generates random programs, instruments
 them, and checks contract-equivalent input pairs for microarchitectural
 distinguishability under one or more adversary models.
 
+Every pair of a program mutates one base input.  Each input of a
+program is simulated on the core once: the program's checks share one
+``TestInput -> CoreResult`` memo, dropped when the program ends, so a
+program with N valid pairs costs N + 1 simulations instead of 2N.  Each
+check still runs both of its inputs on the sequential machine.
+
 Programs are independent test units: each is one ``fuzz-program`` job
 of the bench job runner (:mod:`repro.bench.jobs`), carrying the cell's
 :class:`CampaignConfig` and the program's seed, so a campaign runs
@@ -33,11 +39,13 @@ from ..contracts.checker import (
     CheckOutcome,
     Contract,
     InvalidReason,
+    TestInput,
     Verdict,
     check_contract_pair,
 )
 from ..protcc import compile_program, mitigate_program
 from ..uarch.config import CoreConfig, P_CORE
+from ..uarch.pipeline import CoreResult
 from .generator import generate_program
 from .inputs import generate_input, mutate_input
 
@@ -181,6 +189,8 @@ def run_program(config: CampaignConfig,
                    if config.contract is Contract.CTS_SEQ else None)
     input_rng = random.Random(program_seed ^ 0xF00D)
     base_input = generate_input(input_rng)
+    # Every pair runs the base input: its hardware run is shared.
+    hw_runs: Dict[TestInput, CoreResult] = {}
     for pair_index in range(config.pairs_per_program):
         mutated = mutate_input(input_rng, base_input,
                                public_flips=pair_index % 3 == 2)
@@ -188,7 +198,7 @@ def run_program(config: CampaignConfig,
             binary, defense_factory, config.contract,
             base_input, mutated, config.core,
             adversaries=config.adversaries,
-            public_def_pcs=public_defs)
+            public_def_pcs=public_defs, hw_runs=hw_runs)
         _tally(result, outcome, program_seed, pair_index)
         if config.collect_witnesses and outcome.verdict is Verdict.VIOLATION:
             from ..forensics.witness import capture_witness

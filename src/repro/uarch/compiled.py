@@ -13,6 +13,8 @@ emits one flat ``run(core)`` function in which
   targets, PROT prefixes) lives in module-level tuples indexed by PC,
   and the execute dispatch is an ``if``/``elif`` chain over only the
   opcodes the program actually contains — dead branches are elided,
+  and the divider check and the ``may_execute`` gate are emitted once,
+  ahead of it,
 * defense hooks the mechanism does not override are dropped entirely,
   along with the machinery that only exists to service them (a defense
   that never refuses ``may_resolve`` on a core without the buggy
@@ -735,8 +737,10 @@ class _Codegen:
         s("")
 
     def _try_execute(self, fail: Optional[str] = None) -> None:
-        """The per-kind dispatch for ``u`` (hottest kind first, only the
-        kinds the program contains), then the shared issue tail.
+        """MFENCE's head check, or else the divider check and the
+        ``may_execute`` gate, each emitted once; then the per-kind
+        dispatch for ``u`` (hottest kind first, only the kinds the
+        program contains) and the shared issue tail.
 
         Emitted twice: as the ``try_exec`` closure the blocked-list
         retry calls (``fail`` None), and inline in the ready-queue loop,
@@ -756,28 +760,35 @@ class _Codegen:
         s("k = K[pc]")
         issue_kinds = [k for k in sorted(self.present,
                                          key=lambda k: -self.kind_counts[k])
-                       if k not in _RENAME_COMPLETE]
-        for i, k in enumerate(issue_kinds):
-            op = _OPS[k]
-            s(f"{'if' if i == 0 else 'elif'} k == {k}:  # {op.name}")
+                       if k not in _RENAME_COMPLETE
+                       and _OPS[k] is not Op.MFENCE]
+        if self.has_mfence:  # ungated, as in Core._try_execute
+            s(f"if k == {KIND_OF[Op.MFENCE]}:  # MFENCE")
             s.indent()
-            if op is Op.MFENCE:
-                s("if not robq or robq[0].seq != u.seq:")
+            s("if not robq or robq[0].seq != u.seq:")
+            s.indent()
+            s("u.block_reason = 'mfence'")
+            s(fail)
+            s.dedent()
+            s("latency = 1")
+            # Release the frontend stall this fence imposed at fetch.
+            s("fblocked = False")
+            s.dedent()
+            if issue_kinds:
+                s("else:")
                 s.indent()
-                s("u.block_reason = 'mfence'")
+        if issue_kinds:
+            if self.has_divs:  # the divider is checked before the gate
+                s("if cycle < divbusy and ISDIV[pc]:")
+                s.indent()
+                s("u.block_reason = 'div_busy'")
                 s(fail)
                 s.dedent()
-                s("latency = 1")
-                # Release the frontend stall this fence imposed at fetch.
-                s("fblocked = False")
-            else:
-                if op in DIV_OPS:  # the divider is checked before the gate
-                    s("if cycle < divbusy:")
-                    s.indent()
-                    s("u.block_reason = 'div_busy'")
-                    s(fail)
-                    s.dedent()
-                self._gate(fail)
+            self._gate(fail)
+            for i, k in enumerate(issue_kinds):
+                op = _OPS[k]
+                s(f"{'if' if i == 0 else 'elif'} k == {k}:  # {op.name}")
+                s.indent()
                 if op in DIV_OPS:
                     self._execute_div(op)
                 elif op in MEM_READ_OPS:
@@ -786,10 +797,11 @@ class _Codegen:
                     self._execute_store(op)
                 else:
                     self._execute_simple(op)
-            s.dedent()
-        if issue_kinds:
+                s.dedent()
             s("else:  # pragma: no cover")
             s("    raise AssertionError('unhandled kind %d' % k)")
+            if self.has_mfence:
+                s.dedent()
         s("u.block_reason = None")
         s("u.issued = True")
         s("u.in_iq = False")

@@ -166,8 +166,12 @@ def test_false_positive_filter_flags_sequential_divergence(monkeypatch):
     monkeypatch.setattr(checker, "simulate",
                         lambda *args, **kwargs: doctored.pop(0))
     program = assemble("movi r1, 1\nhalt\n").linked()
+    # Two distinct inputs (the program never reads r2): the checker
+    # simulates each distinct input once, so equal inputs would share
+    # one doctored run.
     outcome = check_contract_pair(
-        program, Unsafe, Contract.ARCH_SEQ, TestInput(), TestInput(),
+        program, Unsafe, Contract.ARCH_SEQ, TestInput(),
+        TestInput(regs=((2, 1),)),
         adversaries=(AdversaryModel.CACHE_TLB,))
     assert outcome.verdict is Verdict.FALSE_POSITIVE
     assert outcome.adversary is AdversaryModel.CACHE_TLB

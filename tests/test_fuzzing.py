@@ -127,3 +127,50 @@ def test_campaign_result_wire_format_round_trips():
     assert "wall_time" not in payload  # telemetry, not identity
     assert payload["violation_sites"] == [[9, 0, "timing"]]
     assert payload["tests"] == 3 and payload["witnesses"] == [{"w": 1}]
+
+
+def test_program_simulates_each_input_once(monkeypatch):
+    # One program of the ProtTrack UNPROT-SEQ ``rand`` cell: its pairs
+    # share the base input, whose hardware run is simulated once.
+    from repro.contracts import InvalidReason, checker
+    from repro.fuzzing import campaign
+
+    config = CampaignConfig(defense_factory=ProtTrack,
+                            contract=Contract.UNPROT_SEQ,
+                            instrumentation="rand", n_programs=1,
+                            pairs_per_program=4, seed=1)
+    program_seed = campaign._program_seeds(config)[0]
+    simulations = []
+    simulate = checker.simulate
+
+    def counting(*args, **kwargs):
+        simulations.append(args[0])
+        return simulate(*args, **kwargs)
+
+    checks = []
+    check = campaign.check_contract_pair
+
+    def recording(program, factory, contract, input_a, input_b, *args,
+                  **kwargs):
+        outcome = check(program, factory, contract, input_a, input_b,
+                        *args, **kwargs)
+        checks.append((input_a, input_b, outcome.invalid_reason))
+        return outcome
+
+    monkeypatch.setattr(checker, "simulate", counting)
+    monkeypatch.setattr(campaign, "check_contract_pair", recording)
+    shared = campaign.run_program(config, program_seed)
+    sequential_rejects = (InvalidReason.NONTERMINATING,
+                          InvalidReason.DISTINGUISHABLE)
+    hardware = {test_input for input_a, input_b, reason in checks
+                if reason not in sequential_rejects
+                for test_input in (input_a, input_b)}
+    assert len(checks) == 4 and len(hardware) >= 3
+    assert len(simulations) == len(hardware)
+
+    def unshared(*args, hw_runs=None, **kwargs):
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "check_contract_pair", unshared)
+    assert campaign.run_program(config, program_seed).to_dict() \
+        == shared.to_dict()

@@ -11,6 +11,8 @@ looks like:
 * a hook the defense class does not override is not bound;
 * intervention-episode code appears only for live gates;
 * MFENCE serialization is emitted if and only if the program has one;
+* the divider check and a live ``may_execute`` gate are emitted once
+  per issue site, ahead of the per-kind dispatch;
 * the generated source still ``exec``-s into a ``run`` function.
 """
 
@@ -92,6 +94,26 @@ def test_mfence_serialization_iff_program_has_mfence():
         # Fetch stops at a fence; the fence's execution releases it.
         assert ("# MFENCE\n" in source) == has_fence
         assert ("fblocked = False" in try_exec) == has_fence
+
+
+@pytest.mark.parametrize("name", sorted(DEFENSES))
+def test_execute_gate_emitted_once_per_issue_site(name):
+    # Two issue sites: the ``try_exec`` closure the blocked pass calls,
+    # and the ready-queue pass, which inlines the same code.
+    defense = DEFENSES[name]()
+    live = _overrides(defense, "may_execute")
+    fenced = mitigate_program(FIXTURES["v1-gadget"].program(),
+                              "fence").program
+    for program in [build(fixture)[0] for fixture in FIXTURES] + [fenced]:
+        source = generate_source(program, P_CORE, defense)
+        # A triple where nothing can refuse an issue has no closure.
+        try_exec = (_closure(source, "try_exec")
+                    if "def try_exec(" in source else "")
+        for check, present in (("d_may_exec(u)", live),
+                               ("u.block_reason = 'div_busy'",
+                                any(i.is_div for i in program.instructions))):
+            assert (source.count(check), try_exec.count(check)) \
+                == ((2, 1) if present else (0, 0)), (check, program)
 
 
 def _assert_execs(program, config, name):
