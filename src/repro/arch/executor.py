@@ -9,8 +9,8 @@ compare against the O3 core's committed state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.operations import (
@@ -57,7 +57,6 @@ class SeqResult:
     final_regs: Tuple[int, ...]
     memory: Memory
     halt_reason: str
-    accessed_bytes: Set[int] = field(default_factory=set)
 
     @property
     def instruction_count(self) -> int:
@@ -86,10 +85,9 @@ class SequentialMachine:
 
     # ------------------------------------------------------------------
 
-    def run(self, fuel: int = DEFAULT_FUEL, record: bool = True) -> SeqResult:
+    def run(self, fuel: int = DEFAULT_FUEL) -> SeqResult:
         """Run until HALT, fall-off-end, a bad PC, or fuel exhaustion."""
         steps: List[StepRecord] = []
-        accessed: Set[int] = set()
         halt_reason = "fuel"
         for _ in range(fuel):
             if not 0 <= self.pc < len(self.program):
@@ -101,17 +99,9 @@ class SequentialMachine:
                 halt_reason = "halt"
                 break
             step = self._step(inst)
-            if step.mem_read is not None:
-                accessed.update(range(step.mem_read[0],
-                                      step.mem_read[0] + 8))
-            if step.mem_write is not None:
-                accessed.update(range(step.mem_write[0],
-                                      step.mem_write[0] + 8))
-            if record:
-                steps.append(step)
+            steps.append(step)
             self.pc = step.next_pc
-        return SeqResult(steps, tuple(self.regs), self.memory, halt_reason,
-                         accessed)
+        return SeqResult(steps, tuple(self.regs), self.memory, halt_reason)
 
     # ------------------------------------------------------------------
 
@@ -220,7 +210,6 @@ def run_program(
     memory: Optional[Memory] = None,
     regs: Optional[Dict[int, int]] = None,
     fuel: int = DEFAULT_FUEL,
-    record: bool = True,
 ) -> SeqResult:
     """Convenience wrapper: run ``program`` on a fresh machine."""
-    return SequentialMachine(program, memory, regs).run(fuel, record)
+    return SequentialMachine(program, memory, regs).run(fuel)

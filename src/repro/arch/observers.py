@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..isa.operations import Op
 from .executor import SeqResult, StepRecord
-from .protset import ArchProtSet
 
 Observation = Tuple
 
@@ -80,7 +79,6 @@ def contract_trace(
     is publicly typed, as computed by ProtCC-CTS's type inference.
     """
     trace: List[Observation] = []
-    protset = ArchProtSet() if mode is ObserverMode.UNPROT else None
     for step in result.steps:
         if mode is ObserverMode.ARCH:
             trace.append(_arch_observation(step))
@@ -90,12 +88,8 @@ def contract_trace(
             if public_defs is not None and step.pc in public_defs:
                 obs = obs + (("pubdef",
                               tuple(v for _, v in step.reg_writes)),)
-        elif mode is ObserverMode.UNPROT:
-            assert protset is not None
-            if not step.inst.prot:
-                obs = obs + (("unprot",
-                              tuple(v for _, v in step.reg_writes)),)
-            protset.apply(step)
+        elif mode is ObserverMode.UNPROT and not step.inst.prot:
+            obs = obs + (("unprot", tuple(v for _, v in step.reg_writes)),)
         trace.append(obs)
     return trace
 

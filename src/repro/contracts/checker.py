@@ -77,6 +77,9 @@ CHECK_MAX_CYCLES = 400_000
 class TestInput:
     """One victim input: initial memory words and registers."""
 
+    #: Not a test class, whatever its name tells pytest's collector.
+    __test__ = False
+
     memory_words: Tuple[Tuple[int, int], ...] = ()
     regs: Tuple[Tuple[int, int], ...] = ()
 

@@ -228,8 +228,7 @@ class ProtTrack(Defense):
         return self.tainted(preg)
 
     def on_load_executed(self, uop: Uop) -> None:
-        uop.actual_access = bool(uop.lsq_prot)
-        if uop.predicted_no_access and uop.actual_access:
+        if uop.predicted_no_access and uop.lsq_prot:
             # Access false negative: the load's output was predictively
             # untainted but holds protected data.  Fall back to
             # ProtDelay: no dependent wakeup until the load retires.

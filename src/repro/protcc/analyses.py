@@ -4,13 +4,15 @@ All analyses are intraprocedural over a :class:`FunctionGraph`, with
 conservative call-boundary assumptions (caller-saved registers are
 clobbered by CALL; callees preserve the rest).  Register sets are int
 bitmasks over the 17 architectural registers; reaching definitions use
-bitmasks over function-local definition ids.
+bitmasks over function-local definition ids.  Each analysis is a
+transfer function plus one :func:`solve` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import and_, or_
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..isa.instruction import Instruction
 from ..isa.operations import DIV_OPS, FLAG_WRITERS, IMM_ALU_OPS, Op, REG_ALU_OPS
@@ -53,12 +55,11 @@ def full_transmit_regs(inst: Instruction) -> Tuple[int, ...]:
     return inst.addr_regs() + inst.transmit_regs_at_resolve()
 
 
-def cts_sensitive_regs(inst: Instruction, div_transmits: bool = True
-                       ) -> Tuple[int, ...]:
+def cts_sensitive_regs(inst: Instruction) -> Tuple[int, ...]:
     """Register operands the secrecy-typing rules require to be public:
     all transmitter-sensitive operands, including division's."""
     regs = full_transmit_regs(inst)
-    if inst.is_div and div_transmits:
+    if inst.is_div:
         regs = regs + (inst.ra, inst.rb)
     return regs
 
@@ -68,30 +69,41 @@ def _dests_mask(inst: Instruction) -> int:
 
 
 # ======================================================================
-# Generic must-analysis solver (bitmask lattice, meet = intersection)
+# The dataflow solver (bitmask lattice)
 # ======================================================================
 
-def _solve_forward(graph: FunctionGraph, transfer, entry_value: int
-                   ) -> Dict[int, int]:
-    """Forward must-analysis; returns IN sets per pc."""
-    in_sets = {pc: ALL_REGS_MASK for pc in graph.pcs}
-    in_sets[graph.entry] = entry_value
+def solve(graph: FunctionGraph, transfer: Callable[[int, int], int],
+          boundary: int, must: bool, backward: bool = False
+          ) -> Dict[int, int]:
+    """Solve one dataflow problem over ``graph`` to its fixed point.
+
+    ``transfer(pc, value)`` is the effect of the instruction at ``pc``
+    on the value flowing into it.  A *must* analysis meets by
+    intersection from ``ALL_REGS_MASK``, a *may* analysis by union from
+    0.  ``boundary`` holds at the entry (forward) or at every exit
+    (backward) and meets whatever flows there along edges.  Returns the
+    value flowing into each pc: its IN set forward, its OUT set
+    backward."""
+    top = ALL_REGS_MASK if must else 0
+    meet = and_ if must else or_
     order = graph.reverse_postorder()
+    if backward:
+        order.reverse()
+        flows_from, bounded = graph.succs, set(graph.exits)
+    else:
+        flows_from, bounded = graph.preds, {graph.entry}
+    values = {pc: boundary if pc in bounded else top for pc in graph.pcs}
     changed = True
     while changed:
         changed = False
         for pc in order:
-            preds = graph.preds[pc]
-            if preds:
-                value = ALL_REGS_MASK
-                for pred in preds:
-                    value &= transfer(pred, in_sets[pred])
-                if pc == graph.entry:
-                    value &= entry_value
-                if value != in_sets[pc]:
-                    in_sets[pc] = value
-                    changed = True
-    return in_sets
+            value = boundary if pc in bounded else top
+            for src in flows_from[pc]:
+                value = meet(value, transfer(src, values[src]))
+            if value != values[pc]:
+                values[pc] = value
+                changed = True
+    return values
 
 
 # ======================================================================
@@ -113,10 +125,8 @@ def past_leaked(graph: FunctionGraph, entry_extra: int = 0
     """IN sets: registers past-leaked on every path reaching each pc.
     At entry only the stack pointer (plus any user-annotated public
     registers, paper SV-C) is assumed already-transmitted."""
-    def transfer(pc: int, in_set: int) -> int:
-        return past_leaked_transfer(graph.instruction(pc), in_set)
-
-    return _solve_forward(graph, transfer, SP_MASK | entry_extra)
+    return solve(graph, lambda pc, state: past_leaked_transfer(
+        graph.instruction(pc), state), SP_MASK | entry_extra, must=True)
 
 
 def past_leaked_after(graph: FunctionGraph, in_sets: Dict[int, int],
@@ -146,35 +156,10 @@ def bound_to_leak(graph: FunctionGraph) -> Dict[int, int]:
     """IN sets: registers whose current value is fully transmitted along
     *all* forward paths.  Nothing is assumed to leak after the function
     returns (conservative)."""
-    in_sets = {pc: ALL_REGS_MASK for pc in graph.pcs}
-    order = list(reversed(graph.reverse_postorder()))
-    changed = True
-    while changed:
-        changed = False
-        for pc in order:
-            succs = graph.succs[pc]
-            if succs:
-                out = ALL_REGS_MASK
-                for succ in succs:
-                    out &= in_sets[succ]
-            else:
-                out = 0
-            new_in = bound_to_leak_transfer(graph.instruction(pc), out)
-            if new_in != in_sets[pc]:
-                in_sets[pc] = new_in
-                changed = True
-    return in_sets
-
-
-def bound_to_leak_out(graph: FunctionGraph, in_sets: Dict[int, int],
-                      pc: int) -> int:
-    succs = graph.succs[pc]
-    if not succs:
-        return 0
-    out = ALL_REGS_MASK
-    for succ in succs:
-        out &= in_sets[succ]
-    return out
+    out_sets = solve(graph, lambda pc, out: bound_to_leak_transfer(
+        graph.instruction(pc), out), 0, must=True, backward=True)
+    return {pc: bound_to_leak_transfer(graph.instruction(pc), out)
+            for pc, out in out_sets.items()}
 
 
 # ======================================================================
@@ -207,10 +192,8 @@ def unprotectable_transfer(inst: Instruction, state: int) -> int:
 
 def unprotectable(graph: FunctionGraph, entry_extra: int = 0
                   ) -> Dict[int, int]:
-    def transfer(pc: int, in_set: int) -> int:
-        return unprotectable_transfer(graph.instruction(pc), in_set)
-
-    return _solve_forward(graph, transfer, SP_MASK | entry_extra)
+    return solve(graph, lambda pc, state: unprotectable_transfer(
+        graph.instruction(pc), state), SP_MASK | entry_extra, must=True)
 
 
 def unprotectable_after(graph: FunctionGraph, in_sets: Dict[int, int],
@@ -263,21 +246,8 @@ def transient_taint(graph: FunctionGraph, entry_tainted: int = 0
     load-derived on some path reaching each pc.  ``entry_tainted`` seeds
     the function entry (callees must assume argument registers carry
     loaded data; the program entry starts clean)."""
-    in_sets = {pc: 0 for pc in graph.pcs}
-    in_sets[graph.entry] = entry_tainted
-    order = graph.reverse_postorder()
-    changed = True
-    while changed:
-        changed = False
-        for pc in order:
-            value = entry_tainted if pc == graph.entry else 0
-            for pred in graph.preds[pc]:
-                value |= transient_taint_transfer(
-                    graph.instruction(pred), in_sets[pred])
-            if value != in_sets[pc]:
-                in_sets[pc] = value
-                changed = True
-    return in_sets
+    return solve(graph, lambda pc, state: transient_taint_transfer(
+        graph.instruction(pc), state), entry_tainted, must=False)
 
 
 # ======================================================================
@@ -332,20 +302,10 @@ class ReachingDefinitions:
             self._kill[pc] = kill & ~gen
 
         entry_mask = sum(1 << d.def_id for d in self._defs_at[None])
-        self.in_sets: Dict[int, int] = {pc: 0 for pc in graph.pcs}
-        self.in_sets[graph.entry] = entry_mask
-        order = graph.reverse_postorder()
-        changed = True
-        while changed:
-            changed = False
-            for pc in order:
-                value = entry_mask if pc == graph.entry else 0
-                for pred in graph.preds[pc]:
-                    value |= (self._gen[pred]
-                              | (self.in_sets[pred] & ~self._kill[pred]))
-                if value != self.in_sets[pc]:
-                    self.in_sets[pc] = value
-                    changed = True
+        self.in_sets: Dict[int, int] = solve(
+            graph, lambda pc, value: (self._gen[pc]
+                                      | (value & ~self._kill[pc])),
+            entry_mask, must=False)
 
     def reaching(self, pc: int, reg: int) -> List[Definition]:
         """Definitions of ``reg`` that may reach ``pc``."""

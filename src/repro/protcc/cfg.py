@@ -65,8 +65,6 @@ class FunctionGraph:
         """RPO from the entry (unreachable pcs appended afterwards, so
         every instruction is still instrumented)."""
         seen = set()
-        order: List[int] = []
-
         stack: List[Tuple[int, int]] = [(self.entry, 0)]
         seen.add(self.entry)
         # Iterative DFS computing postorder.
@@ -83,7 +81,7 @@ class FunctionGraph:
             else:
                 stack.pop()
                 post.append(pc)
-        order = list(reversed(post))
+        order: List[int] = list(reversed(post))
         for pc in self.pcs:
             if pc not in seen:
                 order.append(pc)

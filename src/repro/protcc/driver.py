@@ -15,17 +15,14 @@ from typing import Dict, Optional, Set, Tuple, Union
 
 from ..isa.program import Program
 from .cfg import FunctionGraph, function_regions
-from .passes import (
-    CLASSES,
-    apply_arch,
-    apply_ct,
-    apply_cts,
-    apply_rand,
-    apply_unr,
-)
+from .passes import CLASSES, apply_ct, apply_cts, apply_rand, apply_unr
 from .rewriter import Rewriter
 
 ClassMap = Union[str, Dict[str, str]]
+
+#: The passes that honour public-register annotations (paper SV-C).
+#: ProtCC-ARCH is a no-op and ProtCC-RAND draws from the caller's RNG.
+_ANNOTATED_PASSES = {"cts": apply_cts, "ct": apply_ct, "unr": apply_unr}
 
 
 @dataclass
@@ -42,12 +39,6 @@ class CompiledProgram:
     base_size: int = 0
     inserted_moves: int = 0
     prot_prefixes: int = 0
-
-    @property
-    def code_size(self) -> int:
-        """Instruction count plus one byte-equivalent per PROT prefix
-        (a prefix grows the encoding, not the instruction count)."""
-        return len(self.program.instructions)
 
     @property
     def code_size_overhead(self) -> float:
@@ -99,24 +90,15 @@ def compile_program(
             f"annotations for unknown functions: {unknown_notes}")
 
     rewriter = Rewriter(program)
-    results = {}
     for region in regions:
         graph = FunctionGraph(program, region)
         cls = class_of[region.name]
-        hints = tuple(annotations.get(region.name, ()))
-        if cls == "arch":
-            results[region.name] = apply_arch(rewriter, graph)
-        elif cls == "cts":
-            results[region.name] = apply_cts(rewriter, graph,
-                                             entry_public=hints)
-        elif cls == "ct":
-            results[region.name] = apply_ct(rewriter, graph,
-                                            entry_public=hints)
-        elif cls == "unr":
-            results[region.name] = apply_unr(rewriter, graph,
-                                             entry_public=hints)
-        else:
-            results[region.name] = apply_rand(rewriter, graph, rng)
+        if cls in _ANNOTATED_PASSES:
+            _ANNOTATED_PASSES[cls](
+                rewriter, graph,
+                entry_public=tuple(annotations.get(region.name, ())))
+        elif cls == "rand":
+            apply_rand(rewriter, graph, rng)
 
     built = rewriter.build()
     compiled = CompiledProgram(

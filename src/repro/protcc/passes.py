@@ -25,17 +25,19 @@ so a multi-class program is compiled with one rebuild
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
+from ..isa.instruction import Instruction
 from ..isa.operations import Op
 from ..isa.registers import NUM_REGS, SP
 from .analyses import (
     ReachingDefinitions,
-    bound_to_leak,
-    bound_to_leak_out,
+    bound_to_leak_transfer,
     cts_sensitive_regs,
     past_leaked,
     past_leaked_after,
+    regs_mask,
+    solve,
     unprotectable,
     unprotectable_after,
 )
@@ -46,22 +48,28 @@ from .rewriter import Rewriter, identity_move
 CLASSES = ("arch", "cts", "ct", "unr", "rand")
 
 
-class PassResult:
-    """Per-function edit log (consumed by the driver's metadata)."""
-
-    def __init__(self) -> None:
-        #: Original PCs whose instruction was PROT-prefixed.
-        self.prot_pcs: Set[int] = set()
-        #: (pc, count) of identity moves registered before each point.
-        self.inserted_before: List[Tuple[int, int]] = []
-        #: Number of taken-edge trampolines created.
-        self.splits = 0
-
-
-def apply_arch(rewriter: Rewriter, graph: FunctionGraph) -> PassResult:
+def apply_arch(rewriter: Rewriter, graph: FunctionGraph) -> None:
     """ProtCC-ARCH is a no-op (paper SV-A1): unprefixed binaries unprotect
     exactly what they architecturally access."""
-    return PassResult()
+
+
+def _moves(regs: Iterable[int]) -> List[Instruction]:
+    return [identity_move(reg) for reg in regs]
+
+
+def _prot_unsafe(rewriter: Rewriter, pc: int,
+                 outputs: Iterable[Tuple[int, bool]]) -> None:
+    """PROT-prefix the definition at ``pc`` if any of its ``(register,
+    safe)`` outputs is unsafe, then re-unprotect its safe co-outputs
+    with identity moves (e.g. the stack pointer of a PROT-prefixed
+    POP)."""
+    outputs = list(outputs)
+    if all(safe for _, safe in outputs):
+        return
+    rewriter.set_prot(pc, True)
+    fixes = _moves(reg for reg, safe in outputs if safe)
+    if fixes:
+        rewriter.insert_after(pc, fixes)
 
 
 # ======================================================================
@@ -69,9 +77,7 @@ def apply_arch(rewriter: Rewriter, graph: FunctionGraph) -> PassResult:
 # ======================================================================
 
 def apply_cts(rewriter: Rewriter, graph: FunctionGraph,
-              div_transmits: bool = True,
-              entry_public: Tuple[int, ...] = ()) -> PassResult:
-    result = PassResult()
+              entry_public: Tuple[int, ...] = ()) -> None:
     rd = ReachingDefinitions(graph)
 
     # Worklist closure: sensitive operands must be publicly typed, and a
@@ -87,14 +93,12 @@ def apply_cts(rewriter: Rewriter, graph: FunctionGraph,
 
     # Axioms of the typing rules: immediates are public, and the stack
     # pointer's +/-8 updates inherit its (public) type.
-    from ..isa.registers import SP as SP_REG
-
     for definition in rd.defs:
         if definition.kind != "inst":
             continue
         inst = graph.instruction(definition.pc)
         if inst.op is Op.MOVI or (
-                definition.reg == SP_REG
+                definition.reg == SP
                 and inst.op in (Op.PUSH, Op.POP, Op.CALL, Op.RET)):
             public.add(definition.def_id)
     # User annotations (paper SV-C): declared-public arguments.
@@ -104,7 +108,7 @@ def apply_cts(rewriter: Rewriter, graph: FunctionGraph,
 
     for pc in graph.pcs:
         inst = graph.instruction(pc)
-        for reg in cts_sensitive_regs(inst, div_transmits):
+        for reg in cts_sensitive_regs(inst):
             force(rd.reaching(pc, reg))
 
     while worklist:
@@ -117,39 +121,23 @@ def apply_cts(rewriter: Rewriter, graph: FunctionGraph,
 
     # Instrumentation: prefix secret definitions.
     for pc in graph.pcs:
-        defs = [d for d in rd.defs_at(pc) if d.kind == "inst"]
-        if not defs:
-            continue
-        secret = [d for d in defs if d.def_id not in public]
-        if secret:
-            rewriter.set_prot(pc, True)
-            result.prot_pcs.add(pc)
-            # Multi-destination fix-up: re-unprotect public co-outputs
-            # (e.g. the stack pointer of a PROT-prefixed POP).
-            fixes = [identity_move(d.reg) for d in defs
-                     if d.def_id in public]
-            if fixes:
-                rewriter.insert_after(pc, fixes)
-                result.inserted_before.append((pc + 1, len(fixes)))
+        _prot_unsafe(rewriter, pc, ((d.reg, d.def_id in public)
+                                    for d in rd.defs_at(pc)
+                                    if d.kind == "inst"))
 
     # Declassify publicly-typed arguments at entry (only those actually
     # consumed before redefinition, to bound code growth).
     used_entry_regs = _entry_used_regs(graph, rd, public)
     used_entry_regs |= set(entry_public)
     if used_entry_regs:
-        moves = [identity_move(reg) for reg in sorted(used_entry_regs)]
-        rewriter.insert_before(graph.entry, moves)
-        result.inserted_before.append((graph.entry, len(moves)))
+        rewriter.insert_before(graph.entry, _moves(sorted(used_entry_regs)))
 
     # Declassify publicly-typed call results after each CALL.
     for pc in graph.pcs:
         call_defs = [d for d in rd.defs_at(pc) if d.kind == "call"]
         pub_regs = sorted({d.reg for d in call_defs if d.def_id in public})
         if pub_regs:
-            moves = [identity_move(reg) for reg in pub_regs]
-            rewriter.insert_after(pc, moves)
-            result.inserted_before.append((pc + 1, len(moves)))
-    return result
+            rewriter.insert_after(pc, _moves(pub_regs))
 
 
 def _entry_used_regs(graph: FunctionGraph, rd: ReachingDefinitions,
@@ -170,58 +158,39 @@ def _entry_used_regs(graph: FunctionGraph, rd: ReachingDefinitions,
 # ======================================================================
 
 def apply_ct(rewriter: Rewriter, graph: FunctionGraph,
-             entry_public: Tuple[int, ...] = ()) -> PassResult:
-    result = PassResult()
-    entry_mask = sum(1 << reg for reg in entry_public)
-    pl_in = past_leaked(graph, entry_mask)
-    btl_in = bound_to_leak(graph)
+             entry_public: Tuple[int, ...] = ()) -> None:
+    pl_in = past_leaked(graph, regs_mask(entry_public))
+    btl_out = solve(graph, lambda pc, out: bound_to_leak_transfer(
+        graph.instruction(pc), out), 0, must=True, backward=True)
+
+    def btl_in(pc: int) -> int:
+        return bound_to_leak_transfer(graph.instruction(pc), btl_out[pc])
+
     if entry_public:
-        moves = [identity_move(reg) for reg in sorted(entry_public)]
-        rewriter.insert_before(graph.entry, moves)
-        result.inserted_before.append((graph.entry, len(moves)))
+        rewriter.insert_before(graph.entry, _moves(sorted(entry_public)))
 
     for pc in graph.pcs:
         inst = graph.instruction(pc)
-        dests = inst.dest_regs()
-        if dests:
-            safe = (past_leaked_after(graph, pl_in, pc)
-                    | bound_to_leak_out(graph, btl_in, pc))
-            if any(not (safe >> reg) & 1 for reg in dests):
-                rewriter.set_prot(pc, True)
-                result.prot_pcs.add(pc)
-                fixes = [identity_move(reg) for reg in dests
-                         if (safe >> reg) & 1]
-                if fixes:
-                    rewriter.insert_after(pc, fixes)
-                    result.inserted_before.append((pc + 1, len(fixes)))
+        safe = past_leaked_after(graph, pl_in, pc) | btl_out[pc]
+        _prot_unsafe(rewriter, pc, ((reg, (safe >> reg) & 1)
+                                    for reg in inst.dest_regs()))
 
         # Edge declassification: a register newly bound-to-leak along
         # one successor edge (but not all) gets an identity move there.
-        succs = graph.succs[pc]
-        if inst.op is Op.BR and len(succs) == 2:
-            merged = bound_to_leak_out(graph, btl_in, pc)
-            fall_new = btl_in.get(pc + 1, 0) & ~merged
-            taken_new = btl_in.get(inst.target, 0) & ~merged
-            already = past_leaked_after(graph, pl_in, pc)
-            fall_new &= ~already
-            taken_new &= ~already
+        if inst.op is Op.BR and len(graph.succs[pc]) == 2:
+            already = btl_out[pc] | past_leaked_after(graph, pl_in, pc)
+            fall_new = btl_in(pc + 1) & ~already
+            taken_new = btl_in(inst.target) & ~already
             if fall_new:
-                moves = [identity_move(reg) for reg in _bits(fall_new)]
-                rewriter.insert_after(pc, moves)
-                result.inserted_before.append((pc + 1, len(moves)))
+                rewriter.insert_after(pc, _moves(_bits(fall_new)))
             if taken_new:
-                moves = [identity_move(reg) for reg in _bits(taken_new)]
-                rewriter.split_taken_edge(pc, moves)
-                result.splits += 1
+                rewriter.split_taken_edge(pc, _moves(_bits(taken_new)))
 
     # Declassify bound-to-leak registers at function entry (public
     # arguments, Fig. 3d line 1).
-    entry_btl = btl_in.get(graph.entry, 0) & ~(1 << SP)
+    entry_btl = btl_in(graph.entry) & ~(1 << SP)
     if entry_btl:
-        moves = [identity_move(reg) for reg in _bits(entry_btl)]
-        rewriter.insert_before(graph.entry, moves)
-        result.inserted_before.append((graph.entry, len(moves)))
-    return result
+        rewriter.insert_before(graph.entry, _moves(_bits(entry_btl)))
 
 
 def _bits(mask: int) -> List[int]:
@@ -233,29 +202,15 @@ def _bits(mask: int) -> List[int]:
 # ======================================================================
 
 def apply_unr(rewriter: Rewriter, graph: FunctionGraph,
-              entry_public: Tuple[int, ...] = ()) -> PassResult:
-    result = PassResult()
-    entry_mask = sum(1 << reg for reg in entry_public)
-    in_sets = unprotectable(graph, entry_mask)
+              entry_public: Tuple[int, ...] = ()) -> None:
+    in_sets = unprotectable(graph, regs_mask(entry_public))
     if entry_public:
-        moves = [identity_move(reg) for reg in sorted(entry_public)]
-        rewriter.insert_before(graph.entry, moves)
-        result.inserted_before.append((graph.entry, len(moves)))
+        rewriter.insert_before(graph.entry, _moves(sorted(entry_public)))
     for pc in graph.pcs:
-        inst = graph.instruction(pc)
-        dests = inst.dest_regs()
-        if not dests:
-            continue
         safe = unprotectable_after(graph, in_sets, pc)
-        if any(not (safe >> reg) & 1 for reg in dests):
-            rewriter.set_prot(pc, True)
-            result.prot_pcs.add(pc)
-            fixes = [identity_move(reg) for reg in dests
-                     if (safe >> reg) & 1]
-            if fixes:
-                rewriter.insert_after(pc, fixes)
-                result.inserted_before.append((pc + 1, len(fixes)))
-    return result
+        _prot_unsafe(rewriter, pc, ((reg, (safe >> reg) & 1)
+                                    for reg in graph.instruction(pc)
+                                    .dest_regs()))
 
 
 # ======================================================================
@@ -264,13 +219,10 @@ def apply_unr(rewriter: Rewriter, graph: FunctionGraph,
 
 def apply_rand(rewriter: Rewriter, graph: FunctionGraph,
                rng: Optional[random.Random] = None,
-               density: float = 0.5) -> PassResult:
+               density: float = 0.5) -> None:
     """PROT-prefix a random subset of instructions: exercises arbitrary
     ProtISA binaries against the UNPROT-SEQ contract (paper SVII-B4b)."""
-    result = PassResult()
     rng = rng or random.Random(0)
     for pc in graph.pcs:
         if graph.instruction(pc).dest_regs() and rng.random() < density:
             rewriter.set_prot(pc, True)
-            result.prot_pcs.add(pc)
-    return result

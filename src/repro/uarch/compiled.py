@@ -920,7 +920,6 @@ class _Codegen:
         s("    value = mem_read(addr)")
         s("    u.lsq_prot = t_word_prot(addr)")
         s("    u.mem_level = caches.last_level")
-        s("u.mem_value = value")
         if op is Op.LOAD:
             s(f"v = value & {_M64}")
             self._set_result()
@@ -1099,7 +1098,6 @@ class _Codegen:
         s("while robq and robq[-1].seq > bseq:")
         s.indent()
         s("y = robq.pop()")
-        s("y.in_rob = False")
         s("n_sq += 1")
         s("y.squashed = True")
         s("y.squash_cycle = cycle")
@@ -1217,7 +1215,6 @@ class _Codegen:
             s("    head.committed = True")
             s("    head.commit_cycle = cycle")
             s("    robq.popleft()")
-            s("    head.in_rob = False")
             s("    halted = True")
             s("    halt_reason = 'halt'")
             s("    committed_n += 1")
@@ -1253,7 +1250,6 @@ class _Codegen:
             s("if ma is not None:")
             s("    acc_append((hpc, ma))")
         s("robq.popleft()")
-        s("head.in_rob = False")
         self._lsq_remove("head", "ISLD[hpc]", "ISST[hpc]")
         if self.has_branches:
             s("if ISBR[hpc]:")
@@ -1499,7 +1495,6 @@ class _Codegen:
         s("    u.old_pdests = tuple(opd_l)")
         if self.traits.on_rename:
             s("d_on_rename(u)")
-        s("u.in_rob = True")
         s("robq.append(u)")
         if self.has_loads:
             s("if ISLD[pc]:")

@@ -752,7 +752,6 @@ class Core:
             value = self.memory.read_word(uop.mem_addr)
             uop.lsq_prot = self.mem_tags.word_protected(uop.mem_addr)
             uop.mem_level = self.caches.last_level
-        uop.mem_value = value
 
         if inst.op is Op.LOAD:
             self._set_results(uop, {inst.rd: value})

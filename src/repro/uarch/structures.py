@@ -103,22 +103,17 @@ class ReorderBuffer:
     def push(self, uop: Uop) -> None:
         if self.full:
             raise OverflowError("ROB overflow")
-        uop.in_rob = True
         self.entries.append(uop)
 
     def pop_head(self) -> Uop:
-        uop = self.entries.popleft()
-        uop.in_rob = False
-        return uop
+        return self.entries.popleft()
 
     def squash_younger_than(self, seq: int) -> List[Uop]:
         """Remove and return all uops younger than ``seq`` (youngest
         first, the order rename rollback needs)."""
         squashed: List[Uop] = []
         while self.entries and self.entries[-1].seq > seq:
-            uop = self.entries.pop()
-            uop.in_rob = False
-            squashed.append(uop)
+            squashed.append(self.entries.pop())
         return squashed
 
 
@@ -168,8 +163,6 @@ class LoadStoreQueue:
             if store.seq >= load.seq:
                 continue
             if store.mem_addr is None:
-                if not store.issued and not store.executed:
-                    return ("stall", store)
                 return ("stall", store)
             overlap = abs(store.mem_addr - load.mem_addr) < 8
             if not overlap:

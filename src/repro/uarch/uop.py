@@ -41,10 +41,10 @@ class Uop:
         # (``psrcs`` never changes after rename)
         "exec_sensitive", "resolve_sensitive",
         # lifecycle
-        "in_rob", "issued", "executed", "completed", "committed", "squashed",
+        "issued", "executed", "completed", "committed", "squashed",
         # execution results
         "result_values", "actual_next", "taken",
-        "mem_addr", "mem_value", "store_data",
+        "mem_addr", "store_data",
         "forwarded_from",
         # memory-protection observation (ProtISA LSQ tag, paper SIV-C2b)
         "lsq_prot",
@@ -55,7 +55,7 @@ class Uop:
         # scheduler bookkeeping
         "unready_count", "in_iq", "bp_snapshot", "bp_index",
         # defense annotations
-        "yrot", "predicted_no_access", "actual_access",
+        "predicted_no_access",
         # observability: why the scheduler last refused this uop, and
         # which hierarchy level serviced its memory access
         "block_reason", "mem_level",
@@ -83,7 +83,6 @@ class Uop:
         self.exec_sensitive: Optional[Tuple[int, ...]] = None
         self.resolve_sensitive: Optional[Tuple[int, ...]] = None
 
-        self.in_rob = False
         self.issued = False
         self.executed = False
         self.completed = False
@@ -94,7 +93,6 @@ class Uop:
         self.actual_next: Optional[int] = None
         self.taken: Optional[bool] = None
         self.mem_addr: Optional[int] = None
-        self.mem_value: Optional[int] = None
         self.store_data: Optional[int] = None
         self.forwarded_from: Optional["Uop"] = None
 
@@ -111,9 +109,7 @@ class Uop:
         self.bp_snapshot = None
         self.bp_index = None
 
-        self.yrot: Optional[int] = None
         self.predicted_no_access = False
-        self.actual_access: Optional[bool] = None
 
         self.block_reason: Optional[str] = None
         self.mem_level: Optional[str] = None

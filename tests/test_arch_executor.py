@@ -148,12 +148,6 @@ def test_div_operands_recorded():
     assert r.steps[2].div_operands == (10, 2)
 
 
-def test_accessed_bytes_tracked():
-    mem = Memory()
-    r = run("movi r1, 0x100\nload r2, [r1]\nhalt\n", mem)
-    assert set(range(0x100, 0x108)) <= r.accessed_bytes
-
-
 def test_initial_regs_applied():
     r = run("add r2, r0, r1\nhalt\n", regs={0: 3, 1: 4})
     assert r.final_regs[2] == 7

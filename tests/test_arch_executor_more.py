@@ -114,12 +114,6 @@ def test_flags_preserved_across_unrelated_ops():
     assert r.final_regs[5] == 1  # ALU ops do not clobber flags
 
 
-def test_record_disabled_still_tracks_outcome():
-    r = run_program(assemble("movi r1, 9\nhalt\n").linked(), record=False)
-    assert r.final_regs[1] == 9
-    assert r.steps == []
-
-
 def test_shift_by_register_mod_64():
     r = run("""
         movi r1, 1

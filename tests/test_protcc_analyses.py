@@ -8,6 +8,7 @@ from repro.protcc.analyses import (
     full_transmit_regs,
     past_leaked,
     past_leaked_after,
+    solve,
     unprotectable,
     unprotectable_after,
 )
@@ -205,3 +206,40 @@ def test_reaching_definitions_call_defs():
     rd = ReachingDefinitions(g)
     kinds = {d.kind for d in rd.reaching(1, 0)}
     assert kinds == {"call"}
+
+
+def test_solve_may_forward_unions_around_a_loop():
+    g = graph_of("""
+    .func f
+    top:
+        nop
+        cmpi r0, 0
+        beq top
+        ret
+    .endfunc
+    """)
+    # Each pc adds its own bit: the loop head's own bit comes back
+    # along the back edge, and the boundary holds only at the entry.
+    ins = solve(g, lambda pc, value: value | (1 << pc), 1 << 8, must=False)
+    assert ins[0] == ins[3] == (1 << 8) | 0b111
+    ins = solve(g, lambda pc, value: value | (1 << pc), 0, must=False)
+    assert ins[0] == 0b111
+
+
+def test_solve_must_backward_holds_boundary_at_exits():
+    g = graph_of("""
+    .func f
+        cmpi r0, 0
+        beq other
+        ret
+    other:
+        halt
+    .endfunc
+    """)
+    assert g.exits == [2, 3]
+    # Each pc removes its own bit: OUT sets meet by intersection.
+    outs = solve(g, lambda pc, value: value & ~(1 << pc), 0b1111,
+                 must=True, backward=True)
+    assert outs[2] == outs[3] == 0b1111
+    assert outs[1] == 0b0011
+    assert outs[0] == 0b0001

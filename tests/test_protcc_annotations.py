@@ -71,3 +71,13 @@ def test_annotation_unknown_function_rejected():
     program = assemble(SRC).linked()
     with pytest.raises(ValueError):
         compile_program(program, "unr", public_annotations={"zzz": (0,)})
+
+
+@pytest.mark.parametrize("clazz", ["unr", "ct"])
+def test_repeated_annotation_names_one_register(clazz):
+    # The entry set is the union of the annotated registers: naming r0
+    # twice must not mark some other register (bit 0 + bit 0 = bit 1).
+    program = assemble(SRC).linked()
+    twice = compile_program(program, {"f": clazz}, default_class="arch",
+                            public_annotations={"f": (0, 0)})
+    assert [i.prot for i in body(twice) if i.op is Op.MUL] == [False]
