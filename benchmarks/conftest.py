@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+from typing import Callable
 
 import pytest
 
@@ -27,8 +28,14 @@ def quick_mode() -> bool:
     return os.environ.get("REPRO_QUICK", "") not in ("", "0")
 
 
-def emit(results_dir: pathlib.Path, name: str, text: str) -> None:
-    """Print a rendered table and persist it for the paper comparison."""
-    print()
-    print(text)
-    (results_dir / f"{name}.txt").write_text(text + "\n")
+@pytest.fixture
+def emit(results_dir: pathlib.Path) -> Callable[[str, str], None]:
+    """``emit(name, text)`` prints a rendered table and saves it as
+    ``results/<name>.txt`` for the paper comparison.  A fixture, not an
+    import: with ``perfbench`` collected in the same run, ``from
+    conftest import ...`` would find that directory's conftest."""
+    def emit_(name: str, text: str) -> None:
+        print()
+        print(text)
+        (results_dir / f"{name}.txt").write_text(text + "\n")
+    return emit_

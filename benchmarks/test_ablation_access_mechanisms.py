@@ -2,14 +2,12 @@
 ProtSets (no selective wakeup, no access predictor) are slower than
 ProtDelay/ProtTrack."""
 
-from conftest import emit
-
 from repro.bench import access_mechanisms
 
 
-def test_access_mechanisms(benchmark, results_dir):
+def test_access_mechanisms(benchmark, emit):
     table = benchmark.pedantic(access_mechanisms, rounds=1, iterations=1)
-    emit(results_dir, "ablation_access_mechanisms", table.render())
+    emit("ablation_access_mechanisms", table.render())
 
     for clazz, entry in table.data.items():
         assert entry["AccessDelay"] >= entry["ProtDelay"] - 1e-9, clazz

@@ -2,14 +2,12 @@
 performance (the paper reports +1.5%/+11.4%/+1.6% for STT/SPT/SPT-SB,
 before SPT's separate performance fix)."""
 
-from conftest import emit
-
 from repro.bench import bugfix_overhead
 
 
-def test_bugfix_overhead(benchmark, results_dir):
+def test_bugfix_overhead(benchmark, emit):
     table = benchmark.pedantic(bugfix_overhead, rounds=1, iterations=1)
-    emit(results_dir, "ablation_bugfix_overhead", table.render())
+    emit("ablation_bugfix_overhead", table.render())
 
     for defense, entry in table.data.items():
         delta = entry["fixed"] - entry["buggy"]

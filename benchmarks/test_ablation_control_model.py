@@ -2,14 +2,12 @@
 speculation windows, lowering every defense's overhead relative to
 ATCOMMIT."""
 
-from conftest import emit
-
 from repro.bench import control_model
 
 
-def test_control_model(benchmark, results_dir):
+def test_control_model(benchmark, emit):
     table = benchmark.pedantic(control_model, rounds=1, iterations=1)
-    emit(results_dir, "ablation_control_model", table.render())
+    emit("ablation_control_model", table.render())
 
     for label, entry in table.data.items():
         assert entry["control"] <= entry["atcommit"] + 0.02, label

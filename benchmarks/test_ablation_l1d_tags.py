@@ -1,14 +1,12 @@
 """SIX-A3: the protection-tagged L1D is critical; a perfect shadow
 memory helps only marginally beyond it."""
 
-from conftest import emit
-
 from repro.bench import l1d_tag_variants
 
 
-def test_l1d_tag_variants(benchmark, results_dir):
+def test_l1d_tag_variants(benchmark, emit):
     table = benchmark.pedantic(l1d_tag_variants, rounds=1, iterations=1)
-    emit(results_dir, "ablation_l1d_tags", table.render())
+    emit("ablation_l1d_tags", table.render())
 
     for clazz, entry in table.data.items():
         assert entry["none"] >= entry["l1d"] - 1e-9, clazz

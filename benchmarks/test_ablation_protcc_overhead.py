@@ -2,14 +2,12 @@
 The paper reports single-digit-to-20% code size and <6% runtime
 overheads; ProtCC-CT inserts the most identity moves."""
 
-from conftest import emit
-
 from repro.bench import protcc_overhead
 
 
-def test_protcc_overhead(benchmark, results_dir):
+def test_protcc_overhead(benchmark, emit):
     table = benchmark.pedantic(protcc_overhead, rounds=1, iterations=1)
-    emit(results_dir, "ablation_protcc_overhead", table.render())
+    emit("ablation_protcc_overhead", table.render())
 
     for clazz, entry in table.data.items():
         assert entry["runtime"] < 1.25, clazz

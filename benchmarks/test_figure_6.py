@@ -1,16 +1,14 @@
 """Fig. 6: per-benchmark normalized runtimes of Protean-Track-ARCH/-CT
 vs STT/SPT on the SPEC2017- and PARSEC-like suites."""
 
-from conftest import emit
-
 from repro.bench import SPEC, PARSEC, figure_6, geomean
 
 
-def test_figure_6(benchmark, results_dir, quick_mode):
+def test_figure_6(benchmark, emit, quick_mode):
     names = SPEC[:4] if quick_mode else SPEC + PARSEC
     figure = benchmark.pedantic(figure_6, args=(names,),
                                 rounds=1, iterations=1)
-    emit(results_dir, "figure_6", figure.render())
+    emit("figure_6", figure.render())
 
     track_arch = geomean(e["track_arch"] for e in figure.data.values())
     stt = geomean(e["stt"] for e in figure.data.values())

@@ -3,8 +3,6 @@
 write-invalidation coherence.  The single-class story must survive
 threading: Protean-UNR well under SPT-SB (SIX-A1)."""
 
-from conftest import emit
-
 from repro.bench import geomean, render_table
 from repro.defenses import ProtDelay, ProtTrack, SPTSB, Unsafe
 from repro.protcc import compile_program
@@ -24,7 +22,7 @@ def _norm(name, factory, instrument=None):
     return this.cycles / base.cycles
 
 
-def test_multithread_parsec(benchmark, results_dir):
+def test_multithread_parsec(benchmark, emit):
     rows = []
     data = {}
     for name in MT:
@@ -41,7 +39,7 @@ def test_multithread_parsec(benchmark, results_dir):
         "Multi-threaded PARSEC (4 threads, 2P+2E, shared L3): "
         "SPT-SB vs Protean-UNR",
         ["benchmark", "SPT-SB", "Delay-UNR", "Track-UNR"], rows)
-    emit(results_dir, "multithread_parsec", text)
+    emit("multithread_parsec", text)
 
     for name, (sptsb, delay, track) in data.items():
         assert track <= sptsb, name

@@ -6,8 +6,6 @@ byte-identically, and a warm-cache rerun must perform zero simulations
 reduced matrices under ``REPRO_QUICK=1``; the full ones otherwise.
 """
 
-from conftest import emit
-
 from repro.bench import clear_caches, figure_5, table_iv
 from repro.bench import executor
 from repro.bench.tables import SPEC_INT_FAST
@@ -19,7 +17,7 @@ def _figure_5_kwargs(quick_mode):
     return {}
 
 
-def test_figure_5_parallel_vs_serial(monkeypatch, tmp_path, results_dir,
+def test_figure_5_parallel_vs_serial(monkeypatch, tmp_path, emit,
                                      quick_mode):
     kwargs = _figure_5_kwargs(quick_mode)
 
@@ -43,11 +41,11 @@ def test_figure_5_parallel_vs_serial(monkeypatch, tmp_path, results_dir,
     assert executor.LAST_BATCH.simulated == 0
     assert executor.LAST_BATCH.disk_hits == executor.LAST_BATCH.total
     assert warm.render() == serial.render()
-    emit(results_dir, "parallel_executor_figure_5", warm.render())
+    emit("parallel_executor_figure_5", warm.render())
 
 
 def test_table_iv_parallel_and_warm_cache(monkeypatch, tmp_path,
-                                          results_dir, quick_mode):
+                                          emit, quick_mode):
     cores = ("P",) if quick_mode else ("P", "E")
     kwargs = dict(cores=cores, include_parsec=not quick_mode)
 
@@ -61,4 +59,4 @@ def test_table_iv_parallel_and_warm_cache(monkeypatch, tmp_path,
     serial = table_iv(jobs=1, **kwargs)
     assert executor.LAST_BATCH.simulated == 0
     assert serial.render() == parallel.render()
-    emit(results_dir, "parallel_executor_table_iv", serial.render())
+    emit("parallel_executor_table_iv", serial.render())

@@ -6,8 +6,6 @@ Expected shapes: Protean-Track-ARCH well under STT; Protean under SPT
 for CTS/CT; Protean-UNR under SPT-SB; E-core overheads below P-core
 (shorter speculation windows, paper SIX-A5)."""
 
-from conftest import emit
-
 from repro.bench import table_iv
 from repro.bench.runner import RunSpec
 from repro.uarch.pipeline import simulate
@@ -15,10 +13,10 @@ from repro.workloads import get_workload
 from repro.defenses import AccessTrack
 
 
-def test_table_iv(benchmark, results_dir, quick_mode):
+def test_table_iv(benchmark, emit, quick_mode):
     cores = ("P",) if quick_mode else ("P", "E")
     table = table_iv(cores=cores, include_parsec=not quick_mode)
-    emit(results_dir, "table_iv", table.render())
+    emit("table_iv", table.render())
 
     for (clazz, suite), entry in table.data.items():
         assert entry["track"] <= entry["baseline"] * 1.02, (clazz, suite)

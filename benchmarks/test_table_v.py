@@ -5,8 +5,6 @@ applicable secure baseline on every suite geomean, with ProtTrack <=
 ProtDelay, and the nginx gap large (the paper reports Protean at
 roughly one-third to one-fifth of SPT-SB's overhead)."""
 
-from conftest import emit
-
 from repro.bench import table_v
 from repro.bench.runner import RunSpec
 from repro.uarch.pipeline import simulate
@@ -14,9 +12,9 @@ from repro.workloads import get_workload
 from repro.defenses import SPTSB
 
 
-def test_table_v(benchmark, results_dir):
+def test_table_v(benchmark, emit):
     table = table_v()
-    emit(results_dir, "table_v", table.render())
+    emit("table_v", table.render())
 
     for suite in ("arch-wasm", "cts-crypto", "ct-crypto", "unr-crypto",
                   "nginx"):

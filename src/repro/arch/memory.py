@@ -36,18 +36,32 @@ class Memory:
         self._bytes[addr & ADDR_MASK] = value & 0xFF
 
     # -- word access ----------------------------------------------------
+    # Unrolled over the eight bytes, each address masked on its own, so
+    # a word near the top of the address space wraps to address 0.
 
     def read_word(self, addr: int) -> int:
-        addr &= ADDR_MASK
-        value = 0
-        for offset in range(8):
-            value |= self.read_byte(addr + offset) << (8 * offset)
-        return value
+        get = self._bytes.get
+        m = ADDR_MASK
+        return (get(addr & m, 0)
+                | get((addr + 1) & m, 0) << 8
+                | get((addr + 2) & m, 0) << 16
+                | get((addr + 3) & m, 0) << 24
+                | get((addr + 4) & m, 0) << 32
+                | get((addr + 5) & m, 0) << 40
+                | get((addr + 6) & m, 0) << 48
+                | get((addr + 7) & m, 0) << 56)
 
     def write_word(self, addr: int, value: int) -> None:
-        addr &= ADDR_MASK
-        for offset in range(8):
-            self.write_byte(addr + offset, (value >> (8 * offset)) & 0xFF)
+        b = self._bytes
+        m = ADDR_MASK
+        b[addr & m] = value & 0xFF
+        b[(addr + 1) & m] = (value >> 8) & 0xFF
+        b[(addr + 2) & m] = (value >> 16) & 0xFF
+        b[(addr + 3) & m] = (value >> 24) & 0xFF
+        b[(addr + 4) & m] = (value >> 32) & 0xFF
+        b[(addr + 5) & m] = (value >> 40) & 0xFF
+        b[(addr + 6) & m] = (value >> 48) & 0xFF
+        b[(addr + 7) & m] = (value >> 56) & 0xFF
 
     # -- bulk helpers ---------------------------------------------------
 

@@ -85,8 +85,9 @@ class TestInput:
 
     def build_memory(self) -> Memory:
         memory = Memory()
+        write_word = memory.write_word
         for addr, value in self.memory_words:
-            memory.write_word(addr, value)
+            write_word(addr, value)
         return memory
 
     def build_regs(self) -> Dict[int, int]:

@@ -85,8 +85,9 @@ class Defense:
 
     def compile_params(self) -> Tuple:
         """Constructor parameters that change this mechanism's behaviour,
-        for the key of the compiled backend's in-process compile memo
-        (see :func:`repro.uarch.compiled.compile_key`).  Subclasses with
+        as a tuple of hashable values, for the key of the compiled
+        backend's in-process compile memo (see
+        :func:`repro.uarch.compiled.compile_key`).  Subclasses with
         behavioural constructor arguments must override this — two
         instances of the same class with different ``compile_params()``
         must never share compiled code."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from .operations import (
+    BRANCH_OPS,
     CONTROL_OPS,
     DIV_OPS,
     FLAG_WRITERS,
@@ -63,17 +64,17 @@ class Instruction:
         is_load = op in MEM_READ_OPS
         is_store = op in MEM_WRITE_OPS
         is_div = op in DIV_OPS
+        is_branch = op in BRANCH_OPS
         setattr_(self, "is_load", is_load)
         setattr_(self, "is_store", is_store)
         setattr_(self, "is_mem", is_load or is_store)
-        setattr_(self, "is_branch", op in (Op.BR, Op.JMPI, Op.RET))
+        setattr_(self, "is_branch", is_branch)
         setattr_(self, "is_control", op in CONTROL_OPS)
         setattr_(self, "is_div", is_div)
         setattr_(self, "writes_flags", op in FLAG_WRITERS)
         setattr_(self, "transmits_loaded_target", op is Op.RET)
         setattr_(self, "is_transmitter",
-                 is_load or is_store or is_div
-                 or op in (Op.BR, Op.JMPI, Op.RET))
+                 is_load or is_store or is_div or is_branch)
         setattr_(self, "_dest_regs", self._compute_dest_regs())
         setattr_(self, "_addr_regs", self._compute_addr_regs())
         setattr_(self, "_src_regs", self._compute_src_regs())

@@ -152,3 +152,7 @@ MEM_WRITE_OPS = frozenset({Op.STORE, Op.PUSH, Op.CALL})
 
 #: Ops that may redirect control flow.
 CONTROL_OPS = frozenset({Op.BR, Op.JMP, Op.JMPI, Op.CALL, Op.RET})
+
+#: Control ops whose next pc is known only at execute: the branches the
+#: pipeline resolves (and may squash behind).
+BRANCH_OPS = frozenset({Op.BR, Op.JMPI, Op.RET})

@@ -3,18 +3,23 @@
 :class:`~repro.uarch.pipeline.Core` is a general interpreter — every
 cycle it re-dispatches on opcode enums, re-reads configuration
 attributes, and re-asks the defense questions whose answers were fixed
-the moment the (program, core config, defense) triple was chosen.  This
-module partial-evaluates that triple away: :func:`generate_source`
-emits one flat ``run(core)`` function in which
+the moment the core config and the defense were chosen.  This module
+partial-evaluates those away, once per program *shape*
+(:class:`Shape`: which classes of opcode the program has at all):
+:func:`generate_source` emits one flat ``run(core)`` function in which
 
 * every ``CoreConfig`` scalar (width, latencies, queue capacities,
   speculation model, the squash-notification bug) is a literal,
-* per-PC decode metadata (opcode kind, operand positions, immediates,
-  targets, PROT prefixes) lives in module-level tuples indexed by PC,
-  and the execute dispatch is an ``if``/``elif`` chain over only the
-  opcodes the program actually contains — dead branches are elided,
-  and the divider check and the ``may_execute`` gate are emitted once,
-  ahead of it,
+* the program is data: ``run`` binds the per-PC decode columns (opcode
+  kind, operand positions, immediates, targets, PROT prefixes) and the
+  program length as locals on entry, from the columns
+  :class:`CompiledCore` decodes once for its program
+  (:func:`decode_columns`),
+* the execute dispatch is an ``if``/``elif`` chain over the opcode
+  kinds the shape allows, in one fixed order; machinery for an opcode
+  class the shape lacks (loads, stores, divides, branches, fences,
+  ``HALT``) is elided, and the divider check and the ``may_execute``
+  gate are emitted once, ahead of the dispatch,
 * defense hooks the mechanism does not override are dropped entirely,
   along with the machinery that only exists to service them (a defense
   that never refuses ``may_resolve`` on a core without the buggy
@@ -74,16 +79,18 @@ bit-identical :class:`CoreResult` contract checked by ``repro diff``
 (reference vs compiled) — is shared by both engines.
 
 Compiled functions are memoized in-process under :func:`compile_key`
-(program fingerprint + full config + defense identity/params); nothing
-outlives the process.
+(full config + defense class and params + program shape), so every
+program of one shape shares one compile; nothing outlives the process.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..isa.operations import (
+    BRANCH_OPS,
+    CONTROL_OPS,
     Cond,
     DIV_OPS,
     FLAG_WRITERS,
@@ -173,35 +180,72 @@ class DefenseTraits:
             setattr(self, hook, live)
         self.declassifies = bool(cls.declassifies)
 
-    def key(self) -> Tuple:
-        return tuple(getattr(self, h) for h in self._HOOKS) + (
-            self.declassifies,)
+
+# =====================================================================
+# Program shape: the only program facts the generated source reads
+# =====================================================================
+
+
+class Shape(NamedTuple):
+    """Which classes of opcode a program has at all.
+
+    The generated source depends on a program through its shape only:
+    every program of one shape shares one compiled ``run``, which reads
+    the rest of the program from the decode columns it binds on entry.
+    """
+
+    has_branches: bool  # resolved at execute: BR, JMPI, RET
+    has_loads: bool
+    has_stores: bool
+    has_divs: bool
+    has_ctrl: bool      # redirects fetch: any control op
+    has_mfence: bool
+    has_halt: bool
+    has_br: bool
+
+    def label(self) -> str:
+        """The set flags, ``+``-joined: for the generated module's
+        docstring and file name."""
+        return "+".join(flag[4:] for flag, on in zip(self._fields, self)
+                        if on) or "none"
+
+
+#: Each shape flag's opcodes: a program has the flag if it has one.
+_SHAPE_OPS = Shape(
+    has_branches=BRANCH_OPS, has_loads=MEM_READ_OPS,
+    has_stores=MEM_WRITE_OPS, has_divs=DIV_OPS, has_ctrl=CONTROL_OPS,
+    has_mfence=frozenset({Op.MFENCE}), has_halt=frozenset({Op.HALT}),
+    has_br=frozenset({Op.BR}))
+
+
+def _shape_of(ops) -> Shape:
+    return Shape(*(not ops.isdisjoint(members) for members in _SHAPE_OPS))
+
+
+def program_shape(program) -> Shape:
+    """The :class:`Shape` of ``program``; an empty program has none
+    (the reference interpreter runs it)."""
+    if not program.instructions:
+        raise CompileUnsupported("empty_program", "empty program")
+    return _shape_of({inst.op for inst in program.instructions})
 
 
 # =====================================================================
 # The in-process compile memo
 # =====================================================================
 
-_MEM_CACHE: Dict[str, object] = {}
+_MEM_CACHE: Dict[Tuple, Callable] = {}
 _MEM_CACHE_LIMIT = 256
 
 
-def compile_key(program, config: CoreConfig, defense) -> str:
-    """Content hash of everything the generated source depends on
-    within one process: the program fingerprint, the complete core
-    configuration, and the defense identity (class + constructor
-    params + hook traits) — so any defense parameter or config field
-    misses.  Simulator source cannot change while the process runs."""
-    from ..bench.executor import _hash, program_fingerprint
-
-    traits = DefenseTraits(defense)
-    defense_sig = (type(defense).__module__, type(defense).__qualname__,
-                   repr(defense.compile_params()), traits.key())
-    return _hash(
-        program_fingerprint(program).encode(),
-        repr(config).encode(),
-        repr(defense_sig).encode(),
-    )
+def compile_key(program, config: CoreConfig, defense) -> Tuple:
+    """Everything the generated source depends on: the complete core
+    configuration, the defense class (which fixes its hook traits) and
+    constructor params, and the program's :class:`Shape`.  Any config
+    field or defense parameter misses; two programs of one shape share
+    the key.  Simulator source cannot change while the process runs."""
+    return (config, type(defense), defense.compile_params(),
+            program_shape(program))
 
 
 def clear_compile_cache() -> None:
@@ -211,7 +255,8 @@ def clear_compile_cache() -> None:
 
 def compile_step(program, config: CoreConfig, defense):
     """Return the compiled ``run(core)`` function for the triple,
-    generating and compiling it on its first request in this process."""
+    generating and compiling it on the first request for its
+    (config, defense, shape) key in this process."""
     from ..metrics.telemetry import current
 
     metrics = current().registry
@@ -224,8 +269,9 @@ def compile_step(program, config: CoreConfig, defense):
 
     start = time.perf_counter()
     source = generate_source(program, config, defense)
-    namespace: Dict[str, object] = {"__name__": f"repro.uarch._compiled_{key[:12]}"}
-    code = compile(source, f"<repro-compiled:{key[:12]}>", "exec")
+    name = f"{type(defense).__name__}:{key[-1].label()}"
+    namespace: Dict[str, object] = {"__name__": "repro.uarch._compiled"}
+    code = compile(source, f"<repro-compiled:{name}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source
     fn = namespace["run"]
     if len(_MEM_CACHE) >= _MEM_CACHE_LIMIT:
@@ -268,14 +314,10 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _fmt_tuple(values) -> str:
-    items = ", ".join(repr(v) for v in values)
-    if len(values) == 1:
-        return f"({items},)"
-    return f"({items})"
+#: Kinds that complete at rename (no issue, no execute).
+_RENAME_COMPLETE = frozenset({Op.NOP, Op.HALT, Op.JMP})
 
-
-#: The generated module's per-PC decode columns, in emission order:
+#: The per-PC decode columns ``run`` binds on entry, in order:
 #: (name, instruction -> column value).
 _COLUMNS = (
     ("K", lambda inst: KIND_OF[inst.op]),
@@ -288,7 +330,6 @@ _COLUMNS = (
     ("CONDC", lambda inst: _COND_CODE.get(inst.cond, -1)),
     ("PROT", lambda inst: bool(inst.prot)),
     ("HASRB", lambda inst: inst.rb is not None),
-    ("ISMEM", lambda inst: bool(inst.is_mem)),
     ("ISBR", lambda inst: bool(inst.is_branch)),
     ("ISCTRL", lambda inst: bool(inst.is_control)),
     ("ISLD", lambda inst: bool(inst.is_load)),
@@ -296,13 +337,27 @@ _COLUMNS = (
     ("ISDIV", lambda inst: bool(inst.is_div)),
     # squash-cause stats key ('' for non-branch PCs)
     ("SQK", lambda inst: _SQUASH_CAUSE.get(inst.op, "")),
+    ("RDONE", lambda inst: inst.op in _RENAME_COMPLETE),
 )
 
-#: Kind integer -> opcode (the inverse of KIND_OF).
-_OPS = tuple(Op)
 
-#: Kinds that complete at rename (no issue, no execute).
-_RENAME_COMPLETE = tuple(KIND_OF[op] for op in (Op.NOP, Op.HALT, Op.JMP))
+def decode_columns(program) -> Tuple:
+    """``program``'s decode columns in :data:`_COLUMNS` order, then its
+    length: the per-program data the shared ``run`` binds on entry."""
+    insts = program.instructions
+    return tuple(tuple(map(column, insts)) for _, column in _COLUMNS) \
+        + (len(insts),)
+
+
+#: The issue stage's dispatch order.  First the kinds the benchmark
+#: panel commits most (LOAD 16%, BR 12%, ADDI and CMPI 11% each, ...)
+#: and MOVI, the commonest kind in random fuzz programs; then every
+#: other issuing kind in enum order.
+_HOT_KINDS = (Op.LOAD, Op.BR, Op.ADDI, Op.CMPI, Op.ADD, Op.SHRI, Op.ANDI,
+              Op.XOR, Op.SHLI, Op.OR, Op.MOVI)
+_DISPATCH = _HOT_KINDS + tuple(
+    op for op in Op if op not in _HOT_KINDS
+    and op not in _RENAME_COMPLETE and op is not Op.MFENCE)
 
 #: Register ALU op -> inline result over operands ``a`` and ``b``; each
 #: immediate form (``ADDI`` for ``ADD`` ...) shares its expression.
@@ -331,38 +386,35 @@ _HOT_SCALARS = (
 )
 
 class _Codegen:
-    """Source generator for one (program, config, defense) triple.
+    """Source generator for one (shape, config, defense) key.
 
     Each stage method emits the generated counterpart of the
     :class:`~repro.uarch.pipeline.Core` method of the same name, so a
     pipeline change lands in the matching place here.  The others emit
     compiled-only code (prologue, fast-forward, epilogue) or one block
     several stages share.  Emitted code names the uop at hand ``u``.
+
+    The generator never sees a program: every choice it makes about
+    one reads the :class:`Shape` flags, and the emitted code reads the
+    per-PC facts from the decode columns.
     """
 
-    def __init__(self, program, config: CoreConfig, defense) -> None:
+    def __init__(self, shape: Shape, config: CoreConfig, defense) -> None:
         self.s = _Emitter()
+        self.shape = shape
         self.config = config
         self.defense = defense
         self.traits = traits = DefenseTraits(defense)
-        self.plen = len(program.instructions)
-        self.col = {name: [column(inst) for inst in program.instructions]
-                    for name, column in _COLUMNS}
-        kinds = self.col["K"]
-        self.present = set(kinds)
-        self.kind_counts = {k: kinds.count(k) for k in self.present}
-        self.has_branches = any(self.col["ISBR"])
-        self.has_loads = any(self.col["ISLD"])
-        self.has_stores = any(self.col["ISST"])
-        self.has_divs = any(self.col["ISDIV"])
-        self.has_ctrl = any(self.col["ISCTRL"])
-        self.has_mfence = KIND_OF[Op.MFENCE] in self.present
-        self.has_halt = KIND_OF[Op.HALT] in self.present
-        self.has_br = KIND_OF[Op.BR] in self.present
+        (self.has_branches, self.has_loads, self.has_stores, self.has_divs,
+         self.has_ctrl, self.has_mfence, self.has_halt, self.has_br) = shape
+        # The issuing kinds the shape allows, in dispatch order: those
+        # whose own shape flags are all set.
+        self.issue_ops = [op for op in _DISPATCH if all(
+            have or not need for have, need in zip(shape, _shape_of({op})))]
         self.ctrl = config.speculation_model is SpeculationModel.CONTROL
         self.buggy = bool(config.buggy_squash_notify)
         self.h_exec = traits.may_execute
-        # Machinery liveness: what can actually happen on this triple.
+        # Machinery liveness: what can actually happen under this key.
         self.res_possible = self.has_branches and (traits.may_resolve
                                                    or self.buggy)
         self.wake_possible = traits.may_wakeup
@@ -397,10 +449,12 @@ class _Codegen:
         s, traits, config = self.s, self.traits, self.config
         defense = type(self.defense)
         live = [h for h in DefenseTraits._HOOKS if getattr(traits, h)]
-        s('"""Specialized pipeline for one (program, config, defense) triple.')
+        s('"""Specialized pipeline for one (config, defense, program shape).')
         s("")
         s("Generated by repro.uarch.compiled.generate_source; do not edit.")
-        s(f"program: {self.plen} instructions")
+        s("Any program of this shape runs here: run(core) reads it from the")
+        s("decode columns CompiledCore computes for it (core._columns).")
+        s(f"shape: {self.shape.label()}")
         s(f"config: {config.name} (width={self.width}, "
           f"model={config.speculation_model.value}, "
           f"buggy_squash={self.buggy})")
@@ -414,17 +468,14 @@ class _Codegen:
         if self.has_branches:
             s("from repro.uarch.pipeline import hist_key as _hist")
         s("")
-        s("# Per-PC decode columns (kind = Op enum index).")
-        for name, _ in _COLUMNS:
-            s(f"{name} = {_fmt_tuple(self.col[name])}")
-        s("")
         s(f"_B2C = {_B2C_LITERAL}")
         s("")
         s("")
         s("def run(core):")
         s.indent()
-        s("program = core.program")
-        s("insts = program.instructions")
+        s("insts = core.program.instructions")
+        s("# per-PC decode columns (kind = Op enum index), program length")
+        s(", ".join(name for name, _ in _COLUMNS) + ", plen = core._columns")
         s("d = core.defense")
         s("dstats = d.stats")
         s("stats = core.stats")
@@ -739,8 +790,8 @@ class _Codegen:
     def _try_execute(self, fail: Optional[str] = None) -> None:
         """MFENCE's head check, or else the divider check and the
         ``may_execute`` gate, each emitted once; then the per-kind
-        dispatch for ``u`` (hottest kind first, only the kinds the
-        program contains) and the shared issue tail.
+        dispatch for ``u`` (every kind the shape allows, in
+        ``_DISPATCH`` order) and the shared issue tail.
 
         Emitted twice: as the ``try_exec`` closure the blocked-list
         retry calls (``fail`` None), and inline in the ready-queue loop,
@@ -758,10 +809,6 @@ class _Codegen:
             success = "issued += 1"
         s("pc = u.pc")
         s("k = K[pc]")
-        issue_kinds = [k for k in sorted(self.present,
-                                         key=lambda k: -self.kind_counts[k])
-                       if k not in _RENAME_COMPLETE
-                       and _OPS[k] is not Op.MFENCE]
         if self.has_mfence:  # ungated, as in Core._try_execute
             s(f"if k == {KIND_OF[Op.MFENCE]}:  # MFENCE")
             s.indent()
@@ -774,34 +821,31 @@ class _Codegen:
             # Release the frontend stall this fence imposed at fetch.
             s("fblocked = False")
             s.dedent()
-            if issue_kinds:
-                s("else:")
-                s.indent()
-        if issue_kinds:
-            if self.has_divs:  # the divider is checked before the gate
-                s("if cycle < divbusy and ISDIV[pc]:")
-                s.indent()
-                s("u.block_reason = 'div_busy'")
-                s(fail)
-                s.dedent()
-            self._gate(fail)
-            for i, k in enumerate(issue_kinds):
-                op = _OPS[k]
-                s(f"{'if' if i == 0 else 'elif'} k == {k}:  # {op.name}")
-                s.indent()
-                if op in DIV_OPS:
-                    self._execute_div(op)
-                elif op in MEM_READ_OPS:
-                    self._execute_load(op, fail)
-                elif op in MEM_WRITE_OPS:
-                    self._execute_store(op)
-                else:
-                    self._execute_simple(op)
-                s.dedent()
-            s("else:  # pragma: no cover")
-            s("    raise AssertionError('unhandled kind %d' % k)")
-            if self.has_mfence:
-                s.dedent()
+            s("else:")
+            s.indent()
+        if self.has_divs:  # the divider is checked before the gate
+            s("if cycle < divbusy and ISDIV[pc]:")
+            s.indent()
+            s("u.block_reason = 'div_busy'")
+            s(fail)
+            s.dedent()
+        self._gate(fail)
+        for i, op in enumerate(self.issue_ops):
+            s(f"{'if' if i == 0 else 'elif'} k == {KIND_OF[op]}:  # {op.name}")
+            s.indent()
+            if op in DIV_OPS:
+                self._execute_div(op)
+            elif op in MEM_READ_OPS:
+                self._execute_load(op, fail)
+            elif op in MEM_WRITE_OPS:
+                self._execute_store(op)
+            else:
+                self._execute_simple(op)
+            s.dedent()
+        s("else:  # pragma: no cover")
+        s("    raise AssertionError('unhandled kind %d' % k)")
+        if self.has_mfence:
+            s.dedent()
         s("u.block_reason = None")
         s("u.issued = True")
         s("u.in_iq = False")
@@ -1005,12 +1049,8 @@ class _Codegen:
         elif op is Op.BR:
             s("fl = pvals[u.psrcs[0][1]]")
             s("c = CONDC[pc]")
-            conds = sorted({cc for cc, k in zip(self.col["CONDC"],
-                                                self.col["K"])
-                            if k == KIND_OF[Op.BR]})
-            for i, cc in enumerate(conds):
-                s(f"{'if' if i == 0 else 'elif'} c == {cc}:"
-                  f"  # {list(Cond)[cc].name}")
+            for cond, cc in _COND_CODE.items():
+                s(f"{'if' if cc == 0 else 'elif'} c == {cc}:  # {cond.name}")
                 s(f"    tk = {_COND_EXPR[cc]}")
             s("u.taken = tk")
             s("u.actual_next = TGT[pc] if tk else pc + 1")
@@ -1165,7 +1205,7 @@ class _Codegen:
         s("if head is None:")
         s("    if cycle < fstall:")
         s("        return 'stall_fetch_redirect'")
-        s(f"    if not fbuf and not 0 <= fpc < {self.plen}:")
+        s("    if not fbuf and not 0 <= fpc < plen:")
         s("        return 'stall_no_progress'")
         s("    return 'stall_frontend'")
         s("if head.is_branch and head.completed and not head.resolved:")
@@ -1257,10 +1297,9 @@ class _Codegen:
             self._prune_resolved_branches()
             s.dedent()
         s("next_pc = head.actual_next if ISCTRL[hpc] else hpc + 1")
-        s(f"if not 0 <= next_pc < {self.plen}:")
+        s("if not 0 <= next_pc < plen:")
         s("    halted = True")
-        s(f"    halt_reason = 'off_end' if next_pc == {self.plen} "
-          "else 'bad_pc'")
+        s("    halt_reason = 'off_end' if next_pc == plen else 'bad_pc'")
         s("committed_n += 1")
         s("if halted:")
         s("    break")
@@ -1450,7 +1489,7 @@ class _Codegen:
         s("    continue")
         if self.blockable:
             self._try_execute("block(u)\ncontinue")
-        else:  # pragma: no cover - nothing in this program can block
+        else:  # pragma: no cover - nothing of this shape can block
             self._try_execute("continue")
         s.dedent()
         s("")
@@ -1506,21 +1545,16 @@ class _Codegen:
             s("if ISBR[pc]:")
             s("    core._inflight_branches.append(u)")
             s("    stats['_spec_depth'] += 1")
-        rename_done = [k for k in _RENAME_COMPLETE if k in self.present]
-        if rename_done:
-            s("k = K[pc]")
-            cond = " or ".join(f"k == {k}" for k in rename_done)
-            s(f"if {cond}:  # rename-complete ops")
-            s("    u.executed = True")
-            s("    u.completed = True")
-            s("    u.resolved = True")
-            if KIND_OF[Op.JMP] in self.present:
-                s(f"    u.actual_next = TGT[pc] if k == {KIND_OF[Op.JMP]} "
-                  "else pc + 1")
-            else:
-                s("    u.actual_next = pc + 1")
-            s("    u.complete_cycle = cycle")
-            s("    continue")
+        s("if RDONE[pc]:  # NOP, HALT and JMP complete at rename")
+        s("    u.executed = True")
+        s("    u.completed = True")
+        s("    u.resolved = True")
+        if self.has_ctrl:  # of the three, only JMP redirects
+            s("    u.actual_next = TGT[pc] if ISCTRL[pc] else pc + 1")
+        else:
+            s("    u.actual_next = pc + 1")
+        s("    u.complete_cycle = cycle")
+        s("    continue")
         s("u.in_iq = True")
         s("iq_count += 1")
         s("n_un = 0")
@@ -1548,7 +1582,7 @@ class _Codegen:
         s(f"if len(fbuf) >= {self.fbuf_cap}:")
         s("    break")
         s("pc = fpc")
-        s(f"if not 0 <= pc < {self.plen}:")
+        s("if not 0 <= pc < plen:")
         s("    break")
         s("inst = insts[pc]")
         if self.has_ctrl:
@@ -1614,7 +1648,7 @@ class _Codegen:
                 s(f"if {stage}_sleep and {stage}_sleep[0][0] <= hs:")
                 s("    ok = False")
         s(f"if (not fblocked and len(fbuf) < {self.fbuf_cap}")
-        s(f"        and 0 <= fpc < {self.plen} and fstall <= cycle):")
+        s("        and 0 <= fpc < plen and fstall <= cycle):")
         s("    ok = False  # fetch would deliver next cycle")
         s("if ok:")
         s.indent()
@@ -1670,18 +1704,15 @@ class _Codegen:
 
 
 def generate_source(program, config: CoreConfig, defense) -> str:
-    """Generate the specialized module source for one triple.
+    """Generate the specialized module source for the triple's
+    (shape, config, defense) key.
 
-    Deterministic in (program instructions, config, defense traits):
-    no timestamps, hashes, or environment state are embedded, so
-    generating twice gives identical source
-    (``test_generated_source_is_deterministic``).
+    Deterministic in (program shape, config, defense traits): no
+    timestamps, hashes, or environment state are embedded, so
+    generating twice, or for two programs of one shape, gives identical
+    source (``test_generated_source_is_deterministic``).
     """
-    if not program.is_linked:
-        program = program.linked()
-    if not program.instructions:
-        raise CompileUnsupported("empty_program", "empty program")
-    g = _Codegen(program, config, defense)
+    g = _Codegen(program_shape(program), config, defense)
     s = g.s
     g._prologue()
     # Closures: the Core methods more than one stage reaches.
@@ -1759,6 +1790,8 @@ class CompiledCore(Core):
                          no_progress_limit=no_progress_limit)
         self._compiled_run = compile_step(self.program, config,
                                           self.defense)
+        #: What the shared ``run`` reads of this core's program.
+        self._columns = decode_columns(self.program)
 
     def run(self) -> CoreResult:
         host_start = time.perf_counter()

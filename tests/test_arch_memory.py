@@ -34,6 +34,24 @@ def test_address_masking():
     assert m.read_word(0) == 7
 
 
+def test_word_wraps_at_the_top_of_the_address_space():
+    m = Memory()
+    m.write_word(0xFFFFFFFC, 0x0807060504030201)
+    assert m.snapshot() == {0xFFFFFFFC: 1, 0xFFFFFFFD: 2, 0xFFFFFFFE: 3,
+                            0xFFFFFFFF: 4, 0: 5, 1: 6, 2: 7, 3: 8}
+    assert m.read_word(0xFFFFFFFC) == 0x0807060504030201
+    assert m.read_word(0) == 0x08070605
+
+
+def test_word_bytes_are_masked_and_zeros_kept():
+    m = Memory()
+    m.write_word(0x20, -1)
+    m.write_word(0x28, 0)
+    assert m.snapshot() == {**{a: 0xFF for a in range(0x20, 0x28)},
+                            **{a: 0 for a in range(0x28, 0x30)}}
+    assert m.read_word(0x20) == (1 << 64) - 1
+
+
 def test_copy_is_independent():
     m = Memory({0: 1})
     c = m.copy()

@@ -6,14 +6,14 @@ interpreter is proven by the differential harness
 (``tests/test_refcore_diff.py`` runs a grid subset; ``repro diff`` and
 the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the in-process compile memo
-misses exactly when it must, that the default engine and the
-documented fallbacks pick the right engine, and that the backend
-reports its compile costs.
+misses exactly when it must and is shared by programs of one shape,
+that the default engine and the documented fallbacks pick the right
+engine, and that the backend reports its compile costs.
 """
 
 import pytest
 
-from repro.arch import run_program
+from repro.arch import Memory, run_program
 from repro.bench.runner import DEFENSES
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
@@ -80,10 +80,97 @@ def test_compile_key_misses_on_core_config_change(v1_program):
     assert len(keys) == 4, "core-config fields must not share keys"
 
 
-def test_compile_key_misses_on_program_change(v1_program):
-    other = build("div-channel")[0]
-    assert compile_key(v1_program, P_CORE, Unsafe()) \
-        != compile_key(other, P_CORE, Unsafe())
+# Two programs of one shape (branches, loads, stores, HALT) that share
+# little else: different lengths, opcode kinds, condition codes and
+# immediates, and only the second has a NOP and a JMP.
+SUM_LOOP = """
+    movi r1, 0x1000
+    movi r2, 0
+    movi r3, 0
+loop:
+    load r4, [r1 + r2]
+    add r3, r3, r4
+    addi r2, r2, 8
+    cmpi r2, 64
+    blt loop
+    store [r1 + 0x100], r3
+    halt
+"""
+MIX_LOOP = """
+    movi r5, 0x2000
+    movi r6, 5
+again:
+    nop
+    load r7, [r5 + 0]
+    xor r7, r7, r6
+    muli r7, r7, 3
+    store [r5 + 8], r7
+    subi r6, r6, 1
+    cmpi r6, 0
+    bne again
+    jmp out
+    movi r8, 1
+out:
+    halt
+"""
+
+
+def _memory():
+    memory = Memory()
+    memory.write_words(0x1000, range(3, 11))
+    memory.write_word(0x2000, 0x1234)
+    return memory
+
+
+def test_programs_of_one_shape_share_a_key_and_a_compile():
+    first, second = assemble(SUM_LOOP), assemble(MIX_LOOP)
+    assert first.instructions != second.instructions
+    assert compile_key(first, P_CORE, ProtTrack()) \
+        == compile_key(second, P_CORE, ProtTrack())
+    assert generate_source(first, P_CORE, ProtTrack()) \
+        == generate_source(second, P_CORE, ProtTrack())
+    registry = MetricsRegistry()
+    with attach(registry):
+        shared = compile_step(first, P_CORE, ProtTrack())
+        assert compile_step(second, P_CORE, ProtTrack()) is shared
+    counters = registry.snapshot()["counters"]
+    assert counters["uarch.compile_cache_misses"] == 1
+    assert counters["uarch.compile_cache_hits"] == 1
+
+
+def test_compile_key_misses_on_shape_change():
+    base = "movi r1, 0x40\naddi r1, r1, 8\n{}halt\n"
+    variants = [base.format(extra) for extra in (
+        "", "div r2, r1, r1\n", "mfence\n", "load r3, [r1 + 0]\n")]
+    registry = MetricsRegistry()
+    with attach(registry):
+        for source in variants:
+            compile_step(assemble(source), P_CORE, Unsafe())
+    assert len({compile_key(assemble(source), P_CORE, Unsafe())
+                for source in variants}) == 4
+    assert registry.snapshot()["counters"]["uarch.compile_cache_misses"] == 4
+
+
+def test_shared_code_reads_each_programs_own_columns():
+    # The second program runs on code compiled for the first: a decode
+    # column or program length captured at that compile would change
+    # its result.
+    programs = [assemble(SUM_LOOP), assemble(MIX_LOOP)]
+
+    def run(program):
+        return CompiledCore(program, ProtTrack(), P_CORE, _memory()).run()
+
+    shared = [run(program) for program in programs]
+    fresh = []
+    for program in programs:
+        clear_compile_cache()
+        fresh.append(run(program))
+    assert shared == fresh
+    assert [r.halt_reason for r in shared] == ["halt", "halt"]
+    results, report = run_engines(Case("mix-loop", programs[1], ProtTrack,
+                                       memory=_memory()))
+    assert report.identical, report.render()
+    assert results["compiled"] == shared[1]
 
 
 # ---------------------------------------------------------------------
