@@ -79,12 +79,35 @@ def _add_spec_args(parser) -> None:
     parser.add_argument("--core", default="P", choices=["P", "E"])
 
 
+def _refuse(kind: str, names, known) -> bool:
+    """Print the ``names`` not in ``known`` to stderr and say whether
+    there were any (the command then exits 2).  One name (a ``str``)
+    prints as ``unknown <kind> 'x'; known: ...``, a list of names as
+    ``unknown <kind>s: x, y; known: ...``."""
+    known = sorted(known)
+    if isinstance(names, str):
+        if names in known:
+            return False
+        what = f"{kind} {names!r}"
+    else:
+        unknown = sorted(set(names) - set(known))
+        if not unknown:
+            return False
+        what = f"{kind}s: {', '.join(unknown)}"
+    print(f"unknown {what}; known: {', '.join(known)}", file=sys.stderr)
+    return True
+
+
 def _make_spec(args):
     from .bench import DEFENSES, RunSpec
+    from .protcc import CLASSES
+    from .workloads import workload_names
 
-    if args.defense not in DEFENSES:
-        print(f"unknown defense {args.defense!r}; "
-              f"known: {', '.join(sorted(DEFENSES))}", file=sys.stderr)
+    if (_refuse("workload", args.workload, workload_names())
+            or _refuse("defense", args.defense, DEFENSES)
+            or (args.instrument is not None
+                and _refuse("ProtCC class", args.instrument,
+                            CLASSES + ("auto",)))):
         return None
     return RunSpec(workload=args.workload, defense=args.defense,
                    instrument=args.instrument, core=args.core)
@@ -313,6 +336,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "figure-5":
         _emit(figure_5(jobs=args.jobs))
     elif args.command == "figure-6":
+        from .workloads import workload_names
+
+        if _refuse("workload", args.bench or (), workload_names()):
+            return 2
         names = tuple(args.bench) if args.bench else None
         _emit(figure_6(names, jobs=args.jobs))
     elif args.command == "ablations":
@@ -479,19 +506,14 @@ def _run_fuzz(args) -> int:
     from .bench.runner import DEFENSES
     from .contracts import Contract
     from .fuzzing import CampaignConfig, run_campaign
+    from .protcc import CLASSES, MITIGATIONS
 
-    if args.defense not in DEFENSES:
-        print(f"unknown defense {args.defense!r}; "
-              f"known: {', '.join(sorted(DEFENSES))}", file=sys.stderr)
+    if (_refuse("defense", args.defense, DEFENSES)
+            or _refuse("ProtCC class", args.instrument, CLASSES)
+            or (args.mitigation is not None
+                and _refuse("mitigation", args.mitigation, MITIGATIONS))):
         return 2
     if args.mitigation is not None:
-        from .protcc import MITIGATIONS
-
-        if args.mitigation not in MITIGATIONS:
-            print(f"unknown mitigation {args.mitigation!r}; "
-                  f"known: {', '.join(sorted(MITIGATIONS))}",
-                  file=sys.stderr)
-            return 2
         if args.contract == "cts-seq":
             print("--mitigation cannot be combined with --contract "
                   "cts-seq: mitigation passes move instruction "
@@ -638,14 +660,12 @@ def _run_speculation(args) -> int:
         SPEC_INT_FAST,
         speculation_anatomy,
     )
+    from .workloads import workload_names
 
+    if (_refuse("defense", args.defense or (), DEFENSES)
+            or _refuse("workload", args.workload or (), workload_names())):
+        return 2
     if args.defense:
-        unknown = set(args.defense) - set(DEFENSES)
-        if unknown:
-            print(f"unknown defenses: {', '.join(sorted(unknown))}; "
-                  f"known: {', '.join(sorted(DEFENSES))}",
-                  file=sys.stderr)
-            return 2
         defenses = tuple(
             (d, "auto" if d in ("delay", "track") else None)
             for d in args.defense)
@@ -714,14 +734,11 @@ def _run_diff(args) -> int:
         run_engines,
         workload_cases,
     )
+    from .workloads import workload_names
 
-    if args.defense:
-        unknown = set(args.defense) - set(DEFENSES)
-        if unknown:
-            print(f"unknown defenses: {', '.join(sorted(unknown))}; "
-                  f"known: {', '.join(sorted(DEFENSES))}",
-                  file=sys.stderr)
-            return 2
+    if (_refuse("defense", args.defense or (), DEFENSES)
+            or _refuse("workload", args.workload or (), workload_names())):
+        return 2
     defenses = tuple(args.defense) if args.defense else None
 
     def cases():

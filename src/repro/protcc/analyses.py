@@ -21,10 +21,6 @@ from .cfg import FunctionGraph
 
 ALL_REGS_MASK = (1 << NUM_REGS) - 1
 
-#: Calling convention: arguments and return value.
-ARG_REGS = (0, 1, 2, 3)
-RETVAL_REG = 0
-
 #: Registers a CALL may clobber (callees preserve the rest).
 CALLER_SAVED = tuple(range(0, 8)) + (FLAGS,)
 CALLER_SAVED_MASK = sum(1 << r for r in CALLER_SAVED)

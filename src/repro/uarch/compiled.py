@@ -5,7 +5,8 @@ cycle it re-dispatches on opcode enums, re-reads configuration
 attributes, and re-asks the defense questions whose answers were fixed
 the moment the core config and the defense were chosen.  This module
 partial-evaluates those away, once per program *shape*
-(:class:`Shape`: which classes of opcode the program has at all):
+(:class:`Shape`: whether the program has stores, divides and fences,
+the opcodes that can stall an issue on the machine itself):
 :func:`generate_source` emits one flat ``run(core)`` function in which
 
 * every ``CoreConfig`` scalar (width, latencies, queue capacities,
@@ -14,12 +15,12 @@ partial-evaluates those away, once per program *shape*
   kind, operand positions, immediates, targets, PROT prefixes) and the
   program length as locals on entry, from the columns
   :class:`CompiledCore` decodes once for its program
-  (:func:`decode_columns`),
+  (:func:`decode_columns`); any program runs, the empty one included,
 * the execute dispatch is an ``if``/``elif`` chain over the opcode
-  kinds the shape allows, in one fixed order; machinery for an opcode
-  class the shape lacks (loads, stores, divides, branches, fences,
-  ``HALT``) is elided, and the divider check and the ``may_execute``
-  gate are emitted once, ahead of the dispatch,
+  kinds the shape allows, in one fixed order; the store queue and
+  disambiguation, the divider and the fence are elided when the shape
+  lacks them, and the divider check and the ``may_execute`` gate are
+  emitted once, ahead of the dispatch,
 * defense hooks the mechanism does not override are dropped entirely,
   along with the machinery that only exists to service them (a defense
   that never refuses ``may_resolve`` on a core without the buggy
@@ -89,8 +90,6 @@ import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..isa.operations import (
-    BRANCH_OPS,
-    CONTROL_OPS,
     Cond,
     DIV_OPS,
     FLAG_WRITERS,
@@ -140,18 +139,6 @@ _B2C_LITERAL = repr({reason: f"stall_{cause}"
                      for reason, cause in _BLOCK_TO_CAUSE.items()})
 
 
-class CompileUnsupported(RuntimeError):
-    """The (core, run) shape cannot use the compiled backend.
-
-    ``reason`` is a short key naming the shape; :func:`simulate
-    <repro.uarch.pipeline.simulate>` counts its fallbacks to the
-    reference as ``uarch.compile_fallbacks.<reason>``."""
-
-    def __init__(self, reason: str, message: str) -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
 # =====================================================================
 # Defense traits: which hooks the generated code must call.
 # =====================================================================
@@ -187,21 +174,21 @@ class DefenseTraits:
 
 
 class Shape(NamedTuple):
-    """Which classes of opcode a program has at all.
+    """Whether a program has the opcodes that can stall an issue on the
+    machine itself.
 
     The generated source depends on a program through its shape only:
     every program of one shape shares one compiled ``run``, which reads
     the rest of the program from the decode columns it binds on entry.
+    A program without such an opcode gets a core that never refuses an
+    issue unless its defense does, and skips the blocked-issue pass.
+    Branch, load, control-transfer and ``HALT`` code is emitted for
+    every shape; a program without them never reaches it.
     """
 
-    has_branches: bool  # resolved at execute: BR, JMPI, RET
-    has_loads: bool
-    has_stores: bool
-    has_divs: bool
-    has_ctrl: bool      # redirects fetch: any control op
-    has_mfence: bool
-    has_halt: bool
-    has_br: bool
+    has_stores: bool  # the store queue and load disambiguation
+    has_divs: bool    # the divider
+    has_mfence: bool  # the fence
 
     def label(self) -> str:
         """The set flags, ``+``-joined: for the generated module's
@@ -211,11 +198,8 @@ class Shape(NamedTuple):
 
 
 #: Each shape flag's opcodes: a program has the flag if it has one.
-_SHAPE_OPS = Shape(
-    has_branches=BRANCH_OPS, has_loads=MEM_READ_OPS,
-    has_stores=MEM_WRITE_OPS, has_divs=DIV_OPS, has_ctrl=CONTROL_OPS,
-    has_mfence=frozenset({Op.MFENCE}), has_halt=frozenset({Op.HALT}),
-    has_br=frozenset({Op.BR}))
+_SHAPE_OPS = Shape(has_stores=MEM_WRITE_OPS, has_divs=DIV_OPS,
+                   has_mfence=frozenset({Op.MFENCE}))
 
 
 def _shape_of(ops) -> Shape:
@@ -223,10 +207,7 @@ def _shape_of(ops) -> Shape:
 
 
 def program_shape(program) -> Shape:
-    """The :class:`Shape` of ``program``; an empty program has none
-    (the reference interpreter runs it)."""
-    if not program.instructions:
-        raise CompileUnsupported("empty_program", "empty program")
+    """The :class:`Shape` of ``program``."""
     return _shape_of({inst.op for inst in program.instructions})
 
 
@@ -405,8 +386,7 @@ class _Codegen:
         self.config = config
         self.defense = defense
         self.traits = traits = DefenseTraits(defense)
-        (self.has_branches, self.has_loads, self.has_stores, self.has_divs,
-         self.has_ctrl, self.has_mfence, self.has_halt, self.has_br) = shape
+        self.has_stores, self.has_divs, self.has_mfence = shape
         # The issuing kinds the shape allows, in dispatch order: those
         # whose own shape flags are all set.
         self.issue_ops = [op for op in _DISPATCH if all(
@@ -415,19 +395,17 @@ class _Codegen:
         self.buggy = bool(config.buggy_squash_notify)
         self.h_exec = traits.may_execute
         # Machinery liveness: what can actually happen under this key.
-        self.res_possible = self.has_branches and (traits.may_resolve
-                                                   or self.buggy)
+        self.res_possible = traits.may_resolve or self.buggy
         self.wake_possible = traits.may_wakeup
-        self.disamb = self.has_loads and self.has_stores
         self.blockable = (self.h_exec or self.has_mfence or self.has_divs
-                          or self.disamb)
+                          or self.has_stores)
         # Per wake stage ('is' blocked issue, 'rs' pending resolution,
         # 'wk' pending wakeup): whether uops sleep on a head-seq heap,
         # and the events that can flip a gate refusal before its hint.
-        self.heaps = {"is": self.h_exec or self.has_mfence or self.disamb,
-                      "rs": self.has_branches and traits.may_resolve,
+        self.heaps = {"is": self.h_exec or self.has_mfence or self.has_stores,
+                      "rs": traits.may_resolve,
                       "wk": self.wake_possible}
-        events = ("resolve",) if self.ctrl and self.has_branches else ()
+        events = ("resolve",) if self.ctrl else ()
         self.events = {"is": events if self.h_exec else (),
                        "rs": events if self.heaps["rs"] else (),
                        "wk": events if self.wake_possible else ()}
@@ -465,8 +443,7 @@ class _Codegen:
         s("from heapq import heappush, heappop")
         s("")
         s("from repro.uarch.uop import Uop, timing_observation")
-        if self.has_branches:
-            s("from repro.uarch.pipeline import hist_key as _hist")
+        s("from repro.uarch.pipeline import hist_key as _hist")
         s("")
         s(f"_B2C = {_B2C_LITERAL}")
         s("")
@@ -493,22 +470,19 @@ class _Codegen:
         s("caches = core.caches")
         s("c_access = caches.access")
         s("mem_write = core.memory.write_word")
-        if self.has_loads:
-            s("mem_read = core.memory.read_word")
-            s("t_word_prot = core.mem_tags.word_protected")
-            s("t_clear = core.mem_tags.clear_word")
+        s("mem_read = core.memory.read_word")
+        s("t_word_prot = core.mem_tags.word_protected")
+        s("t_clear = core.mem_tags.clear_word")
         if self.has_stores:
             s("t_set = core.mem_tags.set_word")
         s("bp = core.bp")
         s("bp_predict = bp.predict_next")
         s("bp_snapshot = bp.snapshot")
-        if self.has_branches:
-            s("bp_train = bp.train")
-            s("bp_restore = bp.restore")
+        s("bp_train = bp.train")
+        s("bp_restore = bp.restore")
         s("pcs_append = core.committed_pcs.append")
         s("trace_append = core.timing_trace.append")
-        if self.has_loads or self.has_stores:
-            s("acc_append = core.committed_accesses.append")
+        s("acc_append = core.committed_accesses.append")
         s("waiters = core._waiters")
         s("wheel = core._wheel")
         s("wtimes = []  # min-heap over the live wheel keys")
@@ -572,7 +546,7 @@ class _Codegen:
             s("is_dgate = []  # gate-refused divides: wake at a divide issue")
         if self.has_divs:
             s("is_div = []  # divider-busy sleepers: wake at cycle divbusy")
-        if self.disamb:
+        if self.has_stores:
             s("dis_wait = {}  # store -> loads stalled on its unknown address")
             s("dis_left = {}  # such a load -> stores it still waits for")
         if self.buggy and self.res_possible:
@@ -703,14 +677,15 @@ class _Codegen:
     def _lsq_remove(self, uop: str, is_load: str, is_store: str) -> None:
         """LoadStoreQueue.remove for ``uop`` (absent entries are fine)."""
         s = self.s
-        for live, cond, queue in ((self.has_loads, is_load, "lq"),
-                                  (self.has_stores, is_store, "sq")):
-            if live:
-                s(f"if {cond}:")
-                s("    try:")
-                s(f"        {queue}.remove({uop})")
-                s("    except ValueError:")
-                s("        pass")
+        queues = [(is_load, "lq")]
+        if self.has_stores:
+            queues.append((is_store, "sq"))
+        for cond, queue in queues:
+            s(f"if {cond}:")
+            s("    try:")
+            s(f"        {queue}.remove({uop})")
+            s("    except ValueError:")
+            s("        pass")
 
     def _prune_resolved_branches(self) -> None:
         s = self.s
@@ -723,10 +698,9 @@ class _Codegen:
         (blocking condition, stall key)."""
         config = self.config
         checks = [(f"len(robq) >= {config.rob_size}", "stall_rob_full"),
-                  (f"len(prf_freeq) < {n_dests}", "stall_prf_starved")]
-        if self.has_loads:
-            checks.append((f"ISLD[pc] and len(lq) >= {config.lq_size}",
-                           "stall_lsq_full"))
+                  (f"len(prf_freeq) < {n_dests}", "stall_prf_starved"),
+                  (f"ISLD[pc] and len(lq) >= {config.lq_size}",
+                   "stall_lsq_full")]
         if self.has_stores:
             checks.append((f"ISST[pc] and len(sq) >= {config.sq_size}",
                            "stall_lsq_full"))
@@ -856,7 +830,7 @@ class _Codegen:
         # address (younger: this pass), the gate-refused divides (the
         # divider is busy now).
         wakes = [(cond, emit) for live, cond, emit in (
-            (self.disamb, "ISST[pc]", self._wake_stalled_loads),
+            (self.has_stores, "ISST[pc]", self._wake_stalled_loads),
             (self.div_gate, "ISDIV[pc]",
              lambda: self._wake_list("is", "is_dgate"))) if live]
         for i, (cond, emit) in enumerate(wakes):
@@ -1171,11 +1145,10 @@ class _Codegen:
         s("snap = u.bp_snapshot")
         s("if snap is not None:")
         s("    bp_restore(snap)")
-        if self.has_br:
-            s(f"    if K[u.pc] == {KIND_OF[Op.BR]}:  # BR")
-            s("        if (u.predicted_next != u.pc + 1) != "
-              "(True if u.taken else False):")
-            s("            bp.direction.history ^= 1")
+        s(f"    if K[u.pc] == {KIND_OF[Op.BR]}:  # BR")
+        s("        if (u.predicted_next != u.pc + 1) != "
+          "(True if u.taken else False):")
+        s("            bp.direction.history ^= 1")
         s("fpc = u.actual_next")
         s(f"fstall = cycle + {self.config.redirect_penalty}")
         s("fblocked = False")
@@ -1250,33 +1223,30 @@ class _Codegen:
         s("    break")
         s("last_commit = cycle")
         s("hpc = head.pc")
-        if self.has_halt:
-            s(f"if K[hpc] == {KIND_OF[Op.HALT]}:  # HALT")
-            s("    head.committed = True")
-            s("    head.commit_cycle = cycle")
-            s("    robq.popleft()")
-            s("    halted = True")
-            s("    halt_reason = 'halt'")
-            s("    committed_n += 1")
-            s("    break")
+        s(f"if K[hpc] == {KIND_OF[Op.HALT]}:  # HALT")
+        s("    head.committed = True")
+        s("    head.commit_cycle = cycle")
+        s("    robq.popleft()")
+        s("    halted = True")
+        s("    halt_reason = 'halt'")
+        s("    committed_n += 1")
+        s("    break")
         if self.has_stores:
             s("if ISST[hpc]:")
             s("    ma = head.mem_addr")
             s("    mem_write(ma, head.store_data)")
             s("    c_access(ma)")
             s("    t_set(ma, True if head.lsq_prot else False)")
-        if self.has_loads:
-            s("if ISLD[hpc] and not PROT[hpc]:")
-            s("    t_clear(head.mem_addr)")
+        s("if ISLD[hpc] and not PROT[hpc]:")
+        s("    t_clear(head.mem_addr)")
         s("for areg, value in head.result_values:")
         s("    arch_values[areg] = value")
         s("for _, old_pg in head.old_pdests:")
         s("    prf_free(old_pg)")
-        if self.has_branches:
-            s("if ISBR[hpc]:")
-            s("    stats['committed_branches'] += 1")
-            s("    if head.mispredicted:")
-            s("        stats['mispredicted_branches'] += 1")
+        s("if ISBR[hpc]:")
+        s("    stats['committed_branches'] += 1")
+        s("    if head.mispredicted:")
+        s("        stats['mispredicted_branches'] += 1")
         if self.traits.on_commit:
             s("d_on_commit(head)")
         if self.transmits:
@@ -1285,17 +1255,15 @@ class _Codegen:
         s("head.commit_cycle = cycle")
         s("pcs_append(hpc)")
         s("trace_append(timing_observation(head))")
-        if self.has_loads or self.has_stores:
-            s("ma = head.mem_addr")
-            s("if ma is not None:")
-            s("    acc_append((hpc, ma))")
+        s("ma = head.mem_addr")
+        s("if ma is not None:")
+        s("    acc_append((hpc, ma))")
         s("robq.popleft()")
         self._lsq_remove("head", "ISLD[hpc]", "ISST[hpc]")
-        if self.has_branches:
-            s("if ISBR[hpc]:")
-            s.indent()
-            self._prune_resolved_branches()
-            s.dedent()
+        s("if ISBR[hpc]:")
+        s.indent()
+        self._prune_resolved_branches()
+        s.dedent()
         s("next_pc = head.actual_next if ISCTRL[hpc] else hpc + 1")
         s("if not 0 <= next_pc < plen:")
         s("    halted = True")
@@ -1320,9 +1288,8 @@ class _Codegen:
         s("u.executed = True")
         s("u.complete_cycle = cycle")
         s("u.completed = True")
-        if self.has_branches:
-            s("if u.is_branch:")
-            s("    attempt_res(u)")
+        s("if u.is_branch:")
+        s("    attempt_res(u)")
         s("if u.pdests:")
         s.indent()
         if self.wake_possible:
@@ -1402,7 +1369,7 @@ class _Codegen:
         chain = []
         if self.h_exec:
             chain.append(("r == 'defense_execute'", self._block_gate))
-        if self.disamb:
+        if self.has_stores:
             chain.append(("r == 'disambiguation'", self._block_disamb))
         if self.has_mfence:
             chain.append(("r == 'mfence'", self._block_mfence))
@@ -1489,7 +1456,7 @@ class _Codegen:
         s("    continue")
         if self.blockable:
             self._try_execute("block(u)\ncontinue")
-        else:  # pragma: no cover - nothing of this shape can block
+        else:  # nothing of this shape can block
             self._try_execute("continue")
         s.dedent()
         s("")
@@ -1535,24 +1502,20 @@ class _Codegen:
         if self.traits.on_rename:
             s("d_on_rename(u)")
         s("robq.append(u)")
-        if self.has_loads:
-            s("if ISLD[pc]:")
-            s("    lq.append(u)")
+        s("if ISLD[pc]:")
+        s("    lq.append(u)")
         if self.has_stores:
             s("if ISST[pc]:")
             s("    sq.append(u)")
-        if self.has_branches:
-            s("if ISBR[pc]:")
-            s("    core._inflight_branches.append(u)")
-            s("    stats['_spec_depth'] += 1")
+        s("if ISBR[pc]:")
+        s("    core._inflight_branches.append(u)")
+        s("    stats['_spec_depth'] += 1")
         s("if RDONE[pc]:  # NOP, HALT and JMP complete at rename")
         s("    u.executed = True")
         s("    u.completed = True")
         s("    u.resolved = True")
-        if self.has_ctrl:  # of the three, only JMP redirects
-            s("    u.actual_next = TGT[pc] if ISCTRL[pc] else pc + 1")
-        else:
-            s("    u.actual_next = pc + 1")
+        # Of the three, only JMP redirects.
+        s("    u.actual_next = TGT[pc] if ISCTRL[pc] else pc + 1")
         s("    u.complete_cycle = cycle")
         s("    continue")
         s("u.in_iq = True")
@@ -1585,29 +1548,23 @@ class _Codegen:
         s("if not 0 <= pc < plen:")
         s("    break")
         s("inst = insts[pc]")
-        if self.has_ctrl:
-            # predict_next is pure ``pc + 1`` for every non-control op
-            # (no predictor state mutates), so the call is gated on the
-            # decode column and only control PCs pay for it.
-            s("if ISCTRL[pc]:")
-            s("    pred = bp_predict(pc, inst)")
-            s("    u = Uop(seqc, pc, inst, pred, cycle)")
-            s("    u.bp_snapshot = bp_snapshot()")
-            if self.has_br:
-                s(f"    if K[pc] == {KIND_OF[Op.BR]}:  # BR")
-                s("        u.bp_index = bp.last_br_index")
-            s("else:")
-            s("    pred = pc + 1")
-            s("    u = Uop(seqc, pc, inst, pred, cycle)")
-        else:
-            s("pred = pc + 1")
-            s("u = Uop(seqc, pc, inst, pred, cycle)")
+        # predict_next is pure ``pc + 1`` for every non-control op (no
+        # predictor state mutates), so the call is gated on the decode
+        # column and only control PCs pay for it.
+        s("if ISCTRL[pc]:")
+        s("    pred = bp_predict(pc, inst)")
+        s("    u = Uop(seqc, pc, inst, pred, cycle)")
+        s("    u.bp_snapshot = bp_snapshot()")
+        s(f"    if K[pc] == {KIND_OF[Op.BR]}:  # BR")
+        s("        u.bp_index = bp.last_br_index")
+        s("else:")
+        s("    pred = pc + 1")
+        s("    u = Uop(seqc, pc, inst, pred, cycle)")
         s("seqc += 1")
         s(f"fbuf.append((cycle + {self.config.frontend_delay}, u))")
-        if self.has_halt:
-            s(f"if K[pc] == {KIND_OF[Op.HALT]}:  # HALT")
-            s("    fblocked = True")
-            s("    break")
+        s(f"if K[pc] == {KIND_OF[Op.HALT]}:  # HALT")
+        s("    fblocked = True")
+        s("    break")
         if self.has_mfence:
             # Serializing fence: the frontend stops until the fence
             # executes at the ROB head.
@@ -1616,9 +1573,8 @@ class _Codegen:
             s("    fpc = pred")
             s("    break")
         s("fpc = pred")
-        if self.has_ctrl:
-            s("if pred != pc + 1:")
-            s("    break  # one taken control transfer per cycle")
+        s("if pred != pc + 1:")
+        s("    break  # one taken control transfer per cycle")
         s.dedent()
         s.dedent()
 
@@ -1720,8 +1676,7 @@ def generate_source(program, config: CoreConfig, defense) -> str:
     if g.blockable:
         g._try_execute()
         g._block()
-    if g.has_branches:
-        g._attempt_resolution()
+    g._attempt_resolution()
     g._classify_stall()
     g._rename_blocked()
     # Core.run's loop; its body is Core.step.
@@ -1779,15 +1734,10 @@ class CompiledCore(Core):
         memory=None,
         regs=None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        tracer=None,
         no_progress_limit: Optional[int] = DEFAULT_NO_PROGRESS_LIMIT,
     ) -> None:
-        if tracer is not None:
-            raise CompileUnsupported(
-                "tracer", "PipelineTracer requires the per-cycle interpreter")
         super().__init__(program, defense, config, memory, regs,
-                         max_cycles, tracer=None,
-                         no_progress_limit=no_progress_limit)
+                         max_cycles, no_progress_limit=no_progress_limit)
         self._compiled_run = compile_step(self.program, config,
                                           self.defense)
         #: What the shared ``run`` reads of this core's program.

@@ -1139,28 +1139,25 @@ def simulate(program: Program, defense=None, config: CoreConfig = P_CORE,
     ``engine`` picks the execution backend:
 
     * ``"compiled"`` (the default) — the specializing backend
-      (:mod:`repro.uarch.compiled`), falling back to the reference
-      interpreter for shapes it refuses: an attached tracer (a
-      single-spec diagnostic that must see every cycle) or an empty
-      program.  An attached registry counts each fallback as
-      ``uarch.compile_fallbacks.<reason>`` (``tracer``,
-      ``empty_program``).
+      (:mod:`repro.uarch.compiled`), which runs any program.  A run
+      with a tracer attached (a single-spec diagnostic that must see
+      every cycle) goes to the reference interpreter instead, and an
+      attached registry counts it as ``uarch.compile_fallbacks.tracer``.
     * ``"ref"`` — the reference interpreter, :class:`Core`.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of "
                          f"{', '.join(ENGINES)}")
     if engine == "compiled":
-        from .compiled import CompiledCore, CompileUnsupported
+        if tracer is None:
+            from .compiled import CompiledCore
 
-        try:
             return CompiledCore(program, defense, config, memory, regs,
-                                max_cycles, tracer=tracer,
+                                max_cycles,
                                 no_progress_limit=no_progress_limit).run()
-        except CompileUnsupported as refusal:  # fall back to the interpreter
-            from ..metrics.telemetry import current
+        from ..metrics.telemetry import current
 
-            current().count(f"uarch.compile_fallbacks.{refusal.reason}")
+        current().count("uarch.compile_fallbacks.tracer")
     return Core(program, defense, config, memory, regs, max_cycles,
                 tracer=tracer,
                 no_progress_limit=no_progress_limit).run()

@@ -271,6 +271,27 @@ def test_stats_rejects_unknown_defense(capsys):
     assert main(["stats", "ossl.ecadd", "--defense", "nope"]) == 2
 
 
+@pytest.mark.parametrize("command", ["stats", "trace", "profile"])
+def test_spec_commands_reject_unknown_workload(command, capsys):
+    assert main([command, "nosuchworkload"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown workload 'nosuchworkload'; known: " in err
+    assert "mcf.s" in err
+
+
+@pytest.mark.parametrize("argv", [["stats", "mcf.s"], ["fuzz"]])
+def test_commands_reject_unknown_protcc_class(argv, capsys):
+    assert main(argv + ["--instrument", "nope"]) == 2
+    assert "unknown ProtCC class 'nope'; known: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["speculation", "--workload"],
+                                  ["figure-6", "--bench"]])
+def test_workload_lists_reject_unknown_names(argv, capsys):
+    assert main(argv + ["mcf.s", "nosuch"]) == 2
+    assert "unknown workloads: nosuch; known: " in capsys.readouterr().err
+
+
 def test_trace_subcommand_emits_loadable_chrome_json(tmp_path, capsys):
     import json
 
@@ -312,6 +333,12 @@ def test_diff_rejects_unknown_defense(capsys):
     assert main(["diff", "--defense", "no-such-defense"]) == 2
     err = capsys.readouterr().err
     assert "unknown defenses" in err
+
+
+def test_diff_rejects_unknown_workload(capsys):
+    assert main(["diff", "--programs", "0", "--no-fixtures",
+                 "--workload", "nosuch"]) == 2
+    assert "unknown workloads: nosuch; known: " in capsys.readouterr().err
 
 
 def test_diff_report_and_timing(capsys, tmp_path):

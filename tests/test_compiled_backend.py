@@ -7,8 +7,10 @@ interpreter is proven by the differential harness
 the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the in-process compile memo
 misses exactly when it must and is shared by programs of one shape,
-that the default engine and the documented fallbacks pick the right
-engine, and that the backend reports its compile costs.
+that the default engine and the tracer fallback pick the right engine,
+that the backend reports its compile costs, and that small programs
+unlike any workload (no branches, loads or ``HALT``) run the shared
+code as the reference runs them.
 """
 
 import pytest
@@ -20,16 +22,16 @@ from repro.fixtures import build
 from repro.isa import assemble
 from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, simulate
+from repro.uarch.config import E_CORE, SpeculationModel
 from repro.uarch.compiled import (
     CompiledCore,
-    CompileUnsupported,
     clear_compile_cache,
     compile_key,
     compile_step,
     generate_source,
 )
 from repro.uarch.pipeline import ENGINES
-from repro.uarch.refcore import Case, run_engines
+from repro.uarch.refcore import Case, compare_results, run_engines
 from repro.uarch.trace import PipelineTracer
 
 
@@ -80,7 +82,7 @@ def test_compile_key_misses_on_core_config_change(v1_program):
     assert len(keys) == 4, "core-config fields must not share keys"
 
 
-# Two programs of one shape (branches, loads, stores, HALT) that share
+# Two programs of one shape (stores, no divide or fence) that share
 # little else: different lengths, opcode kinds, condition codes and
 # immediates, and only the second has a NOP and a JMP.
 SUM_LOOP = """
@@ -139,6 +141,8 @@ def test_programs_of_one_shape_share_a_key_and_a_compile():
 
 
 def test_compile_key_misses_on_shape_change():
+    # A divide or a fence changes the shape; a load does not, so the
+    # plain and the load variants share a key.
     base = "movi r1, 0x40\naddi r1, r1, 8\n{}halt\n"
     variants = [base.format(extra) for extra in (
         "", "div r2, r1, r1\n", "mfence\n", "load r3, [r1 + 0]\n")]
@@ -147,8 +151,8 @@ def test_compile_key_misses_on_shape_change():
         for source in variants:
             compile_step(assemble(source), P_CORE, Unsafe())
     assert len({compile_key(assemble(source), P_CORE, Unsafe())
-                for source in variants}) == 4
-    assert registry.snapshot()["counters"]["uarch.compile_cache_misses"] == 4
+                for source in variants}) == 3
+    assert registry.snapshot()["counters"]["uarch.compile_cache_misses"] == 3
 
 
 def test_shared_code_reads_each_programs_own_columns():
@@ -270,21 +274,17 @@ def test_tracer_fallback_is_counted():
     assert _fallbacks(registry) == {"uarch.compile_fallbacks.tracer": 1}
 
 
-def test_empty_program_fallback_is_counted():
+def test_empty_program_runs_compiled():
     registry = MetricsRegistry()
     with attach(registry):
         result = simulate(assemble(""), Unsafe(), P_CORE,
                           no_progress_limit=50, engine="compiled")
     assert result.halt_reason == "no_progress"
-    assert _fallbacks(registry) == {
-        "uarch.compile_fallbacks.empty_program": 1}
-
-
-def test_compiled_core_rejects_tracer():
-    program, memory = build("v1-gadget")
-    with pytest.raises(CompileUnsupported):
-        CompiledCore(program, ProtTrack(), P_CORE, memory,
-                     tracer=PipelineTracer())
+    assert _compiled_runs(registry) == 1
+    assert not _fallbacks(registry)
+    reference = simulate(assemble(""), Unsafe(), P_CORE,
+                         no_progress_limit=50, engine="ref")
+    compare_results(result, reference).raise_if_different()
 
 
 def test_unknown_engine_rejected(v1_program):
@@ -332,3 +332,51 @@ def test_generated_source_is_deterministic(v1_program):
     first = generate_source(v1_program, P_CORE, ProtTrack())
     second = generate_source(v1_program, P_CORE, ProtTrack())
     assert first == second
+
+
+# ---------------------------------------------------------------------
+# Programs unlike any workload: every registered workload and fuzz
+# program has branches, loads, control transfers, HALT and BR, and the
+# code for them is emitted for every shape.  These small programs lack
+# them, one class at a time, and must run that code as the reference
+# runs them.
+# ---------------------------------------------------------------------
+
+EDGE_PROGRAMS = {
+    "empty": "",
+    "alu-off-end": "movi r1, 5\naddi r2, r1, 3\nxor r3, r2, r1\n",
+    "alu-halt": "movi r1, 5\nmuli r2, r1, 3\nsub r3, r2, r1\nhalt\n",
+    "loads-only": "load r3, [r1 + 0]\nload r4, [r1 + 8]\n"
+                  "load r5, [r1 + r4]\n",
+    "stores-only": "store [r1 + 0], r2\nstore [r1 + 8], r3\n"
+                   "store [r1 + r2], r1\n",
+    "div-rem-only": "div r4, r2, r3\nrem r5, r2, r3\ndiv r6, r4, r5\n"
+                    "rem r7, r6, r4\n",
+    "mfence-only": "mfence\nmfence\n",
+    "call-ret-no-br": "call f\ncall f\nhalt\nf:\n    ret\n",
+    "jmpi-past-end": "movi r1, 100\njmpi r1\n",
+}
+
+#: Source registers: r1 an address in ``_memory()``, r2 and r3 values.
+EDGE_REGS = {1: 0x1000, 2: 0x4D2, 3: 7}
+
+EDGE_CONFIGS = {
+    "P": P_CORE,
+    "E": E_CORE,
+    "control": P_CORE.replace(speculation_model=SpeculationModel.CONTROL),
+    "buggy-squash": P_CORE.replace(buggy_squash_notify=True),
+}
+
+
+@pytest.mark.parametrize("config", sorted(EDGE_CONFIGS))
+@pytest.mark.parametrize("name", sorted(EDGE_PROGRAMS))
+def test_programs_unlike_any_workload_run_identically(name, config):
+    program = assemble(EDGE_PROGRAMS[name])
+    diverged = []
+    for defense, factory in DEFENSES.items():
+        _, report = run_engines(Case(
+            f"{name}/{config}/{defense}", program, factory,
+            EDGE_CONFIGS[config], memory=_memory(), regs=EDGE_REGS))
+        if not report.identical:
+            diverged.append(report.render())
+    assert not diverged, "\n".join(diverged)

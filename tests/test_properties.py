@@ -170,7 +170,7 @@ def _audit_run(seed, defense_name):
 
 @pytest.mark.parametrize("defense_name", ["unsafe", "track", "spt"])
 @pytest.mark.parametrize("seed", [3, 17, 91])
-def test_pipeline_invariants_fast_engine(defense_name, seed):
+def test_pipeline_invariants_compiled_engine(defense_name, seed):
     # The compiled engine runs no per-cycle hooks to audit; it inherits
     # the invariants by reproducing the audited reference run exactly.
     case = _audit_case(seed, defense_name)
