@@ -138,19 +138,21 @@ def table_iv(cores: Tuple[str, ...] = ("P", "E"),
 # Tab. V — single-class suites and multi-class nginx
 # ======================================================================
 
-def table_v(include: Tuple[str, ...] = ("arch-wasm", "cts-crypto",
-                                        "ct-crypto", "unr-crypto", "nginx"),
+#: Table V's suites, in row order: name -> (workloads, baseline defense).
+TABLE_V_SUITES: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "arch-wasm": (ARCH_WASM, "stt"),
+    "cts-crypto": (CTS_CRYPTO, "spt"),
+    "ct-crypto": (CT_CRYPTO, "spt"),
+    "unr-crypto": (UNR_CRYPTO, "spt-sb"),
+    "nginx": (NGINX, "spt-sb"),
+}
+
+
+def table_v(include: Tuple[str, ...] = tuple(TABLE_V_SUITES),
             jobs: Optional[int] = None) -> TableResult:
-    suites = {
-        "arch-wasm": (ARCH_WASM, "stt"),
-        "cts-crypto": (CTS_CRYPTO, "spt"),
-        "ct-crypto": (CT_CRYPTO, "spt"),
-        "unr-crypto": (UNR_CRYPTO, "spt-sb"),
-        "nginx": (NGINX, "spt-sb"),
-    }
     specs: List[RunSpec] = []
     for suite in include:
-        names, baseline = suites[suite]
+        names, baseline = TABLE_V_SUITES[suite]
         for name in names:
             specs.append(_spec(name))
             specs.append(_spec(name, baseline))
@@ -161,7 +163,7 @@ def table_v(include: Tuple[str, ...] = ("arch-wasm", "cts-crypto",
     rows: List[List[object]] = []
     data: Dict = {}
     for suite in include:
-        names, baseline = suites[suite]
+        names, baseline = TABLE_V_SUITES[suite]
         base_values, delay_values, track_values = [], [], []
         for name in names:
             base = _norm(summaries, name, baseline)

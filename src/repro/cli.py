@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     t5 = sub.add_parser("table-v",
                         help="single-class suites + nginx (Tab. V)")
     t5.add_argument("--suite", nargs="+",
-                    default=["arch-wasm", "cts-crypto", "ct-crypto",
-                             "unr-crypto", "nginx"])
+                    help="suites to run (default: all, in row order)")
     _add_jobs(t5)
 
     f5 = sub.add_parser("figure-5", help="access-predictor sweep (Fig. 5)")
@@ -319,6 +318,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         table_iv,
         table_v,
     )
+    from .bench.tables import TABLE_V_SUITES
 
     if args.command == "table-i":
         _emit(table_i(jobs=args.jobs))
@@ -332,7 +332,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(table_iv(cores=tuple(args.cores),
                        include_parsec=not args.no_parsec, jobs=args.jobs))
     elif args.command == "table-v":
-        _emit(table_v(include=tuple(args.suite), jobs=args.jobs))
+        suites = tuple(args.suite or TABLE_V_SUITES)
+        if _refuse("suite", suites, TABLE_V_SUITES):
+            return 2
+        _emit(table_v(include=suites, jobs=args.jobs))
     elif args.command == "figure-5":
         _emit(figure_5(jobs=args.jobs))
     elif args.command == "figure-6":
@@ -398,6 +401,7 @@ def _run_bench_suite(args) -> int:
         table_v,
         write_report,
     )
+    from .bench.tables import TABLE_V_SUITES
     from .metrics import MetricsRegistry
 
     quick = args.quick
@@ -418,8 +422,7 @@ def _run_bench_suite(args) -> int:
                              jobs=jobs)]
         if name == "table-v":
             include = ("ct-crypto", "unr-crypto") if quick else \
-                ("arch-wasm", "cts-crypto", "ct-crypto", "unr-crypto",
-                 "nginx")
+                tuple(TABLE_V_SUITES)
             return [table_v(include=include, jobs=jobs)]
         if name == "figure-5":
             sweep = (2, 1024, "inf") if quick \

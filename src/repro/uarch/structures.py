@@ -72,8 +72,10 @@ class RenameMap:
         return old
 
     def rollback(self, uop: Uop) -> None:
-        """Undo one uop's rename (call in youngest-first order)."""
-        for (arch_reg, _new), (_, old) in zip(uop.pdests, uop.old_pdests):
+        """Undo one uop's rename (call in youngest-first order).  Its
+        own destinations are undone last first too: ``pop sp`` renames
+        SP twice, and its second old mapping is its first new one."""
+        for arch_reg, old in reversed(uop.old_pdests):
             self.mapping[arch_reg] = old
 
 

@@ -292,6 +292,13 @@ def test_workload_lists_reject_unknown_names(argv, capsys):
     assert "unknown workloads: nosuch; known: " in capsys.readouterr().err
 
 
+def test_table_v_rejects_unknown_suites(capsys):
+    assert main(["table-v", "--suite", "unr-crypto", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suites: nosuch; known: " in err
+    assert "unr-crypto" in err
+
+
 def test_trace_subcommand_emits_loadable_chrome_json(tmp_path, capsys):
     import json
 

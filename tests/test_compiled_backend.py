@@ -8,10 +8,14 @@ the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the in-process compile memo
 misses exactly when it must and is shared by programs of one shape,
 that the default engine and the tracer fallback pick the right engine,
-that the backend reports its compile costs, and that small programs
-unlike any workload (no branches, loads or ``HALT``) run the shared
-code as the reference runs them.
+that the backend reports its compile costs, that small programs
+unlike any workload (no branches, loads or ``HALT``; repeated source
+registers, ``pop sp``) run the shared code as the reference runs
+them, and that so do rename stalls on a full load or store queue or
+register file, which no default diff case reaches.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +24,7 @@ from repro.bench.runner import DEFENSES
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
 from repro.isa import assemble
+from repro.isa.registers import NUM_REGS
 from repro.metrics import MetricsRegistry, attach
 from repro.uarch import P_CORE, simulate
 from repro.uarch.config import E_CORE, SpeculationModel
@@ -30,8 +35,13 @@ from repro.uarch.compiled import (
     compile_step,
     generate_source,
 )
-from repro.uarch.pipeline import ENGINES
-from repro.uarch.refcore import Case, compare_results, run_engines
+from repro.uarch.pipeline import ENGINES, Core
+from repro.uarch.refcore import (
+    Case,
+    compare_results,
+    run_engines,
+    workload_cases,
+)
 from repro.uarch.trace import PipelineTracer
 
 
@@ -339,7 +349,10 @@ def test_generated_source_is_deterministic(v1_program):
 # program has branches, loads, control transfers, HALT and BR, and the
 # code for them is emitted for every shape.  These small programs lack
 # them, one class at a time, and must run that code as the reference
-# runs them.
+# runs them.  The last two rename every source and destination arity
+# the ISA has, with registers that repeat within one instruction in
+# every operand position, and POP's two destinations (``pop sp`` writes
+# SP twice).
 # ---------------------------------------------------------------------
 
 EDGE_PROGRAMS = {
@@ -355,6 +368,11 @@ EDGE_PROGRAMS = {
     "mfence-only": "mfence\nmfence\n",
     "call-ret-no-br": "call f\ncall f\nhalt\nf:\n    ret\n",
     "jmpi-past-end": "movi r1, 100\njmpi r1\n",
+    "repeated-registers": "add r2, r2, r2\ncmp r3, r3\nload r4, [r1 + r1]\n"
+                          "store [r1 + r1], r1\nstore [r1 + r1], r2\n"
+                          "store [r1 + r2], r2\nstore [r1 + r2], r3\n"
+                          "push sp\n",
+    "pop-two-dests": "push r2\npop r5\npush r3\npop sp\n",
 }
 
 #: Source registers: r1 an address in ``_memory()``, r2 and r3 values.
@@ -379,4 +397,54 @@ def test_programs_unlike_any_workload_run_identically(name, config):
             EDGE_CONFIGS[config], memory=_memory(), regs=EDGE_REGS))
         if not report.identical:
             diverged.append(report.render())
+    assert not diverged, "\n".join(diverged)
+
+
+def test_edge_programs_rename_every_operand_arity():
+    insts = [inst for source in EDGE_PROGRAMS.values()
+             for inst in assemble(source).instructions]
+    assert {len(inst.src_regs()) for inst in insts} == {0, 1, 2, 3}
+    assert {len(inst.dest_regs()) for inst in insts} == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------
+# Rename stalls on a full structure.  The default configs never fill
+# the load or store queue: no ``repro diff`` case stalls rename on
+# ``lsq_full``.  ossl.dh has loads and four static stores.
+# ---------------------------------------------------------------------
+
+TIGHT_CONFIGS = {
+    "lsq_full": P_CORE.replace(lq_size=2, sq_size=2),
+    "prf_starved": P_CORE.replace(num_phys_regs=NUM_REGS + 4),
+}
+
+
+def _rename_stalls(case, stall):
+    """Cycles whose rename stage the reference core ends blocked on
+    ``stall``."""
+    core = Core(case.program, case.defense(), case.config, case.memory,
+                case.regs)
+    rename, stalls = core._rename_stage, []
+
+    def counted():
+        rename()
+        if core._rename_block == stall:
+            stalls.append(core.cycle)
+
+    core._rename_stage = counted
+    core.run()
+    return len(stalls)
+
+
+@pytest.mark.parametrize("stall", sorted(TIGHT_CONFIGS))
+def test_rename_stalls_on_a_full_structure_run_identically(stall):
+    diverged = []
+    for case in workload_cases(("ossl.dh",)):
+        tight = replace(case, config=TIGHT_CONFIGS[stall])
+        _, report = run_engines(tight)
+        if not report.identical:
+            diverged.append(report.render())
+        # The limit binds: rename stalls on it more than on the P-core.
+        assert _rename_stalls(tight, stall) > _rename_stalls(case, stall), \
+            case.label
     assert not diverged, "\n".join(diverged)

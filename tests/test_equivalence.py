@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.arch import run_program
+from repro.arch import Memory, run_program
 from repro.defenses import (
     AccessDelay,
     AccessTrack,
@@ -20,9 +20,11 @@ from repro.defenses import (
 )
 from repro.fuzzing import generate_program
 from repro.fuzzing.inputs import generate_input
+from repro.isa import assemble
 from repro.protcc import compile_program
 from repro.uarch import E_CORE, P_CORE, simulate
 from repro.uarch.config import SpeculationModel
+from repro.uarch.pipeline import ENGINES
 
 DEFENSES = {
     "unsafe": Unsafe,
@@ -111,6 +113,27 @@ def test_protcc_preserves_semantics_on_random_programs(seed, clazz):
                 if value and not STACK_TOP - 0x2000 <= addr < STACK_TOP}
 
     assert data_bytes(result) == data_bytes(base)
+
+
+def test_squashed_pop_sp_restores_the_stack_pointer():
+    # ``pop sp`` renames SP twice; a squash must undo the second rename
+    # before the first, or SP is left on a freed register.
+    program = assemble("""
+        movi r1, 0
+        cmpi r1, 0
+        beq skip                   ; taken; cold-predicted not taken
+        pop sp                     ; squashed
+    skip:
+        movi r3, 5
+        mov r4, sp
+        halt
+    """)
+    seq = run_program(program, Memory(), {})
+    for engine in ENGINES:
+        hw = simulate(program, Unsafe(), P_CORE, Memory(), {}, engine=engine)
+        assert hw.stats["squashes"] == 1, engine
+        assert hw.halt_reason == "halt", engine
+        assert hw.final_regs == seq.final_regs, engine
 
 
 @settings(max_examples=8, deadline=None,

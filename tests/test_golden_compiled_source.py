@@ -13,11 +13,14 @@ looks like:
 * MFENCE serialization is emitted if and only if the program has one;
 * the divider check and a live ``may_execute`` gate are emitted once
   per issue site, ahead of the per-kind dispatch;
+* the rename stage is straight-line per uop: no comprehension,
+  generator or set, and no loop but the one over the rename width;
 * the generated source still ``exec``-s into a ``run`` function.
 """
 
 import ast
 import re
+import textwrap
 
 import pytest
 
@@ -26,7 +29,7 @@ from repro.defenses import Defense, Unsafe
 from repro.fixtures import FIXTURES, build
 from repro.protcc import mitigate_program
 from repro.uarch.compiled import generate_source
-from repro.uarch.config import P_CORE, SpeculationModel
+from repro.uarch.config import E_CORE, P_CORE, SpeculationModel
 
 #: Gate -> the stats stem its episode code updates.
 GATE_STEMS = {"may_execute": "exec", "may_resolve": "resolve",
@@ -114,6 +117,35 @@ def test_execute_gate_emitted_once_per_issue_site(name):
                                 any(i.is_div for i in program.instructions))):
             assert (source.count(check), try_exec.count(check)) \
                 == ((2, 1) if present else (0, 0)), (check, program)
+
+
+def _rename_block(source):
+    """The rename stage of the generated ``run``, as a parsed tree."""
+    start = source.rindex("\n", 0,
+                          source.index("# ---- rename / dispatch ----"))
+    block = source[start + 1:source.index("# ---- fetch ----", start)]
+    return ast.parse(textwrap.dedent(block))
+
+
+@pytest.mark.parametrize("name", sorted(DEFENSES))
+def test_rename_is_straight_line_per_uop(name):
+    fenced = mitigate_program(FIXTURES["v1-gadget"].program(),
+                              "fence").program
+    for program in [build(fixture)[0] for fixture in FIXTURES] + [fenced]:
+        for config in (P_CORE, E_CORE):
+            tree = _rename_block(
+                generate_source(program, config, DEFENSES[name]()))
+            nodes = list(ast.walk(tree))
+            assert not [n for n in nodes if isinstance(n, (
+                ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                ast.Set))], (name, program)
+            assert not [n for n in nodes if isinstance(n, ast.Name)
+                        and n.id == "set"], (name, program)
+            # One loop: over the rename width, not over SRCS or DESTS.
+            loops = [ast.unparse(n.iter) if isinstance(n, ast.For)
+                     else "while" for n in nodes
+                     if isinstance(n, (ast.For, ast.While))]
+            assert loops == [f"range({config.width})"], (name, program)
 
 
 def _assert_execs(program, config, name):
