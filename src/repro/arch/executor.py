@@ -10,17 +10,10 @@ compare against the O3 core's committed state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..isa.instruction import Instruction
-from ..isa.operations import (
-    DIV_OPS,
-    FLAG_WRITERS,
-    IMM_ALU_OPS,
-    Op,
-    REG_ALU_OPS,
-    eval_cond,
-)
+from ..isa.operations import IMM_ALU_OPS, Op, REG_ALU_OPS, eval_cond
 from ..isa.program import Program
 from ..isa.registers import FLAGS, NUM_REGS, SP
 from .memory import Memory
@@ -32,10 +25,18 @@ STACK_TOP = 0x0010_0000
 #: Default execution fuel (steps) before the run is declared divergent.
 DEFAULT_FUEL = 200_000
 
+#: The ALU op classes as tuples.  ``op in`` a tuple compares identities
+#: in C; ``op in`` a frozenset calls the Python-level ``Enum.__hash__``.
+_REG_ALU = tuple(sorted(REG_ALU_OPS, key=lambda op: op.value))
+_IMM_ALU = tuple(sorted(IMM_ALU_OPS, key=lambda op: op.value))
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything that happened during one architectural step."""
+
+class StepRecord(NamedTuple):
+    """Everything that happened during one architectural step.
+
+    A named tuple, built positionally: the field order is part of the
+    API.  ``reg_reads`` lists the registers of ``inst.src_regs()``, in
+    order, with the values they held before the step."""
 
     pc: int
     inst: Instruction
@@ -87,122 +88,160 @@ class SequentialMachine:
 
     def run(self, fuel: int = DEFAULT_FUEL) -> SeqResult:
         """Run until HALT, fall-off-end, a bad PC, or fuel exhaustion."""
+        instructions = self.program.instructions
+        end = len(instructions)
+        step = self._step
         steps: List[StepRecord] = []
+        append = steps.append
         halt_reason = "fuel"
+        pc = self.pc
         for _ in range(fuel):
-            if not 0 <= self.pc < len(self.program):
-                halt_reason = "bad_pc" if self.pc != len(self.program) \
-                    else "off_end"
+            if not 0 <= pc < end:
+                halt_reason = "bad_pc" if pc != end else "off_end"
                 break
-            inst = self.program[self.pc]
+            inst = instructions[pc]
             if inst.op is Op.HALT:
                 halt_reason = "halt"
                 break
-            step = self._step(inst)
-            steps.append(step)
-            self.pc = step.next_pc
+            record = step(inst, pc)
+            append(record)
+            self.pc = pc = record.next_pc
         return SeqResult(steps, tuple(self.regs), self.memory, halt_reason)
 
     # ------------------------------------------------------------------
 
-    def _step(self, inst: Instruction) -> StepRecord:
-        """Execute one instruction, returning its step record."""
+    def _step(self, inst: Instruction, pc: int) -> StepRecord:
+        """Execute the instruction at ``pc``, returning its step record.
+
+        Registers, memory words and the results of ``alu`` and
+        ``compare_flags`` are all within 64 bits, so of the values an
+        op writes only MOVI's immediate and the stack arithmetic need a
+        mask.  Each op reads its registers before it writes any."""
         op = inst.op
-        pc = self.pc
         regs = self.regs
-        reads: List[Tuple[int, int]] = [(r, regs[r]) for r in inst.src_regs()]
-        writes: List[Tuple[int, int]] = []
-        mem_read = mem_write = None
-        addr_vals: Tuple[Tuple[int, int], ...] = ()
-        branch = None
-        div_ops = None
-        next_pc = pc + 1
-
-        def write_reg(index: int, value: int) -> None:
-            value &= MASK64
-            regs[index] = value
-            writes.append((index, value))
-
-        if op is Op.MOVI:
-            write_reg(inst.rd, inst.imm)
-        elif op is Op.MOV:
-            write_reg(inst.rd, regs[inst.ra])
-        elif op in REG_ALU_OPS:
-            write_reg(inst.rd, alu(op, regs[inst.ra], regs[inst.rb]))
-        elif op in IMM_ALU_OPS:
-            write_reg(inst.rd, alu(op, regs[inst.ra], inst.imm & MASK64))
-        elif op in DIV_OPS:
-            div_ops = (regs[inst.ra], regs[inst.rb])
-            write_reg(inst.rd, alu(op, regs[inst.ra], regs[inst.rb]))
-        elif op in FLAG_WRITERS:
-            b = inst.imm & MASK64 if op is Op.CMPI else regs[inst.rb]
-            write_reg(FLAGS, compare_flags(op, regs[inst.ra], b))
-        elif op is Op.LOAD:
-            addr_vals = tuple((r, regs[r]) for r in inst.addr_regs())
-            index_val = regs[inst.rb] if inst.rb is not None else 0
-            addr = effective_address(regs[inst.ra], index_val, inst.imm)
-            value = self.memory.read_word(addr)
-            mem_read = (addr, value)
-            write_reg(inst.rd, value)
-        elif op is Op.STORE:
-            addr_vals = tuple((r, regs[r]) for r in inst.addr_regs())
-            index_val = regs[inst.rb] if inst.rb is not None else 0
-            addr = effective_address(regs[inst.ra], index_val, inst.imm)
-            value = regs[inst.rd]
-            self.memory.write_word(addr, value)
-            mem_write = (addr, value)
-        elif op is Op.PUSH:
-            addr_vals = ((SP, regs[SP]),)
-            new_sp = (regs[SP] - 8) & MASK64
-            addr = effective_address(new_sp, 0, 0)
-            self.memory.write_word(addr, regs[inst.ra])
-            mem_write = (addr, regs[inst.ra])
-            write_reg(SP, new_sp)
-        elif op is Op.POP:
-            addr_vals = ((SP, regs[SP]),)
-            addr = effective_address(regs[SP], 0, 0)
-            value = self.memory.read_word(addr)
-            mem_read = (addr, value)
-            write_reg(inst.rd, value)
-            write_reg(SP, (regs[SP] + 8) & MASK64)
-        elif op is Op.BR:
-            taken = eval_cond(inst.cond, regs[FLAGS])
+        # The five most frequent kinds of a fuzz program come first.
+        if op is Op.BR:
+            flags = regs[FLAGS]
+            taken = eval_cond(inst.cond, flags)
             target = inst.target if taken else pc + 1
-            branch = (taken, target)
-            next_pc = target
-        elif op is Op.JMP:
-            next_pc = inst.target
-            branch = (True, next_pc)
-        elif op is Op.JMPI:
-            next_pc = regs[inst.ra] & MASK64
-            branch = (True, next_pc)
-        elif op is Op.CALL:
-            addr_vals = ((SP, regs[SP]),)
-            new_sp = (regs[SP] - 8) & MASK64
+            return StepRecord(pc, inst, target, ((FLAGS, flags),), (),
+                              None, None, (), (taken, target), None)
+        if op is Op.LOAD:
+            rd, ra, rb = inst.rd, inst.ra, inst.rb
+            base = regs[ra]
+            if rb is None:
+                reads = ((ra, base),)
+                addr = effective_address(base, 0, inst.imm)
+            else:
+                index = regs[rb]
+                reads = ((ra, base), (rb, index))
+                addr = effective_address(base, index, inst.imm)
+            value = self.memory.read_word(addr)
+            regs[rd] = value
+            return StepRecord(pc, inst, pc + 1, reads, ((rd, value),),
+                              (addr, value), None, reads, None, None)
+        if op is Op.CMPI:
+            ra = inst.ra
+            a = regs[ra]
+            flags = compare_flags(op, a, inst.imm & MASK64)
+            regs[FLAGS] = flags
+            return StepRecord(pc, inst, pc + 1, ((ra, a),),
+                              ((FLAGS, flags),))
+        if op is Op.STORE:
+            rd, ra, rb = inst.rd, inst.ra, inst.rb
+            base = regs[ra]
+            value = regs[rd]
+            if rb is None:
+                addr_vals = ((ra, base),)
+                addr = effective_address(base, 0, inst.imm)
+            else:
+                index = regs[rb]
+                addr_vals = ((ra, base), (rb, index))
+                addr = effective_address(base, index, inst.imm)
+            self.memory.write_word(addr, value)
+            return StepRecord(pc, inst, pc + 1, addr_vals + ((rd, value),),
+                              (), None, (addr, value), addr_vals, None, None)
+        if op is Op.ADDI or op in _IMM_ALU:
+            rd, ra = inst.rd, inst.ra
+            a = regs[ra]
+            value = alu(op, a, inst.imm & MASK64)
+            regs[rd] = value
+            return StepRecord(pc, inst, pc + 1, ((ra, a),), ((rd, value),))
+        if op in _REG_ALU or inst.is_div:
+            rd, ra, rb = inst.rd, inst.ra, inst.rb
+            a, b = regs[ra], regs[rb]
+            value = alu(op, a, b)
+            regs[rd] = value
+            return StepRecord(pc, inst, pc + 1, ((ra, a), (rb, b)),
+                              ((rd, value),), None, None, (), None,
+                              (a, b) if inst.is_div else None)
+        if inst.writes_flags:  # CMP and TEST
+            ra, rb = inst.ra, inst.rb
+            a, b = regs[ra], regs[rb]
+            flags = compare_flags(op, a, b)
+            regs[FLAGS] = flags
+            return StepRecord(pc, inst, pc + 1, ((ra, a), (rb, b)),
+                              ((FLAGS, flags),))
+        if op is Op.MOVI:
+            value = inst.imm & MASK64
+            regs[inst.rd] = value
+            return StepRecord(pc, inst, pc + 1, (), ((inst.rd, value),))
+        if op is Op.MOV:
+            ra = inst.ra
+            value = regs[ra]
+            regs[inst.rd] = value
+            return StepRecord(pc, inst, pc + 1, ((ra, value),),
+                              ((inst.rd, value),))
+        if op is Op.JMP:
+            target = inst.target
+            return StepRecord(pc, inst, target, (), (), None, None, (),
+                              (True, target))
+        if op is Op.JMPI:
+            ra = inst.ra
+            target = regs[ra]
+            return StepRecord(pc, inst, target, ((ra, target),), (), None,
+                              None, (), (True, target))
+        if op is Op.NOP or op is Op.MFENCE:
+            return StepRecord(pc, inst, pc + 1)
+        # The stack ops read SP, and address memory through it alone.
+        sp = regs[SP]
+        sp_read = ((SP, sp),)
+        if op is Op.PUSH:
+            ra = inst.ra
+            value = regs[ra]
+            new_sp = (sp - 8) & MASK64
+            addr = effective_address(new_sp, 0, 0)
+            self.memory.write_word(addr, value)
+            regs[SP] = new_sp
+            return StepRecord(pc, inst, pc + 1, ((SP, sp), (ra, value)),
+                              ((SP, new_sp),), None, (addr, value), sp_read)
+        if op is Op.POP:
+            rd = inst.rd
+            addr = effective_address(sp, 0, 0)
+            value = self.memory.read_word(addr)
+            regs[rd] = value
+            # ``pop sp`` increments the loaded value.
+            new_sp = (regs[SP] + 8) & MASK64
+            regs[SP] = new_sp
+            return StepRecord(pc, inst, pc + 1, sp_read,
+                              ((rd, value), (SP, new_sp)), (addr, value),
+                              None, sp_read)
+        if op is Op.CALL:
+            new_sp = (sp - 8) & MASK64
             addr = effective_address(new_sp, 0, 0)
             self.memory.write_word(addr, pc + 1)
-            mem_write = (addr, pc + 1)
-            write_reg(SP, new_sp)
-            next_pc = inst.target
-            branch = (True, next_pc)
-        elif op is Op.RET:
-            addr_vals = ((SP, regs[SP]),)
-            addr = effective_address(regs[SP], 0, 0)
+            regs[SP] = new_sp
+            target = inst.target
+            return StepRecord(pc, inst, target, sp_read, ((SP, new_sp),),
+                              None, (addr, pc + 1), sp_read, (True, target))
+        if op is Op.RET:
+            addr = effective_address(sp, 0, 0)
             target = self.memory.read_word(addr)
-            mem_read = (addr, target)
-            write_reg(SP, (regs[SP] + 8) & MASK64)
-            next_pc = target
-            branch = (True, next_pc)
-        elif op in (Op.NOP, Op.MFENCE):
-            pass
-        else:  # pragma: no cover - HALT handled by run()
-            raise ValueError(f"cannot step {op!r}")
-
-        return StepRecord(
-            pc=pc, inst=inst, next_pc=next_pc,
-            reg_reads=tuple(reads), reg_writes=tuple(writes),
-            mem_read=mem_read, mem_write=mem_write,
-            addr_reg_values=addr_vals, branch=branch, div_operands=div_ops)
+            new_sp = (sp + 8) & MASK64
+            regs[SP] = new_sp
+            return StepRecord(pc, inst, target, sp_read, ((SP, new_sp),),
+                              (addr, target), None, sp_read, (True, target))
+        raise ValueError(f"cannot step {op!r}")  # pragma: no cover - HALT
 
 
 def run_program(

@@ -19,12 +19,16 @@ Modes:
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..isa.operations import Op
 from .executor import SeqResult, StepRecord
 
 Observation = Tuple
+
+#: The value of a ``(register, value)`` or ``(address, value)`` pair.
+_value = itemgetter(1)
 
 
 class ObserverMode(enum.Enum):
@@ -36,36 +40,36 @@ class ObserverMode(enum.Enum):
 
 def _ct_observation(step: StepRecord) -> Observation:
     """The CT-mode projection of one step."""
-    inst = step.inst
-    obs: List = [step.pc, step.next_pc]
+    pc, inst, next_pc = step.pc, step.inst, step.next_pc
     if inst.is_mem:
         # AMuLeT* exposes each address register individually, not just
-        # their sum (paper SVII-B1b).
-        obs.append(tuple(value for _, value in step.addr_reg_values))
-        if step.mem_read is not None:
-            obs.append(("raddr", step.mem_read[0]))
-        if step.mem_write is not None:
-            obs.append(("waddr", step.mem_write[0]))
-    if inst.op is Op.BR:
-        obs.append(("flags", step.reg_reads[0][1]))
-    if inst.op is Op.JMPI:
-        obs.append(("target", step.reg_reads[0][1]))
-    if inst.op is Op.RET and step.mem_read is not None:
-        obs.append(("target", step.mem_read[1]))
+        # their sum (paper SVII-B1b).  A memory op reads or writes.
+        values = tuple(map(_value, step.addr_reg_values))
+        read = step.mem_read
+        if read is None:
+            return (pc, next_pc, values, ("waddr", step.mem_write[0]))
+        if inst.op is Op.RET:
+            return (pc, next_pc, values, ("raddr", read[0]),
+                    ("target", read[1]))
+        return (pc, next_pc, values, ("raddr", read[0]))
+    op = inst.op
+    if op is Op.BR:
+        return (pc, next_pc, ("flags", step.reg_reads[0][1]))
+    if op is Op.JMPI:
+        return (pc, next_pc, ("target", step.reg_reads[0][1]))
     if step.div_operands is not None:
-        obs.append(("div", step.div_operands))
-    return tuple(obs)
+        return (pc, next_pc, ("div", step.div_operands))
+    return (pc, next_pc)
 
 
 def _arch_observation(step: StepRecord) -> Observation:
     """ARCH mode: everything the program touches is exposed."""
-    obs: List = [step.pc, step.next_pc,
-                 tuple(value for _, value in step.reg_reads)]
+    obs = (step.pc, step.next_pc, tuple(map(_value, step.reg_reads)))
     if step.mem_read is not None:
-        obs.append(step.mem_read)
+        obs += (step.mem_read,)
     if step.mem_write is not None:
-        obs.append(step.mem_write)
-    return tuple(obs)
+        obs += (step.mem_write,)
+    return obs
 
 
 def contract_trace(
@@ -78,19 +82,20 @@ def contract_trace(
     ``public_defs`` (CTS mode) is the set of PCs whose output definition
     is publicly typed, as computed by ProtCC-CTS's type inference.
     """
+    if mode is ObserverMode.ARCH:
+        return [_arch_observation(step) for step in result.steps]
+    cts = mode is ObserverMode.CTS
+    unprot = mode is ObserverMode.UNPROT
     trace: List[Observation] = []
+    append = trace.append
     for step in result.steps:
-        if mode is ObserverMode.ARCH:
-            trace.append(_arch_observation(step))
-            continue
         obs = _ct_observation(step)
-        if mode is ObserverMode.CTS:
+        if cts:
             if public_defs is not None and step.pc in public_defs:
-                obs = obs + (("pubdef",
-                              tuple(v for _, v in step.reg_writes)),)
-        elif mode is ObserverMode.UNPROT and not step.inst.prot:
-            obs = obs + (("unprot", tuple(v for _, v in step.reg_writes)),)
-        trace.append(obs)
+                obs += (("pubdef", tuple(map(_value, step.reg_writes))),)
+        elif unprot and not step.inst.prot:
+            obs += (("unprot", tuple(map(_value, step.reg_writes))),)
+        append(obs)
     return trace
 
 

@@ -11,6 +11,7 @@ from .adversary import (
     observe_labeled,
 )
 from .checker import (
+    ArchitecturalMismatch,
     CheckOutcome,
     Contract,
     InvalidReason,
@@ -22,6 +23,6 @@ from .checker import (
 __all__ = [
     "ALL_MODELS", "AdversaryModel", "Divergence", "ObservationElement",
     "first_divergence", "observe", "observe_labeled",
-    "CheckOutcome", "Contract", "InvalidReason", "TestInput", "Verdict",
-    "check_contract_pair",
+    "ArchitecturalMismatch", "CheckOutcome", "Contract", "InvalidReason",
+    "TestInput", "Verdict", "check_contract_pair",
 ]

@@ -17,9 +17,10 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
-from ..arch.executor import run_program
+from ..arch.executor import SeqResult, run_program
 from ..arch.memory import Memory
 from ..arch.observers import ObserverMode, contract_trace
+from ..isa.registers import reg_name
 from ..uarch.config import CoreConfig, P_CORE
 from ..uarch.pipeline import CoreResult, simulate
 from .adversary import AdversaryModel, Divergence, first_divergence, observe
@@ -71,6 +72,16 @@ class InvalidReason(enum.Enum):
 #: replay runs under the limits the campaign used.
 CHECK_FUEL = 60_000
 CHECK_MAX_CYCLES = 400_000
+
+#: Hardware halt reasons of a run cut short by its cycle budget.
+#: "no_progress" is the early-abort flavour of a timeout: the core
+#: proved the machine wedged instead of burning ``max_cycles``.
+_HW_CUT_SHORT = ("timeout", "no_progress")
+
+
+class ArchitecturalMismatch(Exception):
+    """A hardware run disagrees architecturally with the sequential run
+    of the same input: an engine bug, never a verdict."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,11 @@ def check_contract_pair(
     hardware stage needs it.  Pairs of one program (same program,
     defense factory, config and ``max_cycles``) may share one memo, so
     that an input they have in common is simulated once; without one,
-    each check simulates both of its inputs."""
+    each check simulates both of its inputs.
+
+    Each new hardware run that ends is checked against this check's
+    sequential run of the same input (:func:`check_equivalent`): a
+    mismatch raises :class:`ArchitecturalMismatch`."""
     seq_a = run_program(program, input_a.build_memory(),
                         input_a.build_regs(), fuel=fuel)
     seq_b = run_program(program, input_b.build_memory(),
@@ -146,17 +161,17 @@ def check_contract_pair(
 
     if hw_runs is None:
         hw_runs = {}
-    for test_input in (input_a, input_b):
+    for test_input, seq in ((input_a, seq_a), (input_b, seq_b)):
         if test_input not in hw_runs:
-            hw_runs[test_input] = simulate(
+            hw = hw_runs[test_input] = simulate(
                 program, defense_factory(), config,
                 test_input.build_memory(), test_input.build_regs(),
                 max_cycles=max_cycles)
+            if hw.halt_reason not in _HW_CUT_SHORT:
+                check_equivalent(seq, hw)
     hw_a, hw_b = hw_runs[input_a], hw_runs[input_b]
-    # "no_progress" is the early-abort flavour of a timeout: the core
-    # proved the machine wedged instead of burning max_cycles.
-    if (hw_a.halt_reason in ("timeout", "no_progress")
-            or hw_b.halt_reason in ("timeout", "no_progress")):
+    if (hw_a.halt_reason in _HW_CUT_SHORT
+            or hw_b.halt_reason in _HW_CUT_SHORT):
         return CheckOutcome(Verdict.INVALID_PAIR, detail="hw timeout",
                             invalid_reason=InvalidReason.HW_TIMEOUT)
 
@@ -173,6 +188,49 @@ def check_contract_pair(
             return CheckOutcome(Verdict.VIOLATION, adversary, detail,
                                 divergence=divergence)
     return CheckOutcome(Verdict.PASS)
+
+
+def check_equivalent(seq: SeqResult, hw: CoreResult) -> None:
+    """Raise :class:`ArchitecturalMismatch` unless the hardware run
+    ``hw`` ended as the sequential run ``seq`` of the same input did,
+    committed the PCs ``seq`` stepped through, and left the same
+    registers and memory (the assertions of
+    ``tests/test_equivalence.py::assert_equivalent``).  The message
+    names the first differing halt reason, committed PC, register or
+    memory byte."""
+    seq_pcs = [step.pc for step in seq.steps]
+    if hw.halt_reason != seq.halt_reason:
+        problem = (f"the hardware run ended {hw.halt_reason!r}, the "
+                   f"sequential run {seq.halt_reason!r}")
+    elif hw.committed_pcs != seq_pcs:
+        hw_pcs = hw.committed_pcs
+        i = next((i for i, (a, b) in enumerate(zip(hw_pcs, seq_pcs))
+                  if a != b), min(len(hw_pcs), len(seq_pcs)))
+        problem = (f"committed instruction {i}: hardware pc "
+                   f"{_pc_at(hw_pcs, i)}, sequential pc "
+                   f"{_pc_at(seq_pcs, i)}")
+    elif hw.final_regs != seq.final_regs:
+        r = next(r for r, (a, b) in enumerate(zip(hw.final_regs,
+                                                  seq.final_regs))
+                 if a != b)
+        problem = (f"register {reg_name(r)}: hardware "
+                   f"{hw.final_regs[r]:#x}, sequential "
+                   f"{seq.final_regs[r]:#x}")
+    elif hw.memory != seq.memory:
+        hw_bytes, seq_bytes = hw.memory.snapshot(), seq.memory.snapshot()
+        addr = min(a for a in set(hw_bytes) | set(seq_bytes)
+                   if hw_bytes.get(a, 0) != seq_bytes.get(a, 0))
+        problem = (f"memory byte {addr:#x}: hardware "
+                   f"{hw_bytes.get(addr, 0):#04x}, sequential "
+                   f"{seq_bytes.get(addr, 0):#04x}")
+    else:
+        return
+    raise ArchitecturalMismatch(
+        f"architectural mismatch (an engine bug, not a verdict): {problem}")
+
+
+def _pc_at(pcs, i):
+    return pcs[i] if i < len(pcs) else "none"
 
 
 def _is_false_positive(a: CoreResult, b: CoreResult) -> bool:

@@ -9,7 +9,9 @@ Every pair of a program mutates one base input.  Each input of a
 program is simulated on the core once: the program's checks share one
 ``TestInput -> CoreResult`` memo, dropped when the program ends, so a
 program with N valid pairs costs N + 1 simulations instead of 2N.  Each
-check still runs both of its inputs on the sequential machine.
+check still runs both of its inputs on the sequential machine, and
+compares each new hardware run with the sequential run of its input:
+a mismatch is an engine bug, and raises.
 
 Programs are independent test units: each is one ``fuzz-program`` job
 of the bench job runner (:mod:`repro.bench.jobs`), carrying the cell's

@@ -1,9 +1,13 @@
 """Contract checking and adversary models."""
 
+import dataclasses
 from types import SimpleNamespace
+
+import pytest
 
 from repro.contracts import (
     AdversaryModel,
+    ArchitecturalMismatch,
     Contract,
     InvalidReason,
     TestInput,
@@ -147,24 +151,25 @@ def test_false_positive_filter_flags_sequential_divergence(monkeypatch):
     """A divergence whose committed streams differ is the AMuLeT*
     sequential-leakage artifact, not a transient violation.  Honest runs
     with equal contract traces cannot produce one, so doctor the
-    microarchitectural results directly."""
+    microarchitectural results directly.  Each doctored run keeps the
+    architectural results of the real run, which the checker compares
+    with the sequential run, and the two differ in committed
+    accesses."""
     from repro.contracts import checker
 
     empty = frozenset()
-    doctored = [
-        SimpleNamespace(halt_reason="halt",
-                        adversary_cache_state=(frozenset({(0, 1)}), empty,
-                                               empty, empty),
-                        cycles=10, timing_trace=[],
-                        committed_pcs=[0, 1], committed_accesses=[]),
-        SimpleNamespace(halt_reason="halt",
-                        adversary_cache_state=(frozenset({(0, 2)}), empty,
-                                               empty, empty),
-                        cycles=10, timing_trace=[],
-                        committed_pcs=[0, 2], committed_accesses=[]),
-    ]
-    monkeypatch.setattr(checker, "simulate",
-                        lambda *args, **kwargs: doctored.pop(0))
+    doctored = [(frozenset({(0, 1)}), [(0, 0x40)]),
+                (frozenset({(0, 2)}), [(0, 0x80)])]
+    simulate = checker.simulate
+
+    def doctor(*args, **kwargs):
+        tags, accesses = doctored.pop(0)
+        return dataclasses.replace(
+            simulate(*args, **kwargs),
+            adversary_cache_state=(tags, empty, empty, empty),
+            committed_accesses=accesses)
+
+    monkeypatch.setattr(checker, "simulate", doctor)
     program = assemble("movi r1, 1\nhalt\n").linked()
     # Two distinct inputs (the program never reads r2): the checker
     # simulates each distinct input once, so equal inputs would share
@@ -178,3 +183,53 @@ def test_false_positive_filter_flags_sequential_divergence(monkeypatch):
     # The localized divergence is attached to false positives too.
     assert outcome.divergence is not None
     assert outcome.divergence.kind == "cache_tag"
+
+
+#: Stores r1 at 0x105: one register, one committed store, one word.
+STORE_PROGRAM = "movi r1, 5\nstore [r1 + 0x100], r1\nmovi r2, 7\nhalt\n"
+
+
+def _replace_final_reg(result):
+    regs = list(result.final_regs)
+    regs[2] ^= 1
+    return dataclasses.replace(result, final_regs=tuple(regs))
+
+
+def _drop_pc(result):
+    return dataclasses.replace(result,
+                               committed_pcs=result.committed_pcs[:1]
+                               + result.committed_pcs[2:])
+
+
+def _flip_byte(result):
+    memory = result.memory.copy()
+    memory.write_byte(0x106, 1)
+    return dataclasses.replace(result, memory=memory)
+
+
+def _end_off(result):
+    return dataclasses.replace(result, halt_reason="off_end")
+
+
+@pytest.mark.parametrize("doctor,message", [
+    (_replace_final_reg, "register r2: hardware 0x6, sequential 0x7"),
+    (_drop_pc, "committed instruction 1: hardware pc 2, sequential pc 1"),
+    (_flip_byte, "memory byte 0x106: hardware 0x01, sequential 0x00"),
+    (_end_off, "the hardware run ended 'off_end', the sequential run "
+               "'halt'"),
+])
+def test_architectural_mismatch_raises(monkeypatch, doctor, message):
+    """Every new hardware run of a check is compared with the check's
+    sequential run of the same input; a mismatch is an engine bug and
+    raises, naming what differs, instead of becoming a verdict."""
+    from repro.contracts import checker
+
+    simulate = checker.simulate
+    monkeypatch.setattr(checker, "simulate",
+                        lambda *args, **kwargs: doctor(
+                            simulate(*args, **kwargs)))
+    program = assemble(STORE_PROGRAM).linked()
+    with pytest.raises(ArchitecturalMismatch) as raised:
+        check_contract_pair(program, Unsafe, Contract.ARCH_SEQ,
+                            TestInput(), TestInput())
+    assert message in str(raised.value)

@@ -174,3 +174,36 @@ def test_program_simulates_each_input_once(monkeypatch):
     monkeypatch.setattr(campaign, "check_contract_pair", unshared)
     assert campaign.run_program(config, program_seed).to_dict() \
         == shared.to_dict()
+
+
+@pytest.mark.parametrize("core", ["E", "CONTROL"])
+def test_campaign_checks_equivalence_on_other_cores(monkeypatch, core):
+    # Every simulated input that ends is compared with its sequential
+    # run, and a mismatch raises: the campaign finishing clean means the
+    # core agreed with the sequential machine on each of them.
+    from repro.contracts import checker
+    from repro.uarch import E_CORE, P_CORE
+    from repro.uarch.config import SpeculationModel
+
+    calls = {"simulate": 0, "check_equivalent": 0}
+
+    def count(name):
+        original = getattr(checker, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(checker, name, counted)
+
+    count("simulate")
+    count("check_equivalent")
+    config = {"E": E_CORE,
+              "CONTROL": P_CORE.replace(
+                  speculation_model=SpeculationModel.CONTROL)}[core]
+    result = run_campaign(CampaignConfig(
+        defense_factory=ProtTrack, contract=Contract.UNPROT_SEQ,
+        instrumentation="rand", n_programs=3, pairs_per_program=3,
+        seed=5, core=config), jobs=1)
+    assert result.tests + result.invalid_pairs == 9
+    assert calls["simulate"] > 0
+    assert calls["check_equivalent"] == calls["simulate"]
