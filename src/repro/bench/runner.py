@@ -46,6 +46,15 @@ DEFENSES: Dict[str, Callable[..., object]] = {
     "track-raw": functools.partial(ProtTrack, use_predictor=False),
 }
 
+
+def default_instrument(defense: str) -> Optional[str]:
+    """The binary ``defense`` runs unless told otherwise: the workload's
+    own-class ProtCC binary (``"auto"``) for a mechanism that reads PROT
+    prefixes (``Defense.binary == "protcc"``), the base binary (None)
+    for the rest."""
+    return "auto" if DEFENSES[defense]().binary == "protcc" else None
+
+
 #: Which secure baseline targets each vulnerable-code class (Tab. I).
 CLASS_BASELINE = {"arch": "stt", "cts": "spt", "ct": "spt", "unr": "spt-sb"}
 

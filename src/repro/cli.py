@@ -560,6 +560,7 @@ def _run_fuzz(args) -> int:
         print(f"  violation: program seed {program_seed}, "
               f"pair {pair_index}, adversary {adversary}")
     if args.report_dir is not None:
+        from .bench.runner import default_instrument
         from .bench.tables import SPEC_INT_FAST, speculation_anatomy
         from .forensics import write_forensics_report
 
@@ -567,10 +568,9 @@ def _run_fuzz(args) -> int:
         if args.defense != "unsafe":
             # Where this defense spends its intervention budget on the
             # quick benchmark subset — context for the witnesses below.
-            instrument = "auto" if args.defense in ("delay", "track") \
-                else None
             anatomy = speculation_anatomy(
-                SPEC_INT_FAST[:3], ((args.defense, instrument),),
+                SPEC_INT_FAST[:3],
+                ((args.defense, default_instrument(args.defense)),),
                 jobs=args.jobs).render()
         written = write_forensics_report(
             result, args.report_dir,
@@ -657,7 +657,7 @@ def _run_speculation(args) -> int:
     ``repro trace`` records one run's interventions."""
     import json
 
-    from .bench.runner import DEFENSES
+    from .bench.runner import DEFENSES, default_instrument
     from .bench.tables import (
         ATTRIBUTION_DEFENSES,
         SPEC_INT_FAST,
@@ -669,9 +669,7 @@ def _run_speculation(args) -> int:
             or _refuse("workload", args.workload or (), workload_names())):
         return 2
     if args.defense:
-        defenses = tuple(
-            (d, "auto" if d in ("delay", "track") else None)
-            for d in args.defense)
+        defenses = tuple((d, default_instrument(d)) for d in args.defense)
     else:
         defenses = ATTRIBUTION_DEFENSES
     names = tuple(args.workload) if args.workload else SPEC_INT_FAST[:3]

@@ -16,6 +16,13 @@ is expressible through these hooks:
   (ProtTrack's access-misprediction detection).
 * ``on_commit`` / ``on_squash`` — retire-time bookkeeping.
 
+The compiled engine (:mod:`repro.uarch.compiled`) specializes its code
+on the defense *class*: which hooks the class overrides, and whether it
+:attr:`~Defense.declassifies`.  Every instance of one class shares that
+code, so instance state (constructor arguments, predictor tables, taint
+sets) steers a mechanism only from inside its hooks, which the
+generated code calls on the instance it runs.
+
 Helper predicates shared by all mechanisms live here: speculation-state
 queries, YRoT taint checks, and the transmitter-operand enumeration the
 threat model fixes (paper SII-B1).
@@ -36,9 +43,6 @@ RECHECK_NEVER = 1 << 62
 
 class Defense:
     """Base policy: the unsafe baseline (no protection at all)."""
-
-    #: Display name used by the benchmark harness.
-    name = "Unsafe"
 
     #: Which ProtCC instrumentation this mechanism expects ("base" for
     #: hardware-defined-ProtSet baselines that ignore PROT prefixes).
@@ -82,16 +86,6 @@ class Defense:
 
     def attach(self, core) -> None:
         self.core = core
-
-    def compile_params(self) -> Tuple:
-        """Constructor parameters that change this mechanism's behaviour,
-        as a tuple of hashable values, for the key of the compiled
-        backend's in-process compile memo (see
-        :func:`repro.uarch.compiled.compile_key`).  Subclasses with
-        behavioural constructor arguments must override this — two
-        instances of the same class with different ``compile_params()``
-        must never share compiled code."""
-        return ()
 
     # -- hooks (default: allow everything) -------------------------------
 
@@ -244,6 +238,3 @@ class Defense:
 
 class Unsafe(Defense):
     """The unmodified out-of-order core (paper's unsafe baseline)."""
-
-    name = "Unsafe"
-    binary = "base"

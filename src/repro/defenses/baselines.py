@@ -30,7 +30,6 @@ from .base import Defense
 class AccessDelay(Defense):
     """NDA/SpecShield-style wakeup delay on speculative loads."""
 
-    name = "AccessDelay(NDA)"
     binary = "base"
 
     def may_wakeup(self, uop: Uop) -> bool:
@@ -46,7 +45,6 @@ class AccessDelay(Defense):
 class AccessTrack(Defense):
     """STT-style speculative taint tracking."""
 
-    name = "STT"
     binary = "base"
 
     def on_rename(self, uop: Uop) -> None:
@@ -92,7 +90,6 @@ class SPT(Defense):
     """Speculative Privacy Tracking: protect whatever has not yet been
     architecturally transmitted."""
 
-    name = "SPT"
     binary = "base"
     declassifies = True
 
@@ -278,7 +275,6 @@ class SPTSB(Defense):
     """SPT's secure baseline: delay every transmitter until it is
     non-speculative (XmitDelay over an all-state ProtSet)."""
 
-    name = "SPT-SB"
     binary = "base"
 
     def may_execute(self, uop: Uop) -> bool:

@@ -35,17 +35,11 @@ from .predictor import AccessPredictor
 class ProtDelay(Defense):
     """Delay-based enforcement of ProtISA ProtSets."""
 
-    name = "Protean-Delay"
     binary = "protcc"
 
     def __init__(self, selective_wakeup: bool = True) -> None:
         super().__init__()
         self.selective_wakeup = selective_wakeup
-        if not selective_wakeup:
-            self.name = "AccessDelay-on-ProtISA"
-
-    def compile_params(self):
-        return (self.selective_wakeup,)
 
     # -- security: access transmitters stall until non-speculative --------
 
@@ -106,7 +100,6 @@ class ProtTrack(Defense):
     """Taint-based enforcement of ProtISA ProtSets with a secure access
     predictor."""
 
-    name = "Protean-Track"
     binary = "protcc"
 
     def __init__(self, use_predictor: bool = True,
@@ -118,17 +111,12 @@ class ProtTrack(Defense):
         # (these track the predictor's counters at each load commit).
         self.stats["predictions"] = 0
         self.stats["mispredictions"] = 0
-        if not use_predictor:
-            self.name = "AccessTrack-on-ProtISA"
         #: Loads that must fall back to ProtDelay-style wakeup gating:
         #: access-predictor false negatives (paper SVI-B2b).
         self._fallback: Set[int] = set()
         #: Untainted loads forwarding from stores of tainted data
         #: (paper SVI-B2c): load seq -> the store uop.
         self._forward_gated: Dict[int, Uop] = {}
-
-    def compile_params(self):
-        return (self.use_predictor, self.predictor.entries)
 
     # -- rename: taint decisions -------------------------------------------
 

@@ -16,7 +16,7 @@ a property the test suite checks on random programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..isa.instruction import Instruction
@@ -42,8 +42,6 @@ class RewriteResult:
     inst_pos: Dict[int, int]
     #: old pc -> new position of the insertion point just before it
     point_pos: Dict[int, int]
-    #: start position of each trampoline, in split registration order
-    split_pos: List[int] = field(default_factory=list)
 
     def before_positions(self, pc: int, count: int) -> List[int]:
         """Final positions of the ``count`` instructions inserted before
@@ -172,7 +170,7 @@ class Rewriter:
 
         entry = point_pos[program.entry]
         rebuilt = Program(new_instructions, labels, functions, entry)
-        return RewriteResult(rebuilt, inst_pos, point_pos, split_pos)
+        return RewriteResult(rebuilt, inst_pos, point_pos)
 
 
 def identity_move(reg: int, prot: bool = False) -> Instruction:

@@ -92,8 +92,6 @@ class BranchPredictor:
         self.btb = BTB(btb_entries)
         self.ras = ReturnAddressStack(ras_entries)
         self.last_br_index = 0
-        self.direction_mispredicts = 0
-        self.target_mispredicts = 0
 
     def predict_next(self, pc: int, inst: Instruction) -> int:
         """Predict the next fetch PC for the instruction at ``pc``."""

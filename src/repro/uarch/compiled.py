@@ -86,8 +86,12 @@ bit-identical :class:`CoreResult` contract checked by ``repro diff``
 (reference vs compiled) — is shared by both engines.
 
 Compiled functions are memoized in-process under :func:`compile_key`
-(full config + defense class and params + program shape), so every
-program of one shape shares one compile; nothing outlives the process.
+(full config + defense class + program shape), so every program of one
+shape shares one compile, and so does every instance of one defense
+class; nothing outlives the process.  The generator sees the defense
+class, never an instance: instance state (constructor arguments such
+as ProtTrack's predictor size) reaches the generated code only through
+the bound hooks ``run`` takes from ``core.defense``.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ _B2C_LITERAL = repr({reason: f"stall_{cause}"
 
 
 class DefenseTraits:
-    """Compile-time facts about a defense instance.
+    """Compile-time facts about a defense class.
 
     A hook is *live* when the class overrides the base
     :class:`~repro.defenses.base.Defense` implementation; dead hooks
@@ -164,10 +168,9 @@ class DefenseTraits:
               "execute_recheck_seq", "resolve_recheck_seq",
               "wakeup_recheck_seq")
 
-    def __init__(self, defense) -> None:
+    def __init__(self, cls) -> None:
         from ..defenses.base import Defense
 
-        cls = type(defense)
         for hook in self._HOOKS:
             live = getattr(cls, hook) is not getattr(Defense, hook)
             setattr(self, hook, live)
@@ -227,12 +230,12 @@ _MEM_CACHE_LIMIT = 256
 
 def compile_key(program, config: CoreConfig, defense) -> Tuple:
     """Everything the generated source depends on: the complete core
-    configuration, the defense class (which fixes its hook traits) and
-    constructor params, and the program's :class:`Shape`.  Any config
-    field or defense parameter misses; two programs of one shape share
-    the key.  Simulator source cannot change while the process runs."""
-    return (config, type(defense), defense.compile_params(),
-            program_shape(program))
+    configuration, the defense class (which fixes its hook traits), and
+    the program's :class:`Shape`.  Any config field or defense class
+    misses; two programs of one shape share the key, and so do two
+    instances of one class, whatever their constructor arguments.
+    Simulator source cannot change while the process runs."""
+    return (config, type(defense), program_shape(program))
 
 
 def clear_compile_cache() -> None:
@@ -243,7 +246,7 @@ def clear_compile_cache() -> None:
 def compile_step(program, config: CoreConfig, defense):
     """Return the compiled ``run(core)`` function for the triple,
     generating and compiling it on the first request for its
-    (config, defense, shape) key in this process."""
+    (config, defense class, shape) key in this process."""
     from ..metrics.telemetry import current
 
     metrics = current().registry
@@ -374,7 +377,7 @@ _HOT_SCALARS = (
 )
 
 class _Codegen:
-    """Source generator for one (shape, config, defense) key.
+    """Source generator for one (shape, config, defense class) key.
 
     Each stage method emits the generated counterpart of the
     :class:`~repro.uarch.pipeline.Core` method of the same name, so a
@@ -382,17 +385,20 @@ class _Codegen:
     compiled-only code (prologue, fast-forward, epilogue) or one block
     several stages share.  Emitted code names the uop at hand ``u``.
 
-    The generator never sees a program: every choice it makes about
-    one reads the :class:`Shape` flags, and the emitted code reads the
-    per-PC facts from the decode columns.
+    The generator never sees a program or a defense instance: every
+    choice it makes about a program reads the :class:`Shape` flags and
+    every choice about the defense reads its class.  The emitted code
+    reads the per-PC facts from the decode columns and calls the
+    instance's hooks through ``core.defense``.
     """
 
-    def __init__(self, shape: Shape, config: CoreConfig, defense) -> None:
+    def __init__(self, shape: Shape, config: CoreConfig,
+                 defense_class: type) -> None:
         self.s = _Emitter()
         self.shape = shape
         self.config = config
-        self.defense = defense
-        self.traits = traits = DefenseTraits(defense)
+        self.defense_class = defense_class
+        self.traits = traits = DefenseTraits(defense_class)
         self.has_stores, self.has_divs, self.has_mfence = shape
         # The issuing kinds the shape allows, in dispatch order: those
         # whose own shape flags are all set.
@@ -432,7 +438,7 @@ class _Codegen:
 
     def _prologue(self) -> None:
         s, traits, config = self.s, self.traits, self.config
-        defense = type(self.defense)
+        defense = self.defense_class
         live = [h for h in DefenseTraits._HOOKS if getattr(traits, h)]
         s('"""Specialized pipeline for one (config, defense, program shape).')
         s("")
@@ -1707,14 +1713,15 @@ class _Codegen:
 
 def generate_source(program, config: CoreConfig, defense) -> str:
     """Generate the specialized module source for the triple's
-    (shape, config, defense) key.
+    (shape, config, defense class) key.
 
-    Deterministic in (program shape, config, defense traits): no
+    Deterministic in (program shape, config, defense class): no
     timestamps, hashes, or environment state are embedded, so
-    generating twice, or for two programs of one shape, gives identical
-    source (``test_generated_source_is_deterministic``).
+    generating twice, for two programs of one shape, or for two
+    instances of one defense class gives identical source
+    (``test_generated_source_is_deterministic``).
     """
-    g = _Codegen(program_shape(program), config, defense)
+    g = _Codegen(program_shape(program), config, type(defense))
     s = g.s
     g._prologue()
     # Closures: the Core methods more than one stage reaches.

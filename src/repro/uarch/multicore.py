@@ -15,7 +15,7 @@ program with its thread id in a register, sharding the data space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..arch.executor import STACK_TOP
@@ -41,7 +41,6 @@ class MultiCoreResult:
     halt_reasons: List[str]
     memory: Memory
     invalidations: int
-    per_thread_instructions: List[int] = field(default_factory=list)
 
     @property
     def threads(self) -> int:
@@ -137,7 +136,6 @@ class MultiCore:
             halt_reasons=[r.halt_reason for r in results],
             memory=self.memory,
             invalidations=self.broadcast.invalidations,
-            per_thread_instructions=[r.instructions for r in results],
         )
 
 

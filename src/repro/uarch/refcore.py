@@ -282,7 +282,7 @@ def workload_cases(names: Iterable[str],
                    ) -> Iterator[Case]:
     """Full workloads under every defense (or ``defenses``), Protean
     defenses on the workload's ProtCC binary."""
-    from ..bench.runner import DEFENSES, compiled
+    from ..bench.runner import DEFENSES, compiled, default_instrument
     from ..workloads import get_workload
 
     for name in names:
@@ -290,8 +290,9 @@ def workload_cases(names: Iterable[str],
         for defense, factory in DEFENSES.items():
             if defenses is not None and defense not in defenses:
                 continue
-            program = compiled(name, "auto").program \
-                if factory().binary == "protcc" else workload.program
+            instrument = default_instrument(defense)
+            program = workload.program if instrument is None \
+                else compiled(name, instrument).program
             yield Case(f"workload:{name}/{defense}", program, factory,
                        memory=workload.memory, regs=workload.regs)
 

@@ -6,21 +6,23 @@ interpreter is proven by the differential harness
 (``tests/test_refcore_diff.py`` runs a grid subset; ``repro diff`` and
 the CI ``diff-twoway`` job run the full sweep).  This module covers
 everything *around* that proof: that the in-process compile memo
-misses exactly when it must and is shared by programs of one shape,
-that the default engine and the tracer fallback pick the right engine,
-that the backend reports its compile costs, that small programs
-unlike any workload (no branches, loads or ``HALT``; repeated source
-registers, ``pop sp``) run the shared code as the reference runs
-them, and that so do rename stalls on a full load or store queue or
-register file, which no default diff case reaches.
+misses exactly when it must and is shared by programs of one shape and
+by instances of one defense class, that the default engine and the
+tracer fallback pick the right engine, that the backend reports its
+compile costs, that small programs unlike any workload (no branches,
+loads or ``HALT``; repeated source registers, ``pop sp``) run the
+shared code as the reference runs them, and that so do rename stalls
+on a full load or store queue or register file, which no default diff
+case reaches.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.arch import Memory, run_program
-from repro.bench.runner import DEFENSES
+from repro.bench.runner import DEFENSES, compiled
 from repro.defenses import ProtDelay, ProtTrack, Unsafe
 from repro.fixtures import build
 from repro.isa import assemble
@@ -43,6 +45,7 @@ from repro.uarch.refcore import (
     workload_cases,
 )
 from repro.uarch.trace import PipelineTracer
+from repro.workloads import get_workload
 
 
 @pytest.fixture()
@@ -70,15 +73,40 @@ def test_compile_key_stable_for_equal_triples(v1_program):
     assert key_a == key_b
 
 
-def test_compile_key_misses_on_defense_param_change(v1_program):
-    keys = {
-        compile_key(v1_program, P_CORE, ProtTrack()),
-        compile_key(v1_program, P_CORE, ProtTrack(predictor_entries=64)),
-        compile_key(v1_program, P_CORE, ProtTrack(use_predictor=False)),
-        compile_key(v1_program, P_CORE, ProtDelay()),
-        compile_key(v1_program, P_CORE, ProtDelay(selective_wakeup=False)),
-    }
-    assert len(keys) == 5, "behavioural defense params must not share keys"
+#: (workload, ProtCC class, defense factory, cycles on both engines):
+#: two instances of one class that differ only in constructor
+#: arguments, and cycle counts that tell them apart.
+ONE_CLASS_RUNS = (
+    ("ossl.dh", "auto", ProtTrack, 1759),
+    ("ossl.dh", "auto", partial(ProtTrack, predictor_entries=2), 1800),
+    ("mcf.s", "arch", DEFENSES["track"], 2277),
+    ("mcf.s", "arch", DEFENSES["track-raw"], 4058),
+)
+
+
+def test_instances_of_one_defense_class_share_a_key_and_a_compile(
+        v1_program):
+    # The generated code depends on the defense class alone: constructor
+    # arguments act through the instance's own bound hooks.
+    for instances in ((ProtTrack(), ProtTrack(predictor_entries=2),
+                       ProtTrack(use_predictor=False)),
+                      (ProtDelay(), ProtDelay(selective_wakeup=False))):
+        assert len({compile_key(v1_program, P_CORE, defense)
+                    for defense in instances}) == 1
+        shared = compile_step(v1_program, P_CORE, instances[0])
+        for defense in instances[1:]:
+            assert compile_step(v1_program, P_CORE, defense) is shared
+    assert compile_key(v1_program, P_CORE, ProtTrack()) \
+        != compile_key(v1_program, P_CORE, ProtDelay())
+    # Each instance still gets its own result from the shared code, and
+    # it is the reference engine's.
+    for name, instrument, factory, cycles in ONE_CLASS_RUNS:
+        workload = get_workload(name)
+        results, report = run_engines(Case(
+            f"{name}/{instrument}", compiled(name, instrument).program,
+            factory, memory=workload.memory, regs=workload.regs))
+        assert report.identical, report.render()
+        assert results["compiled"].cycles == cycles, report.label
 
 
 def test_compile_key_misses_on_core_config_change(v1_program):

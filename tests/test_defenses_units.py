@@ -4,6 +4,7 @@ predictor, and per-defense gating decisions on crafted pipelines."""
 import pytest
 
 from repro.arch import Memory
+from repro.bench.runner import DEFENSES
 from repro.defenses import (
     AccessDelay,
     AccessPredictor,
@@ -11,8 +12,6 @@ from repro.defenses import (
     ProtDelay,
     ProtTrack,
     SPT,
-    SPTSB,
-    Unsafe,
 )
 from repro.isa import assemble
 from repro.uarch import Core, P_CORE, PipelineTracer
@@ -161,9 +160,9 @@ def test_spt_lossy_op_blocks_publicness():
 
 
 def test_defense_names():
-    assert Unsafe().name == "Unsafe"
+    # The binary a registered defense runs: Protean's mechanisms, the
+    # SIX-A4 raw variants included, read the ProtCC one.
     assert AccessDelay().binary == "base"
     assert ProtDelay().binary == "protcc"
-    assert ProtDelay(selective_wakeup=False).name == "AccessDelay-on-ProtISA"
-    assert ProtTrack(use_predictor=False).name == "AccessTrack-on-ProtISA"
-    assert SPTSB().name == "SPT-SB"
+    assert DEFENSES["delay-raw"]().binary == "protcc"
+    assert DEFENSES["track-raw"]().binary == "protcc"

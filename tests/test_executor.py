@@ -328,7 +328,15 @@ def test_every_registered_defense_factory_pickles():
         built = factory()
         rebuilt = pickle.loads(pickle.dumps(factory))()
         assert type(rebuilt) is type(built), name
-        assert rebuilt.compile_params() == built.compile_params(), name
+        assert _constructor_args(rebuilt) == _constructor_args(built), name
+
+
+def _constructor_args(defense):
+    """The constructor arguments a registered factory can set."""
+    predictor = getattr(defense, "predictor", None)
+    return (getattr(defense, "selective_wakeup", None),
+            getattr(defense, "use_predictor", None),
+            None if predictor is None else predictor.entries)
 
 
 def test_bespoke_core_cell_runs_on_the_pool():

@@ -333,6 +333,21 @@ def test_speculation_cli_json(capsys):
         "interventions"] > 0
 
 
+def test_speculation_cli_runs_raw_variants_on_their_protcc_binary(
+        capsys, tmp_path, monkeypatch):
+    # The SIX-A4 raw mechanisms read PROT prefixes like delay and track,
+    # so they run the workload's own-class binary, not the base one.
+    from repro.bench.runner import norm_runtime
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["speculation", "--workload", "ossl.ecadd",
+                 "--defense", "track-raw", "--json", "--jobs", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["defenses"]["track-raw"]["norm_runtime"] \
+        == norm_runtime("ossl.ecadd", "track-raw", instrument="auto")
+
+
 def test_speculation_cli_rejects_unknown_defense(capsys):
     from repro.cli import main
 
