@@ -57,6 +57,15 @@ def _emit(result) -> None:
     print(result.render())
 
 
+def positive_int(text: str) -> int:
+    """argparse type for a count of at least 1: anything else exits 2
+    with a usage error, as an unknown ``--core`` does."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_jobs(parser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -264,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--fmt", default="chrome", choices=["chrome", "text"],
                     help="chrome: Perfetto-loadable JSON; text: Konata-"
                          "style pipeline view")
-    tr.add_argument("--max-uops", type=int, default=100_000,
+    tr.add_argument("--max-uops", type=positive_int, default=100_000,
                     help="record at most N uops (bounds trace size)")
 
     pr = sub.add_parser(

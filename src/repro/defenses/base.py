@@ -25,20 +25,24 @@ generated code calls on the instance it runs.
 
 Helper predicates shared by all mechanisms live here: speculation-state
 queries, YRoT taint checks, and the transmitter-operand enumeration the
-threat model fixes (paper SII-B1).
+threat model fixes (paper SII-B1).  Both engines call the hooks for
+every renamed, issued, resolved and committed uop, so the helpers read
+the speculation window once per call (``Core.nonspec_bound``) and walk
+a uop's operands in one plain loop: :meth:`~Defense.any_tainted`,
+:meth:`~Defense.any_protected` and :meth:`~Defense.propagated_yrot`
+each take one pass and at most one window query.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from ..uarch.config import SpeculationModel
+# RECHECK_NEVER: returned by the ``*_recheck_seq`` hooks when no head
+# seq can flip a refusal, only an event can (a branch resolution under
+# CONTROL, a declassification for mechanisms that declassify).  It is
+# also ``Core.nonspec_bound()`` when nothing bounds the window.
+from ..uarch.pipeline import RECHECK_NEVER
 from ..uarch.uop import Uop
-
-#: Returned by the ``*_recheck_seq`` hooks when no head seq can flip a
-#: refusal: only an event can (a branch resolution under CONTROL, a
-#: declassification for mechanisms that declassify).
-RECHECK_NEVER = 1 << 62
 
 
 class Defense:
@@ -155,27 +159,25 @@ class Defense:
         return None
 
     def _nonspec_flip_seq(self, seq: int) -> int:
-        """Head seq at which ``seq_nonspeculative(seq)`` can first turn
-        True.  Under ATCOMMIT that is exactly ``seq`` (the head advances
-        monotonically); under CONTROL the answer changes only at branch
-        resolutions, which wake the refused uop."""
-        if self.core.config.speculation_model is SpeculationModel.ATCOMMIT:
-            return seq
-        return RECHECK_NEVER
+        """Head seq at which ``nonspeculative`` of the uop ``seq`` can
+        first turn True.  Under ATCOMMIT that is exactly ``seq`` (the
+        head advances monotonically); under CONTROL the answer changes
+        only at branch resolutions, which wake the refused uop."""
+        return seq if self.core.atcommit else RECHECK_NEVER
 
-    def _taint_flip_seq(self, pregs: Iterable[int]) -> int:
+    def _taint_flip_seq(self, pregs: Tuple[int, ...]) -> int:
         """Head seq at which the *earliest* current taint among
         ``pregs`` can clear (taints only clear, never appear, between
         events: YRoT values are written at rename of fresh registers)."""
         core = self.core
-        if core.config.speculation_model is not SpeculationModel.ATCOMMIT:
+        if not (pregs and core.atcommit):
             return RECHECK_NEVER
+        bound = core.nonspec_bound()
+        yrots = core.prf.yrot
         flip = RECHECK_NEVER
-        yrot_arr = core.prf.yrot
-        nonspec = core.seq_nonspeculative
         for preg in pregs:
-            yrot = yrot_arr[preg]
-            if yrot is not None and yrot < flip and not nonspec(yrot):
+            yrot = yrots[preg]
+            if yrot is not None and bound < yrot < flip:
                 flip = yrot
         return flip
 
@@ -183,42 +185,71 @@ class Defense:
 
     def nonspeculative(self, uop: Uop) -> bool:
         """Whether the uop is past its speculation window (SII-B2)."""
-        return self.core.seq_nonspeculative(uop.seq)
+        return uop.seq <= self.core.nonspec_bound()
 
     def tainted(self, preg: int) -> bool:
         """YRoT taint check: a physical register is tainted while the
         youngest access instruction it depends on is still speculative."""
-        yrot = self.core.prf.yrot[preg]
-        return yrot is not None and not self.core.seq_nonspeculative(yrot)
+        core = self.core
+        yrot = core.prf.yrot[preg]
+        return yrot is not None and yrot > core.nonspec_bound()
+
+    def any_tainted(self, pregs: Iterable[int]) -> bool:
+        """Whether any of ``pregs`` is :meth:`tainted`: one pass for the
+        youngest root, then one window query, none when no register
+        has a root."""
+        yrots = self.core.prf.yrot
+        youngest = None
+        for preg in pregs:
+            yrot = yrots[preg]
+            if yrot is not None and (youngest is None or yrot > youngest):
+                youngest = yrot
+        return youngest is not None and youngest > self.core.nonspec_bound()
+
+    def any_protected(self, pregs: Iterable[int]) -> bool:
+        """Whether any of ``pregs`` carries a ProtISA protection tag."""
+        prot = self.core.prf.prot
+        for preg in pregs:
+            if prot[preg]:
+                return True
+        return False
 
     def propagated_yrot(self, uop: Uop) -> Optional[int]:
-        """Taint propagation at rename: max of the (live) source roots."""
-        result: Optional[int] = None
-        prf = self.core.prf
+        """Taint propagation at rename: the youngest live source root.
+        The youngest root of all sources is live exactly when any is,
+        so one pass and one window query suffice."""
+        yrots = self.core.prf.yrot
+        youngest = None
         for _, preg in uop.psrcs:
-            yrot = prf.yrot[preg]
-            if yrot is not None and not self.core.seq_nonspeculative(yrot):
-                if result is None or yrot > result:
-                    result = yrot
-        return result
+            yrot = yrots[preg]
+            if yrot is not None and (youngest is None or yrot > youngest):
+                youngest = yrot
+        if youngest is None or youngest <= self.core.nonspec_bound():
+            return None
+        return youngest
 
     def protected_src(self, uop: Uop) -> bool:
         """Whether any renamed register input carries a ProtISA
         protection tag (the register half of Definition 1)."""
-        prf = self.core.prf
-        return any(prf.prot[preg] for _, preg in uop.psrcs)
+        prot = self.core.prf.prot
+        for _, preg in uop.psrcs:
+            if prot[preg]:
+                return True
+        return False
 
     def execute_sensitive_pregs(self, uop: Uop) -> Tuple[int, ...]:
         """Physical registers transmitted when ``uop`` executes
-        (memoized on the uop: ``psrcs`` never changes after rename)."""
+        (memoized on the uop: ``psrcs`` never changes after rename);
+        ``()`` at once for an instruction that transmits nothing."""
         pregs = uop.exec_sensitive
         if pregs is None:
             inst = uop.inst
-            if inst.is_div and not self.core.config.div_is_transmitter:
+            regs = inst.transmit_regs_at_execute()
+            if not regs or (inst.is_div
+                            and not self.core.config.div_is_transmitter):
                 pregs = ()
             else:
-                regs = inst.transmit_regs_at_execute()
-                pregs = tuple(p for a, p in uop.psrcs if a in regs)
+                pregs = tuple([p for a, p in uop.psrcs if a in regs])
             uop.exec_sensitive = pregs
         return pregs
 
@@ -228,12 +259,17 @@ class Defense:
         pregs = uop.resolve_sensitive
         if pregs is None:
             regs = uop.inst.transmit_regs_at_resolve()
-            pregs = tuple(p for a, p in uop.psrcs if a in regs)
+            pregs = tuple([p for a, p in uop.psrcs if a in regs]) \
+                if regs else ()
             uop.resolve_sensitive = pregs
         return pregs
 
-    def div_gated(self, uop: Uop) -> bool:
-        return uop.inst.is_div and self.core.config.div_is_transmitter
+
+def store_data_preg(store: Uop) -> Optional[int]:
+    """The physical register holding ``store``'s data, or None for a
+    CALL, which pushes a constant."""
+    data_reg = store.inst.data_reg()
+    return None if data_reg is None else store.phys_for(data_reg)
 
 
 class Unsafe(Defense):

@@ -19,12 +19,12 @@ All run *base* (uninstrumented) binaries and ignore PROT prefixes.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from ..isa.operations import Op
 from ..isa.registers import SP
 from ..uarch.uop import Uop
-from .base import Defense
+from .base import Defense, store_data_preg
 
 
 class AccessDelay(Defense):
@@ -48,25 +48,25 @@ class AccessTrack(Defense):
     binary = "base"
 
     def on_rename(self, uop: Uop) -> None:
-        yrot = self.propagated_yrot(uop)
         if uop.is_load:
             # Every load output is the root of its own taint: loads are
             # the access instructions of STT's hardware-defined ProtSet.
             yrot = uop.seq
+        else:
+            yrot = self.propagated_yrot(uop)
+        yrots = self.core.prf.yrot
         for _, preg in uop.pdests:
-            self.core.prf.yrot[preg] = yrot
-
-    def _sensitive_untainted(self, pregs: List[int]) -> bool:
-        return not any(self.tainted(p) for p in pregs)
+            yrots[preg] = yrot
 
     def may_execute(self, uop: Uop) -> bool:
-        if uop.inst.is_mem or self.div_gated(uop):
-            return self._sensitive_untainted(
-                self.execute_sensitive_pregs(uop))
+        inst = uop.inst
+        if inst.is_mem or (inst.is_div
+                           and self.core.config.div_is_transmitter):
+            return not self.any_tainted(self.execute_sensitive_pregs(uop))
         return True
 
     def may_resolve(self, uop: Uop) -> bool:
-        if not self._sensitive_untainted(self.resolve_sensitive_pregs(uop)):
+        if self.any_tainted(self.resolve_sensitive_pregs(uop)):
             return False
         if uop.inst.op is Op.RET:
             # The loaded return target is the load's own output: tainted
@@ -116,66 +116,86 @@ class SPT(Defense):
     #: been transmitted, and SPT must delay their first transmission.
     #: This restriction is exactly what ProtCC-CTS/-CT exploit
     #: (paper SIX-B2/B3).
-    _INVERTIBLE_FWD = frozenset({
+    #: (A tuple: ``op in`` a frozenset would hash the enum member in
+    #: Python on every renamed uop.)
+    _INVERTIBLE_FWD = (
         Op.MOV, Op.ADD, Op.SUB, Op.XOR, Op.ADDI, Op.SUBI, Op.XORI,
-    })
+    )
+
+    #: Ops whose stack-pointer update (+/- 8) is invertible.
+    _STACK_OPS = (Op.PUSH, Op.POP, Op.CALL, Op.RET)
 
     def on_rename(self, uop: Uop) -> None:
         prf = self.core.prf
+        public_arr = prf.public
         inst = uop.inst
-        yrot = self.propagated_yrot(uop)
+        op = inst.op
         if uop.is_load:
             yrot = uop.seq
-        if inst.is_load:
             public = False  # refined at execute from the shadow bytes
-        elif inst.op is Op.MOVI:
-            # Immediates are program text, which the attacker has.
-            public = True
-        elif not uop.psrcs:
-            public = True
-        elif inst.op in self._INVERTIBLE_FWD:
-            public = all(prf.public[preg] for _, preg in uop.psrcs)
         else:
-            public = False
+            yrot = self.propagated_yrot(uop)
+            if op is Op.MOVI or not uop.psrcs:
+                # Immediates are program text, which the attacker has.
+                public = True
+            elif op in self._INVERTIBLE_FWD:
+                public = True
+                for _, preg in uop.psrcs:
+                    if not public_arr[preg]:
+                        public = False
+                        break
+            else:
+                public = False
+        stack_op = op in self._STACK_OPS
         sp_public = False
-        if inst.op in (Op.PUSH, Op.POP, Op.CALL, Op.RET):
+        if stack_op:
             # The stack-pointer update is +/- 8: invertible.
             sp_preg = uop.phys_for(SP)
-            sp_public = sp_preg is not None and prf.public[sp_preg]
+            sp_public = sp_preg is not None and public_arr[sp_preg]
+        yrots = prf.yrot
+        producer = self._producer
         for areg, preg in uop.pdests:
-            prf.yrot[preg] = yrot
-            if areg == SP and inst.op in (Op.PUSH, Op.POP, Op.CALL,
-                                          Op.RET):
-                prf.public[preg] = sp_public
+            yrots[preg] = yrot
+            if stack_op and areg == SP:
+                public_arr[preg] = sp_public
             else:
-                prf.public[preg] = public
-            self._producer[preg] = uop
+                public_arr[preg] = public
+            producer[preg] = uop
 
     def on_load_executed(self, uop: Uop) -> None:
-        word_public = all(uop.mem_addr + i in self._public_mem
-                          for i in range(8))
-        if uop.forwarded_from is not None:
-            store = uop.forwarded_from
-            data_preg = store.phys_for(store.inst.data_reg()) \
-                if store.inst.data_reg() is not None else None
-            word_public = (data_preg is not None
-                           and self.core.prf.public[data_preg])
+        prf = self.core.prf
+        store = uop.forwarded_from
+        if store is not None:
+            data_preg = store_data_preg(store)
+            word_public = data_preg is not None and prf.public[data_preg]
+        else:
+            public_mem = self._public_mem
+            word_public = True
+            for byte in range(uop.mem_addr, uop.mem_addr + 8):
+                if byte not in public_mem:
+                    word_public = False
+                    break
         self._loaded_public[uop.seq] = word_public
         if word_public:
             for areg, preg in uop.pdests:
                 if areg == SP and uop.inst.op is not Op.LOAD:
                     continue  # the SP update is not the loaded value
-                self.core.prf.public[preg] = True
-                self.core.prf.yrot[preg] = None
+                prf.public[preg] = True
+                prf.yrot[preg] = None
 
     # -- transmitter gating ------------------------------------------------
 
-    def _all_public(self, pregs: List[int]) -> bool:
-        prf = self.core.prf
-        return all(prf.public[p] for p in pregs)
+    def _all_public(self, pregs: Tuple[int, ...]) -> bool:
+        public = self.core.prf.public
+        for preg in pregs:
+            if not public[preg]:
+                return False
+        return True
 
     def may_execute(self, uop: Uop) -> bool:
-        if uop.inst.is_mem or self.div_gated(uop):
+        inst = uop.inst
+        if inst.is_mem or (inst.is_div
+                           and self.core.config.div_is_transmitter):
             pregs = self.execute_sensitive_pregs(uop)
             if self._all_public(pregs):
                 return True
@@ -239,23 +259,26 @@ class SPT(Defense):
                 worklist.append(secret_srcs[0])
 
     def on_commit(self, uop: Uop) -> None:
-        prf = self.core.prf
-        # Fully transmitted operands become public...
-        transmitted = list(self.execute_sensitive_pregs(uop))
-        if uop.inst.is_div:
-            transmitted = []  # divisions only *partially* transmit
-        transmitted += self.resolve_sensitive_pregs(uop)
-        for preg in transmitted:
-            self._make_public(preg)
-        if uop.inst.op is Op.RET and uop.mem_addr is not None:
+        public = self.core.prf.public
+        inst = uop.inst
+        # Fully transmitted operands become public (a register already
+        # public needs no declassification: ``_make_public`` would stop
+        # at it)...
+        if not inst.is_div:  # divisions only *partially* transmit
+            for preg in self.execute_sensitive_pregs(uop):
+                if not public[preg]:
+                    self._make_public(preg)
+        for preg in self.resolve_sensitive_pregs(uop):
+            if not public[preg]:
+                self._make_public(preg)
+        if inst.op is Op.RET and uop.mem_addr is not None:
             self._public_mem.update(range(uop.mem_addr, uop.mem_addr + 8))
         if uop.is_store and uop.mem_addr is not None:
-            data_reg = uop.inst.data_reg()
+            data_reg = inst.data_reg()
             if data_reg is None:
                 data_public = True  # CALL return addresses are constants
             else:
-                data_preg = uop.phys_for(data_reg)
-                data_public = prf.public[data_preg]
+                data_public = public[uop.phys_for(data_reg)]
             span = range(uop.mem_addr, uop.mem_addr + 8)
             if data_public:
                 self._public_mem.update(span)
@@ -278,7 +301,9 @@ class SPTSB(Defense):
     binary = "base"
 
     def may_execute(self, uop: Uop) -> bool:
-        if uop.inst.is_mem or self.div_gated(uop):
+        inst = uop.inst
+        if inst.is_mem or (inst.is_div
+                           and self.core.config.div_is_transmitter):
             return self.nonspeculative(uop)
         return True
 

@@ -33,16 +33,12 @@ class AccessPredictor:
         self.mispredictions = 0
         self.false_negatives = 0
 
-    def _index(self, pc: int) -> int:
-        assert self.entries is not None
-        return pc % self.entries
-
     def predict_access(self, pc: int) -> bool:
         """Predict whether the load at ``pc`` will read protected memory."""
         self.predictions += 1
         if self.entries is None:
             return self._table.get(pc, True)
-        return self._bits[self._index(pc)]
+        return self._bits[pc % self.entries]
 
     def train(self, pc: int, was_access: bool, predicted: bool) -> None:
         """Retire-time update with the load's actual outcome."""
@@ -53,7 +49,7 @@ class AccessPredictor:
         if self.entries is None:
             self._table[pc] = was_access
         else:
-            self._bits[self._index(pc)] = was_access
+            self._bits[pc % self.entries] = was_access
 
     @property
     def misprediction_rate(self) -> float:

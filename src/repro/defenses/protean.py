@@ -24,11 +24,11 @@ AccessDelay/AccessTrack mechanisms applied to ProtISA directly are
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from ..isa.operations import Op
 from ..uarch.uop import Uop
-from .base import Defense
+from .base import Defense, store_data_preg
 from .predictor import AccessPredictor
 
 
@@ -43,18 +43,16 @@ class ProtDelay(Defense):
 
     # -- security: access transmitters stall until non-speculative --------
 
-    def _protected_sensitive(self, pregs) -> bool:
-        prf = self.core.prf
-        return any(prf.prot[p] for p in pregs)
-
     def may_execute(self, uop: Uop) -> bool:
-        if uop.inst.is_mem or self.div_gated(uop):
-            if self._protected_sensitive(self.execute_sensitive_pregs(uop)):
+        inst = uop.inst
+        if inst.is_mem or (inst.is_div
+                           and self.core.config.div_is_transmitter):
+            if self.any_protected(self.execute_sensitive_pregs(uop)):
                 return self.nonspeculative(uop)
         return True
 
     def may_resolve(self, uop: Uop) -> bool:
-        if self._protected_sensitive(self.resolve_sensitive_pregs(uop)):
+        if self.any_protected(self.resolve_sensitive_pregs(uop)):
             return self.nonspeculative(uop)
         if uop.inst.op is Op.RET and uop.lsq_prot:
             # The loaded return target is protected data.
@@ -121,15 +119,29 @@ class ProtTrack(Defense):
     # -- rename: taint decisions -------------------------------------------
 
     def on_rename(self, uop: Uop) -> None:
-        prf = self.core.prf
+        core = self.core
+        prf = core.prf
         inst = uop.inst
-        yrot = self.propagated_yrot(uop)
-        if self.protected_src(uop) and not inst.prot:
+        # One pass over the sources for both the protection tag and the
+        # youngest YRoT (``protected_src`` and ``propagated_yrot``).
+        prot = prf.prot
+        yrots = prf.yrot
+        protected = False
+        yrot = None
+        for _, preg in uop.psrcs:
+            if prot[preg]:
+                protected = True
+            root = yrots[preg]
+            if root is not None and (yrot is None or root > yrot):
+                yrot = root
+        if protected and not inst.prot:
             # An unprefixed instruction reading protected data produces
             # an (architecturally unprotected) output that speculatively
             # still carries protected data: taint it until this
             # instruction is non-speculative.
             yrot = uop.seq
+        elif yrot is not None and yrot <= core.nonspec_bound():
+            yrot = None  # the youngest source root is no longer live
         if uop.is_load:
             predicted_access = True
             if self.use_predictor:
@@ -141,21 +153,21 @@ class ProtTrack(Defense):
                 # covered by its protection tag instead.)
                 yrot = uop.seq
         for _, preg in uop.pdests:
-            prf.yrot[preg] = yrot
+            yrots[preg] = yrot
 
     # -- transmitter gating ---------------------------------------------------
 
-    def _gate(self, uop: Uop, pregs) -> bool:
-        prf = self.core.prf
-        if any(prf.prot[p] for p in pregs):
+    def _gate(self, uop: Uop, pregs: Tuple[int, ...]) -> bool:
+        if self.any_protected(pregs):
             # Access transmitter: protected sensitive operand.
             return self.nonspeculative(uop)
-        if any(self.tainted(p) for p in pregs):
-            return False  # wait for the untaint broadcast
-        return True
+        # Otherwise wait for the untaint broadcast.
+        return not self.any_tainted(pregs)
 
     def may_execute(self, uop: Uop) -> bool:
-        if uop.inst.is_mem or self.div_gated(uop):
+        inst = uop.inst
+        if inst.is_mem or (inst.is_div
+                           and self.core.config.div_is_transmitter):
             return self._gate(uop, self.execute_sensitive_pregs(uop))
         return True
 
@@ -172,8 +184,8 @@ class ProtTrack(Defense):
 
     # -- refusal-stability hints (one per refusing clause above) ----------
 
-    def _gate_recheck_seq(self, uop: Uop, pregs) -> int:
-        if any(self.core.prf.prot[p] for p in pregs):
+    def _gate_recheck_seq(self, uop: Uop, pregs: Tuple[int, ...]) -> int:
+        if self.any_protected(pregs):
             # Refused by the protected-sensitive clause (protection tags
             # are fixed per preg, so the clause selection is stable).
             return self._nonspec_flip_seq(uop.seq)
@@ -189,10 +201,9 @@ class ProtTrack(Defense):
                 flip = min(flip, self._nonspec_flip_seq(uop.seq))
             store = uop.forwarded_from
             if store is not None:
-                data_reg = store.inst.data_reg()
-                if data_reg is not None:
-                    flip = min(flip, self._taint_flip_seq(
-                        (store.phys_for(data_reg),)))
+                data_preg = store_data_preg(store)
+                if data_preg is not None:
+                    flip = min(flip, self._taint_flip_seq((data_preg,)))
         return flip
 
     def wakeup_recheck_seq(self, uop: Uop) -> Optional[int]:
@@ -200,20 +211,17 @@ class ProtTrack(Defense):
             return self._nonspec_flip_seq(uop.seq)
         store = self._forward_gated.get(uop.seq)
         if store is not None:
-            data_reg = store.inst.data_reg()
-            if data_reg is None:
+            data_preg = store_data_preg(store)
+            if data_preg is None:
                 return None  # unreachable: CALL data is never tainted
-            return self._taint_flip_seq((store.phys_for(data_reg),))
+            return self._taint_flip_seq((data_preg,))
         return None
 
     # -- load execution: misprediction recovery -------------------------------
 
     def _store_data_tainted(self, store: Uop) -> bool:
-        data_reg = store.inst.data_reg()
-        if data_reg is None:
-            return False  # CALL pushes a constant
-        preg = store.phys_for(data_reg)
-        return self.tainted(preg)
+        data_preg = store_data_preg(store)
+        return data_preg is not None and self.tainted(data_preg)
 
     def on_load_executed(self, uop: Uop) -> None:
         if uop.predicted_no_access and uop.lsq_prot:
@@ -221,15 +229,26 @@ class ProtTrack(Defense):
             # untainted but holds protected data.  Fall back to
             # ProtDelay: no dependent wakeup until the load retires.
             self._fallback.add(uop.seq)
-        if (uop.forwarded_from is not None
-                and not self.tainted_dests(uop)
-                and self._store_data_tainted(uop.forwarded_from)):
-            # Untainted load forwarding from a store of tainted data:
-            # gate its wakeup until the store's data untaints.
-            self._forward_gated[uop.seq] = uop.forwarded_from
-
-    def tainted_dests(self, uop: Uop) -> bool:
-        return any(self.tainted(p) for _, p in uop.pdests)
+        store = uop.forwarded_from
+        if store is None:
+            return
+        data_preg = store_data_preg(store)
+        if data_preg is None:
+            return
+        yrots = self.core.prf.yrot
+        data_root = yrots[data_preg]
+        if data_root is None:
+            return
+        bound = self.core.nonspec_bound()
+        if data_root <= bound:
+            return  # the store's data is untainted
+        for _, preg in uop.pdests:
+            root = yrots[preg]
+            if root is not None and root > bound:
+                return  # the load's own output is tainted
+        # Untainted load forwarding from a store of tainted data: gate
+        # its wakeup until the store's data untaints.
+        self._forward_gated[uop.seq] = store
 
     def may_wakeup(self, uop: Uop) -> bool:
         if uop.seq in self._fallback:

@@ -54,6 +54,12 @@ from .uop import Uop, timing_observation
 #: Safety valve for runaway simulations.
 DEFAULT_MAX_CYCLES = 3_000_000
 
+#: A seq no uop reaches.  :meth:`Core.nonspec_bound` answers it when
+#: nothing in flight bounds the speculation window, and the defenses'
+#: ``*_recheck_seq`` hints return it when no head seq can flip a
+#: refusal (:mod:`repro.defenses.base` re-exports it).
+RECHECK_NEVER = 1 << 62
+
 #: Abort a run after this many cycles without a single commit.  A wedged
 #: machine (dead frontend, deadlocked defense gate) used to burn the full
 #: ``max_cycles`` before reporting ``timeout``; no legitimate workload in
@@ -188,6 +194,12 @@ class Core:
             program = program.linked()
         self.program = program
         self.config = config
+        #: Whether the speculation window closes at commit (ATCOMMIT)
+        #: rather than at the resolution of every older branch
+        #: (CONTROL): :meth:`nonspec_bound` and the defenses' recheck
+        #: hints read this flag, not the config.
+        self.atcommit = (config.speculation_model
+                         is SpeculationModel.ATCOMMIT)
         self.defense = defense if defense is not None else Unsafe()
         if memory is None:
             self.memory = Memory()
@@ -244,7 +256,7 @@ class Core:
         self._pending_resolution: List[Uop] = []
         #: Rename-order queue of unresolved branches (CONTROL model).
         #: Resolved/squashed heads are pruned at resolve/squash/commit —
-        #: never inside the ``seq_nonspeculative`` query, which is pure.
+        #: never inside the ``nonspec_bound`` query, which is pure.
         self._inflight_branches: Deque[Uop] = deque()
         #: preg -> uop that will write it (stall attribution follows the
         #: head's unready operands to their producers through this map).
@@ -311,25 +323,38 @@ class Core:
     # Speculation-state queries (paper SII-B2)
     # ==================================================================
 
+    def nonspec_bound(self) -> int:
+        """The youngest seq that is non-speculative now (SII-B2): the
+        uop with seq ``seq`` is past its speculation window exactly
+        when ``seq <= nonspec_bound()``.
+
+        Under ATCOMMIT that is the ROB head's seq; under CONTROL, the
+        seq of the oldest in-flight branch that is neither resolved nor
+        squashed.  With no such uop nothing is speculative, and the
+        bound is :data:`RECHECK_NEVER`, which no seq reaches.
+
+        A pure query: the answer does not depend on how often or in
+        which order it is asked.  Defense hooks ask it at most once per
+        call and compare every operand's YRoT with that one answer.
+        Pruning of resolved/squashed branches happens in
+        :meth:`_prune_resolved_branches`, at the resolution, squash, and
+        commit sites.
+        """
+        if self.atcommit:
+            entries = self.rob.entries
+            return entries[0].seq if entries else RECHECK_NEVER
+        for branch in self._inflight_branches:
+            if not (branch.squashed or branch.resolved):
+                return branch.seq
+        return RECHECK_NEVER
+
     def seq_nonspeculative(self, seq: int) -> bool:
         """Whether the uop with sequence number ``seq`` is past its
-        speculation window under the configured model.
-
-        This is a pure query: defenses call it any number of times per
-        cycle (taint checks fan out over operands) and the answer must
-        not depend on call order.  Pruning of resolved/squashed branches
-        happens in :meth:`_prune_resolved_branches`, at the resolution,
-        squash, and commit sites.
-        """
-        if self.config.speculation_model is SpeculationModel.ATCOMMIT:
-            head = self.rob.head
-            return head is None or seq <= head.seq
-        # CONTROL: speculative until all prior branches have resolved.
-        for branch in self._inflight_branches:
-            if branch.squashed or branch.resolved:
-                continue
-            return branch.seq >= seq
-        return True
+        speculation window under the configured model: one comparison
+        with :meth:`nonspec_bound`, the window's one definition.  A
+        caller that asks about several seqs reads the bound once
+        instead."""
+        return seq <= self.nonspec_bound()
 
     def _prune_resolved_branches(self) -> None:
         """Drop resolved/squashed heads of the in-flight branch queue

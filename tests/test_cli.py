@@ -322,6 +322,18 @@ def test_trace_text_format(tmp_path, capsys):
     assert "F" in text and "C" in text
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_trace_refuses_max_uops_below_one(tmp_path, capsys, value):
+    # A trace that may record no uop would be written empty and exit 0.
+    out_path = tmp_path / "trace.json"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["trace", "ossl.dh", "--max-uops", value,
+              "--out", str(out_path)])
+    assert excinfo.value.code == 2
+    assert "--max-uops: must be at least 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_diff_subcommand_identical(capsys):
     assert main(["diff", "--programs", "1", "--defense", "unsafe",
                  "track", "--core", "P", "--no-fixtures"]) == 0

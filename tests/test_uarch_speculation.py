@@ -1,5 +1,6 @@
 """Speculation-state queries (paper SII-B2): ATCOMMIT vs CONTROL."""
 
+from repro.defenses.base import RECHECK_NEVER
 from repro.isa import assemble
 from repro.uarch import Core, P_CORE
 from repro.uarch.config import SpeculationModel
@@ -21,6 +22,32 @@ out:
 """
 
 
+#: Three branches on one cold load's value: all three stay unresolved
+#: in flight together for a while.
+THREE_BRANCHES = """
+    movi r1, 0x9000
+    load r2, [r1]
+    cmpi r2, 0
+    beq first
+first:
+    cmpi r2, 1
+    beq second
+second:
+    cmpi r2, 2
+    beq out
+out:
+    halt
+"""
+
+
+def assert_window_is_the_bound(core):
+    """``seq_nonspeculative`` is one comparison with ``nonspec_bound``,
+    just below, at and just above the bound."""
+    bound = core.nonspec_bound()
+    for seq in (bound - 1, bound, bound + 1):
+        assert core.seq_nonspeculative(seq) == (seq <= bound)
+
+
 def test_atcommit_head_is_nonspeculative():
     core = make_core(SpeculationModel.ATCOMMIT, SRC)
     # The front end takes frontend_delay cycles to fill the ROB.
@@ -32,6 +59,22 @@ def test_atcommit_head_is_nonspeculative():
     tail = core.rob.entries[-1]
     if tail is not head:
         assert not core.seq_nonspeculative(tail.seq)
+
+
+def test_atcommit_bound_is_the_head_seq():
+    core = make_core(SpeculationModel.ATCOMMIT, SRC)
+    for _ in range(8):
+        core.step()
+    assert len(core.rob) > 1
+    assert core.nonspec_bound() == core.rob.head.seq
+    assert_window_is_the_bound(core)
+
+
+def test_atcommit_bound_on_an_empty_rob_is_never():
+    core = make_core(SpeculationModel.ATCOMMIT, "halt\n")
+    assert len(core.rob) == 0
+    assert core.nonspec_bound() == RECHECK_NEVER
+    assert_window_is_the_bound(core)
 
 
 def test_atcommit_committed_sequences_nonspeculative():
@@ -66,6 +109,41 @@ def test_control_pending_branch_shields_younger():
         assert core.seq_nonspeculative(branch.seq)
 
 
+def test_control_bound_is_the_oldest_open_branch():
+    core = make_core(SpeculationModel.CONTROL, THREE_BRANCHES)
+    for _ in range(50):
+        core.step()
+        if len(core._inflight_branches) >= 3:
+            break
+    first, second, third = list(core._inflight_branches)[:3]
+    assert not any(b.resolved or b.squashed for b in (first, second, third))
+    assert core.nonspec_bound() == first.seq
+    assert_window_is_the_bound(core)
+    # Resolved and squashed branches no longer bound the window, even
+    # before they are pruned from the queue.
+    first.resolved = True
+    assert core.nonspec_bound() == second.seq
+    assert_window_is_the_bound(core)
+    second.squashed = True
+    assert core.nonspec_bound() == third.seq
+    assert_window_is_the_bound(core)
+    third.resolved = True
+    assert len(core._inflight_branches) == 3
+    assert core.nonspec_bound() == RECHECK_NEVER
+    assert_window_is_the_bound(core)
+    first.resolved = second.squashed = third.resolved = False
+
+
+def test_control_bound_without_branches_is_never():
+    src = "movi r1, 1\nadd r2, r1, r1\nmul r3, r2, r2\nhalt\n"
+    core = make_core(SpeculationModel.CONTROL, src)
+    for _ in range(8):
+        core.step()
+    assert len(core.rob) > 0
+    assert core.nonspec_bound() == RECHECK_NEVER
+    assert_window_is_the_bound(core)
+
+
 def test_control_speculation_query_is_pure():
     # Regression: the CONTROL-model query used to prune resolved
     # branches from the in-flight list *inside* the read-only query,
@@ -81,6 +159,7 @@ def test_control_speculation_query_is_pure():
     before = list(core._inflight_branches)
     core.seq_nonspeculative(front.seq + 100)
     core.seq_nonspeculative(0)
+    core.nonspec_bound()
     assert list(core._inflight_branches) == before
     front.resolved = False
 
